@@ -1,8 +1,11 @@
 """Command-line entry points.
 
-``dips synth`` reads a CSV, runs one synthesizer under a stated budget, and
-writes the released set(s) plus a budget audit.  ``dips bench`` runs one of
-the benchmark studies from a JSON config and writes metric CSVs.
+``dips synth`` reads a CSV, runs one synthesizer of
+``dips.synthesizers.SYNTHESIZERS`` under a stated budget, and writes the
+released set(s) plus a budget audit.  Sets whose sanitized counts have no
+mass are dropped; when none survives, the audit is still written and
+the exit code is 2.  ``dips bench`` runs one of the benchmark studies from
+a JSON config and writes metric CSVs.
 
 Exit codes: 0 success, 2 configuration error, 3 privacy-budget violation.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,33 +22,16 @@ import numpy as np
 from .budget import BudgetExhausted, PrivacyBudget, PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from .harness import StudyConfig, report, run_study
-from .hist_synth import (
-    BinnedAxis,
-    CategoricalAxis,
-    GridSpec,
-    bin_count_from_width,
-    bin_width_scott,
-    build_histogram,
-    laplace_sanitizer_crosstab,
-    perturb_histogram,
-    sample_from_histogram,
-    smooth_histogram,
-)
-from .param_synth import (
-    BernoulliModel,
-    NormalModel,
-    bbmr_synthesizer,
-    md_synthesizer,
-    modips_release,
-)
 from .randvar import RngStream
+from .synthesizers import SYNTHESIZERS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-SYNTH_METHODS = ("laplace", "pert-hist", "smooth-hist", "md", "bbmr",
-                 "modips-bernoulli", "modips-normal")
+SYNTH_METHODS = tuple(SYNTHESIZERS)
+# methods that release one set whatever --m is
+ONE_SET_METHODS = ("smooth-hist", "bbmr")
 
 
 class ConfigError(ValueError):
@@ -104,125 +89,24 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     return TabularDataset(columns, data)
 
 
-def _categorical_names(ds: TabularDataset) -> list[str]:
-    return [c.name for c in ds.columns if isinstance(c, CategoricalColumn)]
-
-
-def _histogram_grid(ds: TabularDataset):
-    axes = []
-    names = []
-    for c in ds.columns:
-        names.append(c.name)
-        if isinstance(c, CategoricalColumn):
-            axes.append(CategoricalAxis(len(c.levels)))
-        else:
-            x = ds.column(c.name)
-            sd = float(x.std(ddof=1)) if len(x) > 1 else 0.0
-            bins = (bin_count_from_width(c.lo, c.hi, bin_width_scott(sd, len(x)))
-                    if sd > 0 else 1)
-            axes.append(BinnedAxis(c.lo, c.hi, bins))
-    return GridSpec(tuple(axes)), names
-
-
-def _grid_to_dataset(ds, names, draw):
-    data = {}
-    for j, name in enumerate(names):
-        data[name] = draw[f"axis{j}"]
-    return TabularDataset(ds.columns, data, validate=False)
-
-
 def _run_synth(args) -> int:
     ds = _load_csv(args.input, args.schema)
-    rng = RngStream(args.seed)
     ledger = PrivacyLedger(PrivacyBudget(args.eps))
-    m = args.m
-    sets: list[TabularDataset] = []
-    method = args.method
-    if method == "laplace":
-        cat = _categorical_names(ds)
-        if len(cat) != len(ds.columns):
-            raise ConfigError("laplace sanitizer needs all-categorical data")
-        for j in range(m):
-            share = Fraction(args.eps) / m
-            _, codes = laplace_sanitizer_crosstab(
-                rng.substream(j), ds, cat, float(share), ledger=ledger,
-                label=f"laplace-set{j}", charge_eps=share)
-            sets.append(TabularDataset(ds.columns, codes, validate=False))
-    elif method in ("pert-hist", "smooth-hist"):
-        grid, names = _histogram_grid(ds)
-        hist = build_histogram(ds, grid, column_names=names)
-        if method == "smooth-hist":
-            density = smooth_histogram(hist, args.eps, ledger=ledger)
-            sets.append(_grid_to_dataset(
-                ds, names, sample_from_histogram(rng, grid, density, ds.n)))
-        else:
-            for j in range(m):
-                share = Fraction(args.eps) / m
-                pert = perturb_histogram(rng.substream(j), hist, float(share),
-                                         ledger=ledger, label=f"pert-set{j}",
-                                         charge_eps=share)
-                sets.append(_grid_to_dataset(
-                    ds, names, sample_from_histogram(
-                        rng.substream(j, 1), grid, pert.density(), ds.n)))
-    elif method == "md":
-        cat = _categorical_names(ds)
-        if len(cat) != len(ds.columns):
-            raise ConfigError("md synthesizer needs all-categorical data")
-        grid, names = _histogram_grid(ds)
-        hist = build_histogram(ds, grid, column_names=names)
-        release = md_synthesizer(rng, hist.counts.astype(int), args.eps, m,
-                                 ledger=ledger)
-        for s in release.sets:
-            multi = np.unravel_index(s.column("cell"), grid.shape)
-            sets.append(TabularDataset(
-                ds.columns,
-                {name: codes.astype(np.int64)
-                 for name, codes in zip(names, multi)},
-                validate=False))
-    elif method == "bbmr":
-        if len(ds.columns) != 1 or not isinstance(ds.columns[0],
-                                                  CategoricalColumn) \
-                or len(ds.columns[0].levels) != 2:
-            raise ConfigError("bbmr needs a single binary column")
-        name = ds.columns[0].name
-        release = bbmr_synthesizer(rng, int(ds.column(name).sum()), ds.n,
-                                   args.eps, ledger=ledger)
-        sets.append(TabularDataset(ds.columns,
-                                   {name: release.sets[0].column("x")},
-                                   validate=False))
-    elif method == "modips-bernoulli":
-        if len(ds.columns) != 1 or not isinstance(ds.columns[0],
-                                                  CategoricalColumn):
-            raise ConfigError("modips-bernoulli needs a single binary column")
-        name = ds.columns[0].name
-        wrapped = TabularDataset([CategoricalColumn("x", (0, 1))],
-                                 {"x": ds.column(name)})
-        release = modips_release(rng, wrapped, BernoulliModel(), args.eps, m,
-                                 ledger=ledger)
-        for s in release.sets:
-            sets.append(TabularDataset(ds.columns, {name: s.column("x")},
-                                       validate=False))
-    elif method == "modips-normal":
-        if len(ds.columns) != 1 or not isinstance(ds.columns[0],
-                                                  ContinuousColumn):
-            raise ConfigError("modips-normal needs a single continuous column")
-        col = ds.columns[0]
-        wrapped = TabularDataset([ContinuousColumn("x", col.lo, col.hi)],
-                                 {"x": ds.column(col.name)})
-        release = modips_release(rng, wrapped, NormalModel(col.lo, col.hi),
-                                 args.eps, m, ledger=ledger)
-        for s in release.sets:
-            sets.append(TabularDataset(ds.columns,
-                                       {col.name: s.column("x")},
-                                       validate=False))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    sets = SYNTHESIZERS[args.method](RngStream(args.seed), ds, args.eps,
+                                     args.m, ledger, "BIT")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for j, s in enumerate(sets, start=1):
-        s.to_csv(out / f"synth_{j}.csv")
     with open(out / "ledger.json", "w") as fh:
         fh.write(ledger.to_json())
+    if not sets:
+        raise ConfigError(f"no synthetic set survived at eps {args.eps}: "
+                          "every set's sanitized counts had no mass")
+    for j, s in enumerate(sets, start=1):
+        s.to_csv(out / f"synth_{j}.csv")
+    wanted = 1 if args.method in ONE_SET_METHODS else args.m
+    if len(sets) < wanted:
+        print(f"dropped {wanted - len(sets)} of {wanted} set(s): their "
+              "sanitized counts had no mass")
     print(f"wrote {len(sets)} synthetic set(s) to {out}")
     return EXIT_OK
 

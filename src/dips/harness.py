@@ -29,15 +29,10 @@ from .budget import PrivacyBudget, PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from .hist_synth import (
     AllCellsZero,
-    BinnedAxis,
-    GridSpec,
-    bin_count_from_width,
-    bin_width_scott,
     build_histogram,
     laplace_sanitizer_crosstab,
     perturb_histogram,
     sample_from_histogram,
-    smooth_histogram,
 )
 from .inference import (
     DegenerateEstimate,
@@ -50,17 +45,17 @@ from .inference import (
     excess_kurtosis,
     firth_logistic,
     fit_multinomial_logit,
+    variance_from_moments,
 )
 from .param_synth import (
     BernoulliModel,
     GaussianMixtureModel,
     NormalModel,
     SequentialLogisticModel,
-    bbmr_synthesizer,
-    md_synthesizer,
     modips_release,
 )
 from .randvar import RngStream
+from .synthesizers import SYNTHESIZERS, histogram_grid
 
 __all__ = [
     "StudyConfig",
@@ -124,14 +119,6 @@ def sim3_z_bounds() -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 SIM4_Z_BOUNDS = ((-4.0, 4.0), (-4.0, 4.0))
-
-STUDY_METHODS = {
-    "sim1": ("modips-bernoulli", "laplace", "md", "bbmr", "ms", "original"),
-    "sim2": ("modips-normal", "modips-normal-conjoint", "pert-hist",
-             "smooth-hist", "ms", "original"),
-    "sim3": ("modips-mixture", "np-dips", "ms", "original"),
-    "sim4": ("modips-logistic", "np-dips", "ms", "original"),
-}
 
 METRIC_COLUMNS = ["study", "method", "parameter", "eps", "bias", "rmse",
                   "coverage", "ci_width", "usable_fraction", "reps_used"]
@@ -323,106 +310,43 @@ def _truth_values(config: StudyConfig) -> dict[str, float]:
     return vals
 
 
-# -- per-study method runners ------------------------------------------------
-# each returns a list of synthetic sets (or raw arrays) for analysis
+# -- per-study method tables -------------------------------------------------
+# every entry is release(rng, data, eps, m, ledger, postprocess) -> sets;
+# the shared ones come from dips.synthesizers
 
-def _sim1_sets(method, rng, data, eps, m, ledger, postprocess="BIT"):
-    """Return a list of binary arrays, one per released set."""
-    x = data.column("x")
-    n = len(x)
-    if method == "original":
-        return [x]
-    if method == "ms":
-        rel = modips_release(rng, data, BernoulliModel(), eps, m,
-                             sanitize=False, method="ms")
-        return [s.column("x") for s in rel.sets]
-    if method == "modips-bernoulli":
-        rel = modips_release(rng, data, BernoulliModel(), eps, m,
-                             ledger=ledger, postprocess=postprocess,
-                             method="modips")
-        return [s.column("x") for s in rel.sets]
-    if method == "md":
-        counts = np.array([n - x.sum(), x.sum()])
-        rel = md_synthesizer(rng, counts, eps, m, ledger=ledger)
-        return [s.column("cell") for s in rel.sets]
-    if method == "bbmr":
-        rel = bbmr_synthesizer(rng, int(x.sum()), n, eps, ledger=ledger)
-        return [rel.sets[0].column("x")]
-    if method == "laplace":
-        sets = []
-        for j in range(m):
-            share = Fraction(eps) / m
-            try:
-                _, codes = laplace_sanitizer_crosstab(
-                    rng.substream(j), data, ["x"], float(share),
-                    ledger=ledger, label=f"laplace-set{j}",
-                    charge_eps=share)
-                sets.append(codes["x"])
-            except AllCellsZero:
-                if ledger is not None:
-                    ledger.charge(f"laplace-set{j}", share,
-                                  mode="parallel", group=f"laplace-set{j}")
-        return sets
-    raise ValueError(f"unknown sim1 method {method!r}")
+def _original(rng, data, eps, m, ledger, postprocess):
+    return [data]
 
 
-def _sim2_sets(method, rng, data, eps, m, ledger, config):
-    x = data.column("x")
-    col = data.columns[0]
-    c0, c1 = col.lo, col.hi
-    n = len(x)
-    if method == "original":
-        return [x]
-    if method in ("ms", "modips-normal", "modips-normal-conjoint"):
-        mode = "conjoint" if method.endswith("conjoint") else "individual"
-        model = NormalModel(c0, c1, mode=mode)
-        rel = modips_release(rng, data, model, eps, m,
-                             ledger=None if method == "ms" else ledger,
-                             sanitize=method != "ms",
-                             postprocess=config.postprocess, method=method)
-        return [s.column("x") for s in rel.sets]
-    sd = float(x.std(ddof=1))
-    width = bin_width_scott(max(sd, 1e-12), n)
-    bins = bin_count_from_width(c0, c1, width)
-    grid = GridSpec((BinnedAxis(c0, c1, bins),))
-    hist = build_histogram(data, grid, column_names=["x"])
-    if method == "smooth-hist":
-        density = smooth_histogram(hist, eps, ledger=ledger)
-        draw = sample_from_histogram(rng, grid, density, n)
-        return [draw["axis0"]]
-    if method == "pert-hist":
-        sets = []
-        for j in range(m):
-            share = Fraction(eps) / m
-            try:
-                sanitized = perturb_histogram(
-                    rng.substream(j), hist, float(share), ledger=ledger,
-                    label=f"pert-set{j}", charge_eps=share)
-                draw = sample_from_histogram(rng.substream(j, 1), grid,
-                                             sanitized.density(), n)
-                sets.append(draw["axis0"])
-            except AllCellsZero:
-                if ledger is not None:
-                    ledger.charge(f"pert-set{j}", share, mode="parallel",
-                                  group=f"pert-set{j}")
-        return sets
-    raise ValueError(f"unknown sim2 method {method!r}")
+def _modips(method, model_of):
+    """MODIPS under the study's model; "ms" releases without noise."""
+    def release(rng, data, eps, m, ledger, postprocess):
+        return modips_release(rng, data, model_of(data), eps, m,
+                              ledger=ledger, sanitize=method != "ms",
+                              postprocess=postprocess, method=method).sets
+    return release
 
 
-def _scott_grid_2d(z, lower, upper):
-    """Two-dimensional binned grid over a rectangle, bin counts by Scott's
-    rule per coordinate on the supplied points."""
-    axes = []
-    for j in range(2):
-        n = len(z)
-        sd = float(z[:, j].std(ddof=1)) if n > 1 else 0.0
-        if sd <= 0:
-            bins = 1
-        else:
-            bins = bin_count_from_width(lower[j], upper[j],
-                                        bin_width_scott(sd, n))
-        axes.append(BinnedAxis(lower[j], upper[j], bins))
-    return GridSpec(tuple(axes))
+def _bernoulli_model(data):
+    return BernoulliModel()
+
+
+def _normal_model(data):
+    return NormalModel(data.columns[0].lo, data.columns[0].hi)
+
+
+def _conjoint_normal_model(data):
+    return NormalModel(data.columns[0].lo, data.columns[0].hi,
+                       mode="conjoint")
+
+
+def _mixture_model(data):
+    lower, upper = sim3_cell_bounds()
+    return GaussianMixtureModel(SIM3_LEVELS, lower, upper, sim3_z_bounds())
+
+
+def _logistic_model(data):
+    return SequentialLogisticModel(SIM4_Z_BOUNDS)
 
 
 def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
@@ -452,26 +376,25 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
         orig = z[cells_orig == k]
         drawn = None
         if len(orig) >= 2:
-            grid = _scott_grid_2d(orig, lower[k], upper[k])
             clipped = np.clip(orig, lower[k], upper[k])
-            cell_cols = [ContinuousColumn("a", lower[k][0], upper[k][0]),
-                         ContinuousColumn("b", lower[k][1], upper[k][1])]
-            hist = build_histogram(
-                TabularDataset(cell_cols,
-                               {"a": clipped[:, 0], "b": clipped[:, 1]},
-                               validate=False),
-                grid, column_names=["a", "b"])
+            cell = TabularDataset(
+                [ContinuousColumn("a", lower[k][0], upper[k][0]),
+                 ContinuousColumn("b", lower[k][1], upper[k][1])],
+                {"a": clipped[:, 0], "b": clipped[:, 1]}, validate=False)
+            grid = histogram_grid(cell)
+            hist = build_histogram(cell, grid)
+            # perturb_histogram charges the group before it can raise
+            hist_group_charged = True
             try:
                 pert = perturb_histogram(sub, hist, float(half),
                                          ledger=ledger,
                                          label=f"{tag}-hist",
                                          charge_eps=half)
-                hist_group_charged = True
                 draw = sample_from_histogram(sub.substream(1), grid,
                                              pert.density(), n_new)
                 drawn = np.column_stack([draw["axis0"], draw["axis1"]])
             except AllCellsZero:
-                drawn = None
+                pass
         if drawn is None:
             drawn = sub.generator.uniform(lower[k], upper[k], size=(n_new, 2))
         z_new[take] = drawn
@@ -483,65 +406,51 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
         "z1": z_new[:, 0], "z2": z_new[:, 1]}, validate=False)
 
 
-def _sim3_sets(method, rng, data, eps, m, ledger, postprocess="BIT"):
-    if method == "original":
-        return [data]
-    if method in ("ms", "modips-mixture"):
-        lower, upper = sim3_cell_bounds()
-        model = GaussianMixtureModel(SIM3_LEVELS, lower, upper,
-                                     sim3_z_bounds())
-        rel = modips_release(rng, data, model, eps, m,
-                             ledger=None if method == "ms" else ledger,
-                             sanitize=method != "ms",
-                             postprocess=postprocess, method=method)
-        return rel.sets
-    if method == "np-dips":
-        return [_sim3_np_set(rng.substream(j), data, Fraction(eps) / m,
-                             ledger, tag=f"np-set{j}")
-                for j in range(m)]
-    raise ValueError(f"unknown sim3 method {method!r}")
+def _sim3_np_dips(rng, data, eps, m, ledger, postprocess):
+    return [_sim3_np_set(rng.substream(j), data, Fraction(eps) / m, ledger,
+                         tag=f"np-set{j}") for j in range(m)]
 
 
-def _sim4_sets(method, rng, data, eps, m, ledger, postprocess="BIT"):
-    if method == "original":
-        return [data]
-    if method in ("ms", "modips-logistic"):
-        model = SequentialLogisticModel(SIM4_Z_BOUNDS)
-        rel = modips_release(rng, data, model, eps, m,
-                             ledger=None if method == "ms" else ledger,
-                             sanitize=method != "ms",
-                             postprocess=postprocess, method=method)
-        return rel.sets
-    if method == "np-dips":
-        z = np.column_stack([data.column("z1"), data.column("z2")])
-        axes = list(_scott_grid_2d(z, [b[0] for b in SIM4_Z_BOUNDS],
-                                   [b[1] for b in SIM4_Z_BOUNDS]).axes)
-        from .hist_synth import CategoricalAxis
-        grid = GridSpec(tuple(axes) + (CategoricalAxis(2), CategoricalAxis(2),
-                                       CategoricalAxis(3)))
-        hist = build_histogram(data, grid,
-                               column_names=["z1", "z2", "w1", "w2", "w3"])
-        sets = []
-        n = data.n
-        for j in range(m):
-            share = Fraction(eps) / m
-            sub = rng.substream(j)
-            try:
-                pert = perturb_histogram(sub, hist, float(share),
-                                         ledger=ledger, label=f"np-set{j}",
-                                         charge_eps=share)
-                draw = sample_from_histogram(sub.substream(1), grid,
-                                             pert.density(), n)
-                sets.append(TabularDataset(_sim4_columns(), {
-                    "w1": draw["axis2"], "w2": draw["axis3"],
-                    "w3": draw["axis4"], "z1": draw["axis0"],
-                    "z2": draw["axis1"]}, validate=False))
-            except AllCellsZero:
-                if ledger is not None:
-                    ledger.charge(f"np-set{j}", share, mode="parallel",
-                                  group=f"np-set{j}")
-        return sets
-    raise ValueError(f"unknown sim4 method {method!r}")
+def _sim4_np_dips(rng, data, eps, m, ledger, postprocess):
+    """The perturbed histogram over (z1, z2, w1, w2, w3): the grid's axis
+    order fixes the draws."""
+    columns = data.columns[3:] + data.columns[:3]
+    return SYNTHESIZERS["pert-hist"](
+        rng, TabularDataset(columns, data.data, validate=False), eps, m,
+        ledger, postprocess)
+
+
+STUDY_METHODS = {
+    "sim1": {
+        "modips-bernoulli": SYNTHESIZERS["modips-bernoulli"],
+        "laplace": SYNTHESIZERS["laplace"],
+        "md": SYNTHESIZERS["md"],
+        "bbmr": SYNTHESIZERS["bbmr"],
+        "ms": _modips("ms", _bernoulli_model),
+        "original": _original,
+    },
+    "sim2": {
+        "modips-normal": SYNTHESIZERS["modips-normal"],
+        "modips-normal-conjoint": _modips("modips-normal-conjoint",
+                                          _conjoint_normal_model),
+        "pert-hist": SYNTHESIZERS["pert-hist"],
+        "smooth-hist": SYNTHESIZERS["smooth-hist"],
+        "ms": _modips("ms", _normal_model),
+        "original": _original,
+    },
+    "sim3": {
+        "modips-mixture": _modips("modips-mixture", _mixture_model),
+        "np-dips": _sim3_np_dips,
+        "ms": _modips("ms", _mixture_model),
+        "original": _original,
+    },
+    "sim4": {
+        "modips-logistic": _modips("modips-logistic", _logistic_model),
+        "np-dips": _sim4_np_dips,
+        "ms": _modips("ms", _logistic_model),
+        "original": _original,
+    },
+}
 
 
 # -- per-set analyzers -------------------------------------------------------
@@ -571,8 +480,8 @@ def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
             s2 = s_mat[col, col] * n / (n - 1)
             if s2 <= 0:
                 raise DegenerateEstimate("pooled variance collapsed")
-            kappa = excess_kurtosis(vals)
-            out[name] = _variance_estimate(float(s2), kappa, n)
+            out[name] = variance_from_moments(float(s2),
+                                              excess_kurtosis(vals), n)
     marg = {
         "pw1_1": (w1 == 1), "pw2_1": (w2 == 1), "pw2_2": (w2 == 2),
         "pw3_1": (w3 == 1), "pw3_2": (w3 == 2), "pw3_3": (w3 == 3),
@@ -581,12 +490,6 @@ def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
         if name in params:
             out[name] = estimate_proportion(mask.astype(float))
     return out
-
-
-def _variance_estimate(s2: float, kappa: float, n: int):
-    from .inference import PerSetEstimate
-    var = s2 ** 2 * (2.0 / (n - 1) + kappa / n)
-    return PerSetEstimate(s2, max(var, 0.0))
 
 
 def _sim4_set_estimates(ds: TabularDataset, params) -> dict:
@@ -639,35 +542,40 @@ DEFAULT_PARAMS = {
 _NO_BUDGET_METHODS = ("ms", "original")
 
 
+def _simulate(config: StudyConfig, rng: RngStream) -> TabularDataset:
+    n, truth = config.n, config.truth
+    if config.study == "sim1":
+        return simulate_truth_sim1(rng, n, float(truth.get("pi", 0.25)))
+    if config.study == "sim2":
+        return simulate_truth_sim2(rng, n, float(truth.get("mu", 0.0)),
+                                   float(truth.get("sigma2", 1.0)),
+                                   truth.get("bounds", "asymmetric"))
+    if config.study == "sim3":
+        return simulate_truth_sim3(rng, n)
+    return simulate_truth_sim4(rng, n)
+
+
 def _run_rep(config: StudyConfig, method: str, rng: RngStream,
              eps: float, params) -> tuple[dict, dict]:
     """One replication: simulate truth, synthesize, analyze, combine.
 
     Returns ({parameter: CombinedEstimate or None}, extras)."""
-    truth_rng = rng.substream(0)
-    method_rng = rng.substream(1)
-    n, m = config.n, config.m
     ledger = None
     if method not in _NO_BUDGET_METHODS:
         ledger = PrivacyLedger(PrivacyBudget(eps))
     extras = {}
+    data = _simulate(config, rng.substream(0))
+    sets = STUDY_METHODS[config.study][method](
+        rng.substream(1), data, eps, config.m, ledger, config.postprocess)
     if config.study == "sim1":
-        data = simulate_truth_sim1(truth_rng, n,
-                                   float(config.truth.get("pi", 0.25)))
-        sets = _sim1_sets(method, method_rng, data, eps, m, ledger,
-                          config.postprocess)
-        union = (np.concatenate(sets) if sets else np.array([]))
+        xs = [s.column("x") for s in sets]
+        union = (np.concatenate(xs) if xs else np.array([]))
         usable = union.size > 0 and 0.0 < union.mean() < 1.0
         results = {"pi": None}
         if usable:
-            results["pi"] = combine([estimate_proportion(s) for s in sets
-                                     if s.size])
+            results["pi"] = combine([estimate_proportion(x) for x in xs
+                                     if x.size])
     elif config.study == "sim2":
-        data = simulate_truth_sim2(truth_rng, n,
-                                   float(config.truth.get("mu", 0.0)),
-                                   float(config.truth.get("sigma2", 1.0)),
-                                   config.truth.get("bounds", "asymmetric"))
-        sets = _sim2_sets(method, method_rng, data, eps, m, ledger, config)
         results = {}
         for param, estimator in (("mu", estimate_mean),
                                  ("sigma2", estimate_variance)):
@@ -676,19 +584,13 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
             per_set = []
             for s in sets:
                 try:
-                    per_set.append(estimator(s))
+                    per_set.append(estimator(s.column("x")))
                 except DegenerateEstimate:
                     continue
             results[param] = combine(per_set) if per_set else None
     else:
-        simulate = (simulate_truth_sim3 if config.study == "sim3"
-                    else simulate_truth_sim4)
-        runner = _sim3_sets if config.study == "sim3" else _sim4_sets
         analyzer = (_sim3_set_estimates if config.study == "sim3"
                     else _sim4_set_estimates)
-        data = simulate(truth_rng, n)
-        sets = runner(method, method_rng, data, eps, m, ledger,
-                      config.postprocess)
         per_param: dict[str, list] = {p: [] for p in params}
         empties = []
         for s in sets:

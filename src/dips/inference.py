@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mechanisms import NonConvergence
 from .randvar import t_quantile
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "estimate_proportion",
     "estimate_mean",
     "estimate_variance",
+    "variance_from_moments",
     "estimate_correlation",
     "firth_logistic",
     "fit_multinomial_logit",
@@ -32,10 +34,6 @@ __all__ = [
 
 class DegenerateEstimate(ValueError):
     """The requested estimate is undefined for this sample."""
-
-
-class NonConvergence(RuntimeError):
-    pass
 
 
 class RankDeficient(ValueError):
@@ -140,9 +138,13 @@ def estimate_variance(values) -> PerSetEstimate:
     s2 = float(values.var(ddof=1))
     if s2 == 0:
         raise DegenerateEstimate("constant column: variance of variance undefined")
-    kappa = excess_kurtosis(values)
-    var = s2 ** 2 * (2.0 / (n - 1) + kappa / n)
-    return PerSetEstimate(s2, max(var, 0.0))
+    return variance_from_moments(s2, excess_kurtosis(values), n)
+
+
+def variance_from_moments(s2: float, kappa: float, n: int) -> PerSetEstimate:
+    """S^2 with variance (S^2)^2 (2/(n-1) + kappa/n), kappa the excess
+    kurtosis, floored at 0."""
+    return PerSetEstimate(s2, max(s2 ** 2 * (2.0 / (n - 1) + kappa / n), 0.0))
 
 
 def estimate_correlation(x, y=None, r: float | None = None,

@@ -26,7 +26,8 @@ TRUNCATE_MAX_REDRAWS = 10**6
 
 
 class NonConvergence(RuntimeError):
-    """Resampling failed to land in bounds within the redraw budget."""
+    """An iterative step did not converge within its budget: noise
+    redraws that never land in bounds, or a Firth fit."""
 
 
 @dataclass(frozen=True)

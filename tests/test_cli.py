@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dips.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from dips.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS, main
 
 
 @pytest.fixture
@@ -38,20 +38,64 @@ def _read_csv(path):
         return header, list(reader)
 
 
-def test_synth_md_writes_sets_and_ledger(binary_csv, tmp_path):
+# method -> (input fixture, rows, released sets, ledger entries) at --m 3
+SYNTH_CASES = {
+    "laplace": ("binary_csv", 200, 3, 3),
+    "pert-hist": ("continuous_csv", 150, 3, 3),
+    "smooth-hist": ("continuous_csv", 150, 1, 1),
+    "md": ("binary_csv", 200, 3, 3),
+    "bbmr": ("binary_csv", 200, 1, 1),
+    "modips-bernoulli": ("binary_csv", 200, 3, 3),
+    "modips-normal": ("continuous_csv", 150, 3, 6),
+}
+
+
+@pytest.mark.parametrize("method", SYNTH_METHODS)
+def test_synth_writes_sets_and_ledger(method, request, tmp_path):
+    fixture, n_rows, n_sets, n_entries = SYNTH_CASES[method]
     out = tmp_path / "out"
-    code = main(["synth", "--input", str(binary_csv), "--method", "md",
-                 "--eps", "1.0", "--m", "3", "--seed", "5",
-                 "--out", str(out)])
+    code = main(["synth", "--input", str(request.getfixturevalue(fixture)),
+                 "--method", method, "--eps", "1.0", "--m", "3",
+                 "--seed", "5", "--out", str(out)])
     assert code == EXIT_OK
-    for j in (1, 2, 3):
+    assert len(list(out.glob("synth_*.csv"))) == n_sets
+    for j in range(1, n_sets + 1):
         header, rows = _read_csv(out / f"synth_{j}.csv")
         assert header == ["x"]
-        assert len(rows) == 200
+        assert len(rows) == n_rows
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["total"] == 1.0
     assert ledger["effective_spend"] == pytest.approx(1.0, abs=1e-12)
-    assert len(ledger["entries"]) == 3
+    assert len(ledger["entries"]) == n_entries
+
+
+def test_synth_tiny_eps_drops_sets_without_mass(binary_csv, tmp_path,
+                                                capsys):
+    out = tmp_path / "out"
+    code = main(["synth", "--input", str(binary_csv), "--method", "laplace",
+                 "--eps", "1e-4", "--m", "5", "--seed", "1",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    written = sorted(p.name for p in out.glob("synth_*.csv"))
+    assert 1 <= len(written) < 5
+    assert written == [f"synth_{j}.csv" for j in range(1, len(written) + 1)]
+    assert f"dropped {5 - len(written)} of 5" in capsys.readouterr().out
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert ledger["effective_spend"] == pytest.approx(1e-4, rel=1e-12)
+
+
+def test_synth_no_surviving_set_exits_2_with_ledger(binary_csv, tmp_path,
+                                                    capsys):
+    out = tmp_path / "out"
+    code = main(["synth", "--input", str(binary_csv), "--method", "laplace",
+                 "--eps", "1e-4", "--m", "1", "--seed", "9",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not list(out.glob("synth_*.csv"))
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert ledger["effective_spend"] == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_synth_deterministic_bytes(binary_csv, tmp_path):
@@ -111,10 +155,10 @@ def test_synth_config_errors(binary_csv, continuous_csv, tmp_path):
 
 def test_synth_budget_violation_exit_code(binary_csv, tmp_path, monkeypatch):
     # force an overcharge: patch the md synthesizer to bill double
-    import dips.cli as cli_mod
+    import dips.synthesizers as synth_mod
     from fractions import Fraction
 
-    real = cli_mod.md_synthesizer
+    real = synth_mod.md_synthesizer
 
     def greedy(rng, counts, eps, m=1, ledger=None):
         rel = real(rng, counts, eps, m, ledger=None)
@@ -123,7 +167,7 @@ def test_synth_budget_violation_exit_code(binary_csv, tmp_path, monkeypatch):
                 ledger.charge(f"md-set-{j}", Fraction(eps) / m)
         return rel
 
-    monkeypatch.setattr(cli_mod, "md_synthesizer", greedy)
+    monkeypatch.setattr(synth_mod, "md_synthesizer", greedy)
     code = main(["synth", "--input", str(binary_csv), "--method", "md",
                  "--eps", "1.0", "--m", "2", "--out", str(tmp_path / "o")])
     assert code == EXIT_BUDGET

@@ -157,6 +157,18 @@ def test_default_params_cover_every_study():
     assert set(DEFAULT_PARAMS) == {"sim1", "sim2", "sim3", "sim4"}
 
 
+def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
+    import dips.inference
+    import dips.mechanisms
+
+    assert dips.mechanisms.NonConvergence is dips.inference.NonConvergence
+    monkeypatch.setattr(dips.mechanisms, "TRUNCATE_MAX_REDRAWS", 5)
+    cfg = StudyConfig("sim1", n=40, eps_grid=[math.exp(-9)], reps=3,
+                      methods=["modips-bernoulli"], postprocess="truncate")
+    (row,) = run_study(cfg)
+    assert row.usable_fraction < 1
+
+
 def test_empty_cell_study_runs():
     v = empty_cell_study(math.exp(4), reps=2, seed=5, method="modips-mixture",
                          n=400, m=2)
