@@ -3,7 +3,8 @@ parameters and data from the Bayesian model.
 
 Each release spends eps/m per set, split across the model's statistic
 groups.  Out-of-range sanitized statistics are legitimized either by
-clipping to the bounds ("BIT") or by redrawing the noise ("truncate").
+clipping to the bounds ("BIT") or by drawing the noise from the Laplace
+law conditioned on the bounds ("truncate").
 """
 
 import numpy as np

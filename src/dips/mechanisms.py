@@ -1,6 +1,6 @@
 """Core DP sanitizers: the Laplace mechanism, the discrete Exponential
-mechanism, and legitimizing post-processing (clamping and truncation by
-noise resampling)."""
+mechanism, and legitimizing post-processing (clamping, and truncation by
+drawing the noise from the Laplace law conditioned on the bounds)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randvar import RngStream, sample_laplace
+from .randvar import RngStream, sample_laplace, sample_truncated_laplace
 
 __all__ = [
     "NonConvergence",
@@ -22,12 +22,9 @@ __all__ = [
     "postprocess_bit",
 ]
 
-TRUNCATE_MAX_REDRAWS = 10**6
-
 
 class NonConvergence(RuntimeError):
-    """An iterative step did not converge within its budget: noise
-    redraws that never land in bounds, or a Firth fit."""
+    """An iterative fit (Firth) did not converge within its budget."""
 
 
 @dataclass(frozen=True)
@@ -102,24 +99,13 @@ def exponential_mechanism_discrete(rng: RngStream, candidates, utility,
 
 def postprocess_truncate(rng: RngStream, stat: SanitizedStatistic,
                          lo: float, hi: float) -> SanitizedStatistic:
-    """Resample the Laplace noise of out-of-bound entries until every entry
-    lies in [lo, hi]; in-bound entries are untouched."""
+    """Replace each out-of-bound entry by a draw of raw + Laplace noise
+    conditioned on [lo, hi]; in-bound entries are untouched."""
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     out = stat.sanitized.copy()
     oob = (out < lo) | (out > hi)
-    tries = 0
-    while np.any(oob):
-        redraw = stat.raw[oob] + sample_laplace(rng, 0.0, stat.scale,
-                                                size=int(oob.sum()))
-        out[oob] = redraw
-        oob = (out < lo) | (out > hi)
-        tries += 1
-        if tries > TRUNCATE_MAX_REDRAWS:
-            raise NonConvergence(
-                f"truncation of {stat.label!r} into [{lo}, {hi}] did not "
-                f"converge; noise scale {stat.scale} is pathological"
-            )
+    out[oob] = sample_truncated_laplace(rng, stat.raw[oob], stat.scale, lo, hi)
     return dataclasses.replace(stat, sanitized=out,
                                postprocess=f"truncate({lo},{hi})")
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .budget import PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
-from . import mechanisms
-from .mechanisms import NonConvergence, SanitizedStatistic, SensitivitySpec
+from .mechanisms import SanitizedStatistic, SensitivitySpec
 from .randvar import (
     RngStream,
     sample_bernoulli,
@@ -33,6 +32,7 @@ from .randvar import (
     sample_multinomial,
     sample_mvnormal,
     sample_normal,
+    sample_truncated_laplace,
 )
 
 __all__ = [
@@ -189,16 +189,8 @@ def _sanitize_group(rng: RngStream, group: StatGroup, eps: float,
     upper = np.broadcast_to(np.asarray(group.upper, dtype=float), value.shape)
     if postprocess == "truncate":
         oob = defined & ((sanitized < lower) | (sanitized > upper))
-        tries = 0
-        while oob.any():
-            redraw = sample_laplace(rng, 0.0, (delta / eps)[oob],
-                                    size=int(oob.sum()))
-            sanitized[oob] = value[oob] + redraw
-            oob = defined & ((sanitized < lower) | (sanitized > upper))
-            tries += 1
-            if tries > mechanisms.TRUNCATE_MAX_REDRAWS:
-                raise NonConvergence(
-                    f"truncation of {group.label!r} did not converge")
+        sanitized[oob] = sample_truncated_laplace(
+            rng, value[oob], delta[oob] / eps, lower[oob], upper[oob])
         sanitized = np.clip(sanitized, lower, upper)  # undefined entries
         tag = "truncate(per-entry bounds)"
     elif postprocess == "BIT":
@@ -664,12 +656,13 @@ class SequentialLogisticModel:
         p2 = 1.0 / (1.0 + np.exp(-np.einsum("ij,ij->i", x2, beta2)))
         w2 = (gen.random(n) < p2).astype(np.int64)
         x3 = np.column_stack([x1, w1, w2])
-        a = np.exp(np.einsum("ij,ij->i", x3, beta3))
-        b = np.exp(np.einsum("ij,ij->i", x3, beta4))
-        denom = 1.0 + a + b
+        eta3 = np.einsum("ij,ij->i", x3, beta3)
+        eta4 = np.einsum("ij,ij->i", x3, beta4)
+        lse = np.logaddexp(0.0, np.logaddexp(eta3, eta4))
         u = gen.random(n)
-        w3 = np.where(u < 1.0 / denom, 0,
-                      np.where(u < (1.0 + a) / denom, 1, 2)).astype(np.int64)
+        w3 = np.where(u < np.exp(-lse), 0,
+                      np.where(u < np.exp(np.logaddexp(0.0, eta3) - lse),
+                               1, 2)).astype(np.int64)
         cols = [
             CategoricalColumn("w1", (0, 1)),
             CategoricalColumn("w2", (0, 1)),

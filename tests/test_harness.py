@@ -160,9 +160,20 @@ def test_default_params_cover_every_study():
 def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
     import dips.inference
     import dips.mechanisms
+    import dips.param_synth
 
     assert dips.mechanisms.NonConvergence is dips.inference.NonConvergence
-    monkeypatch.setattr(dips.mechanisms, "TRUNCATE_MAX_REDRAWS", 5)
+    sampler = dips.param_synth.sample_truncated_laplace
+    calls = []
+
+    def fail_first_call(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise dips.mechanisms.NonConvergence("truncation failed")
+        return sampler(*args)
+
+    monkeypatch.setattr(dips.param_synth, "sample_truncated_laplace",
+                        fail_first_call)
     cfg = StudyConfig("sim1", n=40, eps_grid=[math.exp(-9)], reps=3,
                       methods=["modips-bernoulli"], postprocess="truncate")
     (row,) = run_study(cfg)

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from dips.mechanisms import (
-    NonConvergence,
     SanitizedStatistic,
     SensitivitySpec,
     exponential_mechanism_discrete,
@@ -101,15 +100,13 @@ def test_truncate_distribution_is_conditional():
     assert p > 0.01
 
 
-def test_truncate_impossible_bounds_raises(monkeypatch):
-    import dips.mechanisms as mech
-
-    monkeypatch.setattr(mech, "TRUNCATE_MAX_REDRAWS", 50)
+def test_truncate_far_tail_window_draws_inside():
     stat = SanitizedStatistic("s", np.array([0.0]), np.array([5.0]), 1e9,
                               SensitivitySpec(1e-12))
-    # noise scale ~ 1e-21 can essentially never land in a far-away window
-    with pytest.raises(NonConvergence):
-        postprocess_truncate(rng(7), stat, 100.0, 100.1)
+    # the window lies ~1e23 noise scales out: still one finite draw inside
+    out = postprocess_truncate(rng(7), stat, 100.0, 100.1)
+    assert np.isfinite(out.sanitized[0])
+    assert 100.0 <= out.sanitized[0] <= 100.1
 
 
 def test_sensitivity_must_be_positive():

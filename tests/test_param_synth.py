@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,10 @@ from dips.param_synth import (
     BernoulliModel,
     GaussianMixtureModel,
     NormalModel,
+    SequentialLogisticModel,
+    StatGroup,
     _md_alpha,
+    _sanitize_group,
     bbmr_synthesizer,
     md_synthesizer,
     modips_release,
@@ -275,3 +279,44 @@ def test_mixture_recovers_structure_at_large_eps():
         mask = synth.column("w1") == cell
         assert mask.sum() > 500
         assert synth.column("z1")[mask].mean() == pytest.approx(mu, abs=0.15)
+
+
+def test_sanitize_truncate_per_entry_bounds():
+    value = np.linspace(0.0, 20.0, 40)
+    defined = np.ones(40, dtype=bool)
+    defined[::7] = False
+    value[::7] = 99.0  # undefined entries hold a placeholder out of bounds
+    group = StatGroup("g", value, np.linspace(0.5, 2.0, 40),
+                      value - 1.0, np.minimum(value + 1.0, 20.0), defined)
+    group.lower[::7] = 0.0
+    clipped, _ = _sanitize_group(RngStream(71), group, 1.0, "BIT")
+    truncated, record = _sanitize_group(RngStream(71), group, 1.0,
+                                        "truncate")
+    inside = defined & (group.lower < clipped) & (clipped < group.upper)
+    outside = defined & ~inside
+    assert inside.any() and outside.any()
+    # the first Laplace draw stands wherever it already lay in bounds
+    np.testing.assert_array_equal(truncated[inside], clipped[inside])
+    np.testing.assert_array_equal(truncated[~defined],
+                                  group.upper[~defined])
+    assert np.all((group.lower <= truncated) & (truncated <= group.upper))
+    assert record.postprocess.startswith("truncate")
+
+
+def test_logistic_predictive_w3_follows_softmax_when_exp_overflows():
+    n = 20_000
+    model = SequentialLogisticModel(((-3.0, 3.0), (-3.0, 3.0)))
+    beta3 = np.zeros((n, 5))
+    beta4 = np.zeros((n, 5))
+    beta3[:, 0], beta4[:, 0] = 800.0, 799.0  # exp(800) overflows a float
+    params = (np.zeros(2), np.eye(2), np.zeros((n, 3)), np.zeros((n, 4)),
+              beta3, beta4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        synth = model.predictive_draw(RngStream(73), params, n)
+    observed = np.bincount(synth.column("w3"), minlength=3) / n
+    logits = np.array([0.0, 800.0, 799.0])
+    expected = np.exp(logits - logits.max())
+    expected /= expected.sum()
+    se = np.sqrt(expected * (1 - expected) / n)
+    assert np.all(np.abs(observed - expected) <= 4 * se + 1e-12)

@@ -14,6 +14,7 @@ from dips.randvar import (
     sample_multinomial,
     sample_mvnormal,
     sample_normal,
+    sample_truncated_laplace,
     sample_wishart,
     t_quantile,
 )
@@ -42,6 +43,44 @@ def test_laplace_gof():
     draws = sample_laplace(rng(), 0.0, 2.0, size=N_DRAWS)
     _, p = stats.kstest(draws, stats.laplace(scale=2.0).cdf)
     assert p > ALPHA
+
+
+@pytest.mark.parametrize("lo, hi", [(-5.0, -1.0),   # left of the location
+                                    (1.0, 6.0),     # right of it
+                                    (-1.0, 2.0)])   # around it
+def test_truncated_laplace_gof(lo, hi):
+    loc, scale = 0.5, 1.5
+    draws = sample_truncated_laplace(rng(2), np.full(N_DRAWS, loc), scale,
+                                     lo, hi)
+    dist = stats.laplace(loc, scale)
+
+    def conditional_cdf(x):
+        return ((dist.cdf(np.clip(x, lo, hi)) - dist.cdf(lo))
+                / (dist.cdf(hi) - dist.cdf(lo)))
+
+    _, p = stats.kstest(draws, conditional_cdf)
+    assert p > ALPHA
+
+
+def test_truncated_laplace_far_window_is_truncated_exponential():
+    # 1e20 scales right of the location the law is Exp(1) cut at the width
+    draws = sample_truncated_laplace(rng(3), np.full(N_DRAWS, -1e20), 1.0,
+                                     0.0, 3.0)
+    _, p = stats.kstest(draws, stats.truncexpon(3.0).cdf)
+    assert p > ALPHA
+
+
+def test_truncated_laplace_per_entry_windows():
+    lo = np.array([-3.0, 10.0, -1e9, 2.0])
+    hi = np.array([-2.0, 11.0, 1e9, 2.0])
+    scale = np.array([1.0, 1e-3, 5.0, 1.0])
+    draws = sample_truncated_laplace(rng(4), np.zeros(4), scale, lo, hi)
+    assert np.all((lo <= draws) & (draws <= hi))
+    assert draws[3] == 2.0  # a one-point window returns that point
+    with pytest.raises(ParameterDomainError):
+        sample_truncated_laplace(rng(), 0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ParameterDomainError):
+        sample_truncated_laplace(rng(), 0.0, 0.0, -1.0, 1.0)
 
 
 def test_beta_gof():
