@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"budget violation: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (ConfigError, OSError, KeyError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

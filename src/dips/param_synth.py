@@ -572,10 +572,22 @@ class SequentialLogisticModel:
 
     def _mh_sample(self, rng, loglik, dim, n_draws):
         """Adaptive random-walk Metropolis; proposal scale tuned during
-        burn-in toward 0.2-0.5 acceptance, frozen afterwards."""
+        burn-in toward 0.2-0.5 acceptance, frozen afterwards.
+
+        Each chain keeps every `mh_thin`-th state after burn-in, at most
+        `per_chain` of them, and chains are concatenated in order.  Only
+        the iterations whose draws are returned are run: a chain stops
+        at its last used draw and a chain with none is skipped.  Chains
+        draw from their own substreams, so the result equals the first
+        `n_draws` rows of the full run (tiled when `n_draws` exceeds the
+        draws of all chains)."""
         per_chain = (self.mh_iters - self.mh_burnin) // self.mh_thin
+        needed = min(n_draws, per_chain * self.mh_chains)
         draws = []
         for chain in range(self.mh_chains):
+            want = min(per_chain, needed - len(draws))
+            if want <= 0:
+                break
             gen = rng.substream(chain).generator
             beta = np.zeros(dim)
             current = loglik(beta)
@@ -583,7 +595,7 @@ class SequentialLogisticModel:
             accepted = 0
             window = 0
             kept = []
-            for it in range(self.mh_iters):
+            for it in range(self.mh_burnin + (want - 1) * self.mh_thin + 1):
                 proposal = beta + gen.normal(0.0, scale, size=dim)
                 cand = loglik(proposal)
                 if math.log(gen.random() + 1e-300) < cand - current:
@@ -599,7 +611,7 @@ class SequentialLogisticModel:
                     accepted = window = 0
                 if it >= self.mh_burnin and (it - self.mh_burnin) % self.mh_thin == 0:
                     kept.append(beta.copy())
-            draws.extend(kept[:per_chain])
+            draws.extend(kept)
         draws = np.array(draws)
         reps = int(np.ceil(n_draws / len(draws)))
         return np.tile(draws, (reps, 1))[:n_draws]
@@ -650,10 +662,10 @@ class SequentialLogisticModel:
         z[:, 0] = np.clip(z[:, 0], *self.z_bounds[0])
         z[:, 1] = np.clip(z[:, 1], *self.z_bounds[1])
         x1 = np.column_stack([np.ones(n), z])
-        p1 = 1.0 / (1.0 + np.exp(-np.einsum("ij,ij->i", x1, beta1)))
+        p1 = np.exp(-np.logaddexp(0.0, -np.einsum("ij,ij->i", x1, beta1)))
         w1 = (gen.random(n) < p1).astype(np.int64)
         x2 = np.column_stack([x1, w1])
-        p2 = 1.0 / (1.0 + np.exp(-np.einsum("ij,ij->i", x2, beta2)))
+        p2 = np.exp(-np.logaddexp(0.0, -np.einsum("ij,ij->i", x2, beta2)))
         w2 = (gen.random(n) < p2).astype(np.int64)
         x3 = np.column_stack([x1, w1, w2])
         eta3 = np.einsum("ij,ij->i", x3, beta3)

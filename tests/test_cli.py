@@ -194,3 +194,18 @@ def test_bench_bad_config(tmp_path):
     code = main(["bench", "--study", "sim1", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+
+
+def test_synth_unreadable_input_exits_2(tmp_path, capsys):
+    # a directory where a CSV is expected raises IsADirectoryError
+    code = main(["synth", "--input", str(tmp_path), "--method", "md",
+                 "--eps", "1", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_bench_unreadable_config_exits_2(tmp_path, capsys):
+    code = main(["bench", "--study", "sim1", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err

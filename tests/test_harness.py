@@ -157,6 +157,33 @@ def test_default_params_cover_every_study():
     assert set(DEFAULT_PARAMS) == {"sim1", "sim2", "sim3", "sim4"}
 
 
+def test_sim4_large_eps_consistency():
+    """In the style of acceptance criterion 7: at eps = e^8 the sanitized
+    logistic release should estimate the first regression's coefficients
+    with the same bias as the unsanitized multiple synthesis ("ms"),
+    within 2 combined Monte-Carlo standard errors."""
+    params = ["b1_0", "b1_1", "b1_2"]
+    rows = run_study(StudyConfig(
+        "sim4", 200, eps_grid=[math.exp(8)], m=3, reps=12, seed=29,
+        methods=["modips-logistic", "ms"], parameters=params))
+    by_key = {(r.method, r.parameter): r for r in rows}
+
+    def mc_se(row):
+        spread = math.sqrt(max(row.rmse ** 2 - row.bias ** 2, 0.0))
+        return spread / math.sqrt(row.reps_used)
+
+    parts = []
+    ok = True
+    for p in params:
+        r, b = by_key[("modips-logistic", p)], by_key[("ms", p)]
+        assert r.reps_used == b.reps_used == 12
+        gap = abs(r.bias - b.bias)
+        bound = 2 * math.hypot(mc_se(r), mc_se(b))
+        ok &= gap <= bound
+        parts.append(f"{p}: |dbias|={gap:.4f} <= {bound:.4f}")
+    assert ok, "; ".join(parts)
+
+
 def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
     import dips.inference
     import dips.mechanisms

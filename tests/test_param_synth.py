@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dips.budget import PrivacyBudget, PrivacyLedger
+from dips.harness import SIM4_Z_BOUNDS, simulate_truth_sim4
 from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from dips.param_synth import (
     BernoulliModel,
@@ -320,3 +321,114 @@ def test_logistic_predictive_w3_follows_softmax_when_exp_overflows():
     expected /= expected.sum()
     se = np.sqrt(expected * (1 - expected) / n)
     assert np.all(np.abs(observed - expected) <= 4 * se + 1e-12)
+
+
+def _counting_quadratic():
+    """A cheap log-likelihood with its mode at (1, -1, 0.5) that counts its
+    calls."""
+    calls = [0]
+    mode = np.array([1.0, -1.0, 0.5])
+
+    def loglik(beta):
+        calls[0] += 1
+        return -0.5 * float(np.sum((beta - mode) ** 2))
+    return loglik, calls
+
+
+def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
+    burnin, thin = 60, 4
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
+                                    mh_burnin=burnin, mh_thin=thin)
+    ll, calls = _counting_quadratic()
+    # 2 chains x 50 kept draws: both chains run to their last kept draw
+    full = model._mh_sample(RngStream(81), ll, 3, 100)
+    assert full.shape == (100, 3)
+    assert calls[0] == 2 * (1 + burnin + 49 * thin + 1)
+    for k in (1, 49, 50, 51, 100):
+        calls[0] = 0
+        got = model._mh_sample(RngStream(81), ll, 3, k)
+        np.testing.assert_array_equal(got, full[:k])
+        if k <= 50:  # chain 1 is never started
+            assert calls[0] == 1 + burnin + (k - 1) * thin + 1
+    # more rows than both chains keep: the kept draws are tiled
+    np.testing.assert_array_equal(model._mh_sample(RngStream(81), ll, 3, 237),
+                                  np.tile(full, (3, 1))[:237])
+
+
+def test_mh_sample_default_settings_likelihood_calls_at_n_200():
+    # 1,500 burn-in iterations, then 200 draws thinned by 10 from chain 0
+    # alone: 3,492 likelihood calls, where running both chains in full
+    # took 2 x (1 + 6,500) = 13,002
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS)
+    ll, calls = _counting_quadratic()
+    draws = model._mh_sample(RngStream(82), ll, 3, 200)
+    assert draws.shape == (200, 3)
+    assert calls[0] == 1 + 1500 + 199 * 10 + 1 == 3492
+
+
+def _logistic_release(seed, eps, sanitize):
+    """modips_release of a seeded sim4 set (n = 200) under short MH chains;
+    records each set's tempering weights and posterior draw."""
+    data = simulate_truth_sim4(RngStream(seed), 200)
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_iters=1200,
+                                    mh_burnin=400, mh_thin=4)
+    seen = []
+    draw = model.posterior_draw
+
+    def recording_draw(rng, stats, flags):
+        params = draw(rng, stats, flags)
+        seen.append(([model._temper_weight(stats, i) for i in range(3)],
+                     params))
+        return params
+    model.posterior_draw = recording_draw
+    ledger = PrivacyLedger(PrivacyBudget(eps)) if sanitize else None
+    rel = modips_release(RngStream(seed + 1), data, model, eps, m=2,
+                         ledger=ledger, sanitize=sanitize,
+                         method="modips-logistic")
+    return data, model, rel, ledger, seen
+
+
+def test_logistic_release_round_trip():
+    eps = math.exp(8)
+    data, model, rel, ledger, seen = _logistic_release(83, eps, True)
+    assert ledger.effective_spend_exact() == Fraction(eps)
+    assert len(ledger.entries) == 2 * 8
+    assert len(rel.sets) == len(seen) == 2
+    for ds in rel.sets:
+        assert ds.n == 200
+        assert [c.name for c in ds.columns] == ["w1", "w2", "w3", "z1", "z2"]
+        for col in ds.columns:
+            values = ds.column(col.name)
+            if isinstance(col, CategoricalColumn):
+                assert set(np.unique(values)) <= set(range(len(col.levels)))
+            else:
+                assert np.all((col.lo <= values) & (values <= col.hi))
+        # the covariate mean is sanitized with scale ~1e-4 at this eps
+        for name in ("z1", "z2"):
+            assert abs(ds.column(name).mean() - data.column(name).mean()) < 0.3
+    # without noise each tempering exponent is exactly 1 and the posterior
+    # centres on the Firth reference coefficients
+    _, model, rel, _, seen = _logistic_release(83, eps, False)
+    ref = model._cache["ref_beta"]
+    for weights, params in seen:
+        assert weights == [1.0, 1.0, 1.0]
+        for draws, centre in zip(params[2:], ref):
+            spread = draws.std(axis=0)
+            assert np.all(np.abs(draws.mean(axis=0) - centre) < 2 * spread)
+
+
+@pytest.mark.parametrize("intercept", [800.0, -800.0])
+def test_logistic_predictive_binary_draws_when_exp_overflows(intercept):
+    n = 1000
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS)
+    beta1 = np.zeros((n, 3))
+    beta2 = np.zeros((n, 4))
+    beta1[:, 0], beta2[:, 0] = intercept, -intercept
+    params = (np.zeros(2), np.eye(2), beta1, beta2, np.zeros((n, 5)),
+              np.zeros((n, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        synth = model.predictive_draw(RngStream(84), params, n)
+    # expit(+800) is 1 and expit(-800) is 0 to double precision
+    assert np.all(synth.column("w1") == (intercept > 0))
+    assert np.all(synth.column("w2") == (intercept < 0))
