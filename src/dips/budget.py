@@ -64,9 +64,14 @@ class PrivacyLedger:
     """Append-only record of privacy expenditures against a total budget.
 
     Sequential entries accumulate; entries in the same parallel group count
-    only through the group's maximum.  Mutation is guarded by a lock so a
-    harness may charge from several workers (compare-and-charge semantics:
-    the check and the append happen atomically).
+    only through the group's maximum.  The ledger keeps that effective
+    spend as a running exact sum, so a charge costs O(1): under a lock,
+    ``charge`` prices the candidate entry against the running sum and the
+    group maxima, raises ``BudgetExhausted`` if it cannot fit, and only
+    then appends it (check-then-append, so a harness may charge from
+    several workers and a rejected charge leaves no trace).
+    ``effective_spend_exact`` recomputes the spend from the entries; it is
+    the audit a caller runs once a release is done.
 
     ``delta_s_counts`` records the neighboring-dataset convention for count
     statistics: 1 for removal of one observation (the default), 2 for the
@@ -83,11 +88,30 @@ class PrivacyLedger:
     def __post_init__(self):
         if self.delta_s_counts not in (1, 2):
             raise ValueError("delta_s_counts must be 1 or 2")
+        rtol = Fraction(EXHAUSTION_RTOL).limit_denominator(10**15)
+        self._limit = Fraction(self.total.epsilon) * (1 + rtol)
+        self._spend = Fraction(0)
+        self._group_max: dict[str, Fraction] = {}
+        for entry in self.entries:
+            self._count(entry, self._extra(entry))
 
     # -- accounting ---------------------------------------------------------
 
+    def _extra(self, entry: LedgerEntry) -> Fraction:
+        """How much counting ``entry`` raises the effective spend."""
+        if entry.mode == "sequential":
+            return entry.eps
+        return max(entry.eps - self._group_max.get(entry.group, 0), 0)
+
+    def _count(self, entry: LedgerEntry, extra: Fraction) -> None:
+        """Fold an accepted entry into the running spend and group maxima."""
+        self._spend += extra
+        if extra and entry.mode == "parallel":
+            self._group_max[entry.group] = entry.eps
+
     def effective_spend_exact(self) -> Fraction:
-        """Exact effective spend: sequential sum plus per-group maxima."""
+        """Exact effective spend recomputed from the entries: sequential
+        sum plus per-group maxima."""
         seq = Fraction(0)
         groups: dict[str, Fraction] = {}
         for entry in self.entries:
@@ -99,12 +123,17 @@ class PrivacyLedger:
         return seq + sum(groups.values(), Fraction(0))
 
     @property
+    def spend(self) -> Fraction:
+        """Exact effective spend, as kept up to date by ``charge``."""
+        return self._spend
+
+    @property
     def effective_spend(self) -> float:
-        return float(self.effective_spend_exact())
+        return float(self._spend)
 
     @property
     def remaining(self) -> float:
-        return float(Fraction(self.total.epsilon) - self.effective_spend_exact())
+        return float(Fraction(self.total.epsilon) - self._spend)
 
     def charge(self, label: str, eps: EpsLike, mode: str = "sequential",
                group: str | None = None) -> "PrivacyLedger":
@@ -114,18 +143,17 @@ class PrivacyLedger:
             raise ValueError(f"unknown composition mode {mode!r}")
         if mode == "parallel" and group is None:
             raise ValueError("parallel charges need a group id")
+        candidate = LedgerEntry(label, eps_frac, mode, group)
         with self._lock:
-            candidate = LedgerEntry(label, eps_frac, mode, group)
-            self.entries.append(candidate)
-            spend = self.effective_spend_exact()
-            limit = Fraction(self.total.epsilon)
-            if spend > limit * (1 + Fraction(EXHAUSTION_RTOL).limit_denominator(10**15)):
-                self.entries.pop()
+            extra = self._extra(candidate)
+            spend = self._spend + extra
+            if spend > self._limit:
                 raise BudgetExhausted(
                     f"charge {label!r} of {float(eps_frac)} would raise effective "
                     f"spend to {float(spend)} > total {self.total.epsilon}"
                 )
-        assert self.effective_spend_exact() <= limit * (1 + Fraction(1, 10**12))
+            self.entries.append(candidate)
+            self._count(candidate, extra)
         return self
 
     # -- serialization ------------------------------------------------------

@@ -366,7 +366,12 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
         [codes["w1"], codes["w2"], codes["w3"]], SIM3_LEVELS)
     n = data.n
     z_new = np.zeros((n, 2))
-    hist_group_charged = False
+    # the cells are disjoint: one parallel charge covers every histogram
+    delta = 1
+    if ledger is not None:
+        ledger.charge(f"{tag}-hist", half, mode="parallel",
+                      group=f"{tag}-hist")
+        delta = ledger.delta_s_counts
     for k in range(24):
         take = cells_new == k
         n_new = int(take.sum())
@@ -383,13 +388,10 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
                 {"a": clipped[:, 0], "b": clipped[:, 1]}, validate=False)
             grid = histogram_grid(cell)
             hist = build_histogram(cell, grid)
-            # perturb_histogram charges the group before it can raise
-            hist_group_charged = True
             try:
                 pert = perturb_histogram(sub, hist, float(half),
-                                         ledger=ledger,
                                          label=f"{tag}-hist",
-                                         charge_eps=half)
+                                         delta_s_counts=delta)
                 draw = sample_from_histogram(sub.substream(1), grid,
                                              pert.density(), n_new)
                 drawn = np.column_stack([draw["axis0"], draw["axis1"]])
@@ -398,9 +400,6 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
         if drawn is None:
             drawn = sub.generator.uniform(lower[k], upper[k], size=(n_new, 2))
         z_new[take] = drawn
-    if ledger is not None and not hist_group_charged:
-        ledger.charge(f"{tag}-hist", half, mode="parallel",
-                      group=f"{tag}-hist")
     return TabularDataset(_sim3_columns(), {
         "w1": codes["w1"], "w2": codes["w2"], "w3": codes["w3"],
         "z1": z_new[:, 0], "z2": z_new[:, 1]}, validate=False)
@@ -611,10 +610,13 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
         if empties:
             extras["empty_cells"] = float(np.mean(empties))
     if ledger is not None:
+        # the one full recomputation of the replication: it must match both
+        # the budget and the running spend that every charge checked
         spend = ledger.effective_spend_exact()
-        if spend != Fraction(eps):
+        if spend != Fraction(eps) or spend != ledger.spend:
             raise RuntimeError(
-                f"ledger audit failure: {method} spent {spend} != {eps}")
+                f"ledger audit failure: {method} spent {spend} (running "
+                f"{ledger.spend}) != {eps}")
         extras["ledger_exact"] = True
     return results, extras
 

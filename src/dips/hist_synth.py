@@ -221,17 +221,29 @@ def build_histogram(data: TabularDataset, grid: GridSpec,
 def perturb_histogram(rng: RngStream, hist: Histogram, eps: float,
                       ledger: PrivacyLedger | None = None,
                       label: str = "perturbed-histogram",
-                      charge_eps=None) -> Histogram:
+                      charge_eps=None,
+                      delta_s_counts: int | None = None) -> Histogram:
     """Laplace-perturb every cell count with the full eps (parallel
     composition over disjoint cells), then legitimize negatives by BIT at 0.
 
     ``charge_eps`` (a Fraction, typically) overrides the amount recorded on
     the ledger, so a caller that derived ``eps`` from an exact share can
     keep the bookkeeping exact while noise uses the float value.
+
+    The sensitivity of one count is ``delta_s_counts``, by default the
+    ledger's convention, or 1 without a ledger.  A caller that charges the
+    parallel group itself passes no ledger and states the ledger's
+    convention here.
     """
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    delta = float(ledger.delta_s_counts) if ledger is not None else 1.0
+    if delta_s_counts is None:
+        delta_s_counts = 1 if ledger is None else ledger.delta_s_counts
+    elif ledger is not None and delta_s_counts != ledger.delta_s_counts:
+        raise ValueError(
+            f"delta_s_counts={delta_s_counts} contradicts the ledger's "
+            f"{ledger.delta_s_counts}")
+    delta = float(delta_s_counts)
     stat = laplace_mechanism(rng, hist.counts, SensitivitySpec(delta), eps,
                              label=label)
     stat = postprocess_bit(stat, 0.0, math.inf)

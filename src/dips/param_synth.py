@@ -612,6 +612,8 @@ class SequentialLogisticModel:
                 if it >= self.mh_burnin and (it - self.mh_burnin) % self.mh_thin == 0:
                     kept.append(beta.copy())
             draws.extend(kept)
+        if not draws:
+            return np.empty((0, dim))
         draws = np.array(draws)
         reps = int(np.ceil(n_draws / len(draws)))
         return np.tile(draws, (reps, 1))[:n_draws]

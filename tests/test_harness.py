@@ -1,15 +1,20 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dips.harness
+from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import (
     DEFAULT_PARAMS,
     METRIC_COLUMNS,
     SIM3_LEVELS,
     SIM3_PI,
     SIM4_BETA1,
+    STUDY_METHODS,
     MetricRow,
     StudyConfig,
     empty_cell_study,
@@ -22,6 +27,7 @@ from dips.harness import (
     simulate_truth_sim3,
     simulate_truth_sim4,
 )
+from dips.hist_synth import AllCellsZero
 from dips.randvar import RngStream
 
 
@@ -205,6 +211,91 @@ def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
                       methods=["modips-bernoulli"], postprocess="truncate")
     (row,) = run_study(cfg)
     assert row.usable_fraction < 1
+
+
+# sha256 over every MetricRow field, one line per row (as
+# perfbench.workloads.rows_digest), recorded before the O(1) ledger and the
+# one-charge-per-set sim3 NP-DIPS histogram group (numpy 2.4.6); a change
+# that moves a sim3 row must say why and re-pin
+SIM3_PINNED_DIGESTS = {
+    "np-dips":
+        "a3199bf58e84ba990db44da204befbf5e28723b45fcc3bb2ed2f88bc2df74f08",
+    "modips-mixture":
+        "ebd3a5ce744aef721aaf70e6b599a376d35b2a3302a3c9418c4db91de65e6655",
+}
+
+
+def test_sim3_rows_match_pinned_digest():
+    rows = run_study(StudyConfig(
+        "sim3", 300, eps_grid=[math.exp(-6), math.exp(2)], m=3, reps=2,
+        methods=list(SIM3_PINNED_DIGESTS), seed=11))
+    for method, pinned in SIM3_PINNED_DIGESTS.items():
+        h = hashlib.sha256()
+        for r in rows:
+            if r.method == method:
+                h.update((",".join(repr(getattr(r, c))
+                                   for c in METRIC_COLUMNS) + "\n").encode())
+        assert h.hexdigest() == pinned, method
+
+
+def _sim3_np_release(eps, ledger, m=3):
+    data = simulate_truth_sim3(RngStream(3), 300)
+    return STUDY_METHODS["sim3"]["np-dips"](RngStream(4), data, eps, m,
+                                            ledger, "BIT")
+
+
+def _assert_two_entries_per_set(ledger, eps, m=3):
+    shape = [(e.label, e.mode, e.group) for e in ledger.entries]
+    assert shape == [
+        entry for j in range(m) for entry in (
+            (f"np-set{j}-counts", "parallel", f"np-set{j}-counts"),
+            (f"np-set{j}-hist", "parallel", f"np-set{j}-hist"))]
+    assert all(e.eps == Fraction(eps) / m / 2 for e in ledger.entries)
+    assert ledger.spend == ledger.effective_spend_exact() == Fraction(eps)
+
+
+def test_sim3_np_dips_charges_each_histogram_group_once():
+    ledger = PrivacyLedger(PrivacyBudget(0.7))
+    sets = _sim3_np_release(0.7, ledger)
+    assert len(sets) == 3
+    _assert_two_entries_per_set(ledger, 0.7)
+
+
+def test_sim3_np_dips_charges_the_group_when_no_cell_has_a_histogram(
+        monkeypatch):
+    calls = []
+
+    def no_mass(*args, **kwargs):
+        calls.append(kwargs)
+        raise AllCellsZero("no mass")
+
+    monkeypatch.setattr(dips.harness, "perturb_histogram", no_mass)
+    ledger = PrivacyLedger(PrivacyBudget(0.7))
+    sets = _sim3_np_release(0.7, ledger)
+    assert calls, "no cell reached the histogram"
+    _assert_two_entries_per_set(ledger, 0.7)
+    lower, upper = dips.harness.sim3_cell_bounds()
+    for s in sets:  # every cell fell back to a uniform draw in its bounds
+        cells = np.ravel_multi_index(
+            [s.column("w1"), s.column("w2"), s.column("w3")], SIM3_LEVELS)
+        z = np.column_stack([s.column("z1"), s.column("z2")])
+        assert np.all(z >= lower[cells]) and np.all(z <= upper[cells])
+
+
+def test_sim3_np_dips_honours_a_delta_2_ledger():
+    """Under the one-row-change convention every count (the
+    cross-tabulation and each cell's z-histogram) has sensitivity 2, so
+    the release at eps adds the noise of a delta = 1 release at eps / 2:
+    the sets are the same draws."""
+    ledger2 = PrivacyLedger(PrivacyBudget(0.7), delta_s_counts=2)
+    sets2 = _sim3_np_release(0.7, ledger2)
+    sets1 = _sim3_np_release(0.35, PrivacyLedger(PrivacyBudget(0.35)))
+    for a, b in zip(sets2, sets1):
+        for name in ("w1", "w2", "w3", "z1", "z2"):
+            np.testing.assert_array_equal(a.column(name), b.column(name))
+    _assert_two_entries_per_set(ledger2, 0.7)
+    unscaled = _sim3_np_release(0.7, PrivacyLedger(PrivacyBudget(0.7)))
+    assert not np.array_equal(unscaled[0].column("z1"), sets2[0].column("z1"))
 
 
 def test_empty_cell_study_runs():

@@ -93,6 +93,26 @@ def test_perturbed_histogram_noise_scale():
     assert p > 0.01
 
 
+def test_perturbed_histogram_delta_follows_ledger_or_argument():
+    from dips.hist_synth import Histogram
+
+    grid = GridSpec((BinnedAxis(0.0, 1.0, 6),))
+    hist = Histogram(grid, np.full(6, 50.0), 300.0)
+    by_ledger = perturb_histogram(
+        RngStream(2), hist, 0.5,
+        ledger=PrivacyLedger(PrivacyBudget(0.5), delta_s_counts=2))
+    by_argument = perturb_histogram(RngStream(2), hist, 0.5,
+                                    delta_s_counts=2)
+    at_half_eps = perturb_histogram(RngStream(2), hist, 0.25)
+    np.testing.assert_array_equal(by_ledger.counts, by_argument.counts)
+    np.testing.assert_array_equal(by_argument.counts, at_half_eps.counts)
+    ledger = PrivacyLedger(PrivacyBudget(0.5), delta_s_counts=2)
+    with pytest.raises(ValueError):
+        perturb_histogram(RngStream(2), hist, 0.5, ledger=ledger,
+                          delta_s_counts=1)
+    assert ledger.entries == []
+
+
 def test_all_cells_zero_raised():
     from dips.hist_synth import Histogram
 

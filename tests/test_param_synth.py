@@ -366,6 +366,15 @@ def test_mh_sample_default_settings_likelihood_calls_at_n_200():
     assert calls[0] == 1 + 1500 + 199 * 10 + 1 == 3492
 
 
+def test_mh_sample_zero_draws_is_empty():
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
+                                    mh_burnin=60, mh_thin=4)
+    ll, calls = _counting_quadratic()
+    draws = model._mh_sample(RngStream(83), ll, 3, 0)
+    assert draws.shape == (0, 3)
+    assert calls[0] == 0
+
+
 def _logistic_release(seed, eps, sanitize):
     """modips_release of a seeded sim4 set (n = 200) under short MH chains;
     records each set's tempering weights and posterior draw."""
