@@ -91,6 +91,10 @@ class SyntheticRelease:
 
 
 class ModipsModel(Protocol):
+    """A model plugin.  `modips_release` calls ``sufficient_statistics``
+    once per release; the draws may read what it stored but change
+    neither that nor the ``stats`` arrays they are given."""
+
     def sufficient_statistics(self, data: TabularDataset) -> list[StatGroup]: ...
 
     def posterior_draw(self, rng: RngStream, stats: dict[str, np.ndarray],
@@ -213,10 +217,11 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                    sanitize: bool = True,
                    postprocess: str = "BIT",
                    method: str = "modips") -> SyntheticRelease:
-    """Release m synthetic sets: per set, sanitize the model's sufficient
-    statistics with eps/m split across groups by ``allocation``, draw
-    parameters from the posterior given the sanitized statistics, and draw
-    a synthetic set of the source's n rows from the predictive.
+    """Release m synthetic sets.  The model's sufficient statistics are
+    computed once; per set, they are sanitized with eps/m split across
+    groups by ``allocation``, parameters are drawn from the posterior
+    given the sanitized statistics, and a synthetic set of the source's n
+    rows is drawn from the predictive.
 
     ``sanitize=False`` skips the noise step (and all ledger charges),
     yielding the non-private multiple-synthesis baseline.
@@ -224,24 +229,24 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
     if not (eps > 0) or m < 1:
         raise ValueError("need eps > 0 and m >= 1")
     n = data.n
+    groups = model.sufficient_statistics(data)
+    weights = allocation if allocation is not None else [1.0] * len(groups)
+    if len(weights) != len(groups):
+        raise ValueError("allocation must cover every statistic group")
+    total_w = sum(Fraction(w) for w in weights)
+    shares = [Fraction(eps) * Fraction(w) / (m * total_w) for w in weights]
     flags: list[str] = []
     sets = []
     records_all = []
     for j in range(m):
         sub = rng.substream(j)
-        groups = model.sufficient_statistics(data)
-        weights = allocation if allocation is not None else [1.0] * len(groups)
-        if len(weights) != len(groups):
-            raise ValueError("allocation must cover every statistic group")
-        total_w = sum(Fraction(w) for w in weights)
         stats = {}
         records = []
-        for i, group in enumerate(groups):
-            share_frac = Fraction(eps) * Fraction(weights[i]) / (m * total_w)
-            share = float(share_frac)
+        for i, (group, share_frac) in enumerate(zip(groups, shares)):
             if sanitize:
                 sanitized, record = _sanitize_group(sub.substream(i), group,
-                                                    share, postprocess)
+                                                    float(share_frac),
+                                                    postprocess)
                 records.append(record)
                 if ledger is not None:
                     ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
@@ -533,7 +538,7 @@ class SequentialLogisticModel:
         log_prod3 = self._clamped_loglik(
             self._log_factors_trinomial(x3, w3, b3, b4))
         self._cache = {
-            "n": n, "x1": x1, "x2": x2, "x3": x3,
+            "n": n, "x3": x3,
             "w1": w1, "w2": w2, "w3": w3,
             "log_raw": (log_prod1, log_prod2, log_prod3),
             "ref_beta": (b1, b2, b3, b4),
@@ -571,52 +576,126 @@ class SequentialLogisticModel:
         return log_star / log_raw
 
     def _mh_sample(self, rng, loglik, dim, n_draws):
-        """Adaptive random-walk Metropolis; proposal scale tuned during
-        burn-in toward 0.2-0.5 acceptance, frozen afterwards.
+        """Adaptive random-walk Metropolis for one target: `_mh_lockstep`
+        with K = 1 and a scalar ``loglik(beta)``."""
+        return self._mh_lockstep([rng], lambda betas: [loglik(betas[0])],
+                                 [dim], n_draws)[0]
 
-        Each chain keeps every `mh_thin`-th state after burn-in, at most
-        `per_chain` of them, and chains are concatenated in order.  Only
-        the iterations whose draws are returned are run: a chain stops
-        at its last used draw and a chain with none is skipped.  Chains
-        draw from their own substreams, so the result equals the first
-        `n_draws` rows of the full run (tiled when `n_draws` exceeds the
-        draws of all chains)."""
-        per_chain = (self.mh_iters - self.mh_burnin) // self.mh_thin
+    def _mh_lockstep(self, rngs, loglik, dims, n_draws):
+        """Adaptive random-walk Metropolis over K targets advanced in
+        lockstep: each step makes one ``loglik(betas) -> K values`` call
+        with every target's proposal.  Returns one (n_draws, dims[k])
+        array per target.
+
+        Target k runs chain c on ``rngs[k].substream(c)``, with its own
+        proposal scale, tuned during burn-in toward 0.2-0.5 acceptance and
+        frozen afterwards.  Each step draws every target's proposal and
+        then every target's accept uniform, so each generator sees the
+        same normal, uniform sequence as a run of that target alone and
+        returns the same draws.  Each chain keeps every `mh_thin`-th state
+        after burn-in, at most `per_chain` of them, and chains are
+        concatenated in order.  Only the iterations whose draws are
+        returned are run: a chain stops at its last used draw and a chain
+        with none is skipped.  The result equals the first `n_draws` rows
+        of the full run (tiled when `n_draws` exceeds the draws of all
+        chains)."""
+        burnin, thin = self.mh_burnin, self.mh_thin
+        per_chain = (self.mh_iters - burnin) // thin
         needed = min(n_draws, per_chain * self.mh_chains)
-        draws = []
+        targets = range(len(dims))
+        draws = [[] for _ in targets]
         for chain in range(self.mh_chains):
-            want = min(per_chain, needed - len(draws))
+            want = min(per_chain, needed - len(draws[0]))
             if want <= 0:
                 break
-            gen = rng.substream(chain).generator
-            beta = np.zeros(dim)
-            current = loglik(beta)
-            scale = 0.2
-            accepted = 0
+            gens = [r.substream(chain).generator for r in rngs]
+            betas = [np.zeros(d) for d in dims]
+            current = list(loglik(betas))
+            scales = [0.2] * len(dims)
+            accepted = [0] * len(dims)
             window = 0
-            kept = []
-            for it in range(self.mh_burnin + (want - 1) * self.mh_thin + 1):
-                proposal = beta + gen.normal(0.0, scale, size=dim)
-                cand = loglik(proposal)
-                if math.log(gen.random() + 1e-300) < cand - current:
-                    beta, current = proposal, cand
-                    accepted += 1
+            for it in range(burnin + (want - 1) * thin + 1):
+                proposals = [beta + gen.normal(0.0, scale, size=d)
+                             for beta, gen, scale, d
+                             in zip(betas, gens, scales, dims)]
+                cands = loglik(proposals)
+                for k in targets:
+                    if (math.log(gens[k].random() + 1e-300)
+                            < cands[k] - current[k]):
+                        betas[k], current[k] = proposals[k], cands[k]
+                        accepted[k] += 1
                 window += 1
-                if it < self.mh_burnin and window == 100:
-                    rate = accepted / window
-                    if rate < 0.2:
-                        scale *= 0.7
-                    elif rate > 0.5:
-                        scale *= 1.4
-                    accepted = window = 0
-                if it >= self.mh_burnin and (it - self.mh_burnin) % self.mh_thin == 0:
-                    kept.append(beta.copy())
-            draws.extend(kept)
-        if not draws:
-            return np.empty((0, dim))
-        draws = np.array(draws)
-        reps = int(np.ceil(n_draws / len(draws)))
-        return np.tile(draws, (reps, 1))[:n_draws]
+                if it < burnin and window == 100:
+                    for k in targets:
+                        rate = accepted[k] / window
+                        if rate < 0.2:
+                            scales[k] *= 0.7
+                        elif rate > 0.5:
+                            scales[k] *= 1.4
+                        accepted[k] = 0
+                    window = 0
+                if it >= burnin and (it - burnin) % thin == 0:
+                    # proposals are fresh arrays, so states need no copy
+                    for k in targets:
+                        draws[k].append(betas[k])
+        out = []
+        for kept, d in zip(draws, dims):
+            if not kept:
+                out.append(np.empty((0, d)))
+                continue
+            kept = np.array(kept)
+            reps = int(np.ceil(n_draws / len(kept)))
+            out.append(np.tile(kept, (reps, 1))[:n_draws])
+        return out
+
+    @staticmethod
+    def _lockstep_loglik(x3, w1, w2, w3, weights):
+        """The three regressions' tempered log-likelihoods in one pass:
+        ``loglik([beta1, beta2, beta34]) -> [ll1, ll2, ll34]``, each equal
+        to ``weights[k] * _clamped_loglik(_log_factors_*)`` up to rounding.
+
+        A row's log factor is -log1p(sum_j exp(d_j)), where d_j is the
+        linear predictor of an unobserved category j minus that of the
+        observed one (category 0's is 0): one d for each binary row, two
+        for each trinomial row.  x1 and x2 are the first 3 and 4 columns
+        of x3, so one signed design of 4n rows gives every d from the
+        stacked coefficients.  A d above -log(1e-12) saturates the clamp
+        however large it is, so capping d just above that keeps exp
+        finite and leaves every clamped factor unchanged."""
+        n = len(w1)
+        y3 = np.asarray(w3, dtype=np.int64)
+        # loading of each trinomial category's predictor on (beta3, beta4)
+        load = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        others = np.array([[1, 2], [0, 2], [0, 1]])[y3]
+        design = np.zeros((4 * n, 17))
+        design[:n, :3] = (1 - 2 * w1)[:, None] * x3[:, :3]
+        design[n:2 * n, 3:7] = (1 - 2 * w2)[:, None] * x3[:, :4]
+        for t in (0, 1):
+            c = load[others[:, t]] - load[y3]
+            rows = slice((2 + t) * n, (3 + t) * n)
+            design[rows, 7:12] = c[:, :1] * x3
+            design[rows, 12:] = c[:, 1:] * x3
+        # -log factor is clamped into [-log(0.99), -log(1e-12)]
+        floor = -math.log(PROPORTION_CLAMP[1])
+        ceiling = -math.log(PROPORTION_CLAMP[0])
+        cap = ceiling + 1.0
+        neg_weights = -np.asarray(weights, dtype=float)
+        # d of the w1 rows, the w2 rows, then the first and second d of the
+        # w3 rows; after exp the second is added into the first
+        diff = np.empty(4 * n)
+        w3_first, w3_second = diff[2 * n:3 * n], diff[3 * n:]
+        per_row = diff[:3 * n]
+
+        def loglik(betas):
+            np.matmul(design, np.concatenate(betas), out=diff)
+            np.minimum(diff, cap, out=diff)
+            np.exp(diff, out=diff)
+            np.add(w3_first, w3_second, out=w3_first)
+            neg_logp = np.log1p(per_row)
+            np.maximum(neg_logp, floor, out=neg_logp)
+            np.minimum(neg_logp, ceiling, out=neg_logp)
+            return (neg_weights * neg_logp.reshape(3, n).sum(axis=1)).tolist()
+        return loglik
 
     def posterior_draw(self, rng, stats, flags):
         cache = self._cache
@@ -636,24 +715,10 @@ class SequentialLogisticModel:
                                             float(stats["zbar2"][0])]),
                              sigma / n)
         weights = [self._temper_weight(stats, idx) for idx in range(3)]
-        x1, x2, x3 = cache["x1"], cache["x2"], cache["x3"]
-        w1, w2, w3 = cache["w1"], cache["w2"], cache["w3"]
-
-        def ll1(b):
-            return weights[0] * self._clamped_loglik(
-                self._log_factors_binary(x1, w1, b))
-
-        def ll2(b):
-            return weights[1] * self._clamped_loglik(
-                self._log_factors_binary(x2, w2, b))
-
-        def ll34(b):
-            return weights[2] * self._clamped_loglik(
-                self._log_factors_trinomial(x3, w3, b[:5], b[5:]))
-
-        beta1 = self._mh_sample(rng.substream(1), ll1, 3, n)
-        beta2 = self._mh_sample(rng.substream(2), ll2, 4, n)
-        beta34 = self._mh_sample(rng.substream(3), ll34, 10, n)
+        loglik = self._lockstep_loglik(cache["x3"], cache["w1"], cache["w2"],
+                                       cache["w3"], weights)
+        beta1, beta2, beta34 = self._mh_lockstep(
+            [rng.substream(k) for k in (1, 2, 3)], loglik, (3, 4, 10), n)
         return mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:]
 
     def predictive_draw(self, rng, params, n):

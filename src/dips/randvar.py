@@ -24,7 +24,6 @@ __all__ = [
     "sample_dirichlet",
     "sample_gamma",
     "sample_inv_gamma",
-    "sample_binomial",
     "sample_multinomial",
     "sample_bernoulli",
     "sample_normal",
@@ -133,12 +132,6 @@ def sample_inv_gamma(rng: RngStream, shape, scale, size=None):
     _check_positive("shape", shape)
     _check_positive("scale", scale)
     return 1.0 / rng.generator.gamma(shape, 1.0 / scale, size=size)
-
-
-def sample_binomial(rng: RngStream, n, p, size=None):
-    if not (0 <= p <= 1):
-        raise ParameterDomainError(f"p must be in [0,1], got {p}")
-    return rng.generator.binomial(n, p, size=size)
 
 
 def sample_multinomial(rng: RngStream, n, pvals):

@@ -238,6 +238,43 @@ def test_sim3_rows_match_pinned_digest():
         assert h.hexdigest() == pinned, method
 
 
+# the same digest over sim4 rows, recorded before the lockstep MH sampler
+# and the once-per-release sufficient statistics (numpy 2.4.6); at n = 600
+# the second MH chain is partly used
+SIM4_PINNED_DIGESTS = {
+    200: {
+        "modips-logistic":
+            "ee450ce35bdc0d9c6e11f16cba6055db55a9b4283eb23f4398af2eebf0221d79",
+        "ms":
+            "92005be5635f301014f755da46a0128cad50e41933732692745f2b66dd049115",
+    },
+    600: {
+        "modips-logistic":
+            "3bbec5997281132043bf0a3991e67a163591abdc9545f70085430992c9ee139d",
+        "ms":
+            "7eaaa8500e1773d6c8725213057c51f08c6c0b7806bc1e71115036f8b118e902",
+    },
+}
+
+
+def _rows_digest(rows, method):
+    h = hashlib.sha256()
+    for r in rows:
+        if r.method == method:
+            h.update((",".join(repr(getattr(r, c))
+                               for c in METRIC_COLUMNS) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_sim4_rows_match_pinned_digest():
+    for n, pinned in SIM4_PINNED_DIGESTS.items():
+        rows = run_study(StudyConfig(
+            "sim4", n, eps_grid=[math.exp(-2), math.exp(2)], m=3, reps=1,
+            methods=list(pinned), seed=11))
+        for method, digest in pinned.items():
+            assert _rows_digest(rows, method) == digest, (n, method)
+
+
 def _sim3_np_release(eps, ledger, m=3):
     data = simulate_truth_sim3(RngStream(3), 300)
     return STUDY_METHODS["sim3"]["np-dips"](RngStream(4), data, eps, m,

@@ -375,6 +375,126 @@ def test_mh_sample_zero_draws_is_empty():
     assert calls[0] == 0
 
 
+# three quadratic targets of different sizes for the lockstep sampler
+LOCKSTEP_MODES = [np.array([1.0, -1.0, 0.5]), np.linspace(-1.0, 1.0, 4),
+                  np.linspace(2.0, -2.0, 10)]
+
+
+def _lockstep_calls(model, n_draws):
+    """Sample the three quadratic targets in lockstep, check each one's
+    draws against `_mh_sample` on it alone and return the batched calls."""
+    targets = [lambda beta, mode=mode: -0.5 * float(np.sum((beta - mode) ** 2))
+               for mode in LOCKSTEP_MODES]
+    calls = [0]
+
+    def batched(betas):
+        calls[0] += 1
+        return [ll(beta) for ll, beta in zip(targets, betas)]
+    dims = [len(mode) for mode in LOCKSTEP_MODES]
+    rngs = [RngStream(85).substream(k) for k in (1, 2, 3)]
+    got = model._mh_lockstep(rngs, batched, dims, n_draws)
+    assert len(got) == 3
+    for draws, rng, ll, dim in zip(got, rngs, targets, dims):
+        assert draws.shape == (n_draws, dim)
+        np.testing.assert_array_equal(draws,
+                                      model._mh_sample(rng, ll, dim, n_draws))
+    return calls[0]
+
+
+@pytest.mark.parametrize("k", [1, 50, 51, 237])
+def test_mh_lockstep_matches_each_target_alone(k):
+    burnin, thin = 60, 4
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
+                                    mh_burnin=burnin, mh_thin=thin)
+    # 50 draws per chain; one batched call starts each chain, one per step
+    quotas = {1: [1], 50: [50], 51: [50, 1], 237: [50, 50]}[k]
+    assert _lockstep_calls(model, k) == sum(
+        1 + burnin + (want - 1) * thin + 1 for want in quotas)
+
+
+def test_mh_lockstep_default_settings_one_call_per_step_at_n_200():
+    # the three targets share each step's call: 3,492 batched calls, where
+    # sampling them one by one makes 3 x 3,492 scalar calls
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS)
+    assert _lockstep_calls(model, 200) == 3492
+
+
+def test_lockstep_loglik_matches_scalar_likelihoods():
+    data = simulate_truth_sim4(RngStream(86), 200)
+    n = data.n
+    w1 = data.column("w1").astype(float)
+    w2 = data.column("w2").astype(float)
+    w3 = data.column("w3").astype(np.int64)
+    x3 = np.column_stack([np.ones(n), data.column("z1"), data.column("z2"),
+                          w1, w2])
+    weights = [0.7, 1.3, 0.05]
+    model = SequentialLogisticModel
+    loglik = model._lockstep_loglik(x3, w1, w2, w3, weights)
+    gen = np.random.default_rng(87)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(90):
+            b1, b2, b34 = (gen.normal(0.0, 2.0, d) for d in (3, 4, 10))
+            # intercepts of +-800 saturate both ends of the clamp
+            for beta, slot in ((b1, 0), (b2, 0), (b34, 0), (b34, 5)):
+                if gen.random() < 0.4:
+                    beta[slot] = gen.choice([800.0, -800.0])
+            want = [
+                weights[0] * model._clamped_loglik(
+                    model._log_factors_binary(x3[:, :3], w1, b1)),
+                weights[1] * model._clamped_loglik(
+                    model._log_factors_binary(x3[:, :4], w2, b2)),
+                weights[2] * model._clamped_loglik(
+                    model._log_factors_trinomial(x3, w3, b34[:5], b34[5:])),
+            ]
+            got = loglik([b1, b2, b34])
+            assert len(got) == 3
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _plugin_cases():
+    gen = RngStream(88).generator
+    normal = TabularDataset([ContinuousColumn("x", -5.0, 5.0)],
+                            {"x": np.clip(gen.normal(0.0, 1.0, 80), -5, 5)})
+    short_mh = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
+    return {
+        "bernoulli": (BernoulliModel(), _binary_data(30, 100), None),
+        "normal": (NormalModel(-5.0, 5.0), normal, [1.0, 3.0]),
+        "mixture": (_mixture_model(), _mixture_data(RngStream(89), 120),
+                    None),
+        "logistic": (SequentialLogisticModel(SIM4_Z_BOUNDS, **short_mh),
+                     simulate_truth_sim4(RngStream(90), 120), None),
+    }
+
+
+@pytest.mark.parametrize("plugin", ["bernoulli", "normal", "mixture",
+                                    "logistic"])
+def test_modips_release_computes_statistics_once(plugin):
+    model, data, allocation = _plugin_cases()[plugin]
+    labels = [g.label for g in model.sufficient_statistics(data)]
+    weights = allocation or [1.0] * len(labels)
+    calls = []
+    compute = model.sufficient_statistics
+
+    def counting(d):
+        calls.append(d)
+        return compute(d)
+    model.sufficient_statistics = counting
+    eps, m = 0.9, 3
+    ledger = PrivacyLedger(PrivacyBudget(eps))
+    rel = modips_release(RngStream(91), data, model, eps, m=m,
+                         allocation=allocation, ledger=ledger,
+                         method=f"modips-{plugin}")
+    assert calls == [data]
+    assert len(rel.sets) == m
+    # set-major ledger entries in group order, each its exact share
+    assert [(e.label, e.eps) for e in ledger.entries] == [
+        (f"modips-{plugin}-set{j}-{label}",
+         Fraction(eps) * Fraction(w) / (m * sum(map(Fraction, weights))))
+        for j in range(m) for label, w in zip(labels, weights)]
+    assert ledger.spend == ledger.effective_spend_exact() == Fraction(eps)
+
+
 def _logistic_release(seed, eps, sanitize):
     """modips_release of a seeded sim4 set (n = 200) under short MH chains;
     records each set's tempering weights and posterior draw."""
