@@ -5,6 +5,8 @@ charges within a group (statistics computed on disjoint rows) cost only
 the maximum.  Overspending raises BudgetExhausted.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from dips import (
@@ -15,16 +17,16 @@ from dips import (
     SensitivitySpec,
     exponential_mechanism_discrete,
     laplace_mechanism,
-    split_budget,
 )
 
 rng = RngStream(7)
 ledger = PrivacyLedger(PrivacyBudget(1.0))
 
-# Sanitize a count (sensitivity 1) with half the budget.
+# Sanitize a count (sensitivity 1) with half the budget; a count is never
+# negative, so the release is clamped at 0 (boundary inflated truncation).
 count = np.array([412.0])
 stat = laplace_mechanism(rng.substream(0), count, SensitivitySpec(1.0),
-                         0.5, label="count")
+                         0.5, label="count", lower=0.0)
 ledger.charge("count", 0.5)
 print(f"true count {count[0]:.0f}, sanitized {stat.sanitized[0]:.2f} "
       f"(Laplace scale {stat.scale:.1f})")
@@ -49,6 +51,11 @@ try:
 except BudgetExhausted as err:
     print(f"refused: {err}")
 
-# split_budget returns float shares that re-sum to the total *exactly*.
-shares = split_budget(1.0, [1.0, 2.0, 2.0])
-print(f"shares {shares}, fsum == 1.0: {sum(shares) == 1.0}")
+# Split a budget by weights the way modips_release does: exact Fraction
+# shares, which the ledger adds back to the total with no rounding.
+weights = [1, 2, 2]
+shares = [Fraction(1.0) * w / sum(weights) for w in weights]
+split = PrivacyLedger(PrivacyBudget(1.0))
+for j, share in enumerate(shares):
+    split.charge(f"share-{j}", share)
+print(f"shares {[str(s) for s in shares]}, spend == 1: {split.spend == 1}")

@@ -4,12 +4,7 @@ multiple released sets, and a Monte-Carlo benchmark harness."""
 
 __version__ = "1.0.0"
 
-from .budget import (
-    BudgetExhausted,
-    PrivacyBudget,
-    PrivacyLedger,
-    split_budget,
-)
+from .budget import BudgetExhausted, PrivacyBudget, PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from .hist_synth import (
     AllCellsZero,
@@ -18,9 +13,7 @@ from .hist_synth import (
     GridSpec,
     Histogram,
     bin_count_from_width,
-    bin_width_freedman_diaconis,
     bin_width_scott,
-    bin_width_sturges,
     build_histogram,
     laplace_sanitizer_crosstab,
     perturb_histogram,
@@ -46,8 +39,6 @@ from .mechanisms import (
     SensitivitySpec,
     exponential_mechanism_discrete,
     laplace_mechanism,
-    postprocess_bit,
-    postprocess_truncate,
 )
 from .param_synth import (
     BernoulliModel,
@@ -64,7 +55,6 @@ from .randvar import ParameterDomainError, RngStream
 from .harness import (
     MetricRow,
     StudyConfig,
-    empty_cell_study,
     report,
     run_study,
     simulate_truth_sim1,

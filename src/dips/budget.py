@@ -20,7 +20,6 @@ __all__ = [
     "PrivacyBudget",
     "LedgerEntry",
     "PrivacyLedger",
-    "split_budget",
 ]
 
 #: relative tolerance used when checking budget exhaustion
@@ -168,76 +167,3 @@ class PrivacyLedger:
             ],
             "effective_spend": self.effective_spend,
         })
-
-
-def split_budget(eps: float, weights: list[float]) -> list[float]:
-    """Split ``eps`` proportionally to ``weights``; shares sum to eps exactly.
-
-    The last share absorbs the compensated-summation residual so that the
-    float shares add back to ``eps``.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not weights:
-        raise ValueError("weights must be non-empty")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must all be positive")
-    total_w = math.fsum(weights)
-    shares = [eps * w / total_w for w in weights[:-1]]
-    shares.append(eps - math.fsum(shares))
-    # the subtraction can leave the fsum an ulp or two off eps; polish one
-    # share at a time (smallest first, its ulp is finest) until exact
-    order = sorted(range(len(shares)), key=lambda i: abs(shares[i]))
-    for j in order:
-        if _polish_share(eps, shares, j):
-            break
-    if math.fsum(shares) != eps:
-        raise ValueError("could not make shares sum exactly to eps")
-    if any(s <= 0 for s in shares):
-        raise ValueError("degenerate split: non-positive share")
-    return shares
-
-
-def _polish_share(eps: float, shares: list[float], j: int) -> bool:
-    """Adjust ``shares[j]`` in place so ``fsum(shares)`` equals ``eps``.
-
-    Returns True on success.  Bisects over float values of the share, since
-    stepping by the raw gap can overshoot and oscillate around eps.
-    """
-
-    def gap_at(v: float) -> float:
-        shares[j] = v
-        return eps - math.fsum(shares)
-
-    lo = shares[j]
-    g_lo = gap_at(lo)
-    if g_lo == 0.0:
-        return True
-    # walk outward until the gap changes sign, then bisect
-    step = g_lo
-    hi = lo + step
-    for _ in range(60):
-        if hi == lo:
-            hi = math.nextafter(lo, math.copysign(math.inf, g_lo))
-        g_hi = gap_at(hi)
-        if g_hi == 0.0:
-            return True
-        if (g_hi > 0) != (g_lo > 0):
-            break
-        lo, step = hi, step * 2
-        hi = lo + step
-    else:
-        shares[j] = lo
-        return False
-    while True:
-        mid = lo + (hi - lo) / 2
-        if mid == lo or mid == hi:
-            shares[j] = lo
-            return False
-        g = gap_at(mid)
-        if g == 0.0:
-            return True
-        if (g > 0) == (g_lo > 0):
-            lo = mid
-        else:
-            hi = mid

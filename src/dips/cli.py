@@ -116,6 +116,9 @@ def _run_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: the config must be a JSON "
+                              "object")
     cfg["study"] = args.study
     if args.reps is not None:
         cfg["reps"] = args.reps

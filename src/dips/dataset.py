@@ -82,10 +82,6 @@ class TabularDataset:
     def column(self, name: str) -> np.ndarray:
         return self.data[name]
 
-    def schema_like(self, data: dict[str, np.ndarray],
-                    validate: bool = True) -> "TabularDataset":
-        return TabularDataset(self.columns, data, validate=validate)
-
     def to_csv(self, path: str | Path):
         names = [c.name for c in self.columns]
         with open(path, "w", newline="") as fh:

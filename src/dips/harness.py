@@ -64,7 +64,6 @@ __all__ = [
     "STUDY_METHODS",
     "run_study",
     "report",
-    "empty_cell_study",
     "simulate_truth_sim1",
     "simulate_truth_sim2",
     "simulate_truth_sim3",
@@ -672,26 +671,6 @@ def run_study(config: StudyConfig) -> list[MetricRow]:
                     config.study, method, p, eps, bias, rmse, coverage,
                     width, usable_count[p] / config.reps, usable_count[p]))
     return rows
-
-
-def empty_cell_study(eps: float, reps: int, seed: int, method: str,
-                     n: int = 1000, m: int = 5) -> float:
-    """Average number of empty categorical cells (out of 24) per released
-    set in the mixture study."""
-    config = StudyConfig("sim3", n, eps_grid=[eps], m=m, reps=reps,
-                         methods=[method], seed=seed, parameters=["rho"])
-    values = []
-    for rep in range(reps):
-        rng = RngStream(seed).substream(2, 0, 0, rep)
-        try:
-            _, extras = _run_rep(config, method, rng, eps, ["rho"])
-        except (AllCellsZero, NonConvergence, DegenerateEstimate):
-            continue
-        if "empty_cells" in extras:
-            values.append(extras["empty_cells"])
-    if not values:
-        raise RuntimeError("no usable replications")
-    return float(np.mean(values))
 
 
 # -- reporting ---------------------------------------------------------------

@@ -8,7 +8,6 @@ is attached) is charged once per release, not once per cell.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .budget import PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
-from .mechanisms import SensitivitySpec, laplace_mechanism, postprocess_bit
+from .mechanisms import SensitivitySpec, laplace_mechanism
 from .randvar import RngStream
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "GridSpec",
     "Histogram",
     "bin_width_scott",
-    "bin_width_sturges",
-    "bin_width_freedman_diaconis",
     "build_histogram",
     "perturb_histogram",
     "smooth_histogram",
@@ -77,9 +74,6 @@ class BinnedAxis:
     @property
     def width(self) -> float:
         return (self.hi - self.lo) / self.bin_count
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bin_count + 1)
 
 
 Axis = CategoricalAxis | BinnedAxis
@@ -156,17 +150,6 @@ class Histogram:
         """Per-cell density (probability mass / cell volume)."""
         return self.proportions() / self.grid.cell_volume
 
-    def to_json(self) -> str:
-        axes = []
-        for ax in self.grid.axes:
-            if isinstance(ax, CategoricalAxis):
-                axes.append({"type": "categorical", "levels": ax.levels})
-            else:
-                axes.append({"type": "binned", "lo": ax.lo, "hi": ax.hi,
-                             "bin_count": ax.bin_count})
-        return json.dumps({"axes": axes, "counts": self.counts.tolist(),
-                           "n": self.n})
-
 
 # -- binning rules ----------------------------------------------------------
 
@@ -177,24 +160,6 @@ def bin_width_scott(sample_sd: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return 3.5 * sample_sd * n ** (-1.0 / 3.0)
-
-
-def bin_width_sturges(data_range: float, n: int) -> float:
-    """Sturges' rule: range / (log2(n) + 1)."""
-    if not (data_range > 0):
-        raise ValueError("data_range must be positive")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return data_range / (math.log2(n) + 1.0)
-
-
-def bin_width_freedman_diaconis(iqr: float, n: int) -> float:
-    """Freedman-Diaconis rule: 2 * IQR * n^(-1/3)."""
-    if not (iqr > 0):
-        raise ValueError(f"iqr must be positive, got {iqr}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return 2.0 * iqr * n ** (-1.0 / 3.0)
 
 
 def bin_count_from_width(lo: float, hi: float, width: float) -> int:
@@ -243,10 +208,9 @@ def perturb_histogram(rng: RngStream, hist: Histogram, eps: float,
         raise ValueError(
             f"delta_s_counts={delta_s_counts} contradicts the ledger's "
             f"{ledger.delta_s_counts}")
-    delta = float(delta_s_counts)
-    stat = laplace_mechanism(rng, hist.counts, SensitivitySpec(delta), eps,
-                             label=label)
-    stat = postprocess_bit(stat, 0.0, math.inf)
+    stat = laplace_mechanism(rng, hist.counts,
+                             SensitivitySpec(float(delta_s_counts)), eps,
+                             label, lower=0.0)
     if ledger is not None:
         ledger.charge(label, eps if charge_eps is None else charge_eps,
                       mode="parallel", group=label)

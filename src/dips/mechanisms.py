@@ -1,11 +1,11 @@
-"""Core DP sanitizers: the Laplace mechanism, the discrete Exponential
-mechanism, and legitimizing post-processing (clamping, and truncation by
-drawing the noise from the Laplace law conditioned on the bounds)."""
+"""Core DP sanitizers: the Laplace mechanism with its legitimizing
+post-processing (a clamp into the bounds, or truncation by drawing the
+noise from the Laplace law conditioned on the bounds), and the discrete
+Exponential mechanism."""
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +18,6 @@ __all__ = [
     "SanitizedStatistic",
     "laplace_mechanism",
     "exponential_mechanism_discrete",
-    "postprocess_truncate",
-    "postprocess_bit",
 ]
 
 
@@ -29,12 +27,14 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SensitivitySpec:
-    """l1 global sensitivity of a statistic."""
+    """l1 global sensitivity of a statistic: one value, or one per entry."""
 
-    delta_s: float
+    delta_s: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.delta_s > 0):
+        delta = self.delta_s
+        if not ((delta > 0).all() if isinstance(delta, np.ndarray)
+                else delta > 0):
             raise ValueError(f"delta_s must be positive, got {self.delta_s}")
 
 
@@ -45,35 +45,58 @@ class SanitizedStatistic:
     sanitized: np.ndarray
     eps_spent: float
     sensitivity: SensitivitySpec
-    postprocess: str = "none"  # "none" | "truncate(lo,hi)" | "BIT(lo,hi)"
+    postprocess: str  # "BIT" | "truncate"
 
     def __post_init__(self):
         if self.raw.shape != self.sanitized.shape:
             raise ValueError("raw and sanitized must have matching shapes")
 
     @property
-    def scale(self) -> float:
+    def scale(self) -> float | np.ndarray:
         return self.sensitivity.delta_s / self.eps_spent
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "label": self.label,
-            "raw": self.raw.tolist(),
-            "sanitized": self.sanitized.tolist(),
-            "eps_spent": self.eps_spent,
-            "delta_s": self.sensitivity.delta_s,
-            "postprocess": self.postprocess,
-        })
 
 
 def laplace_mechanism(rng: RngStream, raw, sens: SensitivitySpec, eps: float,
-                      label: str = "stat") -> SanitizedStatistic:
-    """Add iid Laplace(0, delta_s/eps) noise to each entry of ``raw``."""
+                      label: str = "stat", *, lower=-math.inf, upper=math.inf,
+                      defined=None, postprocess: str = "BIT",
+                      ) -> SanitizedStatistic:
+    """Add Laplace(0, delta_s/eps) noise to each defined entry of ``raw``,
+    then legitimize every entry into [lower, upper].
+
+    The sensitivity and the bounds may be scalars or per-entry arrays.
+    ``defined`` masks entries that do not exist for this dataset (e.g. the
+    mean of an empty cell): they get no noise and are only clamped.
+    ``postprocess`` "BIT" (boundary inflated truncation) clamps; "truncate"
+    replaces each out-of-bound defined entry by a draw of raw + Laplace
+    noise conditioned on its bounds, made on ``rng`` after the noise, so
+    in-bound entries keep their first draw.
+    """
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
+    if postprocess not in ("BIT", "truncate"):
+        raise ValueError(f"unknown postprocess {postprocess!r}")
     raw = np.atleast_1d(np.asarray(raw, dtype=float))
-    noise = sample_laplace(rng, 0.0, sens.delta_s / eps, size=raw.shape)
-    return SanitizedStatistic(label, raw, raw + noise, eps, sens)
+    scale = sens.delta_s / eps
+    if defined is None:
+        sanitized = raw + sample_laplace(rng, 0.0, scale, size=raw.shape)
+    else:
+        defined = np.atleast_1d(defined)
+        noise = np.zeros_like(raw)
+        if defined.any():
+            noise[defined] = sample_laplace(
+                rng, 0.0, np.broadcast_to(scale, raw.shape)[defined],
+                size=int(defined.sum()))
+        sanitized = raw + noise
+    if postprocess == "truncate":
+        scale, lo, hi = (np.broadcast_to(v, raw.shape)
+                         for v in (scale, lower, upper))
+        oob = (sanitized < lo) | (sanitized > hi)
+        if defined is not None:
+            oob &= defined
+        sanitized[oob] = sample_truncated_laplace(rng, raw[oob], scale[oob],
+                                                  lo[oob], hi[oob])
+    sanitized = np.clip(sanitized, lower, upper)
+    return SanitizedStatistic(label, raw, sanitized, eps, sens, postprocess)
 
 
 def exponential_mechanism_discrete(rng: RngStream, candidates, utility,
@@ -95,25 +118,3 @@ def exponential_mechanism_discrete(rng: RngStream, candidates, utility,
     probs /= probs.sum()
     idx = rng.generator.choice(len(candidates), p=probs)
     return candidates[idx]
-
-
-def postprocess_truncate(rng: RngStream, stat: SanitizedStatistic,
-                         lo: float, hi: float) -> SanitizedStatistic:
-    """Replace each out-of-bound entry by a draw of raw + Laplace noise
-    conditioned on [lo, hi]; in-bound entries are untouched."""
-    if not (lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    out = stat.sanitized.copy()
-    oob = (out < lo) | (out > hi)
-    out[oob] = sample_truncated_laplace(rng, stat.raw[oob], stat.scale, lo, hi)
-    return dataclasses.replace(stat, sanitized=out,
-                               postprocess=f"truncate({lo},{hi})")
-
-
-def postprocess_bit(stat: SanitizedStatistic, lo: float,
-                    hi: float) -> SanitizedStatistic:
-    """Boundary inflated truncation: clamp entries into [lo, hi]."""
-    if not (lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    return dataclasses.replace(stat, sanitized=np.clip(stat.sanitized, lo, hi),
-                               postprocess=f"BIT({lo},{hi})")

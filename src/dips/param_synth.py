@@ -20,7 +20,7 @@ import numpy as np
 
 from .budget import PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
-from .mechanisms import SanitizedStatistic, SensitivitySpec
+from .mechanisms import SanitizedStatistic, SensitivitySpec, laplace_mechanism
 from .randvar import (
     RngStream,
     sample_bernoulli,
@@ -28,11 +28,9 @@ from .randvar import (
     sample_dirichlet,
     sample_inv_gamma,
     sample_inv_wishart,
-    sample_laplace,
     sample_multinomial,
     sample_mvnormal,
     sample_normal,
-    sample_truncated_laplace,
 )
 
 __all__ = [
@@ -175,41 +173,6 @@ def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
 
 # -- MODIPS engine ----------------------------------------------------------
 
-def _sanitize_group(rng: RngStream, group: StatGroup, eps: float,
-                    postprocess: str = "BIT",
-                    ) -> tuple[np.ndarray, SanitizedStatistic]:
-    value = np.atleast_1d(np.asarray(group.value, dtype=float))
-    delta = np.broadcast_to(np.asarray(group.delta_s, dtype=float), value.shape)
-    defined = (np.ones(value.shape, dtype=bool) if group.defined is None
-               else np.atleast_1d(group.defined))
-    if np.any(delta[defined] <= 0):
-        raise ValueError(f"group {group.label!r} has non-positive sensitivity")
-    noise = np.zeros_like(value)
-    if defined.any():
-        noise[defined] = sample_laplace(rng, 0.0, delta[defined] / eps,
-                                        size=int(defined.sum()))
-    sanitized = value + noise
-    lower = np.broadcast_to(np.asarray(group.lower, dtype=float), value.shape)
-    upper = np.broadcast_to(np.asarray(group.upper, dtype=float), value.shape)
-    if postprocess == "truncate":
-        oob = defined & ((sanitized < lower) | (sanitized > upper))
-        sanitized[oob] = sample_truncated_laplace(
-            rng, value[oob], delta[oob] / eps, lower[oob], upper[oob])
-        sanitized = np.clip(sanitized, lower, upper)  # undefined entries
-        tag = "truncate(per-entry bounds)"
-    elif postprocess == "BIT":
-        sanitized = np.clip(sanitized, lower, upper)
-        tag = "BIT(per-entry bounds)"
-    else:
-        raise ValueError(f"unknown postprocess {postprocess!r}")
-    record = SanitizedStatistic(
-        group.label, value, sanitized, eps,
-        SensitivitySpec(float(np.max(delta))),
-        postprocess=tag,
-    )
-    return sanitized, record
-
-
 def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                    eps: float, m: int = 1,
                    allocation: list[float] | None = None,
@@ -218,10 +181,11 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                    postprocess: str = "BIT",
                    method: str = "modips") -> SyntheticRelease:
     """Release m synthetic sets.  The model's sufficient statistics are
-    computed once; per set, they are sanitized with eps/m split across
-    groups by ``allocation``, parameters are drawn from the posterior
-    given the sanitized statistics, and a synthetic set of the source's n
-    rows is drawn from the predictive.
+    computed once.  Per set, eps/m is split across the groups by
+    ``allocation`` and ``mechanisms.laplace_mechanism`` sanitizes each
+    group with its share; parameters are drawn from the posterior given
+    the sanitized statistics, and a synthetic set of the source's n rows
+    is drawn from the predictive.
 
     ``sanitize=False`` skips the noise step (and all ledger charges),
     yielding the non-private multiple-synthesis baseline.
@@ -244,10 +208,13 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
         records = []
         for i, (group, share_frac) in enumerate(zip(groups, shares)):
             if sanitize:
-                sanitized, record = _sanitize_group(sub.substream(i), group,
-                                                    float(share_frac),
-                                                    postprocess)
+                record = laplace_mechanism(
+                    sub.substream(i), group.value,
+                    SensitivitySpec(group.delta_s), float(share_frac),
+                    group.label, lower=group.lower, upper=group.upper,
+                    defined=group.defined, postprocess=postprocess)
                 records.append(record)
+                sanitized = record.sanitized
                 if ledger is not None:
                     ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
             else:
@@ -312,6 +279,8 @@ class NormalModel:
     def sufficient_statistics(self, data):
         x = data.column("x")
         n = self._n = len(x)
+        if n < 2:
+            raise ValueError(f"the normal model needs n >= 2 rows, got {n}")
         r = self.c1 - self.c0
         xbar = float(x.mean())
         s2 = float(x.var(ddof=1))

@@ -179,7 +179,7 @@ def test_criterion_05_empty_cells():
       ``modips_release`` and ``GaussianMixtureModel``;
     - its counts group has sensitivity 1 and is BIT into [0, n]:
       ``GaussianMixtureModel.sufficient_statistics`` and
-      ``_sanitize_group``;
+      ``laplace_mechanism``;
     - cell probabilities ~ Dirichlet(0.5 + c*):
       ``GaussianMixtureModel.posterior_draw``;
     - the set's n rows are a multinomial draw from them:

@@ -12,7 +12,6 @@ from dips.budget import (
     LedgerEntry,
     PrivacyBudget,
     PrivacyLedger,
-    split_budget,
 )
 
 
@@ -143,21 +142,6 @@ def test_to_json_audit_record():
     assert rec["total"] == 2.0
     assert rec["entries"][0]["label"] == "stat"
     assert rec["effective_spend"] == 0.5
-
-
-@given(
-    eps=st.floats(min_value=1e-6, max_value=1e3),
-    weights=st.lists(st.floats(min_value=1e-3, max_value=1e3),
-                     min_size=1, max_size=12),
-)
-@settings(max_examples=200)
-def test_split_budget_sums_exactly(eps, weights):
-    shares = split_budget(eps, weights)
-    assert len(shares) == len(weights)
-    assert all(s > 0 for s in shares)
-    import math
-
-    assert math.fsum(shares) == pytest.approx(eps, rel=0, abs=0)
 
 
 @given(

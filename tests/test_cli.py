@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -67,6 +68,41 @@ def test_synth_writes_sets_and_ledger(method, request, tmp_path):
     assert ledger["total"] == 1.0
     assert ledger["effective_spend"] == pytest.approx(1.0, abs=1e-12)
     assert len(ledger["entries"]) == n_entries
+
+
+# sha256 over the name and bytes of every file `dips synth` writes
+# (ledger.json included) at --eps 1.0 --m 3 --seed 7, recorded before
+# `perturb_histogram` and `modips_release` shared one sanitizer (numpy 2.4.6)
+SYNTH_PINNED_DIGESTS = {
+    "laplace": (
+        "binary_csv",
+        "b744ac28301ff7821450592f3bff3c1e477818891c657e9421a51b7e32519997"),
+    "pert-hist": (
+        "continuous_csv",
+        "677b4db1c13ea9d47291c40c46461e375213657047f727ff4ee2c027b2d21aae"),
+    "modips-normal": (
+        "continuous_csv",
+        "cf9163e8b3170f6dfea94199e7ddd39063c8a2b11d0b734c194f583155f0df47"),
+}
+
+
+def _synth_digest(input_path, method, out):
+    code = main(["synth", "--input", str(input_path), "--method", method,
+                 "--eps", "1.0", "--m", "3", "--seed", "7",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("method", list(SYNTH_PINNED_DIGESTS))
+def test_synth_outputs_match_pinned_digest(method, request, tmp_path):
+    fixture, pinned = SYNTH_PINNED_DIGESTS[method]
+    digest = _synth_digest(request.getfixturevalue(fixture), method,
+                           tmp_path / "out")
+    assert digest == pinned
 
 
 def test_synth_tiny_eps_drops_sets_without_mass(binary_csv, tmp_path,
@@ -194,6 +230,42 @@ def test_bench_bad_config(tmp_path):
     code = main(["bench", "--study", "sim1", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+
+
+def _one_config_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+
+
+def test_bench_non_object_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1]")
+    code = main(["bench", "--study", "sim1", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    _one_config_error(capsys)
+
+
+def test_synth_modips_normal_one_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("x\n0.5\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"x": {"type": "continuous",
+                                        "lo": 0.0, "hi": 1.0}}))
+    code = main(["synth", "--input", str(path), "--method", "modips-normal",
+                 "--eps", "1.0", "--schema", str(schema),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    _one_config_error(capsys)
+
+
+def test_bench_sim2_one_row_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 1}))
+    code = main(["bench", "--study", "sim2", "--config", str(cfg),
+                 "--reps", "1", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    _one_config_error(capsys)
 
 
 def test_synth_unreadable_input_exits_2(tmp_path, capsys):

@@ -84,13 +84,3 @@ def test_csv_round_trip_preserves_awkward_floats(tmp_path):
     ds.to_csv(path)
     back = TabularDataset.from_csv(path, cols)
     np.testing.assert_array_equal(back.column("x"), vals)
-
-
-def test_schema_like():
-    ds = _toy()
-    other = ds.schema_like({
-        "color": np.array([1, 1], dtype=np.int64),
-        "x": np.array([0.0, 0.0]),
-    })
-    assert other.n == 2
-    assert other.columns == ds.columns

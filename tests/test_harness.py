@@ -17,7 +17,6 @@ from dips.harness import (
     STUDY_METHODS,
     MetricRow,
     StudyConfig,
-    empty_cell_study,
     load_metrics,
     report,
     run_study,
@@ -193,10 +192,9 @@ def test_sim4_large_eps_consistency():
 def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
     import dips.inference
     import dips.mechanisms
-    import dips.param_synth
 
     assert dips.mechanisms.NonConvergence is dips.inference.NonConvergence
-    sampler = dips.param_synth.sample_truncated_laplace
+    sampler = dips.mechanisms.sample_truncated_laplace
     calls = []
 
     def fail_first_call(*args):
@@ -205,7 +203,7 @@ def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
             raise dips.mechanisms.NonConvergence("truncation failed")
         return sampler(*args)
 
-    monkeypatch.setattr(dips.param_synth, "sample_truncated_laplace",
+    monkeypatch.setattr(dips.mechanisms, "sample_truncated_laplace",
                         fail_first_call)
     cfg = StudyConfig("sim1", n=40, eps_grid=[math.exp(-9)], reps=3,
                       methods=["modips-bernoulli"], postprocess="truncate")
@@ -275,6 +273,82 @@ def test_sim4_rows_match_pinned_digest():
             assert _rows_digest(rows, method) == digest, (n, method)
 
 
+# the same digest over every sim1 and sim2 method under BIT and under
+# truncate, recorded before `perturb_histogram` and `modips_release` shared
+# one sanitizer (numpy 2.4.6); at eps e^-9 most truncation windows lie far
+# out in the noise's tail
+SIM1_SIM2_PINNED_DIGESTS = {
+    ("sim1", "BIT"): {
+        "modips-bernoulli":
+            "541ca81c111541f85ed1d167b6aa697559d91e8138e04be1e9408bd0d096b160",
+        "laplace":
+            "5be2914fb781361a3e9e336c07e71a9c0fecac9d86e3583d884c4a5e4b4622bd",
+        "md":
+            "bb511d9fe83be9b073c08f9b9d079e74821f4f97ac3abc35d044d27380099cf3",
+        "bbmr":
+            "34ed54a7165a2a4dcec8349389f9b471349f9f6239dfb5f8dd0ea5ab31e19f46",
+        "ms":
+            "de5bb558348e7b6680361f40870d330af9c652305215ffd0972d7d477795c019",
+        "original":
+            "965f1b068424441c3008bdcce0882fabdad1ca5282d10aa4da49cbc9bf55df71",
+    },
+    ("sim1", "truncate"): {
+        "modips-bernoulli":
+            "d073a6524422b20d81470bc0d0f02b7c88e3b7b2129c89234106f57dc82d4dde",
+        "laplace":
+            "5be2914fb781361a3e9e336c07e71a9c0fecac9d86e3583d884c4a5e4b4622bd",
+        "md":
+            "bb511d9fe83be9b073c08f9b9d079e74821f4f97ac3abc35d044d27380099cf3",
+        "bbmr":
+            "34ed54a7165a2a4dcec8349389f9b471349f9f6239dfb5f8dd0ea5ab31e19f46",
+        "ms":
+            "de5bb558348e7b6680361f40870d330af9c652305215ffd0972d7d477795c019",
+        "original":
+            "965f1b068424441c3008bdcce0882fabdad1ca5282d10aa4da49cbc9bf55df71",
+    },
+    ("sim2", "BIT"): {
+        "modips-normal":
+            "bdab62a5c29954cdf21cbee9fdf2d1924a87192d7aa8837dcb4d511094207f37",
+        "modips-normal-conjoint":
+            "349398d2819aa5bdbff41963dfa94684bf22142bd7b404afdc4cd4e97313ecad",
+        "pert-hist":
+            "5254e9107fc9bebb043568583cd12fbd28ea003b7e7af638efb6a375b8e4046f",
+        "smooth-hist":
+            "c1b3b3afb935da176725b96d63195289335be610203301bd7b918f6a9059a382",
+        "ms":
+            "f7f93afc392bce99666006ab170668c14844306027315f7cab1d8be7ae0df9a1",
+        "original":
+            "f021ecf5313491b25d61a9b4cbaccc5e75c49a8fca666af8a120b9c0aecaef96",
+    },
+    ("sim2", "truncate"): {
+        "modips-normal":
+            "0bc4b10bf813fd0a1204064ada108f4654b84160ade26b15bca3c6d3428ca33f",
+        "modips-normal-conjoint":
+            "e998bbb4205c876d5ffde8a2d011e4ed0b688c88cf073a41fabab858c607db98",
+        "pert-hist":
+            "5254e9107fc9bebb043568583cd12fbd28ea003b7e7af638efb6a375b8e4046f",
+        "smooth-hist":
+            "c1b3b3afb935da176725b96d63195289335be610203301bd7b918f6a9059a382",
+        "ms":
+            "f7f93afc392bce99666006ab170668c14844306027315f7cab1d8be7ae0df9a1",
+        "original":
+            "f021ecf5313491b25d61a9b4cbaccc5e75c49a8fca666af8a120b9c0aecaef96",
+    },
+}
+
+
+def test_sim1_sim2_rows_match_pinned_digest():
+    for (study, postprocess), pinned in SIM1_SIM2_PINNED_DIGESTS.items():
+        assert set(pinned) == set(STUDY_METHODS[study])
+        rows = run_study(StudyConfig(
+            study, {"sim1": 40, "sim2": 100}[study],
+            eps_grid=[math.exp(-9), math.exp(-2), math.exp(2)], m=3, reps=3,
+            methods=list(pinned), seed=11, postprocess=postprocess))
+        for method, digest in pinned.items():
+            assert _rows_digest(rows, method) == digest, (
+                study, postprocess, method)
+
+
 def _sim3_np_release(eps, ledger, m=3):
     data = simulate_truth_sim3(RngStream(3), 300)
     return STUDY_METHODS["sim3"]["np-dips"](RngStream(4), data, eps, m,
@@ -333,12 +407,6 @@ def test_sim3_np_dips_honours_a_delta_2_ledger():
     _assert_two_entries_per_set(ledger2, 0.7)
     unscaled = _sim3_np_release(0.7, PrivacyLedger(PrivacyBudget(0.7)))
     assert not np.array_equal(unscaled[0].column("z1"), sets2[0].column("z1"))
-
-
-def test_empty_cell_study_runs():
-    v = empty_cell_study(math.exp(4), reps=2, seed=5, method="modips-mixture",
-                         n=400, m=2)
-    assert 0.0 <= v <= 24.0
 
 
 # -- reporting ---------------------------------------------------------------

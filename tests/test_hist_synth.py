@@ -13,9 +13,7 @@ from dips.hist_synth import (
     GridSpec,
     OutOfDomain,
     bin_count_from_width,
-    bin_width_freedman_diaconis,
     bin_width_scott,
-    bin_width_sturges,
     build_histogram,
     laplace_sanitizer_crosstab,
     perturb_histogram,
@@ -34,16 +32,6 @@ def _cont_dataset(values, lo=0.0, hi=1.0):
 def test_scott_rule_oracle():
     # 3.5 * S * n^(-1/3) with S=2, n=1000 -> 0.7
     assert bin_width_scott(2.0, 1000) == pytest.approx(0.7)
-
-
-def test_sturges_rule():
-    # range / (1 + log2 n)
-    assert bin_width_sturges(10.0, 128) == pytest.approx(10.0 / 8.0)
-
-
-def test_freedman_diaconis_rule():
-    assert bin_width_freedman_diaconis(4.0, 1000) == pytest.approx(
-        2 * 4.0 / 10.0)
 
 
 def test_bin_count_anchored_at_lower_bound():

@@ -8,6 +8,7 @@ import pytest
 from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import SIM4_Z_BOUNDS, simulate_truth_sim4
 from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
+from dips.mechanisms import SensitivitySpec, laplace_mechanism
 from dips.param_synth import (
     BernoulliModel,
     GaussianMixtureModel,
@@ -15,7 +16,6 @@ from dips.param_synth import (
     SequentialLogisticModel,
     StatGroup,
     _md_alpha,
-    _sanitize_group,
     bbmr_synthesizer,
     md_synthesizer,
     modips_release,
@@ -290,9 +290,15 @@ def test_sanitize_truncate_per_entry_bounds():
     group = StatGroup("g", value, np.linspace(0.5, 2.0, 40),
                       value - 1.0, np.minimum(value + 1.0, 20.0), defined)
     group.lower[::7] = 0.0
-    clipped, _ = _sanitize_group(RngStream(71), group, 1.0, "BIT")
-    truncated, record = _sanitize_group(RngStream(71), group, 1.0,
-                                        "truncate")
+
+    def sanitize(postprocess):
+        return laplace_mechanism(
+            RngStream(71), group.value, SensitivitySpec(group.delta_s), 1.0,
+            group.label, lower=group.lower, upper=group.upper,
+            defined=group.defined, postprocess=postprocess)
+    clipped = sanitize("BIT").sanitized
+    record = sanitize("truncate")
+    truncated = record.sanitized
     inside = defined & (group.lower < clipped) & (clipped < group.upper)
     outside = defined & ~inside
     assert inside.any() and outside.any()
@@ -302,6 +308,23 @@ def test_sanitize_truncate_per_entry_bounds():
                                   group.upper[~defined])
     assert np.all((group.lower <= truncated) & (truncated <= group.upper))
     assert record.postprocess.startswith("truncate")
+
+
+def test_modips_records_carry_per_entry_sensitivity():
+    model = _mixture_model()
+    data = _mixture_data(RngStream(61), 301)
+    groups = model.sufficient_statistics(data)
+    rel = modips_release(RngStream(67), data, model, eps=1.0, m=2)
+    for records in rel.sanitized_stats:
+        assert [r.label for r in records] == [g.label for g in groups]
+        for group, record in zip(groups, records):
+            np.testing.assert_array_equal(record.sensitivity.delta_s,
+                                          group.delta_s)
+            np.testing.assert_array_equal(
+                record.scale, np.asarray(group.delta_s) / record.eps_spent)
+    # the two cells hold different counts, so their mean sensitivities differ
+    zbar1 = groups[1].delta_s
+    assert groups[1].label == "zbar1" and zbar1[0] != zbar1[1]
 
 
 def test_logistic_predictive_w3_follows_softmax_when_exp_overflows():
@@ -336,8 +359,8 @@ def _counting_quadratic():
 
 
 def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
-    burnin, thin = 60, 4
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
+    burnin, thin = 250, 4
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=450,
                                     mh_burnin=burnin, mh_thin=thin)
     ll, calls = _counting_quadratic()
     # 2 chains x 50 kept draws: both chains run to their last kept draw
@@ -403,8 +426,8 @@ def _lockstep_calls(model, n_draws):
 
 @pytest.mark.parametrize("k", [1, 50, 51, 237])
 def test_mh_lockstep_matches_each_target_alone(k):
-    burnin, thin = 60, 4
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
+    burnin, thin = 250, 4
+    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=450,
                                     mh_burnin=burnin, mh_thin=thin)
     # 50 draws per chain; one batched call starts each chain, one per step
     quotas = {1: [1], 50: [50], 51: [50, 1], 237: [50, 50]}[k]
