@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .budget import BudgetExhausted, PrivacyBudget, PrivacyLedger
-from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
+from .dataset import (CategoricalColumn, ContinuousColumn, TabularDataset,
+                      category_codes, read_numeric_csv)
 from .harness import StudyConfig, report, run_study
 from .randvar import RngStream
 from .synthesizers import SYNTHESIZERS
@@ -44,32 +45,26 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     Inference treats a column as categorical when every value is a
     non-negative integer below 20; continuous bounds default to the
     observed min/max (state explicit bounds in a schema file for a
-    data-independent domain)."""
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        raw = {name: [] for name in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise ConfigError(f"ragged CSV row: {row}")
-            for name, v in zip(header, row):
-                raw[name].append(v)
+    data-independent domain).  A ragged row, a repeated column name or a
+    cell that is not a number is a ConfigError; a non-integer value under
+    a categorical schema is a ValueError."""
+    try:
+        header, arrays = read_numeric_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     schema = {}
     if schema_path:
         with open(schema_path) as fh:
             schema = json.load(fh)
     columns = []
     data = {}
-    for name in header:
-        values = np.array([float(v) for v in raw[name]])
+    for name, values in zip(header, arrays):
         spec = schema.get(name)
         if spec is not None:
             if spec["type"] == "categorical":
                 columns.append(CategoricalColumn(
                     name, tuple(range(int(spec["levels"])))))
-                data[name] = values.astype(np.int64)
+                data[name] = category_codes(name, values)
             else:
                 columns.append(ContinuousColumn(name, float(spec["lo"]),
                                                 float(spec["hi"])))

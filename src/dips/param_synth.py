@@ -348,6 +348,9 @@ class GaussianMixtureModel:
     def sufficient_statistics(self, data):
         n = self._n = data.n
         k = self.k
+        if n <= k:
+            raise ValueError(f"the mixture model needs more rows than its "
+                             f"{k} cells, got n = {n}")
         cells = self._cells(data)
         counts = np.bincount(cells, minlength=k).astype(float)
         self._cell_counts = counts

@@ -68,7 +68,13 @@ class RngStream:
 
 
 def _check_positive(name, value):
-    if not np.all(np.asarray(value) > 0):
+    # every sampler call checks its parameters: a plain comparison for a
+    # Python number costs far less than the array path; NaN fails both
+    if isinstance(value, (int, float)):
+        ok = value > 0
+    else:
+        ok = np.all(np.asarray(value) > 0)
+    if not ok:
         raise ParameterDomainError(f"{name} must be positive, got {value}")
 
 

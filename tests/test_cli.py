@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dips.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS, main
+from dips.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS,
+                      _load_csv, main)
 
 
 @pytest.fixture
@@ -281,3 +282,60 @@ def test_bench_unreadable_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def _synth_exit(tmp_path, text, schema=None, method="md"):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    argv = ["synth", "--input", str(path), "--method", method,
+            "--eps", "1.0", "--m", "1", "--out", str(tmp_path / "o")]
+    if schema is not None:
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(schema))
+        argv += ["--schema", str(schema_path)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("text, schema, message", [
+    ("x,x\n1,0\n0,1\n", None, "duplicate CSV column name 'x'"),
+    ("x\n1.5\n0.7\n1\n", {"x": {"type": "categorical", "levels": 2}},
+     "categorical column 'x' holds a non-integer code 1.5"),
+    ("x\n" + "1\n" * 9000 + "1,0\n", None, "ragged CSV row: ['1', '0']"),
+    ("x\n1\n\n0\n", None, "ragged CSV row: []"),
+    ("", None, "input CSV has no columns"),
+], ids=["duplicate-name", "non-integer-code", "ragged-later-block",
+        "blank-line", "empty-file"])
+def test_synth_bad_input_csv_exits_2(text, schema, message, tmp_path,
+                                     capsys):
+    assert _synth_exit(tmp_path, text, schema) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: {message}"]
+
+
+def test_load_csv_reads_quoted_and_padded_numbers(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text('w,"z"\n"1", 0.5\n 0 ,"-1.25 "\n2,3\n')
+    ds = _load_csv(str(path), None)
+    assert ds.column("w").tolist() == [1, 0, 2]
+    assert ds.column("w").dtype == np.int64
+    assert ds.column("z").tolist() == [0.5, -1.25, 3.0]
+
+
+def test_synth_header_only_csv_with_schema(tmp_path):
+    schema = {"x": {"type": "categorical", "levels": 2},
+              "y": {"type": "continuous", "lo": 0.0, "hi": 1.0}}
+    code = _synth_exit(tmp_path, "x,y\n", schema, method="pert-hist")
+    assert code == EXIT_OK
+    assert (tmp_path / "o" / "synth_1.csv").read_bytes() == b"x,y\r\n"
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_bench_sim3_too_few_rows_exits_2(n, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": n, "m": 2, "eps_grid": [1.0]}))
+    code = main(["bench", "--study", "sim3", "--config", str(cfg),
+                 "--reps", "1", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: the mixture model needs more rows "
+                   f"than its 24 cells, got n = {n}"]

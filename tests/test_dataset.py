@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
+from dips.dataset import (BLOCK_ROWS, CategoricalColumn, ContinuousColumn,
+                          TabularDataset, read_numeric_csv)
 
 
 def _toy():
@@ -84,3 +87,112 @@ def test_csv_round_trip_preserves_awkward_floats(tmp_path):
     ds.to_csv(path)
     back = TabularDataset.from_csv(path, cols)
     np.testing.assert_array_equal(back.column("x"), vals)
+
+
+def _reference_to_csv(ds, path):
+    """The row-at-a-time writer that the block writer replaced: the bytes
+    every written CSV must keep."""
+    names = [c.name for c in ds.columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        arrays = [ds.data[name] for name in names]
+        for row in zip(*arrays):
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in row])
+
+
+def _assert_same_bytes(ds, tmp_path):
+    ds.to_csv(tmp_path / "block.csv")
+    _reference_to_csv(ds, tmp_path / "reference.csv")
+    assert ((tmp_path / "block.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+AWKWARD_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05,
+                  0.1 + 0.2, 1 / 3, -2.5, 0.0, 123456789.125]
+
+
+def _unchecked(**columns):
+    cols = [ContinuousColumn(name, -1.0, 1.0) for name in columns]
+    return TabularDataset(cols, columns, validate=False)
+
+
+@pytest.mark.parametrize("values", [
+    np.array(AWKWARD_FLOATS),
+    np.array([3, -7, 0, 2 ** 40], dtype=np.int64),
+    np.array([True, False, True]),
+    np.array(AWKWARD_FLOATS, dtype=np.float32),
+    np.array([1, 0, 2], dtype=object),
+    np.array([1, 0.5, np.float64(-0.0), np.float32(0.1), True],
+             dtype=object),
+], ids=["float64", "int64", "bool", "float32", "object-ints",
+        "object-mixed"])
+def test_to_csv_bytes_match_row_writer(values, tmp_path):
+    _assert_same_bytes(_unchecked(v=values, w=values[::-1].copy()), tmp_path)
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                               BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 77])
+def test_to_csv_bytes_match_row_writer_across_blocks(n, tmp_path):
+    rng = np.random.default_rng(n)
+    ds = _unchecked(a=rng.normal(size=n),
+                    b=rng.integers(0, 5, size=n),
+                    c=rng.random(n) < 0.5)
+    _assert_same_bytes(ds, tmp_path)
+    cols = [ContinuousColumn("a", -10.0, 10.0),
+            CategoricalColumn("b", tuple(range(5)))]
+    numeric = TabularDataset(cols, {"a": ds.column("a"), "b": ds.column("b")})
+    numeric.to_csv(tmp_path / "numbers.csv")
+    back = TabularDataset.from_csv(tmp_path / "numbers.csv", cols)
+    assert back.n == n
+    np.testing.assert_array_equal(back.column("a"), ds.column("a"))
+    np.testing.assert_array_equal(back.column("b"), ds.column("b"))
+
+
+def test_to_csv_quotes_header_names(tmp_path):
+    ds = _unchecked(**{"a,b": np.array([0.5, -0.25]),
+                       'say "hi"': np.array([1, 2])})
+    _assert_same_bytes(ds, tmp_path)
+    assert (tmp_path / "block.csv").read_bytes().startswith(
+        b'"a,b","say ""hi"""\r\n')
+
+
+@pytest.mark.parametrize("values", [
+    np.array(["1", "2"]),
+    np.array([b"1", b"2"]),
+    np.array([1.0, "1,2"], dtype=object),
+])
+def test_to_csv_rejects_non_numeric_columns(values, tmp_path):
+    with pytest.raises(TypeError, match="'v'"):
+        _unchecked(v=values).to_csv(tmp_path / "s.csv")
+
+
+def test_from_csv_rejects_non_integer_codes(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("c\n1\n1.5\n")
+    with pytest.raises(ValueError, match="non-integer code 1.5"):
+        TabularDataset.from_csv(path, [CategoricalColumn("c", ("a", "b"))])
+    path.write_text("c\n1.0\n0\n")
+    ds = TabularDataset.from_csv(path, [CategoricalColumn("c", ("a", "b"))])
+    assert ds.column("c").dtype == np.int64
+    np.testing.assert_array_equal(ds.column("c"), [1, 0])
+
+
+def test_read_numeric_csv_parses_like_csv_reader(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text('x,"y"\r\n"1"," 0.5 "\n-2,1e-3\n')
+    header, columns = read_numeric_csv(path)
+    assert header == ["x", "y"]
+    np.testing.assert_array_equal(columns[0], [1.0, -2.0])
+    np.testing.assert_array_equal(columns[1], [0.5, 1e-3])
+
+
+def test_read_numeric_csv_rejects_duplicate_names_and_ragged_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y,x\n1,2,3\n")
+    with pytest.raises(ValueError, match="duplicate CSV column name 'x'"):
+        read_numeric_csv(path)
+    path.write_text("x\n" + "1\n" * (BLOCK_ROWS + 5) + "1,2\n")
+    with pytest.raises(ValueError, match=r"ragged CSV row: \['1', '2'\]"):
+        read_numeric_csv(path)

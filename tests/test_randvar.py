@@ -172,6 +172,12 @@ def test_wishart_draws_are_spd():
 def test_scale_domain_errors():
     with pytest.raises(ParameterDomainError):
         sample_laplace(rng(), 0.0, -1.0)
+    # scalars take a plain comparison, arrays the numpy one: NaN and 0
+    # fail on both
+    for bad in (0, 0.0, float("nan"), np.float64("nan"), np.int64(0),
+                np.array([1.0, np.nan]), np.array([2, 0])):
+        with pytest.raises(ParameterDomainError):
+            sample_laplace(rng(), 0.0, bad)
     with pytest.raises(ParameterDomainError):
         sample_beta(rng(), 0.0, 1.0)
     with pytest.raises(ParameterDomainError):
