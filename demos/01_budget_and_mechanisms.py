@@ -1,4 +1,4 @@
-"""Privacy budgets, the ledger, and the two basic sanitizers.
+"""Privacy budgets, the ledger, and the Laplace sanitizer.
 
 A ledger tracks a fixed epsilon.  Sequential charges add up; parallel
 charges within a group (statistics computed on disjoint rows) cost only
@@ -15,7 +15,6 @@ from dips import (
     PrivacyLedger,
     RngStream,
     SensitivitySpec,
-    exponential_mechanism_discrete,
     laplace_mechanism,
 )
 
@@ -31,13 +30,14 @@ ledger.charge("count", 0.5)
 print(f"true count {count[0]:.0f}, sanitized {stat.sanitized[0]:.2f} "
       f"(Laplace scale {stat.scale:.1f})")
 
-# Pick the modal category with the exponential mechanism (utility = count;
-# adding or removing one row moves any count by at most 1).
-tallies = np.array([40.0, 35.0, 25.0])
-winner = exponential_mechanism_discrete(rng.substream(1), [0, 1, 2],
-                                        lambda c: tallies[c], 1.0, 0.3)
-ledger.charge("mode", 0.3)
-print(f"modal category (noisy): {winner}")
+# A second release spends 0.3 on a bounded mean: 200 values in [0, 10],
+# so one row moves the mean by at most 10 / 200.
+mean = np.array([6.2])
+stat = laplace_mechanism(rng.substream(1), mean, SensitivitySpec(10 / 200),
+                         0.3, label="mean", lower=0.0, upper=10.0)
+ledger.charge("mean", 0.3)
+print(f"true mean {mean[0]:.2f}, sanitized {stat.sanitized[0]:.2f} "
+      f"(Laplace scale {stat.scale:.3f})")
 
 # Parallel composition: per-subgroup counts on disjoint rows share a group
 # label, so three charges of 0.2 cost 0.2 in total.

@@ -23,12 +23,12 @@ n = int(counts.sum())
 
 for eps in (0.1, 1.0, 10.0):
     ledger = PrivacyLedger(PrivacyBudget(eps))
-    release = md_synthesizer(rng.substream(0, int(eps * 10)), counts, eps,
-                             m=5, ledger=ledger)
-    alpha = n / math.expm1(eps / release.m)
+    sets = md_synthesizer(rng.substream(0, int(eps * 10)), counts, eps, m=5,
+                          ledger=ledger)
+    alpha = n / math.expm1(eps / len(sets))
     pooled = np.zeros(3)
-    for s in release.sets:
-        pooled += np.bincount(s.column("cell"), minlength=3)
+    for cells in sets:  # each set is n cell codes
+        pooled += np.bincount(cells, minlength=3)
     pooled /= pooled.sum()
     print(f"multinomial-Dirichlet eps={eps:5.1f}: alpha*={alpha:10.1f}, "
           f"pooled proportions {np.round(pooled, 3)}")
@@ -37,8 +37,7 @@ for eps in (0.1, 1.0, 10.0):
 # set from it, so releasing more sets would add nothing.
 n1 = 150
 for eps in (0.1, 10.0):
-    release = bbmr_synthesizer(rng.substream(1, int(eps * 10)), n1, n, eps,
-                               ledger=PrivacyLedger(PrivacyBudget(eps)))
-    (synth,) = release.sets
+    x = bbmr_synthesizer(rng.substream(1, int(eps * 10)), n1, n, eps,
+                         ledger=PrivacyLedger(PrivacyBudget(eps)))
     print(f"beta-binomial eps={eps:5.1f}: synthetic proportion "
-          f"{synth.column('x').mean():.3f} (source {n1 / n:.3f})")
+          f"{x.mean():.3f} (source {n1 / n:.3f})")

@@ -37,7 +37,6 @@ from .mechanisms import (
     NonConvergence,
     SanitizedStatistic,
     SensitivitySpec,
-    exponential_mechanism_discrete,
     laplace_mechanism,
 )
 from .param_synth import (

@@ -9,7 +9,6 @@ a small relative tolerance on top of the exact arithmetic.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +45,7 @@ class PrivacyBudget:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0) or math.isnan(self.epsilon):
+        if not (self.epsilon > 0):  # also refuses NaN
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
@@ -129,10 +128,6 @@ class PrivacyLedger:
     @property
     def effective_spend(self) -> float:
         return float(self._spend)
-
-    @property
-    def remaining(self) -> float:
-        return float(Fraction(self.total.epsilon) - self._spend)
 
     def charge(self, label: str, eps: EpsLike, mode: str = "sequential",
                group: str | None = None) -> "PrivacyLedger":

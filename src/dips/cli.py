@@ -45,9 +45,9 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     Inference treats a column as categorical when every value is a
     non-negative integer below 20; continuous bounds default to the
     observed min/max (state explicit bounds in a schema file for a
-    data-independent domain).  A ragged row, a repeated column name or a
-    cell that is not a number is a ConfigError; a non-integer value under
-    a categorical schema is a ValueError."""
+    data-independent domain).  A ragged row, a repeated name, a cell that
+    is not a finite number, or a column with no rows and no schema entry
+    is a ConfigError; a non-integer categorical code is a ValueError."""
     try:
         header, arrays = read_numeric_csv(path)
     except ValueError as exc:
@@ -59,7 +59,14 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     columns = []
     data = {}
     for name, values in zip(header, arrays):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ConfigError(f"column {name!r} holds a non-finite value "
+                              f"{float(values[~finite][0])!r}")
         spec = schema.get(name)
+        if spec is None and not values.size:
+            raise ConfigError(f"column {name!r} has no rows to infer its "
+                              "type from; declare it in a schema")
         if spec is not None:
             if spec["type"] == "categorical":
                 columns.append(CategoricalColumn(

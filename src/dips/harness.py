@@ -354,9 +354,9 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
     the per-set budget split 1:1 between the two."""
     half = eps_set_frac / 2
     lower, upper = sim3_cell_bounds()
-    sanitized, codes = laplace_sanitizer_crosstab(
-        rng.substream(0), data, ["w1", "w2", "w3"], float(half),
-        ledger=ledger, label=f"{tag}-counts", charge_eps=half)
+    codes = laplace_sanitizer_crosstab(
+        rng.substream(0), data, ["w1", "w2", "w3"], half, ledger=ledger,
+        label=f"{tag}-counts")
     cells_orig = np.ravel_multi_index(
         [data.column("w1"), data.column("w2"), data.column("w3")],
         SIM3_LEVELS)
@@ -388,7 +388,7 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
             grid = histogram_grid(cell)
             hist = build_histogram(cell, grid)
             try:
-                pert = perturb_histogram(sub, hist, float(half),
+                pert = perturb_histogram(sub, hist, half,
                                          label=f"{tag}-hist",
                                          delta_s_counts=delta)
                 draw = sample_from_histogram(sub.substream(1), grid,

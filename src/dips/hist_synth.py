@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import PrivacyLedger
-from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
+from .budget import EpsLike, PrivacyLedger
+from .dataset import CategoricalColumn, TabularDataset
 from .mechanisms import SensitivitySpec, laplace_mechanism
 from .randvar import RngStream
 
@@ -183,25 +183,21 @@ def build_histogram(data: TabularDataset, grid: GridSpec,
     return Histogram(grid, counts, float(counts.sum()))
 
 
-def perturb_histogram(rng: RngStream, hist: Histogram, eps: float,
+def perturb_histogram(rng: RngStream, hist: Histogram, eps: EpsLike,
                       ledger: PrivacyLedger | None = None,
                       label: str = "perturbed-histogram",
-                      charge_eps=None,
                       delta_s_counts: int | None = None) -> Histogram:
     """Laplace-perturb every cell count with the full eps (parallel
     composition over disjoint cells), then legitimize negatives by BIT at 0.
 
-    ``charge_eps`` (a Fraction, typically) overrides the amount recorded on
-    the ledger, so a caller that derived ``eps`` from an exact share can
-    keep the bookkeeping exact while noise uses the float value.
+    The noise uses ``float(eps)``; the ledger records ``eps`` as given, so
+    an exact ``Fraction`` share stays exact on the ledger.
 
     The sensitivity of one count is ``delta_s_counts``, by default the
     ledger's convention, or 1 without a ledger.  A caller that charges the
     parallel group itself passes no ledger and states the ledger's
     convention here.
     """
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
     if delta_s_counts is None:
         delta_s_counts = 1 if ledger is None else ledger.delta_s_counts
     elif ledger is not None and delta_s_counts != ledger.delta_s_counts:
@@ -209,11 +205,10 @@ def perturb_histogram(rng: RngStream, hist: Histogram, eps: float,
             f"delta_s_counts={delta_s_counts} contradicts the ledger's "
             f"{ledger.delta_s_counts}")
     stat = laplace_mechanism(rng, hist.counts,
-                             SensitivitySpec(float(delta_s_counts)), eps,
-                             label, lower=0.0)
+                             SensitivitySpec(float(delta_s_counts)),
+                             float(eps), label, lower=0.0)
     if ledger is not None:
-        ledger.charge(label, eps if charge_eps is None else charge_eps,
-                      mode="parallel", group=label)
+        ledger.charge(label, eps, mode="parallel", group=label)
     counts = stat.sanitized
     if counts.sum() <= 0:
         raise AllCellsZero(f"{label}: all sanitized counts are zero")
@@ -226,8 +221,6 @@ def smooth_histogram(hist: Histogram, eps: float,
     """DP smoothed density: (1 - lambda) f_K + lambda * Omega with the
     minimal lambda = K / (K + n (e^(eps/n) - 1)); returns per-cell density.
     """
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
     for ax in hist.grid.axes:
         if isinstance(ax, BinnedAxis) and not (
                 math.isfinite(ax.lo) and math.isfinite(ax.hi)):
@@ -278,15 +271,14 @@ def sample_from_histogram(rng: RngStream, grid: GridSpec, density,
 
 
 def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
-                               categorical_axes: list[str], eps: float,
-                               n_out: int | None = None,
+                               categorical_axes: list[str], eps: EpsLike,
                                ledger: PrivacyLedger | None = None,
-                               label: str = "laplace-sanitizer",
-                               charge_eps=None):
+                               label: str = "laplace-sanitizer"):
     """Sanitize the full cross-tabulation of the named categorical columns
-    and draw synthetic rows multinomially from the sanitized proportions.
+    with ``perturb_histogram`` and draw ``data.n`` synthetic rows
+    multinomially from the sanitized proportions.
 
-    Returns (sanitized counts, synthetic level-code arrays by column name).
+    Returns the synthetic level-code arrays by column name.
     """
     axes = []
     for name in categorical_axes:
@@ -296,13 +288,10 @@ def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
         axes.append(CategoricalAxis(len(col.levels)))
     grid = GridSpec(tuple(axes))
     hist = build_histogram(data, grid, column_names=categorical_axes)
-    sanitized = perturb_histogram(rng, hist, eps, ledger=ledger,
-                                  label=label, charge_eps=charge_eps)
-    n_rows = data.n if n_out is None else n_out
-    counts = rng.generator.multinomial(n_rows, sanitized.proportions())
+    sanitized = perturb_histogram(rng, hist, eps, ledger=ledger, label=label)
+    counts = rng.generator.multinomial(data.n, sanitized.proportions())
     cells = np.repeat(np.arange(grid.cell_count), counts)
     rng.generator.shuffle(cells)
     multi = np.unravel_index(cells, grid.shape)
-    synthetic = {name: codes.astype(np.int64)
-                 for name, codes in zip(categorical_axes, multi)}
-    return sanitized, synthetic
+    return {name: codes.astype(np.int64)
+            for name, codes in zip(categorical_axes, multi)}

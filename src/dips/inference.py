@@ -36,8 +36,8 @@ class DegenerateEstimate(ValueError):
     """The requested estimate is undefined for this sample."""
 
 
-class RankDeficient(ValueError):
-    pass
+class RankDeficient(DegenerateEstimate):
+    """The design matrix has too few rows or dependent columns."""
 
 
 @dataclass(frozen=True)
@@ -267,8 +267,10 @@ def fit_multinomial_logit(design, response, max_iter: int = 100,
     response = np.asarray(response, dtype=np.int64)
     _check_design(design)
     levels = np.unique(response)
-    if not np.array_equal(levels, np.arange(len(levels))) or len(levels) != 3:
-        raise ValueError("response must use codes 0, 1, 2 with all present")
+    if not np.isin(levels, (0, 1, 2)).all():
+        raise ValueError("response must use codes 0, 1, 2")
+    if len(levels) != 3:
+        raise DegenerateEstimate(f"response lacks a level: {levels.tolist()}")
     n, q = design.shape
     n_alt = 2
     indicator = np.column_stack([(response == a + 1).astype(float)

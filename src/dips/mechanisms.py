@@ -1,7 +1,6 @@
-"""Core DP sanitizers: the Laplace mechanism with its legitimizing
+"""The core DP sanitizer: the Laplace mechanism with its legitimizing
 post-processing (a clamp into the bounds, or truncation by drawing the
-noise from the Laplace law conditioned on the bounds), and the discrete
-Exponential mechanism."""
+noise from the Laplace law conditioned on the bounds)."""
 
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ __all__ = [
     "SensitivitySpec",
     "SanitizedStatistic",
     "laplace_mechanism",
-    "exponential_mechanism_discrete",
 ]
 
 
@@ -97,24 +95,3 @@ def laplace_mechanism(rng: RngStream, raw, sens: SensitivitySpec, eps: float,
                                                   lo[oob], hi[oob])
     sanitized = np.clip(sanitized, lower, upper)
     return SanitizedStatistic(label, raw, sanitized, eps, sens, postprocess)
-
-
-def exponential_mechanism_discrete(rng: RngStream, candidates, utility,
-                                   delta_u: float, eps: float):
-    """Select a candidate with probability proportional to
-    exp(u(c) * eps / (2 delta_u)), normalized with log-sum-exp."""
-    if len(candidates) == 0:
-        raise ValueError("candidate set must be non-empty")
-    if not (delta_u > 0):
-        raise ValueError(f"delta_u must be positive, got {delta_u}")
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    scores = np.array([utility(c) for c in candidates], dtype=float)
-    if np.any(np.isnan(scores)):
-        raise ValueError("utility returned NaN")
-    logits = scores * eps / (2.0 * delta_u)
-    logits -= logits.max()
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    idx = rng.generator.choice(len(candidates), p=probs)
-    return candidates[idx]

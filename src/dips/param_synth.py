@@ -34,7 +34,6 @@ from .randvar import (
 )
 
 __all__ = [
-    "PosteriorDegenerate",
     "StatGroup",
     "ModipsModel",
     "SyntheticRelease",
@@ -48,10 +47,6 @@ __all__ = [
 ]
 
 TINY_VARIANCE = 1e-12
-
-
-class PosteriorDegenerate(RuntimeError):
-    """Sanitized statistics left a posterior improper; a fallback was used."""
 
 
 @dataclass
@@ -75,11 +70,7 @@ class StatGroup:
 
 @dataclass
 class SyntheticRelease:
-    method: str
     sets: list[TabularDataset]
-    eps_total: float
-    per_set_eps: float
-    seed: tuple
     flags: list[str] = field(default_factory=list)
     sanitized_stats: list[list[SanitizedStatistic]] = field(default_factory=list)
 
@@ -114,19 +105,13 @@ def _md_alpha(n: int, eps: float) -> float:
     return max(n / math.expm1(eps), 1e-300)
 
 
-def _cells_to_dataset(counts: np.ndarray, k: int, rng: RngStream) -> TabularDataset:
-    cells = np.repeat(np.arange(k), counts)
-    rng.generator.shuffle(cells)
-    col = CategoricalColumn("cell", tuple(range(k)))
-    return TabularDataset([col], {"cell": cells.astype(np.int64)})
-
-
 def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1,
-                   ledger: PrivacyLedger | None = None) -> SyntheticRelease:
+                   ledger: PrivacyLedger | None = None) -> list[np.ndarray]:
     """Multinomial-Dirichlet synthesizer over K categories.
 
     Per set: pi* ~ Dirichlet(alpha* + counts) with every alpha* equal to
     n / (e^(eps/m) - 1), then synthetic counts ~ Multinomial(n, pi*).
+    Returns m arrays of n shuffled cell codes in [0, K).
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
@@ -134,24 +119,25 @@ def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1,
         raise ValueError("counts must sum to a positive total")
     if not (eps > 0) or m < 1:
         raise ValueError("need eps > 0 and m >= 1")
-    eps_set = eps / m
-    alpha = _md_alpha(n, eps_set)
+    alpha = _md_alpha(n, eps / m)
     k = len(counts)
     sets = []
     for j in range(m):
         sub = rng.substream(j)
         pi = sample_dirichlet(sub, alpha + counts)
-        synth_counts = sample_multinomial(sub, n, pi)
-        sets.append(_cells_to_dataset(synth_counts, k, sub))
+        cells = np.repeat(np.arange(k), sample_multinomial(sub, n, pi))
+        sub.generator.shuffle(cells)
+        sets.append(cells)
         if ledger is not None:
             ledger.charge(f"md-set-{j}", Fraction(eps) / m)
-    return SyntheticRelease("md", sets, eps, eps_set, (rng.seed, rng.stream))
+    return sets
 
 
 def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
-                     ledger: PrivacyLedger | None = None) -> SyntheticRelease:
+                     ledger: PrivacyLedger | None = None) -> np.ndarray:
     """Beta-Binomial synthesizer with a fixed DP proportion: a single set
     drawn Binomial(n, p*) with p* = (n1 + a)/(n + 2a), a = 1/(e^(eps/n)-1).
+    Returns the set's n shuffled 0/1 codes.
     """
     if not (0 <= n1 <= n):
         raise ValueError(f"need 0 <= n1 <= n, got n1={n1}, n={n}")
@@ -163,12 +149,9 @@ def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
     data = np.zeros(n, dtype=np.int64)
     data[:ones] = 1
     rng.generator.shuffle(data)
-    col = CategoricalColumn("x", (0, 1))
-    dataset = TabularDataset([col], {"x": data})
     if ledger is not None:
         ledger.charge("bbmr", eps)
-    return SyntheticRelease("bbmr", [dataset], eps, eps,
-                            (rng.seed, rng.stream))
+    return data
 
 
 # -- MODIPS engine ----------------------------------------------------------
@@ -223,8 +206,7 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
         params = model.posterior_draw(sub.substream(10_000), stats, flags)
         sets.append(model.predictive_draw(sub.substream(20_000), params, n))
         records_all.append(records)
-    return SyntheticRelease(method, sets, eps, eps / m,
-                            (rng.seed, rng.stream), flags, records_all)
+    return SyntheticRelease(sets, flags, records_all)
 
 
 # -- model plugins ----------------------------------------------------------

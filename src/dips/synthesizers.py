@@ -88,9 +88,9 @@ def _laplace(rng, data, eps, m, ledger, postprocess):
     names = _all_categorical(data, "laplace sanitizer")
 
     def draw(sub, share, j):
-        _, codes = laplace_sanitizer_crosstab(
-            sub, data, names, float(share), ledger=ledger,
-            label=f"laplace-set{j}", charge_eps=share)
+        codes = laplace_sanitizer_crosstab(sub, data, names, share,
+                                           ledger=ledger,
+                                           label=f"laplace-set{j}")
         return TabularDataset(data.columns, codes, validate=False)
 
     return _per_set(rng, eps, m, draw)
@@ -107,8 +107,8 @@ def _pert_hist(rng, data, eps, m, ledger, postprocess):
     hist = build_histogram(data, grid)
 
     def draw(sub, share, j):
-        pert = perturb_histogram(sub, hist, float(share), ledger=ledger,
-                                 label=f"pert-set{j}", charge_eps=share)
+        pert = perturb_histogram(sub, hist, share, ledger=ledger,
+                                 label=f"pert-set{j}")
         return _from_axes(data, sample_from_histogram(
             sub.substream(1), grid, pert.density(), data.n))
 
@@ -127,12 +127,12 @@ def _md(rng, data, eps, m, ledger, postprocess):
     _all_categorical(data, "md synthesizer")
     grid = histogram_grid(data)
     counts = build_histogram(data, grid).counts.astype(int)
-    release = md_synthesizer(rng, counts, eps, m, ledger=ledger)
     return [TabularDataset(
         data.columns,
         {c.name: codes.astype(np.int64) for c, codes in zip(
-            data.columns, np.unravel_index(s.column("cell"), grid.shape))},
-        validate=False) for s in release.sets]
+            data.columns, np.unravel_index(cells, grid.shape))},
+        validate=False)
+        for cells in md_synthesizer(rng, counts, eps, m, ledger=ledger)]
 
 
 def _bbmr(rng, data, eps, m, ledger, postprocess):
@@ -140,9 +140,8 @@ def _bbmr(rng, data, eps, m, ledger, postprocess):
                        "bbmr needs a single binary column")
     if len(col.levels) != 2:
         raise ValueError("bbmr needs a single binary column")
-    release = bbmr_synthesizer(rng, int(data.column(col.name).sum()), data.n,
-                               eps, ledger=ledger)
-    x = release.sets[0].column("x")
+    x = bbmr_synthesizer(rng, int(data.column(col.name).sum()), data.n, eps,
+                         ledger=ledger)
     return [TabularDataset(data.columns, {col.name: x}, validate=False)]
 
 

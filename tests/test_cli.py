@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +85,24 @@ SYNTH_PINNED_DIGESTS = {
     "modips-normal": (
         "continuous_csv",
         "cf9163e8b3170f6dfea94199e7ddd39063c8a2b11d0b734c194f583155f0df47"),
+    # recorded while md and bbmr still returned a SyntheticRelease
+    "md": (
+        "binary_csv",
+        "504607a887f14cbea1f9a4307ea45a651ec548afc327e86ad90a6b564aaf2522"),
+    "bbmr": (
+        "binary_csv",
+        "fe18e3b6339b8b702246946b583443554e43e2357b616f0eb971c15e9f7ae7b3"),
+    "smooth-hist": (
+        "continuous_csv",
+        "b48143ec108a3ade6a20cf776f93a08e259568106856c9f314cc7b91bb6cb675"),
+    "modips-bernoulli": (
+        "binary_csv",
+        "ea23d4df490077de6fba7aa314ccca650eb40de74218fb29d0780d2722d425f9"),
 }
+
+
+def test_every_synth_method_has_a_pinned_digest():
+    assert set(SYNTH_PINNED_DIGESTS) == set(SYNTH_METHODS)
 
 
 def _synth_digest(input_path, method, out):
@@ -308,6 +326,26 @@ def _synth_exit(tmp_path, text, schema=None, method="md"):
 def test_synth_bad_input_csv_exits_2(text, schema, message, tmp_path,
                                      capsys):
     assert _synth_exit(tmp_path, text, schema) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: {message}"]
+
+
+CONTINUOUS_X = {"x": {"type": "continuous", "lo": 0.0, "hi": 1.0}}
+
+
+@pytest.mark.parametrize("text, schema, message", [
+    ("x\n0.5\nnan\n0.2\n", CONTINUOUS_X,
+     "column 'x' holds a non-finite value nan"),
+    ("x\n0.5\ninf\n0.2\n", None, "column 'x' holds a non-finite value inf"),
+    ("x\n", None, "column 'x' has no rows to infer its type from; declare "
+     "it in a schema"),
+], ids=["nan-under-schema", "inf", "header-only-without-schema"])
+def test_synth_unusable_values_exit_2_without_warnings(text, schema, message,
+                                                       tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _synth_exit(tmp_path, text, schema, method="pert-hist")
+    assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"configuration error: {message}"]
 

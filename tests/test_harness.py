@@ -211,6 +211,17 @@ def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
     assert row.usable_fraction < 1
 
 
+@pytest.mark.parametrize("n, reps_used", [(5, 0), (8, 4)])
+def test_sim4_degenerate_set_is_skipped_not_fatal(n, reps_used):
+    """At n = 5 every set is too short for the five-column w3 design
+    (RankDeficient); at n = 8 some sets lack a w3 level.  Both skip the set
+    and the study runs to the end."""
+    cfg = StudyConfig("sim4", n, m=2, reps=4, methods=["np-dips"],
+                      parameters=["b3_0"], seed=5)
+    (row,) = run_study(cfg)
+    assert row.reps_used == reps_used
+
+
 # sha256 over every MetricRow field, one line per row (as
 # perfbench.workloads.rows_digest), recorded before the O(1) ledger and the
 # one-charge-per-set sim3 NP-DIPS histogram group (numpy 2.4.6); a change

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,10 @@ def test_perturbed_histogram_nonnegative_and_charged_once():
     pert = perturb_histogram(rng, hist, 0.5, ledger=ledger)
     assert np.all(pert.counts >= 0)
     assert ledger.effective_spend == pytest.approx(0.5)
+    for bad in (0.0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            perturb_histogram(rng, hist, bad, ledger=ledger)
+    assert len(ledger.entries) == 1
 
 
 def test_perturbed_histogram_noise_scale():
@@ -138,6 +143,10 @@ def test_smooth_histogram_mixes_toward_uniform():
     density = smooth_histogram(hist, 1e6)
     # lambda ~ 0: almost the empirical histogram
     assert density[0] == pytest.approx(5.0, rel=1e-3)
+    ledger = PrivacyLedger(PrivacyBudget(1.0))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        smooth_histogram(hist, 0.0, ledger=ledger)
+    assert ledger.entries == []
 
 
 def test_sample_from_histogram_respects_support():
@@ -163,8 +172,8 @@ def test_laplace_sanitizer_crosstab_roundtrip():
     w = (rng.generator.random(n) < 0.3).astype(np.int64)
     ds = TabularDataset([CategoricalColumn("w", (0, 1))], {"w": w})
     ledger = PrivacyLedger(PrivacyBudget(5.0))
-    sanitized, codes = laplace_sanitizer_crosstab(rng.substream(1), ds,
-                                                  ["w"], 5.0, ledger=ledger)
+    codes = laplace_sanitizer_crosstab(rng.substream(1), ds, ["w"], 5.0,
+                                       ledger=ledger)
     assert codes["w"].shape == (n,)
     assert ledger.effective_spend == pytest.approx(5.0)
     # generous budget: sanitized proportions close to the empirical ones

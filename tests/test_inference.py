@@ -165,3 +165,18 @@ def test_multinomial_logit_recovers_truth():
     est2 = np.array([e.estimate for e in blocks[1]])
     np.testing.assert_allclose(est1, b1, atol=0.1)
     np.testing.assert_allclose(est2, b2, atol=0.1)
+
+
+def test_multinomial_logit_degenerate_sets_are_degenerate_estimates():
+    """A set too short for its design, or one that lacks a response level,
+    is a DegenerateEstimate the harness skips; a code outside {0, 1, 2} is
+    a caller error."""
+    gen = np.random.default_rng(3)
+    x = np.column_stack([np.ones(12), gen.standard_normal(12)])
+    with pytest.raises(DegenerateEstimate):
+        fit_multinomial_logit(x[:2], np.array([0, 1]))
+    with pytest.raises(DegenerateEstimate):
+        fit_multinomial_logit(x, np.array([0, 1] * 6))
+    with pytest.raises(ValueError) as info:
+        fit_multinomial_logit(x, np.array([0, 1, 2, 3] * 3))
+    assert not isinstance(info.value, DegenerateEstimate)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dips.mechanisms import (
-    SensitivitySpec,
-    exponential_mechanism_discrete,
-    laplace_mechanism,
-)
+from dips.mechanisms import SensitivitySpec, laplace_mechanism
 from dips.randvar import RngStream
 
 
@@ -41,27 +37,6 @@ def test_log_density_ratio_bounded_by_eps():
         log_f0 = -np.abs(grid) / scale
         log_f1 = -np.abs(grid - 1.0) / scale
         assert np.max(np.abs(log_f0 - log_f1)) <= eps + 1e-12
-
-
-def test_exponential_mechanism_probabilities():
-    candidates = ["a", "b", "c"]
-    utility = {"a": 0.0, "b": 1.0, "c": 2.0}
-    eps = 2.0
-    draws = [exponential_mechanism_discrete(
-        rng(1).substream(i), candidates, lambda c: utility[c], 1.0, eps)
-        for i in range(20_000)]
-    logits = np.array([utility[c] * eps / 2 for c in candidates])
-    expected = np.exp(logits) / np.exp(logits).sum()
-    observed = np.array([draws.count(c) for c in candidates]) / len(draws)
-    np.testing.assert_allclose(observed, expected, atol=0.02)
-
-
-def test_exponential_mechanism_extreme_utilities_stable():
-    candidates = [0, 1]
-    # large utilities would overflow a naive exp; log-sum-exp must cope
-    choice = exponential_mechanism_discrete(
-        rng(2), candidates, lambda c: 1e6 * c, 1.0, 1.0)
-    assert choice == 1
 
 
 def test_bit_clamps_to_bounds():

@@ -36,11 +36,11 @@ def test_md_shapes_and_ledger():
     rng = RngStream(7)
     counts = np.array([30, 50, 20])
     ledger = PrivacyLedger(PrivacyBudget(1.5))
-    rel = md_synthesizer(rng, counts, eps=1.5, m=3, ledger=ledger)
-    assert rel.m == 3
-    for ds in rel.sets:
-        assert ds.n == 100
-        assert set(np.unique(ds.column("cell"))) <= {0, 1, 2}
+    sets = md_synthesizer(rng, counts, eps=1.5, m=3, ledger=ledger)
+    assert len(sets) == 3
+    for cells in sets:
+        assert cells.shape == (100,)
+        assert set(np.unique(cells)) <= {0, 1, 2}
     assert ledger.effective_spend_exact() == Fraction(1.5)
 
 
@@ -51,8 +51,8 @@ def test_md_tiny_eps_flattens_toward_uniform():
     counts = np.array([990, 5, 5])
     props = []
     for r in range(400):
-        rel = md_synthesizer(rng.substream(r), counts, eps=0.001)
-        c = np.bincount(rel.sets[0].column("cell"), minlength=3)
+        (cells,) = md_synthesizer(rng.substream(r), counts, eps=0.001)
+        c = np.bincount(cells, minlength=3)
         props.append(c / 1000)
     mean_p = np.mean(props, axis=0)
     assert np.all(np.abs(mean_p - 1 / 3) < 0.02)
@@ -63,8 +63,8 @@ def test_md_huge_eps_reproduces_observed_proportions():
     counts = np.array([700, 200, 100])
     props = []
     for r in range(400):
-        rel = md_synthesizer(rng.substream(r), counts, eps=1e6)
-        c = np.bincount(rel.sets[0].column("cell"), minlength=3)
+        (cells,) = md_synthesizer(rng.substream(r), counts, eps=1e6)
+        c = np.bincount(cells, minlength=3)
         props.append(c / 1000)
     mean_p = np.mean(props, axis=0)
     assert np.all(np.abs(mean_p - counts / 1000) < 0.01)
@@ -83,17 +83,17 @@ def test_bbmr_mean_matches_shrunk_proportion():
     alpha = 1 / math.expm1(eps / n)
     p_star = (n1 + alpha) / (n + 2 * alpha)
     rng = RngStream(17)
-    means = [bbmr_synthesizer(rng.substream(r), n1, n, eps)
-             .sets[0].column("x").mean() for r in range(600)]
+    means = [bbmr_synthesizer(rng.substream(r), n1, n, eps).mean()
+             for r in range(600)]
     se = math.sqrt(p_star * (1 - p_star) / n / 600)
     assert np.mean(means) == pytest.approx(p_star, abs=5 * se)
 
 
 def test_bbmr_ledger_and_validation():
     ledger = PrivacyLedger(PrivacyBudget(0.5))
-    rel = bbmr_synthesizer(RngStream(3), 10, 50, 0.5, ledger=ledger)
-    assert rel.m == 1
-    assert rel.sets[0].n == 50
+    x = bbmr_synthesizer(RngStream(3), 10, 50, 0.5, ledger=ledger)
+    assert x.shape == (50,)
+    assert set(np.unique(x)) <= {0, 1}
     assert ledger.effective_spend_exact() == Fraction(0.5)
     with pytest.raises(ValueError):
         bbmr_synthesizer(RngStream(3), 60, 50, 0.5)
@@ -114,7 +114,6 @@ def test_modips_bernoulli_ledger_exact_with_allocation():
     rel = modips_release(RngStream(5), data, BernoulliModel(), eps=0.7, m=4,
                          ledger=ledger)
     assert rel.m == 4
-    assert rel.per_set_eps == pytest.approx(0.7 / 4)
     assert ledger.effective_spend_exact() == Fraction(0.7)
     for records in rel.sanitized_stats:
         assert [r.label for r in records] == ["n1"]
