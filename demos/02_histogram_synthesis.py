@@ -1,9 +1,10 @@
 """Non-parametric synthesis from a sanitized histogram.
 
-Two routes to a private density over a bounded variable: perturb the cell
-counts with Laplace noise (then clip negatives to zero), or mix the raw
-histogram with the uniform density using the minimal smoothing weight.
-Either density can then be sampled to produce a synthetic column.
+A histogram is an array of per-cell counts.  Two routes make it private
+over a bounded variable: perturb the cell counts with Laplace noise (then
+clip negatives to zero), or mix the cell proportions with the uniform
+distribution over the cells using the minimal smoothing weight.  Rows are
+then drawn from the cells in proportion to either result.
 """
 
 import numpy as np
@@ -33,18 +34,18 @@ data = TabularDataset([ContinuousColumn("x", -3.0, 4.0)], {"x": x})
 width = bin_width_scott(float(np.std(x, ddof=1)), n)
 k = bin_count_from_width(-3.0, 4.0, width)
 grid = GridSpec((BinnedAxis(-3.0, 4.0, k),))
-hist = build_histogram(data, grid)
+counts = build_histogram(data, grid)
 print(f"Scott width {width:.3f} -> {k} bins")
 
 ledger = PrivacyLedger(PrivacyBudget(2.0))
-noisy = perturb_histogram(rng.substream(1), hist, 1.0, ledger=ledger)
-synth = sample_from_histogram(rng.substream(2), grid, noisy.density(), n)
+noisy = perturb_histogram(rng.substream(1), counts, 1.0, ledger=ledger)
+synth = sample_from_histogram(rng.substream(2), grid, noisy, n)
 print(f"perturbed-histogram synthetic mean {synth['axis0'].mean():+.3f} "
       f"(source {x.mean():+.3f})")
 
-density = smooth_histogram(hist, 1.0, ledger=ledger)
+probs = smooth_histogram(counts, 1.0, ledger=ledger)
 lam = smoothing_weight(k, n, 1.0)
-synth = sample_from_histogram(rng.substream(3), grid, density, n)
+synth = sample_from_histogram(rng.substream(3), grid, probs, n)
 print(f"smoothed-histogram lambda {lam:.3f}, synthetic mean "
       f"{synth['axis0'].mean():+.3f} (pulled toward the uniform midpoint)")
 print(f"budget spent: {float(ledger.effective_spend_exact())}")

@@ -11,7 +11,6 @@ from .hist_synth import (
     BinnedAxis,
     CategoricalAxis,
     GridSpec,
-    Histogram,
     bin_count_from_width,
     bin_width_scott,
     build_histogram,

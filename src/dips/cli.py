@@ -47,7 +47,11 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     observed min/max (state explicit bounds in a schema file for a
     data-independent domain).  A ragged row, a repeated name, a cell that
     is not a finite number, or a column with no rows and no schema entry
-    is a ConfigError; a non-integer categorical code is a ValueError."""
+    is a ConfigError; a non-integer categorical code is a ValueError.
+
+    A schema file is a JSON object mapping column names to objects with a
+    ``type`` of ``categorical`` (and a positive integer ``levels``) or
+    ``continuous`` (and finite ``lo`` < ``hi``)."""
     try:
         header, arrays = read_numeric_csv(path)
     except ValueError as exc:
@@ -56,6 +60,10 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     if schema_path:
         with open(schema_path) as fh:
             schema = json.load(fh)
+        if not (isinstance(schema, dict)
+                and all(isinstance(v, dict) for v in schema.values())):
+            raise ConfigError(f"{schema_path}: the schema must be a JSON "
+                              "object of column objects")
     columns = []
     data = {}
     for name, values in zip(header, arrays):
@@ -68,14 +76,26 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
             raise ConfigError(f"column {name!r} has no rows to infer its "
                               "type from; declare it in a schema")
         if spec is not None:
-            if spec["type"] == "categorical":
-                columns.append(CategoricalColumn(
-                    name, tuple(range(int(spec["levels"])))))
+            kind = spec.get("type")
+            if kind == "categorical":
+                levels = spec.get("levels")
+                # exact types: bool is an int, and 2.7 must not become 2
+                if type(levels) is not int or levels < 1:
+                    raise ConfigError(f"column {name!r} needs a positive "
+                                      f"integer levels, got {levels!r}")
+                columns.append(CategoricalColumn(name,
+                                                 tuple(range(levels))))
                 data[name] = category_codes(name, values)
-            else:
-                columns.append(ContinuousColumn(name, float(spec["lo"]),
-                                                float(spec["hi"])))
+            elif kind == "continuous":
+                lo, hi = spec.get("lo"), spec.get("hi")
+                if not all(type(b) in (int, float) for b in (lo, hi)):
+                    raise ConfigError(f"column {name!r} needs numeric lo and "
+                                      f"hi, got {lo!r} and {hi!r}")
+                columns.append(ContinuousColumn(name, float(lo), float(hi)))
                 data[name] = values
+            else:
+                raise ConfigError(f"column {name!r} needs a type of "
+                                  f"categorical or continuous, got {kind!r}")
             continue
         ints = values.astype(np.int64)
         if np.all(ints == values) and ints.min() >= 0 and ints.max() < 20:

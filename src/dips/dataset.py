@@ -11,6 +11,7 @@ Python strings all at once."""
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import islice
@@ -42,6 +43,9 @@ class ContinuousColumn:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"column {self.name!r} needs finite bounds, got "
+                             f"[{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):
             raise ValueError(
                 f"column {self.name!r} needs lo < hi, got [{self.lo}, {self.hi}]"
@@ -55,7 +59,7 @@ class TabularDataset:
     """n rows over a fixed schema of categorical and continuous columns.
 
     Categorical values are integer codes in [0, len(levels)); continuous
-    values must lie within the column's declared bounds.
+    values must be finite and lie within the column's declared bounds.
     """
 
     def __init__(self, columns: list[Column], data: dict[str, np.ndarray],
@@ -79,6 +83,8 @@ class TabularDataset:
                                     or values.max() >= len(col.levels)):
                     raise ValueError(f"codes out of range in {col.name!r}")
             else:
+                if not np.isfinite(values).all():
+                    raise ValueError(f"non-finite value in {col.name!r}")
                 if values.size and (values.min() < col.lo - 1e-9
                                     or values.max() > col.hi + 1e-9):
                     raise ValueError(f"values out of bounds in {col.name!r}")

@@ -386,13 +386,13 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
                  ContinuousColumn("b", lower[k][1], upper[k][1])],
                 {"a": clipped[:, 0], "b": clipped[:, 1]}, validate=False)
             grid = histogram_grid(cell)
-            hist = build_histogram(cell, grid)
+            counts = build_histogram(cell, grid)
             try:
-                pert = perturb_histogram(sub, hist, half,
+                pert = perturb_histogram(sub, counts, half,
                                          label=f"{tag}-hist",
                                          delta_s_counts=delta)
-                draw = sample_from_histogram(sub.substream(1), grid,
-                                             pert.density(), n_new)
+                draw = sample_from_histogram(sub.substream(1), grid, pert,
+                                             n_new)
                 drawn = np.column_stack([draw["axis0"], draw["axis1"]])
             except AllCellsZero:
                 pass

@@ -1,6 +1,10 @@
 """Non-parametric synthesis: Laplace-sanitized cross-tabulations, perturbed
 and smoothed histograms, and data synthesis from sanitized grids.
 
+A histogram is a plain array of per-cell counts in the grid's flat cell
+order.  Every cell of a grid has the same volume, so a cell's probability
+is its count over the total.
+
 Counts over disjoint grid cells are sanitized under parallel composition:
 every cell receives the full per-release budget, and the ledger (when one
 is attached) is charged once per release, not once per cell.
@@ -24,7 +28,6 @@ __all__ = [
     "CategoricalAxis",
     "BinnedAxis",
     "GridSpec",
-    "Histogram",
     "bin_width_scott",
     "build_histogram",
     "perturb_histogram",
@@ -62,6 +65,8 @@ class BinnedAxis:
     bin_count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"need finite bounds, got [{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.bin_count < 1:
@@ -95,23 +100,6 @@ class GridSpec:
     def cell_count(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def cell_volume(self) -> float:
-        """Volume of one cell over the binned axes (1 if none are binned)."""
-        vol = 1.0
-        for ax in self.axes:
-            if isinstance(ax, BinnedAxis):
-                vol *= ax.width
-        return vol
-
-    @property
-    def bounds_volume(self) -> float:
-        vol = 1.0
-        for ax in self.axes:
-            if isinstance(ax, BinnedAxis):
-                vol *= ax.hi - ax.lo
-        return vol
-
     def cell_indices(self, values: list[np.ndarray]) -> np.ndarray:
         """Flat cell index per row; values are one array per axis."""
         idx = []
@@ -132,23 +120,6 @@ class GridSpec:
                 codes = np.maximum(codes, 0)
             idx.append(codes)
         return np.ravel_multi_index(idx, self.shape)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    grid: GridSpec
-    counts: np.ndarray
-    n: float
-
-    def proportions(self) -> np.ndarray:
-        total = self.counts.sum()
-        if total <= 0:
-            raise AllCellsZero("histogram has no mass")
-        return self.counts / total
-
-    def density(self) -> np.ndarray:
-        """Per-cell density (probability mass / cell volume)."""
-        return self.proportions() / self.grid.cell_volume
 
 
 # -- binning rules ----------------------------------------------------------
@@ -172,23 +143,24 @@ def bin_count_from_width(lo: float, hi: float, width: float) -> int:
 # -- histogram operations ---------------------------------------------------
 
 def build_histogram(data: TabularDataset, grid: GridSpec,
-                    column_names: list[str] | None = None) -> Histogram:
-    """Tally rows into grid cells; raises OutOfDomain for stray values."""
+                    column_names: list[str] | None = None) -> np.ndarray:
+    """Per-cell row counts (float) in the grid's flat cell order; raises
+    OutOfDomain for stray values."""
     names = column_names or [c.name for c in data.columns]
     if len(names) != len(grid.axes):
         raise ValueError("one column per grid axis required")
     values = [data.column(name) for name in names]
     idx = grid.cell_indices(values)
-    counts = np.bincount(idx, minlength=grid.cell_count).astype(float)
-    return Histogram(grid, counts, float(counts.sum()))
+    return np.bincount(idx, minlength=grid.cell_count).astype(float)
 
 
-def perturb_histogram(rng: RngStream, hist: Histogram, eps: EpsLike,
+def perturb_histogram(rng: RngStream, counts: np.ndarray, eps: EpsLike,
                       ledger: PrivacyLedger | None = None,
                       label: str = "perturbed-histogram",
-                      delta_s_counts: int | None = None) -> Histogram:
+                      delta_s_counts: int | None = None) -> np.ndarray:
     """Laplace-perturb every cell count with the full eps (parallel
-    composition over disjoint cells), then legitimize negatives by BIT at 0.
+    composition over disjoint cells), then legitimize negatives by BIT at 0;
+    returns the sanitized counts.
 
     The noise uses ``float(eps)``; the ledger records ``eps`` as given, so
     an exact ``Fraction`` share stays exact on the ledger.
@@ -204,33 +176,29 @@ def perturb_histogram(rng: RngStream, hist: Histogram, eps: EpsLike,
         raise ValueError(
             f"delta_s_counts={delta_s_counts} contradicts the ledger's "
             f"{ledger.delta_s_counts}")
-    stat = laplace_mechanism(rng, hist.counts,
+    stat = laplace_mechanism(rng, counts,
                              SensitivitySpec(float(delta_s_counts)),
                              float(eps), label, lower=0.0)
     if ledger is not None:
         ledger.charge(label, eps, mode="parallel", group=label)
-    counts = stat.sanitized
-    if counts.sum() <= 0:
+    if stat.sanitized.sum() <= 0:
         raise AllCellsZero(f"{label}: all sanitized counts are zero")
-    return Histogram(hist.grid, counts, hist.n)
+    return stat.sanitized
 
 
-def smooth_histogram(hist: Histogram, eps: float,
+def smooth_histogram(counts: np.ndarray, eps: float,
                      ledger: PrivacyLedger | None = None,
                      label: str = "smoothed-histogram") -> np.ndarray:
-    """DP smoothed density: (1 - lambda) f_K + lambda * Omega with the
-    minimal lambda = K / (K + n (e^(eps/n) - 1)); returns per-cell density.
+    """DP smoothed histogram: the cell probabilities (1 - lambda) c / n +
+    lambda / K over K cells, with the minimal
+    lambda = K / (K + n (e^(eps/n) - 1)).
     """
-    for ax in hist.grid.axes:
-        if isinstance(ax, BinnedAxis) and not (
-                math.isfinite(ax.lo) and math.isfinite(ax.hi)):
-            raise ValueError("smoothed histogram requires bounded axes")
-    lam = smoothing_weight(hist.grid.cell_count, hist.n, eps)
-    omega = 1.0 / hist.grid.bounds_volume
-    density = (1.0 - lam) * hist.density() + lam * omega
+    k, n = counts.size, float(counts.sum())
+    lam = smoothing_weight(k, n, eps)
+    probs = (1.0 - lam) * (counts / n) + lam / k
     if ledger is not None:
         ledger.charge(label, eps, mode="sequential")
-    return density
+    return probs
 
 
 def smoothing_weight(cell_count: int, n: float, eps: float) -> float:
@@ -242,21 +210,21 @@ def smoothing_weight(cell_count: int, n: float, eps: float) -> float:
     return cell_count / (cell_count + n * math.expm1(eps / n))
 
 
-def sample_from_histogram(rng: RngStream, grid: GridSpec, density,
+def sample_from_histogram(rng: RngStream, grid: GridSpec, weights,
                           n_out: int) -> dict[str, np.ndarray]:
-    """Draw cells by probability, then uniform within each binned axis.
+    """Draw cells in proportion to their nonnegative weights (counts or
+    probabilities), then uniform within each binned axis.
 
     Returns one array per axis (keyed "axis0", "axis1", ...); categorical
     axes emit level codes.
     """
-    density = np.asarray(density, dtype=float)
-    if np.any(density < 0):
-        raise ValueError("density must be nonnegative")
-    probs = density * grid.cell_volume
-    total = probs.sum()
+    weights = np.asarray(weights, dtype=float)
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    total = weights.sum()
     if total <= 0:
-        raise AllCellsZero("density has no mass")
-    probs = probs / total
+        raise AllCellsZero("weights have no mass")
+    probs = weights / total
     gen = rng.generator
     cells = gen.choice(grid.cell_count, size=n_out, p=probs)
     multi = np.unravel_index(cells, grid.shape)
@@ -276,7 +244,7 @@ def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
                                label: str = "laplace-sanitizer"):
     """Sanitize the full cross-tabulation of the named categorical columns
     with ``perturb_histogram`` and draw ``data.n`` synthetic rows
-    multinomially from the sanitized proportions.
+    multinomially in proportion to the sanitized counts.
 
     Returns the synthetic level-code arrays by column name.
     """
@@ -289,7 +257,7 @@ def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
     grid = GridSpec(tuple(axes))
     hist = build_histogram(data, grid, column_names=categorical_axes)
     sanitized = perturb_histogram(rng, hist, eps, ledger=ledger, label=label)
-    counts = rng.generator.multinomial(data.n, sanitized.proportions())
+    counts = rng.generator.multinomial(data.n, sanitized / sanitized.sum())
     cells = np.repeat(np.arange(grid.cell_count), counts)
     rng.generator.shuffle(cells)
     multi = np.unravel_index(cells, grid.shape)

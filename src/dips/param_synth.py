@@ -300,6 +300,20 @@ class NormalModel:
         return TabularDataset([col], {"x": draws})
 
 
+def _sanitized_cov2(var1, var2, cov, flags) -> np.ndarray:
+    """The 2x2 covariance from sanitized variances and covariance: a
+    non-positive variance is floored (flagging the release) and the
+    covariance is clamped to 0.999 of the bound the variances allow."""
+    v1, v2, cv = float(var1[0]), float(var2[0]), float(cov[0])
+    if v1 <= 0 or v2 <= 0:
+        flags.append("PosteriorDegenerate:var")
+        v1, v2 = max(v1, TINY_VARIANCE), max(v2, TINY_VARIANCE)
+    bound = 0.999 * math.sqrt(v1 * v2)
+    if abs(cv) > bound:
+        cv = math.copysign(bound, cv)
+    return np.array([[v1, cv], [cv, v2]])
+
+
 class GaussianMixtureModel:
     """Mixture of bivariate normals over the cells of a categorical
     cross-tabulation; shared covariance across cells.
@@ -340,12 +354,12 @@ class GaussianMixtureModel:
         ranges = self.cell_upper - self.cell_lower  # (K, 2)
         zbar = np.zeros((k, 2))
         occupied = counts > 0
-        for kk in np.flatnonzero(occupied):
-            zbar[kk] = z[cells == kk].mean(axis=0)
         # pooled within-cell covariance, MLE scale (divided by n)
         scatter = np.zeros((2, 2))
-        for kk in np.flatnonzero(counts > 0):
-            dev = z[cells == kk] - zbar[kk]
+        for kk in np.flatnonzero(occupied):
+            rows = z[cells == kk]
+            zbar[kk] = rows.mean(axis=0)
+            dev = rows - zbar[kk]
             scatter += dev.T @ dev
         s_mat = scatter / n
         mean_delta = np.where(occupied[:, None], ranges / np.maximum(counts, 1)[:, None], 1.0)
@@ -375,16 +389,8 @@ class GaussianMixtureModel:
         n, k = self._n, self.k
         counts_star = stats["counts"]
         pi = sample_dirichlet(rng, self.prior_alpha + counts_star)
-        v1 = float(stats["var1"][0])
-        v2 = float(stats["var2"][0])
-        cv = float(stats["cov"][0])
-        if v1 <= 0 or v2 <= 0:
-            flags.append("PosteriorDegenerate:var")
-            v1, v2 = max(v1, TINY_VARIANCE), max(v2, TINY_VARIANCE)
-        bound = 0.999 * math.sqrt(v1 * v2)
-        if abs(cv) > bound:
-            cv = math.copysign(bound, cv)
-        s_star = np.array([[v1, cv], [cv, v2]])
+        s_star = _sanitized_cov2(stats["var1"], stats["var2"], stats["cov"],
+                                 flags)
         sigma = sample_inv_wishart(rng, n - k, n * s_star)
         mus = np.zeros((k, 2))
         occupied = self._cell_counts > 0
@@ -529,12 +535,6 @@ class SequentialLogisticModel:
             return 1.0
         return log_star / log_raw
 
-    def _mh_sample(self, rng, loglik, dim, n_draws):
-        """Adaptive random-walk Metropolis for one target: `_mh_lockstep`
-        with K = 1 and a scalar ``loglik(beta)``."""
-        return self._mh_lockstep([rng], lambda betas: [loglik(betas[0])],
-                                 [dim], n_draws)[0]
-
     def _mh_lockstep(self, rngs, loglik, dims, n_draws):
         """Adaptive random-walk Metropolis over K targets advanced in
         lockstep: each step makes one ``loglik(betas) -> K values`` call
@@ -654,16 +654,8 @@ class SequentialLogisticModel:
     def posterior_draw(self, rng, stats, flags):
         cache = self._cache
         n = cache["n"]
-        v1 = float(stats["s11"][0])
-        v2 = float(stats["s22"][0])
-        cv = float(stats["s12"][0])
-        if v1 <= 0 or v2 <= 0:
-            flags.append("PosteriorDegenerate:var")
-            v1, v2 = max(v1, TINY_VARIANCE), max(v2, TINY_VARIANCE)
-        bound = 0.999 * math.sqrt(v1 * v2)
-        if abs(cv) > bound:
-            cv = math.copysign(bound, cv)
-        s_star = np.array([[v1, cv], [cv, v2]])
+        s_star = _sanitized_cov2(stats["s11"], stats["s22"], stats["s12"],
+                                 flags)
         sigma = sample_inv_wishart(rng, n, n * s_star)
         mu = sample_mvnormal(rng, np.array([float(stats["zbar1"][0]),
                                             float(stats["zbar2"][0])]),

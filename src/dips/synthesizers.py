@@ -104,29 +104,28 @@ def _from_axes(data, draw):
 
 def _pert_hist(rng, data, eps, m, ledger, postprocess):
     grid = histogram_grid(data)
-    hist = build_histogram(data, grid)
+    counts = build_histogram(data, grid)
 
     def draw(sub, share, j):
-        pert = perturb_histogram(sub, hist, share, ledger=ledger,
+        pert = perturb_histogram(sub, counts, share, ledger=ledger,
                                  label=f"pert-set{j}")
         return _from_axes(data, sample_from_histogram(
-            sub.substream(1), grid, pert.density(), data.n))
+            sub.substream(1), grid, pert, data.n))
 
     return _per_set(rng, eps, m, draw)
 
 
 def _smooth_hist(rng, data, eps, m, ledger, postprocess):
     grid = histogram_grid(data)
-    density = smooth_histogram(build_histogram(data, grid), eps,
-                               ledger=ledger)
-    return [_from_axes(data, sample_from_histogram(rng, grid, density,
+    probs = smooth_histogram(build_histogram(data, grid), eps, ledger=ledger)
+    return [_from_axes(data, sample_from_histogram(rng, grid, probs,
                                                    data.n))]
 
 
 def _md(rng, data, eps, m, ledger, postprocess):
     _all_categorical(data, "md synthesizer")
     grid = histogram_grid(data)
-    counts = build_histogram(data, grid).counts.astype(int)
+    counts = build_histogram(data, grid).astype(int)
     return [TabularDataset(
         data.columns,
         {c.name: codes.astype(np.int64) for c, codes in zip(

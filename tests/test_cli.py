@@ -309,7 +309,8 @@ def _synth_exit(tmp_path, text, schema=None, method="md"):
             "--eps", "1.0", "--m", "1", "--out", str(tmp_path / "o")]
     if schema is not None:
         schema_path = tmp_path / "schema.json"
-        schema_path.write_text(json.dumps(schema))
+        schema_path.write_text(schema if isinstance(schema, str)
+                               else json.dumps(schema))
         argv += ["--schema", str(schema_path)]
     return main(argv)
 
@@ -348,6 +349,41 @@ def test_synth_unusable_values_exit_2_without_warnings(text, schema, message,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"configuration error: {message}"]
+
+
+NOT_AN_OBJECT = "the schema must be a JSON object of column objects"
+
+
+@pytest.mark.parametrize("schema, method, message", [
+    ("[1, 2]", "md", NOT_AN_OBJECT),
+    ('{"x": 5}', "md", NOT_AN_OBJECT),
+    *[('{"x": {"type": "continuous", "lo": -Infinity, "hi": 1}}', method,
+       "column 'x' needs finite bounds, got [-inf, 1.0]")
+      for method in ("pert-hist", "smooth-hist", "modips-normal")],
+    ('{"x": {"type": "continuous", "lo": null, "hi": 1}}', "pert-hist",
+     "column 'x' needs numeric lo and hi, got None and 1"),
+    ('{"x": {"type": "categorical", "levels": 1e400}}', "md",
+     "column 'x' needs a positive integer levels, got inf"),
+    ('{"x": {"type": "categorical", "levels": 2.7}}', "md",
+     "column 'x' needs a positive integer levels, got 2.7"),
+    ('{"x": {"type": "categorical", "levels": "2"}}', "md",
+     "column 'x' needs a positive integer levels, got '2'"),
+    ('{"x": {"type": "categorial", "levels": 2}}', "md",
+     "column 'x' needs a type of categorical or continuous, got "
+     "'categorial'"),
+], ids=["list", "entry-not-object", "neg-inf-lo-pert-hist",
+        "neg-inf-lo-smooth-hist", "neg-inf-lo-modips-normal", "null-lo",
+        "levels-overflow", "fractional-levels", "string-levels",
+        "misspelled-type"])
+def test_synth_bad_schema_exits_2_without_warnings(schema, method, message,
+                                                   tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _synth_exit(tmp_path, "x\n0\n1\n1\n0\n", schema, method)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert err[0].endswith(message)
 
 
 def test_load_csv_reads_quoted_and_padded_numbers(tmp_path):

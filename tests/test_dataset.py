@@ -66,6 +66,18 @@ def test_degenerate_columns_rejected():
         ContinuousColumn("x", 1.0, 1.0)
     with pytest.raises(ValueError):
         ContinuousColumn("x", 2.0, 1.0)
+    for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite bounds"):
+            ContinuousColumn("x", lo, hi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_continuous_value_rejected(bad):
+    cols = [ContinuousColumn("x", 0.0, 1.0)]
+    values = np.array([0.5, bad, 0.2])
+    with pytest.raises(ValueError, match="non-finite value in 'x'"):
+        TabularDataset(cols, {"x": values})
+    assert TabularDataset(cols, {"x": values}, validate=False).n == 3
 
 
 def test_csv_round_trip(tmp_path):

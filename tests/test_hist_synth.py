@@ -40,13 +40,13 @@ def test_bin_count_anchored_at_lower_bound():
     assert bin_count_from_width(0.0, 1.0, 0.5) == 2
 
 
-def test_histogram_counts_and_density():
+def test_histogram_counts():
     ds = _cont_dataset([0.05, 0.15, 0.95, 0.95])
     grid = GridSpec((BinnedAxis(0.0, 1.0, 10),))
-    hist = build_histogram(ds, grid)
-    assert hist.counts[0] == 1 and hist.counts[1] == 1 and hist.counts[9] == 2
-    # density integrates to one
-    assert hist.density().sum() * grid.cell_volume == pytest.approx(1.0)
+    counts = build_histogram(ds, grid)
+    assert counts.dtype == float and counts.shape == (10,)
+    assert counts[0] == 1 and counts[1] == 1 and counts[9] == 2
+    assert counts.sum() == ds.n
 
 
 def test_out_of_domain_rejected():
@@ -60,14 +60,14 @@ def test_perturbed_histogram_nonnegative_and_charged_once():
     rng = RngStream(0)
     ds = _cont_dataset(np.linspace(0.01, 0.99, 200))
     grid = GridSpec((BinnedAxis(0.0, 1.0, 8),))
-    hist = build_histogram(ds, grid)
+    counts = build_histogram(ds, grid)
     ledger = PrivacyLedger(PrivacyBudget(0.5))
-    pert = perturb_histogram(rng, hist, 0.5, ledger=ledger)
-    assert np.all(pert.counts >= 0)
+    pert = perturb_histogram(rng, counts, 0.5, ledger=ledger)
+    assert pert.shape == counts.shape and np.all(pert >= 0)
     assert ledger.effective_spend == pytest.approx(0.5)
     for bad in (0.0, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="eps must be positive"):
-            perturb_histogram(rng, hist, bad, ledger=ledger)
+            perturb_histogram(rng, counts, bad, ledger=ledger)
     assert len(ledger.entries) == 1
 
 
@@ -76,29 +76,22 @@ def test_perturbed_histogram_noise_scale():
     pre-clamp deviation should match Laplace(1/eps)."""
     rng = RngStream(1)
     counts = np.full(50_000, 100.0)
-    from dips.hist_synth import Histogram
-
-    grid = GridSpec((BinnedAxis(0.0, 1.0, len(counts)),))
-    hist = Histogram(grid, counts, counts.sum())
-    pert = perturb_histogram(rng, hist, 2.0, ledger=None)
-    noise = pert.counts - counts  # far from zero, so BIT never binds
+    pert = perturb_histogram(rng, counts, 2.0, ledger=None)
+    noise = pert - counts  # far from zero, so BIT never binds
     _, p = stats.kstest(noise, stats.laplace(scale=0.5).cdf)
     assert p > 0.01
 
 
 def test_perturbed_histogram_delta_follows_ledger_or_argument():
-    from dips.hist_synth import Histogram
-
-    grid = GridSpec((BinnedAxis(0.0, 1.0, 6),))
-    hist = Histogram(grid, np.full(6, 50.0), 300.0)
+    hist = np.full(6, 50.0)
     by_ledger = perturb_histogram(
         RngStream(2), hist, 0.5,
         ledger=PrivacyLedger(PrivacyBudget(0.5), delta_s_counts=2))
     by_argument = perturb_histogram(RngStream(2), hist, 0.5,
                                     delta_s_counts=2)
     at_half_eps = perturb_histogram(RngStream(2), hist, 0.25)
-    np.testing.assert_array_equal(by_ledger.counts, by_argument.counts)
-    np.testing.assert_array_equal(by_argument.counts, at_half_eps.counts)
+    np.testing.assert_array_equal(by_ledger, by_argument)
+    np.testing.assert_array_equal(by_argument, at_half_eps)
     ledger = PrivacyLedger(PrivacyBudget(0.5), delta_s_counts=2)
     with pytest.raises(ValueError):
         perturb_histogram(RngStream(2), hist, 0.5, ledger=ledger,
@@ -107,10 +100,7 @@ def test_perturbed_histogram_delta_follows_ledger_or_argument():
 
 
 def test_all_cells_zero_raised():
-    from dips.hist_synth import Histogram
-
-    grid = GridSpec((BinnedAxis(0.0, 1.0, 4),))
-    hist = Histogram(grid, np.zeros(4), 0.0)
+    hist = np.zeros(4)
     # with tiny eps the sanitized counts collapse to zero almost surely
     with pytest.raises(AllCellsZero):
         for i in range(200):
@@ -137,31 +127,57 @@ def test_smooth_histogram_mixes_toward_uniform():
     ds = _cont_dataset(np.repeat(0.05, 100))
     grid = GridSpec((BinnedAxis(0.0, 1.0, 5),))
     hist = build_histogram(ds, grid)
-    density = smooth_histogram(hist, 1e-6)
+    probs = smooth_histogram(hist, 1e-6)
     # lambda ~ 1: almost uniform
-    np.testing.assert_allclose(density, 1.0, rtol=1e-4)
-    density = smooth_histogram(hist, 1e6)
+    np.testing.assert_allclose(probs, 0.2, rtol=1e-4)
+    probs = smooth_histogram(hist, 1e6)
     # lambda ~ 0: almost the empirical histogram
-    assert density[0] == pytest.approx(5.0, rel=1e-3)
+    assert probs[0] == pytest.approx(1.0, rel=1e-3)
     ledger = PrivacyLedger(PrivacyBudget(1.0))
     with pytest.raises(ValueError, match="eps must be positive"):
         smooth_histogram(hist, 0.0, ledger=ledger)
     assert ledger.entries == []
 
 
+def test_smooth_histogram_mixes_uniform_weight_on_mixed_grid():
+    """The uniform share of the smoothed histogram is lambda on a grid with
+    categorical and binned axes alike: every cell gets lambda / K."""
+    w = np.full(100, 2, dtype=np.int64)
+    ds = TabularDataset([CategoricalColumn("w", (0, 1, 2, 3)),
+                         ContinuousColumn("x", 0.0, 1.0)],
+                        {"w": w, "x": np.full(100, 0.55)})
+    grid = GridSpec((CategoricalAxis(4), BinnedAxis(0.0, 1.0, 5)))
+    assert grid.cell_count == 20
+    counts = build_histogram(ds, grid)
+    probs = smooth_histogram(counts, 100.0)
+    lam = smoothing_weight(20, 100, 100.0)
+    assert lam == pytest.approx(0.104, abs=1e-3)
+    assert probs.sum() == pytest.approx(1.0)
+    # only cell (2, 2) holds data; the other 19 get the uniform share only
+    empty = np.delete(probs, np.ravel_multi_index((2, 2), grid.shape))
+    np.testing.assert_allclose(empty, lam / 20, rtol=1e-12)
+    assert 20 * probs.min() == pytest.approx(lam, rel=1e-12)
+
+
+def test_binned_axis_needs_finite_bounds():
+    for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite bounds"):
+            BinnedAxis(lo, hi, 3)
+
+
 def test_sample_from_histogram_respects_support():
     rng = RngStream(5)
     grid = GridSpec((BinnedAxis(-1.0, 1.0, 4),))
-    density = np.array([0.0, 1.0, 0.0, 0.0])
-    draw = sample_from_histogram(rng, grid, density, 500)["axis0"]
+    weights = np.array([0.0, 3.0, 0.0, 0.0])
+    draw = sample_from_histogram(rng, grid, weights, 500)["axis0"]
     assert np.all(draw >= -0.5) and np.all(draw <= 0.0)
 
 
 def test_sample_from_histogram_mixed_axes():
     rng = RngStream(6)
     grid = GridSpec((CategoricalAxis(3), BinnedAxis(0.0, 1.0, 2)))
-    density = np.ones(6)
-    out = sample_from_histogram(rng, grid, density, 1000)
+    weights = np.ones(6)
+    out = sample_from_histogram(rng, grid, weights, 1000)
     assert set(np.unique(out["axis0"])) <= {0, 1, 2}
     assert np.all((out["axis1"] >= 0.0) & (out["axis1"] <= 1.0))
 
@@ -178,11 +194,3 @@ def test_laplace_sanitizer_crosstab_roundtrip():
     assert ledger.effective_spend == pytest.approx(5.0)
     # generous budget: sanitized proportions close to the empirical ones
     assert abs(codes["w"].mean() - w.mean()) < 0.1
-
-
-def test_grid_cell_volume_and_bounds_volume():
-    grid = GridSpec((BinnedAxis(0.0, 2.0, 4), CategoricalAxis(3),
-                     BinnedAxis(0.0, 1.0, 2)))
-    assert grid.cell_volume == pytest.approx(0.25)
-    assert grid.bounds_volume == pytest.approx(2.0)
-    assert grid.cell_count == 24

@@ -357,23 +357,29 @@ def _counting_quadratic():
     return loglik, calls
 
 
+def _mh_one(model, rng, loglik, dim, n_draws):
+    """The lockstep sampler on one target with a scalar log-likelihood."""
+    return model._mh_lockstep([rng], lambda b: [loglik(b[0])], [dim],
+                              n_draws)[0]
+
+
 def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
     burnin, thin = 250, 4
     model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=450,
                                     mh_burnin=burnin, mh_thin=thin)
     ll, calls = _counting_quadratic()
     # 2 chains x 50 kept draws: both chains run to their last kept draw
-    full = model._mh_sample(RngStream(81), ll, 3, 100)
+    full = _mh_one(model, RngStream(81), ll, 3, 100)
     assert full.shape == (100, 3)
     assert calls[0] == 2 * (1 + burnin + 49 * thin + 1)
     for k in (1, 49, 50, 51, 100):
         calls[0] = 0
-        got = model._mh_sample(RngStream(81), ll, 3, k)
+        got = _mh_one(model, RngStream(81), ll, 3, k)
         np.testing.assert_array_equal(got, full[:k])
         if k <= 50:  # chain 1 is never started
             assert calls[0] == 1 + burnin + (k - 1) * thin + 1
     # more rows than both chains keep: the kept draws are tiled
-    np.testing.assert_array_equal(model._mh_sample(RngStream(81), ll, 3, 237),
+    np.testing.assert_array_equal(_mh_one(model, RngStream(81), ll, 3, 237),
                                   np.tile(full, (3, 1))[:237])
 
 
@@ -383,7 +389,7 @@ def test_mh_sample_default_settings_likelihood_calls_at_n_200():
     # took 2 x (1 + 6,500) = 13,002
     model = SequentialLogisticModel(SIM4_Z_BOUNDS)
     ll, calls = _counting_quadratic()
-    draws = model._mh_sample(RngStream(82), ll, 3, 200)
+    draws = _mh_one(model, RngStream(82), ll, 3, 200)
     assert draws.shape == (200, 3)
     assert calls[0] == 1 + 1500 + 199 * 10 + 1 == 3492
 
@@ -392,7 +398,7 @@ def test_mh_sample_zero_draws_is_empty():
     model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
                                     mh_burnin=60, mh_thin=4)
     ll, calls = _counting_quadratic()
-    draws = model._mh_sample(RngStream(83), ll, 3, 0)
+    draws = _mh_one(model, RngStream(83), ll, 3, 0)
     assert draws.shape == (0, 3)
     assert calls[0] == 0
 
@@ -404,7 +410,7 @@ LOCKSTEP_MODES = [np.array([1.0, -1.0, 0.5]), np.linspace(-1.0, 1.0, 4),
 
 def _lockstep_calls(model, n_draws):
     """Sample the three quadratic targets in lockstep, check each one's
-    draws against `_mh_sample` on it alone and return the batched calls."""
+    draws against `_mh_one` on it alone and return the batched calls."""
     targets = [lambda beta, mode=mode: -0.5 * float(np.sum((beta - mode) ** 2))
                for mode in LOCKSTEP_MODES]
     calls = [0]
@@ -419,7 +425,7 @@ def _lockstep_calls(model, n_draws):
     for draws, rng, ll, dim in zip(got, rngs, targets, dims):
         assert draws.shape == (n_draws, dim)
         np.testing.assert_array_equal(draws,
-                                      model._mh_sample(rng, ll, dim, n_draws))
+                                      _mh_one(model, rng, ll, dim, n_draws))
     return calls[0]
 
 
