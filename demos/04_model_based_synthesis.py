@@ -33,13 +33,13 @@ props = [s.column("x").mean() for s in release.sets]
 print(f"bernoulli: source proportion {x.mean():.3f}, per-set "
       f"{np.round(props, 3)}, spent {float(ledger.effective_spend_exact())}")
 
-# Bounded continuous column, normal-inverse-gamma posterior; the mean and
-# variance statistics get separate budget shares (2:1 here).
+# Bounded continuous column, normal-inverse-gamma posterior; the model reads
+# the bounds from the declared column.  The mean and variance statistics
+# get separate budget shares (2:1 here).
 z = np.clip(rng.substream(2).generator.normal(0.5, 1.0, 200), -3.0, 4.0)
 data = TabularDataset([ContinuousColumn("x", -3.0, 4.0)], {"x": z})
 ledger = PrivacyLedger(PrivacyBudget(1.0))
-release = modips_release(rng.substream(3), data,
-                         NormalModel(-3.0, 4.0), 1.0, m=5,
+release = modips_release(rng.substream(3), data, NormalModel(), 1.0, m=5,
                          allocation=[2.0, 1.0], ledger=ledger,
                          postprocess="truncate")
 means = [s.column("x").mean() for s in release.sets]

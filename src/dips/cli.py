@@ -83,8 +83,7 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
                 if type(levels) is not int or levels < 1:
                     raise ConfigError(f"column {name!r} needs a positive "
                                       f"integer levels, got {levels!r}")
-                columns.append(CategoricalColumn(name,
-                                                 tuple(range(levels))))
+                columns.append(CategoricalColumn(name, range(levels)))
                 data[name] = category_codes(name, values)
             elif kind == "continuous":
                 lo, hi = spec.get("lo"), spec.get("hi")
@@ -99,8 +98,8 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
             continue
         ints = values.astype(np.int64)
         if np.all(ints == values) and ints.min() >= 0 and ints.max() < 20:
-            columns.append(CategoricalColumn(
-                name, tuple(range(int(ints.max()) + 1))))
+            columns.append(CategoricalColumn(name,
+                                             range(int(ints.max()) + 1)))
             data[name] = ints
         else:
             columns.append(ContinuousColumn(name, float(values.min()),

@@ -29,7 +29,7 @@ BLOCK_ROWS = 8192
 @dataclass(frozen=True)
 class CategoricalColumn:
     name: str
-    levels: tuple
+    levels: tuple | range
 
     def __post_init__(self):
         if len(self.levels) < 1:

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -317,35 +318,18 @@ def _original(rng, data, eps, m, ledger, postprocess):
     return [data]
 
 
-def _modips(method, model_of):
-    """MODIPS under the study's model; "ms" releases without noise."""
+def _modips(method, model):
+    """MODIPS under a fresh ``model()`` per release; "ms" releases without
+    noise."""
     def release(rng, data, eps, m, ledger, postprocess):
-        return modips_release(rng, data, model_of(data), eps, m,
+        return modips_release(rng, data, model(), eps, m,
                               ledger=ledger, sanitize=method != "ms",
                               postprocess=postprocess, method=method).sets
     return release
 
 
-def _bernoulli_model(data):
-    return BernoulliModel()
-
-
-def _normal_model(data):
-    return NormalModel(data.columns[0].lo, data.columns[0].hi)
-
-
-def _conjoint_normal_model(data):
-    return NormalModel(data.columns[0].lo, data.columns[0].hi,
-                       mode="conjoint")
-
-
-def _mixture_model(data):
-    lower, upper = sim3_cell_bounds()
-    return GaussianMixtureModel(SIM3_LEVELS, lower, upper, sim3_z_bounds())
-
-
-def _logistic_model(data):
-    return SequentialLogisticModel(SIM4_Z_BOUNDS)
+def _mixture_model():
+    return GaussianMixtureModel(*sim3_cell_bounds())
 
 
 def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
@@ -424,16 +408,16 @@ STUDY_METHODS = {
         "laplace": SYNTHESIZERS["laplace"],
         "md": SYNTHESIZERS["md"],
         "bbmr": SYNTHESIZERS["bbmr"],
-        "ms": _modips("ms", _bernoulli_model),
+        "ms": _modips("ms", BernoulliModel),
         "original": _original,
     },
     "sim2": {
         "modips-normal": SYNTHESIZERS["modips-normal"],
-        "modips-normal-conjoint": _modips("modips-normal-conjoint",
-                                          _conjoint_normal_model),
+        "modips-normal-conjoint": _modips(
+            "modips-normal-conjoint", partial(NormalModel, mode="conjoint")),
         "pert-hist": SYNTHESIZERS["pert-hist"],
         "smooth-hist": SYNTHESIZERS["smooth-hist"],
-        "ms": _modips("ms", _normal_model),
+        "ms": _modips("ms", NormalModel),
         "original": _original,
     },
     "sim3": {
@@ -443,9 +427,10 @@ STUDY_METHODS = {
         "original": _original,
     },
     "sim4": {
-        "modips-logistic": _modips("modips-logistic", _logistic_model),
+        "modips-logistic": _modips("modips-logistic",
+                                   SequentialLogisticModel),
         "np-dips": _sim4_np_dips,
-        "ms": _modips("ms", _logistic_model),
+        "ms": _modips("ms", SequentialLogisticModel),
         "original": _original,
     },
 }

@@ -41,6 +41,11 @@ class AllCellsZero(RuntimeError):
     """Every sanitized cell count is zero; the release is unusable."""
 
 
+# the most cells a grid may have; a larger one is refused before any
+# per-cell array is allocated
+MAX_GRID_CELLS = 2 ** 24
+
+
 class OutOfDomain(ValueError):
     """A data value falls outside its declared axis domain."""
 
@@ -91,6 +96,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.axes:
             raise ValueError("grid needs at least one axis")
+        if self.cell_count > MAX_GRID_CELLS:
+            raise ValueError(f"a grid of {self.cell_count} cells is more "
+                             f"than the {MAX_GRID_CELLS} allowed")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -98,7 +106,7 @@ class GridSpec:
 
     @property
     def cell_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def cell_indices(self, values: list[np.ndarray]) -> np.ndarray:
         """Flat cell index per row; values are one array per axis."""
@@ -205,6 +213,8 @@ def smoothing_weight(cell_count: int, n: float, eps: float) -> float:
     """The minimal mixing weight lambda for the smoothed histogram."""
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
+    if not (n > 0):
+        raise ValueError("the smoothed histogram needs at least one row")
     if eps / n > 700:  # expm1 would overflow; the weight underflows to 0
         return 0.0
     return cell_count / (cell_count + n * math.expm1(eps / n))

@@ -81,15 +81,18 @@ class SyntheticRelease:
 
 class ModipsModel(Protocol):
     """A model plugin.  `modips_release` calls ``sufficient_statistics``
-    once per release; the draws may read what it stored but change
-    neither that nor the ``stats`` arrays they are given."""
+    once per release, then per set gives the draws the sanitized
+    ``stats`` and the public facts: the row count n and the declared
+    ``columns``, from which a model reads its bounds and level counts.
+    A predictive draw returns a set over exactly those columns.  The
+    draws change neither the model nor the ``stats`` arrays."""
 
     def sufficient_statistics(self, data: TabularDataset) -> list[StatGroup]: ...
 
     def posterior_draw(self, rng: RngStream, stats: dict[str, np.ndarray],
-                       flags: list[str]): ...
+                       n: int, flags: list[str]): ...
 
-    def predictive_draw(self, rng: RngStream, params,
+    def predictive_draw(self, rng: RngStream, params, columns: list,
                         n: int) -> TabularDataset: ...
 
 
@@ -168,7 +171,8 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
     ``allocation`` and ``mechanisms.laplace_mechanism`` sanitizes each
     group with its share; parameters are drawn from the posterior given
     the sanitized statistics, and a synthetic set of the source's n rows
-    is drawn from the predictive.
+    over its declared columns is drawn from the predictive.  The draws
+    take n and the columns as public facts from this call.
 
     ``sanitize=False`` skips the noise step (and all ledger charges),
     yielding the non-private multiple-synthesis baseline.
@@ -203,8 +207,9 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
             else:
                 sanitized = np.atleast_1d(np.asarray(group.value, dtype=float))
             stats[group.label] = sanitized
-        params = model.posterior_draw(sub.substream(10_000), stats, flags)
-        sets.append(model.predictive_draw(sub.substream(20_000), params, n))
+        params = model.posterior_draw(sub.substream(10_000), stats, n, flags)
+        sets.append(model.predictive_draw(sub.substream(20_000), params,
+                                          data.columns, n))
         records_all.append(records)
     return SyntheticRelease(sets, flags, records_all)
 
@@ -212,69 +217,59 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
 # -- model plugins ----------------------------------------------------------
 
 class BernoulliModel:
-    """Binary data; sufficient statistic n1 with sensitivity 1, posterior
-    Beta(a + n1, b + n - n1) with the neutral prior a = b = 1/3."""
+    """One binary column; sufficient statistic n1 with sensitivity 1,
+    posterior Beta(a + n1, b + n - n1) with the neutral prior a = b = 1/3."""
 
     def __init__(self, prior_a: float = 1 / 3, prior_b: float = 1 / 3):
         self.prior_a = prior_a
         self.prior_b = prior_b
-        self._n = None
 
     def sufficient_statistics(self, data):
-        x = data.column("x")
-        self._n = len(x)
-        return [StatGroup("n1", np.array([float(x.sum())]), 1.0,
-                          0.0, float(self._n))]
+        (col,) = data.columns
+        return [StatGroup("n1", np.array([float(data.column(col.name).sum())]),
+                          1.0, 0.0, float(data.n))]
 
-    def posterior_draw(self, rng, stats, flags):
+    def posterior_draw(self, rng, stats, n, flags):
         n1 = float(stats["n1"][0])
-        return sample_beta(rng, self.prior_a + n1,
-                           self.prior_b + self._n - n1)
+        return sample_beta(rng, self.prior_a + n1, self.prior_b + n - n1)
 
-    def predictive_draw(self, rng, p, n):
-        col = CategoricalColumn("x", (0, 1))
-        return TabularDataset([col], {"x": sample_bernoulli(rng, p, size=n)})
+    def predictive_draw(self, rng, p, columns, n):
+        (col,) = columns
+        return TabularDataset(columns,
+                              {col.name: sample_bernoulli(rng, p, size=n)})
 
 
 class NormalModel:
-    """Bounded continuous data on [c0, c1]; statistics (mean, variance) with
-    the usual normal-inverse-gamma posterior under the prior 1/sigma^2.
+    """One continuous column on its declared [lo, hi]; statistics (mean,
+    variance) with the usual normal-inverse-gamma posterior under the
+    prior 1/sigma^2.
 
     ``mode`` selects individual sanitization (one Laplace draw per
     statistic, separate budget shares) or conjoint sanitization (one group
     whose sensitivity is the sum of the two)."""
 
-    def __init__(self, c0: float, c1: float, mode: str = "individual"):
-        if not (c0 < c1):
-            raise ValueError("need c0 < c1")
+    def __init__(self, mode: str = "individual"):
         if mode not in ("individual", "conjoint"):
             raise ValueError(f"unknown sanitization mode {mode!r}")
-        self.c0 = c0
-        self.c1 = c1
         self.mode = mode
-        self._n = None
-
-    def _var_upper(self, n: int) -> float:
-        r = self.c1 - self.c0
-        return r ** 2 / 4 * n / (n - 1)
 
     def sufficient_statistics(self, data):
-        x = data.column("x")
-        n = self._n = len(x)
+        (col,) = data.columns
+        x = data.column(col.name)
+        n = len(x)
         if n < 2:
             raise ValueError(f"the normal model needs n >= 2 rows, got {n}")
-        r = self.c1 - self.c0
+        r = col.hi - col.lo
+        var_upper = r ** 2 / 4 * n / (n - 1)
         xbar = float(x.mean())
         s2 = float(x.var(ddof=1))
         if self.mode == "conjoint":
             return [StatGroup(
                 "mean_var", np.array([xbar, s2]), (r + r ** 2) / n,
-                np.array([self.c0, 0.0]),
-                np.array([self.c1, self._var_upper(n)]))]
+                np.array([col.lo, 0.0]), np.array([col.hi, var_upper]))]
         return [
-            StatGroup("mean", np.array([xbar]), r / n, self.c0, self.c1),
-            StatGroup("var", np.array([s2]), r ** 2 / n, 0.0,
-                      self._var_upper(n)),
+            StatGroup("mean", np.array([xbar]), r / n, col.lo, col.hi),
+            StatGroup("var", np.array([s2]), r ** 2 / n, 0.0, var_upper),
         ]
 
     def _unpack(self, stats):
@@ -282,8 +277,7 @@ class NormalModel:
             return float(stats["mean_var"][0]), float(stats["mean_var"][1])
         return float(stats["mean"][0]), float(stats["var"][0])
 
-    def posterior_draw(self, rng, stats, flags):
-        n = self._n
+    def posterior_draw(self, rng, stats, n, flags):
         xbar, s2 = self._unpack(stats)
         if s2 <= 0:
             flags.append("PosteriorDegenerate:var")
@@ -292,12 +286,12 @@ class NormalModel:
         mu = float(sample_normal(rng, xbar, math.sqrt(sigma2 / n)))
         return mu, sigma2
 
-    def predictive_draw(self, rng, params, n):
+    def predictive_draw(self, rng, params, columns, n):
+        (col,) = columns
         mu, sigma2 = params
         draws = sample_normal(rng, mu, math.sqrt(sigma2), size=n)
-        draws = np.clip(draws, self.c0, self.c1)
-        col = ContinuousColumn("x", self.c0, self.c1)
-        return TabularDataset([col], {"x": draws})
+        return TabularDataset(columns,
+                              {col.name: np.clip(draws, col.lo, col.hi)})
 
 
 def _sanitized_cov2(var1, var2, cov, flags) -> np.ndarray:
@@ -314,9 +308,18 @@ def _sanitized_cov2(var1, var2, cov, flags) -> np.ndarray:
     return np.array([[v1, cv], [cv, v2]])
 
 
+def _split_columns(columns):
+    """The categorical columns, and the two continuous ones (z1, z2)."""
+    cats = [c for c in columns if isinstance(c, CategoricalColumn)]
+    z1, z2 = (c for c in columns if isinstance(c, ContinuousColumn))
+    return cats, z1, z2
+
+
 class GaussianMixtureModel:
-    """Mixture of bivariate normals over the cells of a categorical
-    cross-tabulation; shared covariance across cells.
+    """Mixture of bivariate normals over the cells of the cross-tabulation
+    of the categorical columns; shared covariance across cells.  The two
+    continuous columns are the measurements; ``cell_lower`` and
+    ``cell_upper`` (K x 2, flat cell order) bound them within each cell.
 
     Statistics form six groups: cell counts, the two vectors of per-cell
     means, the two variances, and the covariance.  Per-cell mean
@@ -324,33 +327,30 @@ class GaussianMixtureModel:
     their location parameter falls back to a uniform draw over the cell's
     declared bounds."""
 
-    def __init__(self, level_counts: tuple[int, ...],
-                 cell_lower: np.ndarray, cell_upper: np.ndarray,
-                 z_bounds: tuple[tuple[float, float], tuple[float, float]],
+    def __init__(self, cell_lower: np.ndarray, cell_upper: np.ndarray,
                  prior_alpha: float = 0.5):
-        self.level_counts = tuple(level_counts)
-        self.k = int(np.prod(level_counts))
         self.cell_lower = np.asarray(cell_lower, dtype=float)  # (K, 2)
         self.cell_upper = np.asarray(cell_upper, dtype=float)
-        self.z_bounds = z_bounds
+        self.k = len(self.cell_lower)
         self.prior_alpha = prior_alpha
-        self._n = None
         self._cell_counts = None
 
-    def _cells(self, data):
-        codes = [data.column(f"w{i + 1}") for i in range(len(self.level_counts))]
-        return np.ravel_multi_index(codes, self.level_counts)
-
     def sufficient_statistics(self, data):
-        n = self._n = data.n
-        k = self.k
+        n, k = data.n, self.k
         if n <= k:
             raise ValueError(f"the mixture model needs more rows than its "
                              f"{k} cells, got n = {n}")
-        cells = self._cells(data)
+        cats, z1, z2 = _split_columns(data.columns)
+        shape = [len(c.levels) for c in cats]
+        if math.prod(shape) != k:
+            raise ValueError(f"the declared levels make {math.prod(shape)} "
+                             f"cells, the cell bounds {k}")
+        cells = np.ravel_multi_index([data.column(c.name) for c in cats],
+                                     shape)
         counts = np.bincount(cells, minlength=k).astype(float)
+        # raw counts read by the posterior: see ROADMAP item 1
         self._cell_counts = counts
-        z = np.column_stack([data.column("z1"), data.column("z2")])
+        z = np.column_stack([data.column(z1.name), data.column(z2.name)])
         ranges = self.cell_upper - self.cell_lower  # (K, 2)
         zbar = np.zeros((k, 2))
         occupied = counts > 0
@@ -385,8 +385,8 @@ class GaussianMixtureModel:
                       -cov_bound, cov_bound),
         ]
 
-    def posterior_draw(self, rng, stats, flags):
-        n, k = self._n, self.k
+    def posterior_draw(self, rng, stats, n, flags):
+        k = self.k
         counts_star = stats["counts"]
         pi = sample_dirichlet(rng, self.prior_alpha + counts_star)
         s_star = _sanitized_cov2(stats["var1"], stats["var2"], stats["cov"],
@@ -405,24 +405,21 @@ class GaussianMixtureModel:
                                                 self.cell_upper[kk])
         return pi, mus, sigma
 
-    def predictive_draw(self, rng, params, n):
+    def predictive_draw(self, rng, params, columns, n):
         pi, mus, sigma = params
+        cats, z1, z2 = _split_columns(columns)
         counts = sample_multinomial(rng, n, pi)
         cells = np.repeat(np.arange(self.k), counts)
         rng.generator.shuffle(cells)
         chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(2))
         z = mus[cells] + rng.generator.standard_normal((n, 2)) @ chol.T
         z = np.clip(z, self.cell_lower[cells], self.cell_upper[cells])
-        multi = np.unravel_index(cells, self.level_counts)
-        cols = [CategoricalColumn(f"w{i + 1}", tuple(range(lc)))
-                for i, lc in enumerate(self.level_counts)]
-        cols += [ContinuousColumn("z1", *self.z_bounds[0]),
-                 ContinuousColumn("z2", *self.z_bounds[1])]
-        data = {f"w{i + 1}": codes.astype(np.int64)
-                for i, codes in enumerate(multi)}
-        data["z1"] = np.clip(z[:, 0], *self.z_bounds[0])
-        data["z2"] = np.clip(z[:, 1], *self.z_bounds[1])
-        return TabularDataset(cols, data)
+        multi = np.unravel_index(cells, [len(c.levels) for c in cats])
+        data = {c.name: codes.astype(np.int64)
+                for c, codes in zip(cats, multi)}
+        data[z1.name] = np.clip(z[:, 0], z1.lo, z1.hi)
+        data[z2.name] = np.clip(z[:, 1], z2.lo, z2.hi)
+        return TabularDataset(columns, data)
 
 
 PROPORTION_CLAMP = (1e-12, 0.99)
@@ -430,8 +427,9 @@ PRODUCT_FLOOR = 1e-300
 
 
 class SequentialLogisticModel:
-    """Bivariate normal covariates plus three sequentially generated
-    categorical outcomes (two binary logits and one three-level
+    """Bivariate normal covariates (the two continuous columns, on their
+    declared bounds) plus three sequentially generated categorical
+    outcomes: binary w1 and w2 (logits) and three-level w3 (a
     baseline-category logit).
 
     Eight statistic groups are sanitized per release: the two covariate
@@ -442,10 +440,8 @@ class SequentialLogisticModel:
     the Metropolis-Hastings posterior sampler for the coefficients.
     """
 
-    def __init__(self, z_bounds: tuple[tuple[float, float], tuple[float, float]],
-                 mh_chains: int = 2, mh_iters: int = 6500,
+    def __init__(self, mh_chains: int = 2, mh_iters: int = 6500,
                  mh_burnin: int = 1500, mh_thin: int = 10):
-        self.z_bounds = z_bounds
         self.mh_chains = mh_chains
         self.mh_iters = mh_iters
         self.mh_burnin = mh_burnin
@@ -476,7 +472,8 @@ class SequentialLogisticModel:
 
     def sufficient_statistics(self, data):
         n = data.n
-        z = np.column_stack([data.column("z1"), data.column("z2")])
+        _, z1, z2 = _split_columns(data.columns)
+        z = np.column_stack([data.column(z1.name), data.column(z2.name)])
         w1 = data.column("w1").astype(float)
         w2 = data.column("w2").astype(float)
         w3 = data.column("w3").astype(np.int64)
@@ -497,21 +494,18 @@ class SequentialLogisticModel:
         log_prod2 = self._clamped_loglik(self._log_factors_binary(x2, w2, b2))
         log_prod3 = self._clamped_loglik(
             self._log_factors_trinomial(x3, w3, b3, b4))
+        # raw rows read by the MH likelihood: see ROADMAP item 1
         self._cache = {
-            "n": n, "x3": x3,
-            "w1": w1, "w2": w2, "w3": w3,
+            "x3": x3, "w1": w1, "w2": w2, "w3": w3,
             "log_raw": (log_prod1, log_prod2, log_prod3),
-            "ref_beta": (b1, b2, b3, b4),
         }
-        r1 = self.z_bounds[0][1] - self.z_bounds[0][0]
-        r2 = self.z_bounds[1][1] - self.z_bounds[1][0]
+        r1 = z1.hi - z1.lo
+        r2 = z2.hi - z2.lo
         prod_bound = n * math.log(PROPORTION_CLAMP[1])  # log(0.99^n)
         delta_prod = math.exp(prod_bound)
         groups = [
-            StatGroup("zbar1", np.array([zbar[0]]), r1 / n,
-                      *self.z_bounds[0]),
-            StatGroup("zbar2", np.array([zbar[1]]), r2 / n,
-                      *self.z_bounds[1]),
+            StatGroup("zbar1", np.array([zbar[0]]), r1 / n, z1.lo, z1.hi),
+            StatGroup("zbar2", np.array([zbar[1]]), r2 / n, z2.lo, z2.hi),
             StatGroup("s11", np.array([s_mat[0, 0]]), r1 ** 2 / n,
                       0.0, r1 ** 2 / 4),
             StatGroup("s22", np.array([s_mat[1, 1]]), r2 ** 2 / n,
@@ -651,9 +645,8 @@ class SequentialLogisticModel:
             return (neg_weights * neg_logp.reshape(3, n).sum(axis=1)).tolist()
         return loglik
 
-    def posterior_draw(self, rng, stats, flags):
+    def posterior_draw(self, rng, stats, n, flags):
         cache = self._cache
-        n = cache["n"]
         s_star = _sanitized_cov2(stats["s11"], stats["s22"], stats["s12"],
                                  flags)
         sigma = sample_inv_wishart(rng, n, n * s_star)
@@ -667,13 +660,14 @@ class SequentialLogisticModel:
             [rng.substream(k) for k in (1, 2, 3)], loglik, (3, 4, 10), n)
         return mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:]
 
-    def predictive_draw(self, rng, params, n):
+    def predictive_draw(self, rng, params, columns, n):
         mu, sigma, beta1, beta2, beta3, beta4 = params
+        _, z1, z2 = _split_columns(columns)
         gen = rng.generator
         chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(2))
         z = mu + gen.standard_normal((n, 2)) @ chol.T
-        z[:, 0] = np.clip(z[:, 0], *self.z_bounds[0])
-        z[:, 1] = np.clip(z[:, 1], *self.z_bounds[1])
+        z[:, 0] = np.clip(z[:, 0], z1.lo, z1.hi)
+        z[:, 1] = np.clip(z[:, 1], z2.lo, z2.hi)
         x1 = np.column_stack([np.ones(n), z])
         p1 = np.exp(-np.logaddexp(0.0, -np.einsum("ij,ij->i", x1, beta1)))
         w1 = (gen.random(n) < p1).astype(np.int64)
@@ -688,12 +682,5 @@ class SequentialLogisticModel:
         w3 = np.where(u < np.exp(-lse), 0,
                       np.where(u < np.exp(np.logaddexp(0.0, eta3) - lse),
                                1, 2)).astype(np.int64)
-        cols = [
-            CategoricalColumn("w1", (0, 1)),
-            CategoricalColumn("w2", (0, 1)),
-            CategoricalColumn("w3", (0, 1, 2)),
-            ContinuousColumn("z1", *self.z_bounds[0]),
-            ContinuousColumn("z2", *self.z_bounds[1]),
-        ]
-        return TabularDataset(cols, {"w1": w1, "w2": w2, "w3": w3,
-                                     "z1": z[:, 0], "z2": z[:, 1]})
+        return TabularDataset(columns, {"w1": w1, "w2": w2, "w3": w3,
+                                        z1.name: z[:, 0], z2.name: z[:, 1]})

@@ -78,6 +78,14 @@ def _only_column(data, kind, message):
     return data.columns[0]
 
 
+def _binary_column(data, method):
+    col = _only_column(data, CategoricalColumn,
+                       f"{method} needs a single binary column")
+    if len(col.levels) != 2:
+        raise ValueError(f"{method} needs a single binary column")
+    return col
+
+
 def _all_categorical(data, method) -> list[str]:
     if not all(isinstance(c, CategoricalColumn) for c in data.columns):
         raise ValueError(f"{method} needs all-categorical data")
@@ -135,39 +143,25 @@ def _md(rng, data, eps, m, ledger, postprocess):
 
 
 def _bbmr(rng, data, eps, m, ledger, postprocess):
-    col = _only_column(data, CategoricalColumn,
-                       "bbmr needs a single binary column")
-    if len(col.levels) != 2:
-        raise ValueError("bbmr needs a single binary column")
+    col = _binary_column(data, "bbmr")
     x = bbmr_synthesizer(rng, int(data.column(col.name).sum()), data.n, eps,
                          ledger=ledger)
     return [TabularDataset(data.columns, {col.name: x}, validate=False)]
 
 
-def _modips_x(method, x_column, model, rng, data, eps, m, ledger,
-              postprocess):
-    """MODIPS on a one-column dataset, renamed to the "x" its model reads."""
-    name = data.columns[0].name
-    wrapped = TabularDataset([x_column], {"x": data.column(name)})
-    release = modips_release(rng, wrapped, model, eps, m, ledger=ledger,
-                             postprocess=postprocess, method=method)
-    return [TabularDataset(data.columns, {name: s.column("x")},
-                           validate=False) for s in release.sets]
-
-
 def _modips_bernoulli(rng, data, eps, m, ledger, postprocess):
-    _only_column(data, CategoricalColumn,
-                 "modips-bernoulli needs a single binary column")
-    return _modips_x("modips-bernoulli", CategoricalColumn("x", (0, 1)),
-                     BernoulliModel(), rng, data, eps, m, ledger, postprocess)
+    _binary_column(data, "modips-bernoulli")
+    return modips_release(rng, data, BernoulliModel(), eps, m, ledger=ledger,
+                          postprocess=postprocess,
+                          method="modips-bernoulli").sets
 
 
 def _modips_normal(rng, data, eps, m, ledger, postprocess):
-    col = _only_column(data, ContinuousColumn,
-                       "modips-normal needs a single continuous column")
-    return _modips_x("modips-normal", ContinuousColumn("x", col.lo, col.hi),
-                     NormalModel(col.lo, col.hi), rng, data, eps, m, ledger,
-                     postprocess)
+    _only_column(data, ContinuousColumn,
+                 "modips-normal needs a single continuous column")
+    return modips_release(rng, data, NormalModel(), eps, m, ledger=ledger,
+                          postprocess=postprocess,
+                          method="modips-normal").sets
 
 
 SYNTHESIZERS = {

@@ -8,6 +8,10 @@ import pytest
 
 from dips.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS,
                       _load_csv, main)
+from dips.budget import PrivacyBudget, PrivacyLedger
+from dips.dataset import TabularDataset
+from dips.randvar import RngStream
+from dips.synthesizers import SYNTHESIZERS
 
 
 @pytest.fixture
@@ -403,6 +407,33 @@ def test_synth_header_only_csv_with_schema(tmp_path):
     assert (tmp_path / "o" / "synth_1.csv").read_bytes() == b"x,y\r\n"
 
 
+def test_synth_smooth_hist_header_only_csv_exits_2(tmp_path, capsys):
+    schema = {"x": {"type": "categorical", "levels": 2},
+              "y": {"type": "continuous", "lo": 0.0, "hi": 1.0}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _synth_exit(tmp_path, "x,y\n", schema, method="smooth-hist")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: the smoothed histogram needs at "
+                   "least one row"]
+    assert not (tmp_path / "o" / "ledger.json").exists()
+
+
+@pytest.mark.parametrize("method", ["pert-hist", "smooth-hist", "md",
+                                    "laplace"])
+def test_synth_huge_level_count_exits_2(method, tmp_path, capsys):
+    # the level set is a range: only the grid's cell count is refused
+    schema = {"x": {"type": "categorical", "levels": 10 ** 12}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _synth_exit(tmp_path, "x\n0\n1\n1\n0\n", schema, method)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: a grid of {10 ** 12} cells is more "
+                   "than the 16777216 allowed"]
+
+
 @pytest.mark.parametrize("n", [20, 24])
 def test_bench_sim3_too_few_rows_exits_2(n, tmp_path, capsys):
     cfg = tmp_path / "c.json"
@@ -413,3 +444,51 @@ def test_bench_sim3_too_few_rows_exits_2(n, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["configuration error: the mixture model needs more rows "
                    f"than its 24 cells, got n = {n}"]
+
+
+ONE_LEVEL_X = {"x": {"type": "categorical", "levels": 1}}
+
+
+@pytest.mark.parametrize("text, schema", [
+    ("x\n0\n1\n2\n1\n0\n", None),
+    # a 1-level column must not receive the code 1 a Bernoulli draw yields
+    ("x\n" + "0\n" * 50, ONE_LEVEL_X),
+], ids=["code-above-1", "one-level-column"])
+def test_synth_modips_bernoulli_needs_a_binary_column(text, schema, tmp_path,
+                                                      capsys):
+    code = _synth_exit(tmp_path, text, schema, method="modips-bernoulli")
+    assert code == EXIT_CONFIG
+    _one_config_error(capsys)
+    assert not (tmp_path / "o" / "ledger.json").exists()
+
+
+@pytest.fixture
+def one_level_csv(tmp_path):
+    path = tmp_path / "one_level.csv"
+    path.write_text("x\n" + "0\n" * 50)
+    schema = tmp_path / "one_level.json"
+    schema.write_text(json.dumps(ONE_LEVEL_X))
+    return path, schema
+
+
+@pytest.mark.parametrize("fixture", ["binary_csv", "continuous_csv",
+                                     "one_level_csv"])
+@pytest.mark.parametrize("method", SYNTH_METHODS)
+def test_synth_sets_conform_to_the_declared_schema(method, fixture, request):
+    # several synthesizers build their sets unvalidated: rebuild each one
+    # with validation on, so a value outside the declared schema fails here
+    path = request.getfixturevalue(fixture)
+    path, schema = path if isinstance(path, tuple) else (path, None)
+    data = _load_csv(str(path), schema and str(schema))
+    for eps in (1.0, 0.01):
+        ledger = PrivacyLedger(PrivacyBudget(eps))
+        try:
+            sets = SYNTHESIZERS[method](RngStream(3), data, eps, 2, ledger,
+                                        "BIT")
+        except ValueError:
+            # the method refuses this input, before spending any budget
+            assert ledger.entries == []
+            continue
+        for s in sets:
+            assert s.columns == data.columns
+            TabularDataset(s.columns, s.data)

@@ -11,6 +11,7 @@ from dips.hist_synth import (
     AllCellsZero,
     BinnedAxis,
     CategoricalAxis,
+    MAX_GRID_CELLS,
     GridSpec,
     OutOfDomain,
     bin_count_from_width,
@@ -136,6 +137,8 @@ def test_smooth_histogram_mixes_toward_uniform():
     ledger = PrivacyLedger(PrivacyBudget(1.0))
     with pytest.raises(ValueError, match="eps must be positive"):
         smooth_histogram(hist, 0.0, ledger=ledger)
+    with pytest.raises(ValueError, match="at least one row"):
+        smooth_histogram(np.zeros(5), 1.0, ledger=ledger)
     assert ledger.entries == []
 
 
@@ -157,6 +160,16 @@ def test_smooth_histogram_mixes_uniform_weight_on_mixed_grid():
     empty = np.delete(probs, np.ravel_multi_index((2, 2), grid.shape))
     np.testing.assert_allclose(empty, lam / 20, rtol=1e-12)
     assert 20 * probs.min() == pytest.approx(lam, rel=1e-12)
+
+
+def test_grid_cell_bound_is_exact():
+    assert GridSpec((CategoricalAxis(2 ** 12),
+                     CategoricalAxis(2 ** 12))).cell_count == MAX_GRID_CELLS
+    with pytest.raises(ValueError, match="16777217 cells"):
+        GridSpec((CategoricalAxis(MAX_GRID_CELLS + 1),))
+    # 2^32 x 2^32 wraps to 0 in int64; the exact product is refused
+    with pytest.raises(ValueError, match=f"{2 ** 64} cells"):
+        GridSpec((CategoricalAxis(2 ** 32), CategoricalAxis(2 ** 32)))
 
 
 def test_binned_axis_needs_finite_bounds():

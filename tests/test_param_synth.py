@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dips.budget import PrivacyBudget, PrivacyLedger
-from dips.harness import SIM4_Z_BOUNDS, simulate_truth_sim4
+from dips.harness import simulate_truth_sim4
 from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
+from dips.inference import firth_logistic, fit_multinomial_logit
 from dips.mechanisms import SensitivitySpec, laplace_mechanism
 from dips.param_synth import (
     BernoulliModel,
@@ -125,7 +126,7 @@ def test_modips_normal_uneven_allocation_sums_exactly():
     cols = [ContinuousColumn("x", -5.0, 5.0)]
     data = TabularDataset(cols, {"x": x})
     ledger = PrivacyLedger(PrivacyBudget(1.0))
-    modips_release(RngStream(29), data, NormalModel(-5.0, 5.0), eps=1.0, m=3,
+    modips_release(RngStream(29), data, NormalModel(), eps=1.0, m=3,
                    allocation=[1.0, 2.0], ledger=ledger)
     assert ledger.effective_spend_exact() == Fraction(1)
 
@@ -161,33 +162,34 @@ def test_modips_bernoulli_posterior_mean_at_large_eps():
 def test_normal_model_conjoint_single_group():
     x = np.linspace(-1, 1, 50)
     data = TabularDataset([ContinuousColumn("x", -2.0, 2.0)], {"x": x})
-    model = NormalModel(-2.0, 2.0, mode="conjoint")
+    model = NormalModel(mode="conjoint")
     groups = model.sufficient_statistics(data)
     assert len(groups) == 1
     assert groups[0].label == "mean_var"
     r = 4.0
     assert groups[0].delta_s == pytest.approx((r + r ** 2) / 50)
-    indiv = NormalModel(-2.0, 2.0).sufficient_statistics(data)
+    indiv = NormalModel().sufficient_statistics(data)
     assert [g.label for g in indiv] == ["mean", "var"]
     assert indiv[0].delta_s == pytest.approx(r / 50)
     assert indiv[1].delta_s == pytest.approx(r ** 2 / 50)
     with pytest.raises(ValueError):
-        NormalModel(-2.0, 2.0, mode="joint")
+        NormalModel(mode="joint")
 
 
 def test_normal_model_variance_cap():
-    model = NormalModel(0.0, 1.0)
-    assert model._var_upper(10) == pytest.approx(0.25 * 10 / 9)
+    data = TabularDataset([ContinuousColumn("x", 0.0, 1.0)],
+                          {"x": np.linspace(0, 1, 10)})
+    var = NormalModel().sufficient_statistics(data)[1]
+    assert var.label == "var"
+    assert var.upper == pytest.approx(0.25 * 10 / 9)
 
 
 def test_normal_model_degenerate_variance_flagged():
-    x = np.linspace(-1, 1, 50)
-    data = TabularDataset([ContinuousColumn("x", -2.0, 2.0)], {"x": x})
-    model = NormalModel(-2.0, 2.0)
-    model.sufficient_statistics(data)
+    # the draws read only the sanitized statistics and the public n
     flags = []
-    mu, sigma2 = model.posterior_draw(
-        RngStream(2), {"mean": np.array([0.0]), "var": np.array([0.0])}, flags)
+    mu, sigma2 = NormalModel().posterior_draw(
+        RngStream(2), {"mean": np.array([0.0]), "var": np.array([0.0])}, 50,
+        flags)
     assert flags == ["PosteriorDegenerate:var"]
     assert sigma2 > 0
 
@@ -196,7 +198,7 @@ def test_modips_normal_recovers_moments_at_large_eps():
     rng = RngStream(31)
     x = np.clip(rng.generator.normal(1.0, 0.5, size=2000), -4, 4)
     data = TabularDataset([ContinuousColumn("x", -4.0, 4.0)], {"x": x})
-    rel = modips_release(RngStream(37), data, NormalModel(-4.0, 4.0), eps=1e5)
+    rel = modips_release(RngStream(37), data, NormalModel(), eps=1e5)
     synth = rel.sets[0].column("x")
     assert synth.mean() == pytest.approx(x.mean(), abs=0.06)
     assert synth.var(ddof=1) == pytest.approx(x.var(ddof=1), rel=0.15)
@@ -205,8 +207,7 @@ def test_modips_normal_recovers_moments_at_large_eps():
 def _mixture_model():
     lower = np.array([[-4.0, -4.0], [-1.0, -1.0]])
     upper = np.array([[1.0, 1.0], [4.0, 4.0]])
-    return GaussianMixtureModel((2,), lower, upper,
-                                ((-4.0, 4.0), (-4.0, 4.0)))
+    return GaussianMixtureModel(lower, upper)
 
 
 def _mixture_data(rng, n):
@@ -231,6 +232,14 @@ def test_mixture_statistic_groups():
     assert counts.sum() == 300
     # per-cell mean sensitivity is range / realized count (both cells span 5)
     np.testing.assert_allclose(groups[1].delta_s, 5.0 / counts, atol=1e-12)
+
+
+def test_mixture_cell_bounds_must_match_the_declared_levels():
+    data = _mixture_data(RngStream(42), 60)
+    cols = [CategoricalColumn("w1", (0, 1, 2))] + data.columns[1:]
+    with pytest.raises(ValueError, match="make 3 cells, the cell bounds 2"):
+        _mixture_model().sufficient_statistics(
+            TabularDataset(cols, data.data))
 
 
 def test_mixture_release_respects_schema_and_ledger():
@@ -264,7 +273,7 @@ def test_mixture_empty_cell_gets_uniform_location():
     flags = []
     stats = {g.label: np.atleast_1d(np.asarray(g.value, float))
              for g in groups}
-    pi, mus, sigma = model.posterior_draw(RngStream(59), stats, flags)
+    pi, mus, sigma = model.posterior_draw(RngStream(59), stats, n, flags)
     # empty cell's location drawn inside its declared box
     assert -1.0 <= mus[1, 0] <= 4.0 and -1.0 <= mus[1, 1] <= 4.0
     assert np.all(np.linalg.eigvalsh(sigma) > 0)
@@ -326,9 +335,16 @@ def test_modips_records_carry_per_entry_sensitivity():
     assert groups[1].label == "zbar1" and zbar1[0] != zbar1[1]
 
 
+def _logistic_columns(bound):
+    return [CategoricalColumn("w1", (0, 1)), CategoricalColumn("w2", (0, 1)),
+            CategoricalColumn("w3", (0, 1, 2)),
+            ContinuousColumn("z1", -bound, bound),
+            ContinuousColumn("z2", -bound, bound)]
+
+
 def test_logistic_predictive_w3_follows_softmax_when_exp_overflows():
     n = 20_000
-    model = SequentialLogisticModel(((-3.0, 3.0), (-3.0, 3.0)))
+    model = SequentialLogisticModel()
     beta3 = np.zeros((n, 5))
     beta4 = np.zeros((n, 5))
     beta3[:, 0], beta4[:, 0] = 800.0, 799.0  # exp(800) overflows a float
@@ -336,7 +352,8 @@ def test_logistic_predictive_w3_follows_softmax_when_exp_overflows():
               beta3, beta4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        synth = model.predictive_draw(RngStream(73), params, n)
+        synth = model.predictive_draw(RngStream(73), params,
+                                      _logistic_columns(3.0), n)
     observed = np.bincount(synth.column("w3"), minlength=3) / n
     logits = np.array([0.0, 800.0, 799.0])
     expected = np.exp(logits - logits.max())
@@ -365,7 +382,7 @@ def _mh_one(model, rng, loglik, dim, n_draws):
 
 def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
     burnin, thin = 250, 4
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=450,
+    model = SequentialLogisticModel(mh_chains=2, mh_iters=450,
                                     mh_burnin=burnin, mh_thin=thin)
     ll, calls = _counting_quadratic()
     # 2 chains x 50 kept draws: both chains run to their last kept draw
@@ -387,7 +404,7 @@ def test_mh_sample_default_settings_likelihood_calls_at_n_200():
     # 1,500 burn-in iterations, then 200 draws thinned by 10 from chain 0
     # alone: 3,492 likelihood calls, where running both chains in full
     # took 2 x (1 + 6,500) = 13,002
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS)
+    model = SequentialLogisticModel()
     ll, calls = _counting_quadratic()
     draws = _mh_one(model, RngStream(82), ll, 3, 200)
     assert draws.shape == (200, 3)
@@ -395,7 +412,7 @@ def test_mh_sample_default_settings_likelihood_calls_at_n_200():
 
 
 def test_mh_sample_zero_draws_is_empty():
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=260,
+    model = SequentialLogisticModel(mh_chains=2, mh_iters=260,
                                     mh_burnin=60, mh_thin=4)
     ll, calls = _counting_quadratic()
     draws = _mh_one(model, RngStream(83), ll, 3, 0)
@@ -432,7 +449,7 @@ def _lockstep_calls(model, n_draws):
 @pytest.mark.parametrize("k", [1, 50, 51, 237])
 def test_mh_lockstep_matches_each_target_alone(k):
     burnin, thin = 250, 4
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_chains=2, mh_iters=450,
+    model = SequentialLogisticModel(mh_chains=2, mh_iters=450,
                                     mh_burnin=burnin, mh_thin=thin)
     # 50 draws per chain; one batched call starts each chain, one per step
     quotas = {1: [1], 50: [50], 51: [50, 1], 237: [50, 50]}[k]
@@ -443,7 +460,7 @@ def test_mh_lockstep_matches_each_target_alone(k):
 def test_mh_lockstep_default_settings_one_call_per_step_at_n_200():
     # the three targets share each step's call: 3,492 batched calls, where
     # sampling them one by one makes 3 x 3,492 scalar calls
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS)
+    model = SequentialLogisticModel()
     assert _lockstep_calls(model, 200) == 3492
 
 
@@ -487,10 +504,10 @@ def _plugin_cases():
     short_mh = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
     return {
         "bernoulli": (BernoulliModel(), _binary_data(30, 100), None),
-        "normal": (NormalModel(-5.0, 5.0), normal, [1.0, 3.0]),
+        "normal": (NormalModel(), normal, [1.0, 3.0]),
         "mixture": (_mixture_model(), _mixture_data(RngStream(89), 120),
                     None),
-        "logistic": (SequentialLogisticModel(SIM4_Z_BOUNDS, **short_mh),
+        "logistic": (SequentialLogisticModel(**short_mh),
                      simulate_truth_sim4(RngStream(90), 120), None),
     }
 
@@ -523,17 +540,62 @@ def test_modips_release_computes_statistics_once(plugin):
     assert ledger.spend == ledger.effective_spend_exact() == Fraction(eps)
 
 
+# the attributes a release may write: each is a raw-data read that the
+# draws take from the model (ROADMAP item 1)
+RELEASE_STATE = {"bernoulli": set(), "normal": set(),
+                 "mixture": {"_cell_counts"}, "logistic": {"_cache"}}
+
+
+@pytest.mark.parametrize("plugin", list(RELEASE_STATE))
+def test_release_writes_only_the_listed_model_state(plugin):
+    model, data, allocation = _plugin_cases()[plugin]
+    before = dict(vars(model))
+    modips_release(RngStream(92), data, model, 1.0, m=1,
+                   allocation=allocation)
+    after = vars(model)
+    assert after.keys() == before.keys()
+    changed = {k for k in after if after[k] is not before[k]}
+    assert changed == RELEASE_STATE[plugin]
+
+
+def _normal_data(seed, name, lo, hi, n):
+    x = np.clip(RngStream(seed).generator.normal((lo + hi) / 2, 1.0, n),
+                lo, hi)
+    return TabularDataset([ContinuousColumn(name, lo, hi)], {name: x})
+
+
+@pytest.mark.parametrize("make, first, second", [
+    (BernoulliModel, _binary_data(30, 100),
+     TabularDataset([CategoricalColumn("b", (0, 1))],
+                    {"b": np.arange(120) % 3 // 2})),
+    (NormalModel, _normal_data(94, "x", -5.0, 5.0, 80),
+     _normal_data(95, "y", 0.0, 10.0, 60)),
+], ids=["bernoulli", "normal"])
+def test_stateless_model_reused_equals_fresh(make, first, second):
+    model = make()
+    before = dict(vars(model))
+    modips_release(RngStream(96), first, model, 1.0, m=2)
+    assert vars(model) == before
+    # a second dataset with another column name and declared domain
+    reused = modips_release(RngStream(97), second, model, 1.0, m=2).sets
+    fresh = modips_release(RngStream(97), second, make(), 1.0, m=2).sets
+    assert len(reused) == len(fresh) == 2
+    for a, b in zip(reused, fresh):
+        assert a.columns == b.columns == second.columns
+        for col in second.columns:
+            assert a.column(col.name).tobytes() == b.column(col.name).tobytes()
+
+
 def _logistic_release(seed, eps, sanitize):
     """modips_release of a seeded sim4 set (n = 200) under short MH chains;
     records each set's tempering weights and posterior draw."""
     data = simulate_truth_sim4(RngStream(seed), 200)
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS, mh_iters=1200,
-                                    mh_burnin=400, mh_thin=4)
+    model = SequentialLogisticModel(mh_iters=1200, mh_burnin=400, mh_thin=4)
     seen = []
     draw = model.posterior_draw
 
-    def recording_draw(rng, stats, flags):
-        params = draw(rng, stats, flags)
+    def recording_draw(rng, stats, n, flags):
+        params = draw(rng, stats, n, flags)
         seen.append(([model._temper_weight(stats, i) for i in range(3)],
                      params))
         return params
@@ -543,6 +605,19 @@ def _logistic_release(seed, eps, sanitize):
                          ledger=ledger, sanitize=sanitize,
                          method="modips-logistic")
     return data, model, rel, ledger, seen
+
+
+def _firth_reference(data):
+    """The Firth estimates b1, b2, b3 and b4 of the three regressions."""
+    n = data.n
+    w1 = data.column("w1").astype(float)
+    w2 = data.column("w2").astype(float)
+    x1 = np.column_stack([np.ones(n), data.column("z1"), data.column("z2")])
+    x2 = np.column_stack([x1, w1])
+    fits = [firth_logistic(x1, w1), firth_logistic(x2, w2),
+            *fit_multinomial_logit(np.column_stack([x2, w2]),
+                                   data.column("w3"))]
+    return [np.array([e.estimate for e in fit]) for fit in fits]
 
 
 def test_logistic_release_round_trip():
@@ -566,7 +641,7 @@ def test_logistic_release_round_trip():
     # without noise each tempering exponent is exactly 1 and the posterior
     # centres on the Firth reference coefficients
     _, model, rel, _, seen = _logistic_release(83, eps, False)
-    ref = model._cache["ref_beta"]
+    ref = _firth_reference(data)
     for weights, params in seen:
         assert weights == [1.0, 1.0, 1.0]
         for draws, centre in zip(params[2:], ref):
@@ -577,7 +652,7 @@ def test_logistic_release_round_trip():
 @pytest.mark.parametrize("intercept", [800.0, -800.0])
 def test_logistic_predictive_binary_draws_when_exp_overflows(intercept):
     n = 1000
-    model = SequentialLogisticModel(SIM4_Z_BOUNDS)
+    model = SequentialLogisticModel()
     beta1 = np.zeros((n, 3))
     beta2 = np.zeros((n, 4))
     beta1[:, 0], beta2[:, 0] = intercept, -intercept
@@ -585,7 +660,8 @@ def test_logistic_predictive_binary_draws_when_exp_overflows(intercept):
               np.zeros((n, 5)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        synth = model.predictive_draw(RngStream(84), params, n)
+        synth = model.predictive_draw(RngStream(84), params,
+                                      _logistic_columns(4.0), n)
     # expit(+800) is 1 and expit(-800) is 0 to double precision
     assert np.all(synth.column("w1") == (intercept > 0))
     assert np.all(synth.column("w2") == (intercept < 0))
