@@ -70,22 +70,15 @@ class PrivacyLedger:
     several workers and a rejected charge leaves no trace).
     ``effective_spend_exact`` recomputes the spend from the entries; it is
     the audit a caller runs once a release is done.
-
-    ``delta_s_counts`` records the neighboring-dataset convention for count
-    statistics: 1 for removal of one observation (the default), 2 for the
-    one-row-change alternative.
     """
 
     total: PrivacyBudget
-    delta_s_counts: int = 1
     entries: list[LedgerEntry] = field(default_factory=list)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if self.delta_s_counts not in (1, 2):
-            raise ValueError("delta_s_counts must be 1 or 2")
         rtol = Fraction(EXHAUSTION_RTOL).limit_denominator(10**15)
         self._limit = Fraction(self.total.epsilon) * (1 + rtol)
         self._spend = Fraction(0)

@@ -49,8 +49,8 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     is not a finite number, or a column with no rows and no schema entry
     is a ConfigError; a non-integer categorical code is a ValueError.
 
-    A schema file is a JSON object mapping column names to objects with a
-    ``type`` of ``categorical`` (and a positive integer ``levels``) or
+    A schema file is a JSON object mapping CSV column names to objects
+    with a ``type`` of ``categorical`` (and a positive integer ``levels``) or
     ``continuous`` (and finite ``lo`` < ``hi``)."""
     try:
         header, arrays = read_numeric_csv(path)
@@ -64,6 +64,9 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
                 and all(isinstance(v, dict) for v in schema.values())):
             raise ConfigError(f"{schema_path}: the schema must be a JSON "
                               "object of column objects")
+        for key in schema:
+            if key not in header:
+                raise ConfigError(f"schema key {key!r} names no CSV column")
     columns = []
     data = {}
     for name, values in zip(header, arrays):

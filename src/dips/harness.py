@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +52,9 @@ from .param_synth import (
     GaussianMixtureModel,
     NormalModel,
     SequentialLogisticModel,
-    modips_release,
 )
 from .randvar import RngStream
-from .synthesizers import SYNTHESIZERS, histogram_grid
+from .synthesizers import SYNTHESIZERS, histogram_grid, modips_entry
 
 __all__ = [
     "StudyConfig",
@@ -120,6 +118,10 @@ def sim3_z_bounds() -> tuple[tuple[float, float], tuple[float, float]]:
 
 SIM4_Z_BOUNDS = ((-4.0, 4.0), (-4.0, 4.0))
 
+# the truth settings each study's simulator reads
+TRUTH_KEYS = {"sim1": {"pi"}, "sim2": {"mu", "sigma2", "bounds"},
+              "sim3": set(), "sim4": set()}
+
 METRIC_COLUMNS = ["study", "method", "parameter", "eps", "bias", "rmse",
                   "coverage", "ci_width", "usable_fraction", "reps_used"]
 
@@ -140,10 +142,21 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDY_METHODS:
             raise ValueError(f"unknown study {self.study!r}")
+        for name in ("n", "reps", "m", "seed"):
+            # exact type: a bool is an int, and 2.5 must not truncate
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         if self.n < 1 or self.reps < 1 or self.m < 1:
             raise ValueError("n, reps, and m must be positive")
-        if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
-            raise ValueError("eps_grid must be nonempty and positive")
+        unknown = set(self.truth) - TRUTH_KEYS[self.study]
+        if unknown:
+            raise ValueError(f"truth keys {sorted(unknown)} are not read by "
+                             f"{self.study}")
+        if not self.eps_grid or any(not (0 < e < math.inf)
+                                    for e in self.eps_grid):
+            raise ValueError("eps_grid must be nonempty, positive and "
+                             "finite")
         if list(self.eps_grid) != sorted(self.eps_grid):
             raise ValueError("eps_grid must be sorted ascending")
         if self.postprocess not in ("BIT", "truncate"):
@@ -318,20 +331,6 @@ def _original(rng, data, eps, m, ledger, postprocess):
     return [data]
 
 
-def _modips(method, model):
-    """MODIPS under a fresh ``model()`` per release; "ms" releases without
-    noise."""
-    def release(rng, data, eps, m, ledger, postprocess):
-        return modips_release(rng, data, model(), eps, m,
-                              ledger=ledger, sanitize=method != "ms",
-                              postprocess=postprocess, method=method).sets
-    return release
-
-
-def _mixture_model():
-    return GaussianMixtureModel(*sim3_cell_bounds())
-
-
 def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
     """One NP-DIPS release for the mixture study: Laplace-sanitized
     cross-tabulation of w plus a perturbed 2-D histogram of z per cell,
@@ -350,11 +349,9 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
     n = data.n
     z_new = np.zeros((n, 2))
     # the cells are disjoint: one parallel charge covers every histogram
-    delta = 1
     if ledger is not None:
         ledger.charge(f"{tag}-hist", half, mode="parallel",
                       group=f"{tag}-hist")
-        delta = ledger.delta_s_counts
     for k in range(24):
         take = cells_new == k
         n_new = int(take.sum())
@@ -373,8 +370,7 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
             counts = build_histogram(cell, grid)
             try:
                 pert = perturb_histogram(sub, counts, half,
-                                         label=f"{tag}-hist",
-                                         delta_s_counts=delta)
+                                         label=f"{tag}-hist")
                 draw = sample_from_histogram(sub.substream(1), grid, pert,
                                              n_new)
                 drawn = np.column_stack([draw["axis0"], draw["axis1"]])
@@ -408,29 +404,30 @@ STUDY_METHODS = {
         "laplace": SYNTHESIZERS["laplace"],
         "md": SYNTHESIZERS["md"],
         "bbmr": SYNTHESIZERS["bbmr"],
-        "ms": _modips("ms", BernoulliModel),
+        "ms": modips_entry("ms", BernoulliModel()),
         "original": _original,
     },
     "sim2": {
         "modips-normal": SYNTHESIZERS["modips-normal"],
-        "modips-normal-conjoint": _modips(
-            "modips-normal-conjoint", partial(NormalModel, mode="conjoint")),
+        "modips-normal-conjoint": modips_entry(
+            "modips-normal-conjoint", NormalModel(mode="conjoint")),
         "pert-hist": SYNTHESIZERS["pert-hist"],
         "smooth-hist": SYNTHESIZERS["smooth-hist"],
-        "ms": _modips("ms", NormalModel),
+        "ms": modips_entry("ms", NormalModel()),
         "original": _original,
     },
     "sim3": {
-        "modips-mixture": _modips("modips-mixture", _mixture_model),
+        "modips-mixture": modips_entry(
+            "modips-mixture", GaussianMixtureModel(*sim3_cell_bounds())),
         "np-dips": _sim3_np_dips,
-        "ms": _modips("ms", _mixture_model),
+        "ms": modips_entry("ms", GaussianMixtureModel(*sim3_cell_bounds())),
         "original": _original,
     },
     "sim4": {
-        "modips-logistic": _modips("modips-logistic",
-                                   SequentialLogisticModel),
+        "modips-logistic": modips_entry("modips-logistic",
+                                        SequentialLogisticModel()),
         "np-dips": _sim4_np_dips,
-        "ms": _modips("ms", SequentialLogisticModel),
+        "ms": modips_entry("ms", SequentialLogisticModel()),
         "original": _original,
     },
 }

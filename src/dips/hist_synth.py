@@ -5,6 +5,7 @@ A histogram is a plain array of per-cell counts in the grid's flat cell
 order.  Every cell of a grid has the same volume, so a cell's probability
 is its count over the total.
 
+A count has sensitivity 1: neighbouring datasets differ by one row.
 Counts over disjoint grid cells are sanitized under parallel composition:
 every cell receives the full per-release budget, and the ledger (when one
 is attached) is charged once per release, not once per cell.
@@ -164,29 +165,16 @@ def build_histogram(data: TabularDataset, grid: GridSpec,
 
 def perturb_histogram(rng: RngStream, counts: np.ndarray, eps: EpsLike,
                       ledger: PrivacyLedger | None = None,
-                      label: str = "perturbed-histogram",
-                      delta_s_counts: int | None = None) -> np.ndarray:
+                      label: str = "perturbed-histogram") -> np.ndarray:
     """Laplace-perturb every cell count with the full eps (parallel
     composition over disjoint cells), then legitimize negatives by BIT at 0;
     returns the sanitized counts.
 
     The noise uses ``float(eps)``; the ledger records ``eps`` as given, so
     an exact ``Fraction`` share stays exact on the ledger.
-
-    The sensitivity of one count is ``delta_s_counts``, by default the
-    ledger's convention, or 1 without a ledger.  A caller that charges the
-    parallel group itself passes no ledger and states the ledger's
-    convention here.
     """
-    if delta_s_counts is None:
-        delta_s_counts = 1 if ledger is None else ledger.delta_s_counts
-    elif ledger is not None and delta_s_counts != ledger.delta_s_counts:
-        raise ValueError(
-            f"delta_s_counts={delta_s_counts} contradicts the ledger's "
-            f"{ledger.delta_s_counts}")
-    stat = laplace_mechanism(rng, counts,
-                             SensitivitySpec(float(delta_s_counts)),
-                             float(eps), label, lower=0.0)
+    stat = laplace_mechanism(rng, counts, SensitivitySpec(1.0), float(eps),
+                             label, lower=0.0)
     if ledger is not None:
         ledger.charge(label, eps, mode="parallel", group=label)
     if stat.sanitized.sum() <= 0:

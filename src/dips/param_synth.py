@@ -51,20 +51,24 @@ TINY_VARIANCE = 1e-12
 
 @dataclass
 class StatGroup:
-    """One sanitizable group of sufficient statistics.
+    """One group of sufficient statistics.
 
     ``delta_s`` may be a scalar or a per-entry array (entries computed from
     disjoint data subsets may have entry-specific sensitivities and share
     the group's full epsilon under parallel composition).  ``defined``
     masks entries that do not exist for this dataset (e.g. the mean of an
     empty cell); undefined entries are neither sanitized nor charged.
+
+    ``delta_s=None`` declares a raw value that the posterior reads
+    unsanitized: it gets no noise, no bounds and no budget, and the release
+    flags it.
     """
 
     label: str
     value: np.ndarray
-    delta_s: np.ndarray | float
-    lower: np.ndarray | float
-    upper: np.ndarray | float
+    delta_s: np.ndarray | float | None
+    lower: np.ndarray | float | None = None
+    upper: np.ndarray | float | None = None
     defined: np.ndarray | None = None
 
 
@@ -80,12 +84,14 @@ class SyntheticRelease:
 
 
 class ModipsModel(Protocol):
-    """A model plugin.  `modips_release` calls ``sufficient_statistics``
-    once per release, then per set gives the draws the sanitized
-    ``stats`` and the public facts: the row count n and the declared
-    ``columns``, from which a model reads its bounds and level counts.
-    A predictive draw returns a set over exactly those columns.  The
-    draws change neither the model nor the ``stats`` arrays."""
+    """A stateless model plugin.  `modips_release` calls
+    ``sufficient_statistics`` once per release, then per set gives the
+    draws the ``stats`` by group label and the public facts: the row count
+    n and the declared ``columns``, from which a model reads its bounds and
+    level counts.  ``stats`` holds the sanitized groups and, as they are,
+    the groups declared with ``delta_s=None``.  A predictive draw returns a
+    set over exactly those columns.  The draws change neither the model nor
+    the ``stats`` arrays."""
 
     def sufficient_statistics(self, data: TabularDataset) -> list[StatGroup]: ...
 
@@ -167,46 +173,49 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                    postprocess: str = "BIT",
                    method: str = "modips") -> SyntheticRelease:
     """Release m synthetic sets.  The model's sufficient statistics are
-    computed once.  Per set, eps/m is split across the groups by
+    computed once.  Per set, eps/m is split across the sanitized groups by
     ``allocation`` and ``mechanisms.laplace_mechanism`` sanitizes each
     group with its share; parameters are drawn from the posterior given
-    the sanitized statistics, and a synthetic set of the source's n rows
-    over its declared columns is drawn from the predictive.  The draws
-    take n and the columns as public facts from this call.
+    the statistics, and a synthetic set of the source's n rows over its
+    declared columns is drawn from the predictive.  The draws take n and
+    the columns as public facts from this call.
 
-    ``sanitize=False`` skips the noise step (and all ledger charges),
-    yielding the non-private multiple-synthesis baseline.
+    A group declared with ``delta_s=None`` reaches the posterior raw,
+    uncharged, and noted in the release's flags as ``unsanitized:<label>``;
+    allocation weights and the sanitizer's substreams count only the
+    other groups.  ``sanitize=False`` passes every group raw and charges
+    nothing, yielding the non-private multiple-synthesis baseline.
     """
     if not (eps > 0) or m < 1:
         raise ValueError("need eps > 0 and m >= 1")
     n = data.n
     groups = model.sufficient_statistics(data)
-    weights = allocation if allocation is not None else [1.0] * len(groups)
-    if len(weights) != len(groups):
-        raise ValueError("allocation must cover every statistic group")
+    private = [g for g in groups if g.delta_s is not None]
+    weights = allocation if allocation is not None else [1.0] * len(private)
+    if len(weights) != len(private):
+        raise ValueError("allocation must cover every sanitized group")
     total_w = sum(Fraction(w) for w in weights)
     shares = [Fraction(eps) * Fraction(w) / (m * total_w) for w in weights]
-    flags: list[str] = []
+    flags = [f"unsanitized:{g.label}" for g in groups if g.delta_s is None]
+    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+           for g in groups}
+    noisy = list(zip(private, shares)) if sanitize else []
     sets = []
     records_all = []
     for j in range(m):
         sub = rng.substream(j)
-        stats = {}
+        stats = dict(raw)
         records = []
-        for i, (group, share_frac) in enumerate(zip(groups, shares)):
-            if sanitize:
-                record = laplace_mechanism(
-                    sub.substream(i), group.value,
-                    SensitivitySpec(group.delta_s), float(share_frac),
-                    group.label, lower=group.lower, upper=group.upper,
-                    defined=group.defined, postprocess=postprocess)
-                records.append(record)
-                sanitized = record.sanitized
-                if ledger is not None:
-                    ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
-            else:
-                sanitized = np.atleast_1d(np.asarray(group.value, dtype=float))
-            stats[group.label] = sanitized
+        for i, (group, share_frac) in enumerate(noisy):
+            record = laplace_mechanism(
+                sub.substream(i), group.value,
+                SensitivitySpec(group.delta_s), float(share_frac),
+                group.label, lower=group.lower, upper=group.upper,
+                defined=group.defined, postprocess=postprocess)
+            records.append(record)
+            stats[group.label] = record.sanitized
+            if ledger is not None:
+                ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
         params = model.posterior_draw(sub.substream(10_000), stats, n, flags)
         sets.append(model.predictive_draw(sub.substream(20_000), params,
                                           data.columns, n))
@@ -321,11 +330,13 @@ class GaussianMixtureModel:
     continuous columns are the measurements; ``cell_lower`` and
     ``cell_upper`` (K x 2, flat cell order) bound them within each cell.
 
-    Statistics form six groups: cell counts, the two vectors of per-cell
-    means, the two variances, and the covariance.  Per-cell mean
-    sensitivities use the realized cell counts; empty cells are skipped and
-    their location parameter falls back to a uniform draw over the cell's
-    declared bounds."""
+    Statistics form six sanitized groups: cell counts, the two vectors of
+    per-cell means, the two variances, and the covariance.  Per-cell mean
+    sensitivities use the realized cell counts, which the posterior also
+    reads raw (the unsanitized group ``raw_counts``) to scale each cell
+    mean's covariance; empty cells are skipped and their location
+    parameter falls back to a uniform draw over the cell's declared
+    bounds."""
 
     def __init__(self, cell_lower: np.ndarray, cell_upper: np.ndarray,
                  prior_alpha: float = 0.5):
@@ -333,7 +344,6 @@ class GaussianMixtureModel:
         self.cell_upper = np.asarray(cell_upper, dtype=float)
         self.k = len(self.cell_lower)
         self.prior_alpha = prior_alpha
-        self._cell_counts = None
 
     def sufficient_statistics(self, data):
         n, k = data.n, self.k
@@ -348,8 +358,6 @@ class GaussianMixtureModel:
         cells = np.ravel_multi_index([data.column(c.name) for c in cats],
                                      shape)
         counts = np.bincount(cells, minlength=k).astype(float)
-        # raw counts read by the posterior: see ROADMAP item 1
-        self._cell_counts = counts
         z = np.column_stack([data.column(z1.name), data.column(z2.name)])
         ranges = self.cell_upper - self.cell_lower  # (K, 2)
         zbar = np.zeros((k, 2))
@@ -383,6 +391,7 @@ class GaussianMixtureModel:
                       0.0, var_upper2),
             StatGroup("cov", np.array([s_mat[0, 1]]), r1 * r2 * s_factor,
                       -cov_bound, cov_bound),
+            StatGroup("raw_counts", counts, None),
         ]
 
     def posterior_draw(self, rng, stats, n, flags):
@@ -393,12 +402,12 @@ class GaussianMixtureModel:
                                  flags)
         sigma = sample_inv_wishart(rng, n - k, n * s_star)
         mus = np.zeros((k, 2))
-        occupied = self._cell_counts > 0
+        raw_counts = stats["raw_counts"]
         for kk in range(k):
-            if occupied[kk]:
+            if raw_counts[kk] > 0:
                 mus[kk] = sample_mvnormal(
                     rng, np.array([stats["zbar1"][kk], stats["zbar2"][kk]]),
-                    sigma / self._cell_counts[kk])
+                    sigma / raw_counts[kk])
             else:
                 # no data in the cell: prior predictive over its bounds
                 mus[kk] = rng.generator.uniform(self.cell_lower[kk],
@@ -437,7 +446,10 @@ class SequentialLogisticModel:
     (each a product of n per-row probability factors clamped into
     (1e-12, 0.99), so bounded by 0.99^n with that same value as its
     sensitivity).  The sanitized products scale the log-likelihood used by
-    the Metropolis-Hastings posterior sampler for the coefficients.
+    the Metropolis-Hastings posterior sampler for the coefficients.  That
+    likelihood reads the rows raw, as the unsanitized groups ``x3`` (the
+    third regression's design), ``w1``, ``w2`` and ``w3``, and so do the
+    tempering exponents (``log_raw``, the three raw log-products).
     """
 
     def __init__(self, mh_chains: int = 2, mh_iters: int = 6500,
@@ -446,7 +458,6 @@ class SequentialLogisticModel:
         self.mh_iters = mh_iters
         self.mh_burnin = mh_burnin
         self.mh_thin = mh_thin
-        self._cache = None
 
     # likelihood plumbing ---------------------------------------------------
 
@@ -494,11 +505,6 @@ class SequentialLogisticModel:
         log_prod2 = self._clamped_loglik(self._log_factors_binary(x2, w2, b2))
         log_prod3 = self._clamped_loglik(
             self._log_factors_trinomial(x3, w3, b3, b4))
-        # raw rows read by the MH likelihood: see ROADMAP item 1
-        self._cache = {
-            "x3": x3, "w1": w1, "w2": w2, "w3": w3,
-            "log_raw": (log_prod1, log_prod2, log_prod3),
-        }
         r1 = z1.hi - z1.lo
         r2 = z2.hi - z2.lo
         prod_bound = n * math.log(PROPORTION_CLAMP[1])  # log(0.99^n)
@@ -517,12 +523,18 @@ class SequentialLogisticModel:
             groups.append(StatGroup(
                 f"likprod{idx + 1}", np.array([math.exp(log_prod)]),
                 delta_prod, PRODUCT_FLOOR, math.exp(prod_bound)))
-        return groups
+        return groups + [
+            StatGroup("x3", x3, None), StatGroup("w1", w1, None),
+            StatGroup("w2", w2, None), StatGroup("w3", w3, None),
+            StatGroup("log_raw", np.array([log_prod1, log_prod2, log_prod3]),
+                      None),
+        ]
 
-    def _temper_weight(self, stats, idx):
+    @staticmethod
+    def _temper_weight(stats, idx):
         """log(sanitized product)/log(raw product): a likelihood tempering
         exponent that equals 1 when no noise was added."""
-        log_raw = self._cache["log_raw"][idx]
+        log_raw = stats["log_raw"][idx]
         sanitized = float(stats[f"likprod{idx + 1}"][0])
         log_star = math.log(max(sanitized, PRODUCT_FLOOR))
         if log_raw >= 0:  # degenerate: empty product
@@ -646,7 +658,6 @@ class SequentialLogisticModel:
         return loglik
 
     def posterior_draw(self, rng, stats, n, flags):
-        cache = self._cache
         s_star = _sanitized_cov2(stats["s11"], stats["s22"], stats["s12"],
                                  flags)
         sigma = sample_inv_wishart(rng, n, n * s_star)
@@ -654,8 +665,8 @@ class SequentialLogisticModel:
                                             float(stats["zbar2"][0])]),
                              sigma / n)
         weights = [self._temper_weight(stats, idx) for idx in range(3)]
-        loglik = self._lockstep_loglik(cache["x3"], cache["w1"], cache["w2"],
-                                       cache["w3"], weights)
+        loglik = self._lockstep_loglik(stats["x3"], stats["w1"], stats["w2"],
+                                       stats["w3"], weights)
         beta1, beta2, beta34 = self._mh_lockstep(
             [rng.substream(k) for k in (1, 2, 3)], loglik, (3, 4, 10), n)
         return mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:]

@@ -40,7 +40,7 @@ from .param_synth import (
     modips_release,
 )
 
-__all__ = ["SYNTHESIZERS", "histogram_grid"]
+__all__ = ["SYNTHESIZERS", "histogram_grid", "modips_entry"]
 
 
 def histogram_grid(data: TabularDataset) -> GridSpec:
@@ -84,6 +84,11 @@ def _binary_column(data, method):
     if len(col.levels) != 2:
         raise ValueError(f"{method} needs a single binary column")
     return col
+
+
+def _continuous_column(data, method):
+    return _only_column(data, ContinuousColumn,
+                        f"{method} needs a single continuous column")
 
 
 def _all_categorical(data, method) -> list[str]:
@@ -149,19 +154,17 @@ def _bbmr(rng, data, eps, m, ledger, postprocess):
     return [TabularDataset(data.columns, {col.name: x}, validate=False)]
 
 
-def _modips_bernoulli(rng, data, eps, m, ledger, postprocess):
-    _binary_column(data, "modips-bernoulli")
-    return modips_release(rng, data, BernoulliModel(), eps, m, ledger=ledger,
-                          postprocess=postprocess,
-                          method="modips-bernoulli").sets
-
-
-def _modips_normal(rng, data, eps, m, ledger, postprocess):
-    _only_column(data, ContinuousColumn,
-                 "modips-normal needs a single continuous column")
-    return modips_release(rng, data, NormalModel(), eps, m, ledger=ledger,
-                          postprocess=postprocess,
-                          method="modips-normal").sets
+def modips_entry(method, model, check=None):
+    """The entry that releases ``model`` (a stateless plugin, shared by
+    every release) under MODIPS, after ``check(data, method)`` when one is
+    given; the method "ms" releases without noise."""
+    def release(rng, data, eps, m, ledger, postprocess):
+        if check is not None:
+            check(data, method)
+        return modips_release(rng, data, model, eps, m, ledger=ledger,
+                              sanitize=method != "ms",
+                              postprocess=postprocess, method=method).sets
+    return release
 
 
 SYNTHESIZERS = {
@@ -170,6 +173,8 @@ SYNTHESIZERS = {
     "smooth-hist": _smooth_hist,
     "md": _md,
     "bbmr": _bbmr,
-    "modips-bernoulli": _modips_bernoulli,
-    "modips-normal": _modips_normal,
+    "modips-bernoulli": modips_entry("modips-bernoulli", BernoulliModel(),
+                                     _binary_column),
+    "modips-normal": modips_entry("modips-normal", NormalModel(),
+                                  _continuous_column),
 }

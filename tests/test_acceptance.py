@@ -171,8 +171,8 @@ def test_criterion_05_empty_cells():
       SIM3_LEVELS: ``simulate_truth_sim3``;
     - np-dips spends eps/m per set, split 1:1 between the counts and the
       z histograms: ``_sim3_np_set``;
-    - count sensitivity 1 (``PrivacyLedger.delta_s_counts``), so Laplace
-      scale 1/(eps/2m), then BIT at 0: ``perturb_histogram``;
+    - count sensitivity 1 (stated in ``hist_synth``), so Laplace scale
+      1/(eps/2m), then BIT at 0: ``perturb_histogram``;
     - np-dips draws n rows multinomially from the sanitized proportions:
       ``laplace_sanitizer_crosstab``;
     - modips-mixture splits eps/m evenly over six statistic groups:

@@ -75,12 +75,6 @@ def test_unknown_mode_rejected():
         ledger.charge("x", 0.1, mode="adaptive")
 
 
-def test_delta_s_convention_validated():
-    PrivacyLedger(PrivacyBudget(1.0), delta_s_counts=2)
-    with pytest.raises(ValueError):
-        PrivacyLedger(PrivacyBudget(1.0), delta_s_counts=3)
-
-
 def test_concurrent_charges_are_atomic():
     ledger = PrivacyLedger(PrivacyBudget(1.0))
     errors = []

@@ -269,6 +269,20 @@ def test_bench_non_object_config_exits_2(tmp_path, capsys):
     _one_config_error(capsys)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"reps": 1.5}, {"n": 50.5}, {"m": 2.5}, {"seed": 1.5}, {"n": True},
+    {"truth": {"p": 0.9}}, {"eps_grid": [1e400]},
+], ids=["reps", "n", "m", "seed", "bool-n", "unread-truth-key",
+        "infinite-eps"])
+def test_bench_config_value_errors_exit_2(cfg, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["bench", "--study", "sim1", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    _one_config_error(capsys)
+
+
 def test_synth_modips_normal_one_row_exits_2(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("x\n0.5\n")
@@ -375,10 +389,13 @@ NOT_AN_OBJECT = "the schema must be a JSON object of column objects"
     ('{"x": {"type": "categorial", "levels": 2}}', "md",
      "column 'x' needs a type of categorical or continuous, got "
      "'categorial'"),
+    ('{"x": {"type": "categorical", "levels": 2}, '
+     '"yy": {"type": "continuous", "lo": 0, "hi": 1}}', "pert-hist",
+     "schema key 'yy' names no CSV column"),
 ], ids=["list", "entry-not-object", "neg-inf-lo-pert-hist",
         "neg-inf-lo-smooth-hist", "neg-inf-lo-modips-normal", "null-lo",
         "levels-overflow", "fractional-levels", "string-levels",
-        "misspelled-type"])
+        "misspelled-type", "key-names-no-column"])
 def test_synth_bad_schema_exits_2_without_warnings(schema, method, message,
                                                    tmp_path, capsys):
     with warnings.catch_warnings():

@@ -102,8 +102,25 @@ def test_config_validation():
         StudyConfig("sim1", 0)
     with pytest.raises(ValueError, match="sorted"):
         StudyConfig("sim1", 100, eps_grid=[1.0, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        StudyConfig("sim1", 100, eps_grid=[1.0, math.inf])
     with pytest.raises(ValueError, match="not valid"):
         StudyConfig("sim1", 100, methods=["pert-hist"])
+    # exact integers: 2.5 must not truncate and a bool is not a count
+    for field, value in (("reps", 1.5), ("n", 50.5), ("m", 2.5),
+                         ("seed", 1.5), ("n", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            StudyConfig(**{"study": "sim1", "n": 100, field: value})
+    # a truth key the study's simulator does not read
+    with pytest.raises(ValueError, match=r"\['p'\] are not read by sim1"):
+        StudyConfig("sim1", 100, truth={"p": 0.9})
+    with pytest.raises(ValueError, match=r"\['sigma'\] are not read by sim2"):
+        StudyConfig("sim2", 100, truth={"sigma": 2.0})
+    with pytest.raises(ValueError, match="not read by sim3"):
+        StudyConfig("sim3", 100, truth={"pi": 0.25})
+    StudyConfig("sim1", 100, truth={"pi": 0.25})
+    StudyConfig("sim2", 100, truth={"mu": 1.0, "sigma2": 2.0,
+                                    "bounds": "symmetric"})
     cfg = StudyConfig("sim2", 100)
     assert cfg.methods == list(
         ("modips-normal", "modips-normal-conjoint", "pert-hist",
@@ -402,22 +419,6 @@ def test_sim3_np_dips_charges_the_group_when_no_cell_has_a_histogram(
             [s.column("w1"), s.column("w2"), s.column("w3")], SIM3_LEVELS)
         z = np.column_stack([s.column("z1"), s.column("z2")])
         assert np.all(z >= lower[cells]) and np.all(z <= upper[cells])
-
-
-def test_sim3_np_dips_honours_a_delta_2_ledger():
-    """Under the one-row-change convention every count (the
-    cross-tabulation and each cell's z-histogram) has sensitivity 2, so
-    the release at eps adds the noise of a delta = 1 release at eps / 2:
-    the sets are the same draws."""
-    ledger2 = PrivacyLedger(PrivacyBudget(0.7), delta_s_counts=2)
-    sets2 = _sim3_np_release(0.7, ledger2)
-    sets1 = _sim3_np_release(0.35, PrivacyLedger(PrivacyBudget(0.35)))
-    for a, b in zip(sets2, sets1):
-        for name in ("w1", "w2", "w3", "z1", "z2"):
-            np.testing.assert_array_equal(a.column(name), b.column(name))
-    _assert_two_entries_per_set(ledger2, 0.7)
-    unscaled = _sim3_np_release(0.7, PrivacyLedger(PrivacyBudget(0.7)))
-    assert not np.array_equal(unscaled[0].column("z1"), sets2[0].column("z1"))
 
 
 # -- reporting ---------------------------------------------------------------

@@ -83,23 +83,6 @@ def test_perturbed_histogram_noise_scale():
     assert p > 0.01
 
 
-def test_perturbed_histogram_delta_follows_ledger_or_argument():
-    hist = np.full(6, 50.0)
-    by_ledger = perturb_histogram(
-        RngStream(2), hist, 0.5,
-        ledger=PrivacyLedger(PrivacyBudget(0.5), delta_s_counts=2))
-    by_argument = perturb_histogram(RngStream(2), hist, 0.5,
-                                    delta_s_counts=2)
-    at_half_eps = perturb_histogram(RngStream(2), hist, 0.25)
-    np.testing.assert_array_equal(by_ledger, by_argument)
-    np.testing.assert_array_equal(by_argument, at_half_eps)
-    ledger = PrivacyLedger(PrivacyBudget(0.5), delta_s_counts=2)
-    with pytest.raises(ValueError):
-        perturb_histogram(RngStream(2), hist, 0.5, ledger=ledger,
-                          delta_s_counts=1)
-    assert ledger.entries == []
-
-
 def test_all_cells_zero_raised():
     hist = np.zeros(4)
     # with tiny eps the sanitized counts collapse to zero almost surely

@@ -1,10 +1,12 @@
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dips.param_synth
 from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import simulate_truth_sim4
 from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
@@ -227,9 +229,11 @@ def test_mixture_statistic_groups():
     data = _mixture_data(RngStream(41), 300)
     groups = model.sufficient_statistics(data)
     assert [g.label for g in groups] == [
-        "counts", "zbar1", "zbar2", "var1", "var2", "cov"]
+        "counts", "zbar1", "zbar2", "var1", "var2", "cov", "raw_counts"]
+    assert [g.label for g in groups if g.delta_s is None] == ["raw_counts"]
     counts = groups[0].value
     assert counts.sum() == 300
+    np.testing.assert_array_equal(groups[-1].value, counts)
     # per-cell mean sensitivity is range / realized count (both cells span 5)
     np.testing.assert_allclose(groups[1].delta_s, 5.0 / counts, atol=1e-12)
 
@@ -321,7 +325,8 @@ def test_sanitize_truncate_per_entry_bounds():
 def test_modips_records_carry_per_entry_sensitivity():
     model = _mixture_model()
     data = _mixture_data(RngStream(61), 301)
-    groups = model.sufficient_statistics(data)
+    groups = [g for g in model.sufficient_statistics(data)
+              if g.delta_s is not None]
     rel = modips_release(RngStream(67), data, model, eps=1.0, m=2)
     for records in rel.sanitized_stats:
         assert [r.label for r in records] == [g.label for g in groups]
@@ -497,17 +502,19 @@ def test_lockstep_loglik_matches_scalar_likelihoods():
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+SHORT_MH = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
+
+
 def _plugin_cases():
     gen = RngStream(88).generator
     normal = TabularDataset([ContinuousColumn("x", -5.0, 5.0)],
                             {"x": np.clip(gen.normal(0.0, 1.0, 80), -5, 5)})
-    short_mh = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
     return {
         "bernoulli": (BernoulliModel(), _binary_data(30, 100), None),
         "normal": (NormalModel(), normal, [1.0, 3.0]),
         "mixture": (_mixture_model(), _mixture_data(RngStream(89), 120),
                     None),
-        "logistic": (SequentialLogisticModel(**short_mh),
+        "logistic": (SequentialLogisticModel(**SHORT_MH),
                      simulate_truth_sim4(RngStream(90), 120), None),
     }
 
@@ -516,7 +523,8 @@ def _plugin_cases():
                                     "logistic"])
 def test_modips_release_computes_statistics_once(plugin):
     model, data, allocation = _plugin_cases()[plugin]
-    labels = [g.label for g in model.sufficient_statistics(data)]
+    labels = [g.label for g in model.sufficient_statistics(data)
+              if g.delta_s is not None]
     weights = allocation or [1.0] * len(labels)
     calls = []
     compute = model.sufficient_statistics
@@ -540,10 +548,10 @@ def test_modips_release_computes_statistics_once(plugin):
     assert ledger.spend == ledger.effective_spend_exact() == Fraction(eps)
 
 
-# the attributes a release may write: each is a raw-data read that the
-# draws take from the model (ROADMAP item 1)
+# the attributes a release may write: none, since every raw-data read of
+# the draws is a declared unsanitized group
 RELEASE_STATE = {"bernoulli": set(), "normal": set(),
-                 "mixture": {"_cell_counts"}, "logistic": {"_cache"}}
+                 "mixture": set(), "logistic": set()}
 
 
 @pytest.mark.parametrize("plugin", list(RELEASE_STATE))
@@ -558,6 +566,69 @@ def test_release_writes_only_the_listed_model_state(plugin):
     assert changed == RELEASE_STATE[plugin]
 
 
+# which groups each plugin's posterior reads raw
+UNSANITIZED = {"bernoulli": [], "normal": [], "mixture": ["raw_counts"],
+               "logistic": ["x3", "w1", "w2", "w3", "log_raw"]}
+
+
+@pytest.mark.parametrize("plugin", list(UNSANITIZED))
+def test_draws_from_the_recorded_stats_reproduce_each_set(plugin):
+    """Each set is a function of its sanitize records, the declared
+    unsanitized groups, n and the columns: a fresh model fed those on the
+    release's substreams draws the same bytes."""
+    model, data, allocation = _plugin_cases()[plugin]
+    rel = modips_release(RngStream(93), data, model, 1.0, m=2,
+                         allocation=allocation)
+    assert rel.flags[:len(UNSANITIZED[plugin])] == [
+        f"unsanitized:{label}" for label in UNSANITIZED[plugin]]
+    # the raw groups come from another instance: the fresh model sees
+    # only the draws' inputs
+    source, fresh = _plugin_cases()[plugin][0], _plugin_cases()[plugin][0]
+    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+           for g in source.sufficient_statistics(data) if g.delta_s is None}
+    assert list(raw) == UNSANITIZED[plugin]
+    for j, (records, synth) in enumerate(zip(rel.sanitized_stats,
+                                             rel.sets)):
+        stats = {**raw, **{r.label: r.sanitized for r in records}}
+        sub = RngStream(93).substream(j)
+        params = fresh.posterior_draw(sub.substream(10_000), stats, data.n,
+                                      [])
+        again = fresh.predictive_draw(sub.substream(20_000), params,
+                                      data.columns, data.n)
+        assert again.columns == synth.columns
+        for col in data.columns:
+            assert (again.column(col.name).tobytes()
+                    == synth.column(col.name).tobytes())
+
+
+@pytest.mark.parametrize("plugin", list(UNSANITIZED))
+def test_traced_release_equals_untraced(plugin, monkeypatch):
+    """The benchmark's tracer wraps every plugin's three methods and reads
+    each statistic group; a traced release draws the same bytes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.tracing import Tracer
+
+    def release():
+        model, data, allocation = _plugin_cases()[plugin]
+        return dips.param_synth.modips_release(
+            RngStream(98), data, model, 1.0, m=2, allocation=allocation).sets
+    untraced = release()
+    tracer = Tracer()
+    try:
+        tracer.install()
+        traced = release()
+    finally:
+        tracer.uninstall()
+    calls = {name: v["calls"] for name, v in
+             tracer.summary()["by_name"].items()}
+    assert calls["sufficient_statistics"] == 1
+    assert calls["posterior_draw"] == calls["predictive_draw"] == 2
+    assert tracer.entries_sanitized > 0
+    for a, b in zip(traced, untraced, strict=True):
+        for col in b.columns:
+            assert a.column(col.name).tobytes() == b.column(col.name).tobytes()
+
+
 def _normal_data(seed, name, lo, hi, n):
     x = np.clip(RngStream(seed).generator.normal((lo + hi) / 2, 1.0, n),
                 lo, hi)
@@ -570,7 +641,12 @@ def _normal_data(seed, name, lo, hi, n):
                     {"b": np.arange(120) % 3 // 2})),
     (NormalModel, _normal_data(94, "x", -5.0, 5.0, 80),
      _normal_data(95, "y", 0.0, 10.0, 60)),
-], ids=["bernoulli", "normal"])
+    (_mixture_model, _mixture_data(RngStream(99), 150),
+     _mixture_data(RngStream(100), 90)),
+    (lambda: SequentialLogisticModel(**SHORT_MH),
+     simulate_truth_sim4(RngStream(101), 120),
+     simulate_truth_sim4(RngStream(102), 90)),
+], ids=["bernoulli", "normal", "mixture", "logistic"])
 def test_stateless_model_reused_equals_fresh(make, first, second):
     model = make()
     before = dict(vars(model))
