@@ -22,7 +22,7 @@ import numpy as np
 from .budget import BudgetExhausted, PrivacyBudget, PrivacyLedger
 from .dataset import (CategoricalColumn, ContinuousColumn, TabularDataset,
                       category_codes, read_numeric_csv)
-from .harness import StudyConfig, report, run_study
+from .harness import STUDIES, StudyConfig, report, run_study
 from .randvar import RngStream
 from .synthesizers import SYNTHESIZERS
 
@@ -143,7 +143,9 @@ def _run_bench(args) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: the config must be a JSON "
                               "object")
-    cfg["study"] = args.study
+    if cfg.setdefault("study", args.study) != args.study:
+        raise ConfigError(f"the config's study {cfg['study']!r} differs "
+                          f"from --study {args.study}")
     if args.reps is not None:
         cfg["reps"] = args.reps
     cfg.setdefault("n", 100)
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark study")
     bench.add_argument("--study", required=True,
-                       choices=("sim1", "sim2", "sim3", "sim4"))
+                       choices=tuple(STUDIES))
     bench.add_argument("--config", default=None,
                        help="JSON config mirroring StudyConfig")
     bench.add_argument("--reps", type=int, default=None)

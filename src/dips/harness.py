@@ -10,15 +10,20 @@ Study 4: bivariate normal covariates plus three sequential logistic
 
 Every replication owns its own ledger and derived random stream, so the
 loop over (eps, method, rep) can be reordered or parallelized without
-changing any draw.  Per-replication failures are recorded as unusable and
-never abort a study.
+changing any draw.  A replication that raises is recorded as unusable and
+never aborts a study.  ``STUDIES`` states each study once: its truth
+settings, true values, default parameters, methods, per-set analyzer and
+the rules that only it keeps.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
+from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -60,7 +65,7 @@ __all__ = [
     "StudyConfig",
     "MetricRow",
     "METRIC_COLUMNS",
-    "STUDY_METHODS",
+    "STUDIES",
     "run_study",
     "report",
     "simulate_truth_sim1",
@@ -90,6 +95,9 @@ SIM3_PI = np.array([
 SIM3_LEVELS = (2, 3, 4)
 SIM3_SIGMA = 1.0
 SIM3_RHO = 0.5
+# the marginal proportions the study estimates: name -> (w axis, level)
+SIM3_MARGINS = {"pw1_1": (0, 1), "pw2_1": (1, 1), "pw2_2": (1, 2),
+                "pw3_1": (2, 1), "pw3_2": (2, 2), "pw3_3": (2, 3)}
 
 # sequential logistic truth: three regressions on z (and previously drawn
 # outcomes), coefficient vectors for the two binary and the three-level
@@ -118,10 +126,6 @@ def sim3_z_bounds() -> tuple[tuple[float, float], tuple[float, float]]:
 
 SIM4_Z_BOUNDS = ((-4.0, 4.0), (-4.0, 4.0))
 
-# the truth settings each study's simulator reads
-TRUTH_KEYS = {"sim1": {"pi"}, "sim2": {"mu", "sigma2", "bounds"},
-              "sim3": set(), "sim4": set()}
-
 METRIC_COLUMNS = ["study", "method", "parameter", "eps", "bias", "rmse",
                   "coverage", "ci_width", "usable_fraction", "reps_used"]
 
@@ -140,8 +144,9 @@ class StudyConfig:
     parameters: list[str] | None = None
 
     def __post_init__(self):
-        if self.study not in STUDY_METHODS:
+        if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}")
+        study = STUDIES[self.study]
         for name in ("n", "reps", "m", "seed"):
             # exact type: a bool is an int, and 2.5 must not truncate
             if type(getattr(self, name)) is not int:
@@ -149,25 +154,47 @@ class StudyConfig:
                                  f"{getattr(self, name)!r}")
         if self.n < 1 or self.reps < 1 or self.m < 1:
             raise ValueError("n, reps, and m must be positive")
-        unknown = set(self.truth) - TRUTH_KEYS[self.study]
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        unknown = set(self.truth) - set(study.truth)
         if unknown:
             raise ValueError(f"truth keys {sorted(unknown)} are not read by "
                              f"{self.study}")
-        if not self.eps_grid or any(not (0 < e < math.inf)
-                                    for e in self.eps_grid):
-            raise ValueError("eps_grid must be nonempty, positive and "
-                             "finite")
+        for key, value in self.truth.items():
+            text = isinstance(study.truth[key], str)
+            if not (type(value) is str if text else _is_finite_number(value)):
+                raise ValueError(f"truth {key!r} must be a "
+                                 f"{'string' if text else 'finite number'}, "
+                                 f"got {value!r}")
+        if not all(_is_finite_number(e) and e > 0 for e in self.eps_grid):
+            raise ValueError("eps_grid must hold positive, finite numbers")
         if list(self.eps_grid) != sorted(self.eps_grid):
             raise ValueError("eps_grid must be sorted ascending")
         if self.postprocess not in ("BIT", "truncate"):
             raise ValueError(f"unknown postprocess {self.postprocess!r}")
         if self.methods is None:
-            self.methods = list(STUDY_METHODS[self.study])
-        else:
-            bad = set(self.methods) - set(STUDY_METHODS[self.study])
-            if bad:
-                raise ValueError(f"methods {sorted(bad)} not valid for "
-                                 f"{self.study}")
+            self.methods = list(study.methods)
+        bad = set(self.methods) - set(study.methods)
+        if bad:
+            raise ValueError(f"methods {sorted(bad)} not valid for "
+                             f"{self.study}")
+        params = (study.default_params if self.parameters is None
+                  else self.parameters)
+        unknown = set(params) - set(study.values(study.settings(self.truth)))
+        if unknown:
+            raise ValueError(f"unknown parameters {sorted(unknown)} for "
+                             f"{self.study}")
+        for name, entries in (("methods", self.methods),
+                              ("eps_grid", self.eps_grid),
+                              ("parameters", params)):
+            if not entries or len(set(entries)) != len(entries):
+                raise ValueError(f"{name} must be nonempty with no repeated "
+                                 f"entry, got {entries!r}")
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool, and finite."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -192,7 +219,8 @@ class MetricRow:
 
 # -- truth simulators --------------------------------------------------------
 
-def simulate_truth_sim1(rng: RngStream, n: int, pi: float) -> TabularDataset:
+def simulate_truth_sim1(rng: RngStream, n: int,
+                        pi: float = 0.25) -> TabularDataset:
     if not (0 < pi < 1):
         raise ValueError(f"pi must be in (0,1), got {pi}")
     x = (rng.generator.random(n) < pi).astype(np.int64)
@@ -223,15 +251,12 @@ def simulate_truth_sim2(rng: RngStream, n: int, mu: float = 0.0,
     return TabularDataset([ContinuousColumn("x", c0, c1)], {"x": x})
 
 
-def _sim3_columns():
-    zb = sim3_z_bounds()
-    return [
-        CategoricalColumn("w1", tuple(range(SIM3_LEVELS[0]))),
-        CategoricalColumn("w2", tuple(range(SIM3_LEVELS[1]))),
-        CategoricalColumn("w3", tuple(range(SIM3_LEVELS[2]))),
-        ContinuousColumn("z1", *zb[0]),
-        ContinuousColumn("z2", *zb[1]),
-    ]
+def _w_z_columns(levels, z_bounds):
+    """Studies 3 and 4: w1..w3 with these level counts, then z1 and z2."""
+    return ([CategoricalColumn(f"w{j + 1}", tuple(range(k)))
+             for j, k in enumerate(levels)]
+            + [ContinuousColumn(f"z{j + 1}", *b)
+               for j, b in enumerate(z_bounds)])
 
 
 def simulate_truth_sim3(rng: RngStream, n: int,
@@ -252,19 +277,9 @@ def simulate_truth_sim3(rng: RngStream, n: int,
         z[idx] = mus[cells[idx]] + gen.standard_normal((len(idx), 2)) @ chol.T
         bad[idx] = ((z[idx] < lo[idx]) | (z[idx] > hi[idx])).any(axis=1)
     w = np.unravel_index(cells, SIM3_LEVELS)
-    return TabularDataset(_sim3_columns(), {
+    return TabularDataset(_w_z_columns(SIM3_LEVELS, sim3_z_bounds()), {
         "w1": w[0].astype(np.int64), "w2": w[1].astype(np.int64),
         "w3": w[2].astype(np.int64), "z1": z[:, 0], "z2": z[:, 1]})
-
-
-def _sim4_columns():
-    return [
-        CategoricalColumn("w1", (0, 1)),
-        CategoricalColumn("w2", (0, 1)),
-        CategoricalColumn("w3", (0, 1, 2)),
-        ContinuousColumn("z1", *SIM4_Z_BOUNDS[0]),
-        ContinuousColumn("z2", *SIM4_Z_BOUNDS[1]),
-    ]
 
 
 def simulate_truth_sim4(rng: RngStream, n: int,
@@ -289,42 +304,30 @@ def simulate_truth_sim4(rng: RngStream, n: int,
     b = np.exp(x3 @ SIM4_BETA4)
     u = gen.random(n) * (1.0 + a + b)
     w3 = np.where(u < 1.0, 0, np.where(u < 1.0 + a, 1, 2)).astype(np.int64)
-    return TabularDataset(_sim4_columns(), {
+    return TabularDataset(_w_z_columns((2, 2, 3), SIM4_Z_BOUNDS), {
         "w1": w1, "w2": w2, "w3": w3, "z1": z[:, 0], "z2": z[:, 1]})
 
 
-# -- truth values per (study, parameter) -------------------------------------
+# -- true parameter values, from a study's truth settings -------------------
 
-def _truth_values(config: StudyConfig) -> dict[str, float]:
-    if config.study == "sim1":
-        return {"pi": float(config.truth.get("pi", 0.25))}
-    if config.study == "sim2":
-        return {"mu": float(config.truth.get("mu", 0.0)),
-                "sigma2": float(config.truth.get("sigma2", 1.0))}
-    if config.study == "sim3":
-        probs = (SIM3_PI / SIM3_PI.sum()).reshape(SIM3_LEVELS)
-        vals = {
-            "rho": SIM3_RHO, "sigma1": SIM3_SIGMA ** 2,
+def _sim3_values(settings) -> dict[str, float]:
+    probs = (SIM3_PI / SIM3_PI.sum()).reshape(SIM3_LEVELS)
+    return {"rho": SIM3_RHO, "sigma1": SIM3_SIGMA ** 2,
             "sigma2": SIM3_SIGMA ** 2,
-            "pw1_1": float(probs[1].sum()),
-            "pw2_1": float(probs[:, 1].sum()),
-            "pw2_2": float(probs[:, 2].sum()),
-            "pw3_1": float(probs[:, :, 1].sum()),
-            "pw3_2": float(probs[:, :, 2].sum()),
-            "pw3_3": float(probs[:, :, 3].sum()),
-        }
-        return vals
-    vals = {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0,
-            "rho": SIM4_RHO}
-    for tag, beta in (("b1", SIM4_BETA1), ("b2", SIM4_BETA2),
-                      ("b3", SIM4_BETA3), ("b4", SIM4_BETA4)):
-        for i, v in enumerate(beta):
-            vals[f"{tag}_{i}"] = float(v)
-    return vals
+            **{name: float(np.take(probs, level, axis=axis).sum())
+               for name, (axis, level) in SIM3_MARGINS.items()}}
 
 
-# -- per-study method tables -------------------------------------------------
-# every entry is release(rng, data, eps, m, ledger, postprocess) -> sets;
+def _sim4_values(settings) -> dict[str, float]:
+    betas = {"b1": SIM4_BETA1, "b2": SIM4_BETA2, "b3": SIM4_BETA3,
+             "b4": SIM4_BETA4}
+    return {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0,
+            "rho": SIM4_RHO, **{f"{tag}_{i}": float(v)
+                                for tag, beta in betas.items()
+                                for i, v in enumerate(beta)}}
+
+
+# -- study-only methods ------------------------------------------------------
 # the shared ones come from dips.synthesizers
 
 def _original(rng, data, eps, m, ledger, postprocess):
@@ -379,7 +382,7 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
         if drawn is None:
             drawn = sub.generator.uniform(lower[k], upper[k], size=(n_new, 2))
         z_new[take] = drawn
-    return TabularDataset(_sim3_columns(), {
+    return TabularDataset(_w_z_columns(SIM3_LEVELS, sim3_z_bounds()), {
         "w1": codes["w1"], "w2": codes["w2"], "w3": codes["w3"],
         "z1": z_new[:, 0], "z2": z_new[:, 1]}, validate=False)
 
@@ -398,47 +401,34 @@ def _sim4_np_dips(rng, data, eps, m, ledger, postprocess):
         ledger, postprocess)
 
 
-STUDY_METHODS = {
-    "sim1": {
-        "modips-bernoulli": SYNTHESIZERS["modips-bernoulli"],
-        "laplace": SYNTHESIZERS["laplace"],
-        "md": SYNTHESIZERS["md"],
-        "bbmr": SYNTHESIZERS["bbmr"],
-        "ms": modips_entry("ms", BernoulliModel()),
-        "original": _original,
-    },
-    "sim2": {
-        "modips-normal": SYNTHESIZERS["modips-normal"],
-        "modips-normal-conjoint": modips_entry(
-            "modips-normal-conjoint", NormalModel(mode="conjoint")),
-        "pert-hist": SYNTHESIZERS["pert-hist"],
-        "smooth-hist": SYNTHESIZERS["smooth-hist"],
-        "ms": modips_entry("ms", NormalModel()),
-        "original": _original,
-    },
-    "sim3": {
-        "modips-mixture": modips_entry(
-            "modips-mixture", GaussianMixtureModel(*sim3_cell_bounds())),
-        "np-dips": _sim3_np_dips,
-        "ms": modips_entry("ms", GaussianMixtureModel(*sim3_cell_bounds())),
-        "original": _original,
-    },
-    "sim4": {
-        "modips-logistic": modips_entry("modips-logistic",
-                                        SequentialLogisticModel()),
-        "np-dips": _sim4_np_dips,
-        "ms": modips_entry("ms", SequentialLogisticModel()),
-        "original": _original,
-    },
-}
-
-
 # -- per-set analyzers -------------------------------------------------------
+# each is analyze(dataset, params) -> {parameter: PerSetEstimate}; a set it
+# raises DegenerateEstimate or NonConvergence on is skipped
+
+def _sim1_set_estimates(ds: TabularDataset, params) -> dict:
+    return {"pi": estimate_proportion(ds.column("x"))}
+
+
+def _sim1_pooled_mixed(sets) -> bool:
+    """Study 1's usability rule: the m sets pooled hold both codes."""
+    xs = [s.column("x") for s in sets]
+    return any(x.size for x in xs) and 0.0 < np.concatenate(xs).mean() < 1.0
+
+
+def _sim2_set_estimates(ds: TabularDataset, params) -> dict:
+    """Each parameter skips the set on its own, so the mean keeps a set
+    whose variance is undefined."""
+    out = {}
+    for param, estimator in (("mu", estimate_mean),
+                             ("sigma2", estimate_variance)):
+        if param in params:
+            with suppress(DegenerateEstimate):
+                out[param] = estimator(ds.column("x"))
+    return out
+
 
 def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
-    w1 = ds.column("w1")
-    w2 = ds.column("w2")
-    w3 = ds.column("w3")
+    w1, w2, w3 = ds.column("w1"), ds.column("w2"), ds.column("w3")
     z = np.column_stack([ds.column("z1"), ds.column("z2")])
     n = ds.n
     cells = np.ravel_multi_index([w1, w2, w3], SIM3_LEVELS)
@@ -462,13 +452,10 @@ def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
                 raise DegenerateEstimate("pooled variance collapsed")
             out[name] = variance_from_moments(float(s2),
                                               excess_kurtosis(vals), n)
-    marg = {
-        "pw1_1": (w1 == 1), "pw2_1": (w2 == 1), "pw2_2": (w2 == 2),
-        "pw3_1": (w3 == 1), "pw3_2": (w3 == 2), "pw3_3": (w3 == 3),
-    }
-    for name, mask in marg.items():
+    for name, (axis, level) in SIM3_MARGINS.items():
         if name in params:
-            out[name] = estimate_proportion(mask.astype(float))
+            out[name] = estimate_proportion(
+                ((w1, w2, w3)[axis] == level).astype(float))
     return out
 
 
@@ -477,119 +464,141 @@ def _sim4_set_estimates(ds: TabularDataset, params) -> dict:
     w1 = ds.column("w1").astype(float)
     w2 = ds.column("w2").astype(float)
     w3 = ds.column("w3")
-    n = ds.n
     out = {}
-    if "mu1" in params:
-        out["mu1"] = estimate_mean(z1)
-    if "mu2" in params:
-        out["mu2"] = estimate_mean(z2)
-    if "sigma1" in params:
-        out["sigma1"] = estimate_variance(z1)
-    if "sigma2" in params:
-        out["sigma2"] = estimate_variance(z2)
-    if "rho" in params:
-        out["rho"] = estimate_correlation(z1, z2)
-    want_b1 = any(p.startswith("b1_") for p in params)
-    want_b2 = any(p.startswith("b2_") for p in params)
-    want_b34 = any(p.startswith(("b3_", "b4_")) for p in params)
-    x1 = np.column_stack([np.ones(n), z1, z2])
-    if want_b1:
-        for i, e in enumerate(firth_logistic(x1, w1)):
-            out[f"b1_{i}"] = e
-    if want_b2:
+    for name, estimator, args in (
+            ("mu1", estimate_mean, (z1,)), ("mu2", estimate_mean, (z2,)),
+            ("sigma1", estimate_variance, (z1,)),
+            ("sigma2", estimate_variance, (z2,)),
+            ("rho", estimate_correlation, (z1, z2))):
+        if name in params:
+            out[name] = estimator(*args)
+    x1 = np.column_stack([np.ones(ds.n), z1, z2])
+    if any(p.startswith("b1_") for p in params):
+        out.update((f"b1_{i}", e)
+                   for i, e in enumerate(firth_logistic(x1, w1)))
+    if any(p.startswith("b2_") for p in params):
         x2 = np.column_stack([x1, w1])
-        for i, e in enumerate(firth_logistic(x2, w2)):
-            out[f"b2_{i}"] = e
-    if want_b34:
-        x3 = np.column_stack([x1, w1, w2])
-        blocks = fit_multinomial_logit(x3, w3)
+        out.update((f"b2_{i}", e)
+                   for i, e in enumerate(firth_logistic(x2, w2)))
+    if any(p.startswith(("b3_", "b4_")) for p in params):
+        blocks = fit_multinomial_logit(np.column_stack([x1, w1, w2]), w3)
         for tag, block in zip(("b3", "b4"), blocks):
-            for i, e in enumerate(block):
-                out[f"{tag}_{i}"] = e
+            out.update((f"{tag}_{i}", e) for i, e in enumerate(block))
     return {k: v for k, v in out.items() if k in params}
+
+
+# -- the study table ---------------------------------------------------------
+
+def _truth_settings(simulate, *names) -> dict:
+    """Named settings of a truth simulator, with its signature's defaults."""
+    signature = inspect.signature(simulate).parameters
+    return {name: signature[name].default for name in names}
+
+
+@dataclass(frozen=True)
+class Study:
+    """One simulation study.  ``truth`` maps each setting its simulator
+    reads to the default (``simulate_truth_<study>`` is looked up on this
+    module per replication), ``gate`` is a usability rule over the m sets
+    of a replication, and ``relative`` names the parameters whose bias,
+    RMSE and CI width are reported relative to the true value."""
+    values: Callable[[dict], dict]
+    default_params: tuple[str, ...]
+    methods: dict
+    analyze: Callable
+    truth: dict = field(default_factory=dict)
+    gate: Callable | None = None
+    relative: tuple[str, ...] = ()
+
+    def settings(self, truth: dict) -> dict:
+        """Every truth setting: the config's value, else the default."""
+        return {k: type(d)(truth.get(k, d)) for k, d in self.truth.items()}
+
+
+# every method is release(rng, data, eps, m, ledger, postprocess) -> sets;
+# the order of the studies fixes each one's random stream
+STUDIES = {
+    "sim1": Study(
+        truth=_truth_settings(simulate_truth_sim1, "pi"),
+        values=lambda t: {"pi": t["pi"]}, default_params=("pi",),
+        methods={
+            **{name: SYNTHESIZERS[name]
+               for name in ("modips-bernoulli", "laplace", "md", "bbmr")},
+            "ms": modips_entry("ms", BernoulliModel()),
+            "original": _original,
+        },
+        analyze=_sim1_set_estimates, gate=_sim1_pooled_mixed),
+    "sim2": Study(
+        truth=_truth_settings(simulate_truth_sim2, "mu", "sigma2", "bounds"),
+        values=lambda t: {"mu": t["mu"], "sigma2": t["sigma2"]},
+        default_params=("mu", "sigma2"),
+        methods={
+            "modips-normal": SYNTHESIZERS["modips-normal"],
+            "modips-normal-conjoint": modips_entry(
+                "modips-normal-conjoint", NormalModel(mode="conjoint")),
+            "pert-hist": SYNTHESIZERS["pert-hist"],
+            "smooth-hist": SYNTHESIZERS["smooth-hist"],
+            "ms": modips_entry("ms", NormalModel()),
+            "original": _original,
+        },
+        analyze=_sim2_set_estimates, relative=("sigma2",)),
+    "sim3": Study(
+        values=_sim3_values,
+        default_params=("rho", "sigma1", "sigma2", *SIM3_MARGINS),
+        methods={
+            "modips-mixture": modips_entry(
+                "modips-mixture", GaussianMixtureModel(*sim3_cell_bounds())),
+            "np-dips": _sim3_np_dips,
+            "ms": modips_entry("ms",
+                               GaussianMixtureModel(*sim3_cell_bounds())),
+            "original": _original,
+        },
+        analyze=_sim3_set_estimates),
+    "sim4": Study(
+        values=_sim4_values, default_params=("mu1", "mu2", "rho"),
+        methods={
+            "modips-logistic": modips_entry("modips-logistic",
+                                            SequentialLogisticModel()),
+            "np-dips": _sim4_np_dips,
+            "ms": modips_entry("ms", SequentialLogisticModel()),
+            "original": _original,
+        },
+        analyze=_sim4_set_estimates),
+}
 
 
 # -- replication drivers -----------------------------------------------------
 
-DEFAULT_PARAMS = {
-    "sim1": ["pi"],
-    "sim2": ["mu", "sigma2"],
-    "sim3": ["rho", "sigma1", "sigma2", "pw1_1", "pw2_1", "pw2_2",
-             "pw3_1", "pw3_2", "pw3_3"],
-    "sim4": ["mu1", "mu2", "rho"],
-}
-
 _NO_BUDGET_METHODS = ("ms", "original")
-
-
-def _simulate(config: StudyConfig, rng: RngStream) -> TabularDataset:
-    n, truth = config.n, config.truth
-    if config.study == "sim1":
-        return simulate_truth_sim1(rng, n, float(truth.get("pi", 0.25)))
-    if config.study == "sim2":
-        return simulate_truth_sim2(rng, n, float(truth.get("mu", 0.0)),
-                                   float(truth.get("sigma2", 1.0)),
-                                   truth.get("bounds", "asymmetric"))
-    if config.study == "sim3":
-        return simulate_truth_sim3(rng, n)
-    return simulate_truth_sim4(rng, n)
 
 
 def _run_rep(config: StudyConfig, method: str, rng: RngStream,
              eps: float, params) -> tuple[dict, dict]:
-    """One replication: simulate truth, synthesize, analyze, combine.
+    """One replication: simulate truth, synthesize, analyze each set,
+    combine.
 
-    Returns ({parameter: CombinedEstimate or None}, extras)."""
-    ledger = None
-    if method not in _NO_BUDGET_METHODS:
-        ledger = PrivacyLedger(PrivacyBudget(eps))
-    extras = {}
-    data = _simulate(config, rng.substream(0))
-    sets = STUDY_METHODS[config.study][method](
+    Returns ({parameter: CombinedEstimate or None}, extras); extras holds
+    the released sets and, for a charged method, the ledger audit."""
+    study = STUDIES[config.study]
+    ledger = (None if method in _NO_BUDGET_METHODS
+              else PrivacyLedger(PrivacyBudget(eps)))
+    simulate = globals()[f"simulate_truth_{config.study}"]
+    data = simulate(rng.substream(0), config.n,
+                    **study.settings(config.truth))
+    sets = study.methods[method](
         rng.substream(1), data, eps, config.m, ledger, config.postprocess)
-    if config.study == "sim1":
-        xs = [s.column("x") for s in sets]
-        union = (np.concatenate(xs) if xs else np.array([]))
-        usable = union.size > 0 and 0.0 < union.mean() < 1.0
-        results = {"pi": None}
-        if usable:
-            results["pi"] = combine([estimate_proportion(x) for x in xs
-                                     if x.size])
-    elif config.study == "sim2":
-        results = {}
-        for param, estimator in (("mu", estimate_mean),
-                                 ("sigma2", estimate_variance)):
-            if param not in params:
-                continue
-            per_set = []
-            for s in sets:
-                try:
-                    per_set.append(estimator(s.column("x")))
-                except DegenerateEstimate:
-                    continue
-            results[param] = combine(per_set) if per_set else None
-    else:
-        analyzer = (_sim3_set_estimates if config.study == "sim3"
-                    else _sim4_set_estimates)
-        per_param: dict[str, list] = {p: [] for p in params}
-        empties = []
+    per_param: dict[str, list] = {p: [] for p in params}
+    if study.gate is None or study.gate(sets):
         for s in sets:
-            if config.study == "sim3":
-                cells = np.ravel_multi_index(
-                    [s.column("w1"), s.column("w2"), s.column("w3")],
-                    SIM3_LEVELS)
-                empties.append(int((np.bincount(cells, minlength=24) == 0)
-                                   .sum()))
             try:
-                ests = analyzer(s, params)
+                ests = study.analyze(s, params)
             except (DegenerateEstimate, NonConvergence):
                 continue
             for p, e in ests.items():
                 per_param[p].append(e)
-        results = {p: (combine(lst) if lst else None)
-                   for p, lst in per_param.items()}
-        if empties:
-            extras["empty_cells"] = float(np.mean(empties))
+    results = {p: (combine(lst) if lst else None)
+               for p, lst in per_param.items()}
+    extras = {"sets": sets}
     if ledger is not None:
         # the one full recomputation of the replication: it must match both
         # the budget and the running spend that every charge checked
@@ -605,20 +614,14 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
 def run_study(config: StudyConfig) -> list[MetricRow]:
     """Run the configured Monte-Carlo study; one MetricRow per
     (eps, method, parameter)."""
-    params = config.parameters or DEFAULT_PARAMS[config.study]
-    truth = _truth_values(config)
-    unknown = set(params) - set(truth)
-    if unknown:
-        raise ValueError(f"unknown parameters {sorted(unknown)} for "
-                         f"{config.study}")
-    study_idx = list(STUDY_METHODS).index(config.study)
+    study = STUDIES[config.study]
+    params = config.parameters or study.default_params
+    truth = study.values(study.settings(config.truth))
+    study_idx = list(STUDIES).index(config.study)
     rows = []
     for eps_idx, eps in enumerate(config.eps_grid):
         for method_idx, method in enumerate(config.methods):
-            acc = {p: {"points": [], "covered": [], "widths": []}
-                   for p in params}
-            usable_count = {p: 0 for p in params}
-            failures = 0
+            kept = {p: [] for p in params}
             for rep in range(config.reps):
                 rng = RngStream(config.seed).substream(
                     study_idx, eps_idx, method_idx, rep)
@@ -626,32 +629,26 @@ def run_study(config: StudyConfig) -> list[MetricRow]:
                     results, _ = _run_rep(config, method, rng, eps, params)
                 except (AllCellsZero, NonConvergence, DegenerateEstimate,
                         np.linalg.LinAlgError):
-                    failures += 1
                     continue
                 for p in params:
-                    est = results.get(p)
-                    if est is None:
-                        continue
-                    usable_count[p] += 1
-                    acc[p]["points"].append(est.point)
-                    acc[p]["covered"].append(
-                        est.ci_low <= truth[p] <= est.ci_high)
-                    acc[p]["widths"].append(est.ci_high - est.ci_low)
-            for p in params:
-                pts = np.array(acc[p]["points"])
-                scale = (truth[p] if config.study == "sim2"
-                         and p == "sigma2" else 1.0)
-                if pts.size:
+                    if results[p] is not None:
+                        kept[p].append(results[p])
+            for p, ests in kept.items():
+                pts = np.array([e.point for e in ests])
+                scale = truth[p] if p in study.relative else 1.0
+                if ests:
                     bias = float(pts.mean() - truth[p]) / scale
                     rmse = float(np.sqrt(np.mean((pts - truth[p]) ** 2)))
                     rmse /= scale
-                    coverage = float(np.mean(acc[p]["covered"]))
-                    width = float(np.mean(acc[p]["widths"])) / scale
+                    coverage = float(np.mean(
+                        [e.ci_low <= truth[p] <= e.ci_high for e in ests]))
+                    width = float(np.mean([e.ci_high - e.ci_low
+                                           for e in ests])) / scale
                 else:
                     bias = rmse = coverage = width = math.nan
                 rows.append(MetricRow(
                     config.study, method, p, eps, bias, rmse, coverage,
-                    width, usable_count[p] / config.reps, usable_count[p]))
+                    width, len(ests) / config.reps, len(ests)))
     return rows
 
 

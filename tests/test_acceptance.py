@@ -14,7 +14,9 @@ import pytest
 from scipy import stats
 
 from dips.harness import (
+    SIM3_LEVELS,
     SIM3_PI,
+    STUDIES,
     StudyConfig,
     _run_rep,
     run_study,
@@ -109,6 +111,12 @@ SIM3_SEED = 20_260_826
 SIM3_REPS = 200
 
 
+def _empty_cells(ds) -> int:
+    cells = np.ravel_multi_index(
+        [ds.column("w1"), ds.column("w2"), ds.column("w3")], SIM3_LEVELS)
+    return int((np.bincount(cells, minlength=SIM3_PI.size) == 0).sum())
+
+
 @lru_cache(maxsize=None)
 def _sim3_empty_run(ln_eps: int, method: str, reps: int = SIM3_REPS):
     """Shared Sim-3 runs for the empty-cell and budget-audit checks.
@@ -119,13 +127,15 @@ def _sim3_empty_run(ln_eps: int, method: str, reps: int = SIM3_REPS):
     config = StudyConfig("sim3", SIM3_N, eps_grid=[eps], m=SIM3_M, reps=reps,
                          methods=[method], seed=SIM3_SEED,
                          parameters=["rho"])
+    study_idx = list(STUDIES).index("sim3")
     empties = []
     audited = 0
     for rep in range(reps):
-        rng = RngStream(config.seed).substream(2, 0, 0, rep)
+        rng = RngStream(config.seed).substream(study_idx, 0, 0, rep)
         _, extras = _run_rep(config, method, rng, eps, ["rho"])
-        if "empty_cells" in extras:
-            empties.append(extras["empty_cells"])
+        if extras["sets"]:
+            empties.append(np.mean([_empty_cells(s)
+                                    for s in extras["sets"]]))
         audited += bool(extras.get("ledger_exact"))
     return float(np.mean(empties)), audited, reps
 

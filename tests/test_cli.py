@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dips.harness
 from dips.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS,
                       _load_csv, main)
 from dips.budget import PrivacyBudget, PrivacyLedger
@@ -269,18 +270,47 @@ def test_bench_non_object_config_exits_2(tmp_path, capsys):
     _one_config_error(capsys)
 
 
-@pytest.mark.parametrize("cfg", [
-    {"reps": 1.5}, {"n": 50.5}, {"m": 2.5}, {"seed": 1.5}, {"n": True},
-    {"truth": {"p": 0.9}}, {"eps_grid": [1e400]},
+@pytest.mark.parametrize("study, cfg", [
+    ("sim1", {"reps": 1.5}), ("sim1", {"n": 50.5}), ("sim1", {"m": 2.5}),
+    ("sim1", {"seed": 1.5}), ("sim1", {"n": True}),
+    ("sim1", {"truth": {"p": 0.9}}), ("sim1", {"eps_grid": [1e400]}),
+    ("sim1", {"truth": {"pi": None}}), ("sim1", {"truth": {"pi": [0.3]}}),
+    ("sim1", {"truth": {"pi": "0.3"}}), ("sim2", {"truth": {"mu": None}}),
+    ("sim1", {"methods": ["md", "md"]}),
+    ("sim1", {"eps_grid": [1.0, 1.0]}),
+    ("sim2", {"parameters": ["mu", "mu"]}),
+    ("sim2", {"parameters": ["kurtosis"]}), ("sim2", {"parameters": []}),
+    ("sim1", {"eps_grid": [True]}), ("sim1", {"seed": -1}),
 ], ids=["reps", "n", "m", "seed", "bool-n", "unread-truth-key",
-        "infinite-eps"])
-def test_bench_config_value_errors_exit_2(cfg, tmp_path, capsys):
+        "infinite-eps", "null-truth", "list-truth", "string-truth",
+        "null-sim2-truth", "repeated-method", "repeated-eps",
+        "repeated-parameter", "unknown-parameter", "no-parameters",
+        "bool-eps", "negative-seed"])
+def test_bench_config_value_errors_exit_2(study, cfg, tmp_path, capsys,
+                                          monkeypatch):
+    def replication_ran(*args, **kwargs):
+        raise AssertionError("a replication ran before the refusal")
+
+    monkeypatch.setattr(dips.harness, f"simulate_truth_{study}",
+                        replication_ran)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    code = main(["bench", "--study", "sim1", "--config", str(path),
+    code = main(["bench", "--study", study, "--config", str(path),
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     _one_config_error(capsys)
+
+
+def test_bench_config_study_must_match_flag(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"study": "sim2", "n": 50}))
+    code = main(["bench", "--study", "sim1", "--config", str(path),
+                 "--reps", "1", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: the config's study 'sim2' differs "
+                   "from --study sim1"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_modips_normal_one_row_exits_2(tmp_path, capsys):

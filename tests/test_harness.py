@@ -9,12 +9,11 @@ from scipy import stats
 import dips.harness
 from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import (
-    DEFAULT_PARAMS,
     METRIC_COLUMNS,
     SIM3_LEVELS,
     SIM3_PI,
     SIM4_BETA1,
-    STUDY_METHODS,
+    STUDIES,
     MetricRow,
     StudyConfig,
     load_metrics,
@@ -160,9 +159,8 @@ def test_run_study_original_has_small_bias():
 
 
 def test_run_study_rejects_unknown_parameter():
-    cfg = StudyConfig("sim2", n=100, reps=2, parameters=["kurtosis"])
     with pytest.raises(ValueError, match="unknown parameters"):
-        run_study(cfg)
+        StudyConfig("sim2", n=100, reps=2, parameters=["kurtosis"])
 
 
 def test_run_study_sim2_both_parameters():
@@ -175,8 +173,31 @@ def test_run_study_sim2_both_parameters():
         assert math.isfinite(r.bias)
 
 
-def test_default_params_cover_every_study():
-    assert set(DEFAULT_PARAMS) == {"sim1", "sim2", "sim3", "sim4"}
+def test_study_table_order_fixes_the_streams():
+    # a study's index in the table seeds its rows' random streams
+    assert list(STUDIES) == ["sim1", "sim2", "sim3", "sim4"]
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_truth_simulator_runs_once_per_replication(study, monkeypatch):
+    """The benchmark times a replication from one call of the harness's
+    ``simulate_truth_<study>`` to the next, so the harness must look the
+    simulator up on its module for every replication."""
+    name = f"simulate_truth_{study}"
+    original = getattr(dips.harness, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dips.harness, name, counting)
+    methods = list(STUDIES[study].methods)[-2:]  # ms and original: no noise
+    # the mixture model needs more rows than its 24 cells
+    run_study(StudyConfig(study, {"sim3": 30}.get(study, 20),
+                          eps_grid=[1.0, 2.0], m=2, reps=2, methods=methods,
+                          seed=3))
+    assert len(calls) == 2 * 2 * 2
 
 
 def test_sim4_large_eps_consistency():
@@ -367,7 +388,7 @@ SIM1_SIM2_PINNED_DIGESTS = {
 
 def test_sim1_sim2_rows_match_pinned_digest():
     for (study, postprocess), pinned in SIM1_SIM2_PINNED_DIGESTS.items():
-        assert set(pinned) == set(STUDY_METHODS[study])
+        assert set(pinned) == set(STUDIES[study].methods)
         rows = run_study(StudyConfig(
             study, {"sim1": 40, "sim2": 100}[study],
             eps_grid=[math.exp(-9), math.exp(-2), math.exp(2)], m=3, reps=3,
@@ -379,8 +400,8 @@ def test_sim1_sim2_rows_match_pinned_digest():
 
 def _sim3_np_release(eps, ledger, m=3):
     data = simulate_truth_sim3(RngStream(3), 300)
-    return STUDY_METHODS["sim3"]["np-dips"](RngStream(4), data, eps, m,
-                                            ledger, "BIT")
+    return STUDIES["sim3"].methods["np-dips"](RngStream(4), data, eps, m,
+                                              ledger, "BIT")
 
 
 def _assert_two_entries_per_set(ledger, eps, m=3):
