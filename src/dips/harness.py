@@ -22,6 +22,7 @@ import csv
 import inspect
 import json
 import math
+import sys
 from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -193,8 +194,11 @@ class StudyConfig:
 
 
 def _is_finite_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool, and finite."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """A number a float can hold: an int or a float (not a bool) no larger
+    than the largest float.  The comparison is exact for an int of any
+    size, and false for nan and inf."""
+    return (type(value) in (int, float)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -251,12 +255,15 @@ def simulate_truth_sim2(rng: RngStream, n: int, mu: float = 0.0,
     return TabularDataset([ContinuousColumn("x", c0, c1)], {"x": x})
 
 
-def _w_z_columns(levels, z_bounds):
-    """Studies 3 and 4: w1..w3 with these level counts, then z1 and z2."""
-    return ([CategoricalColumn(f"w{j + 1}", tuple(range(k)))
-             for j, k in enumerate(levels)]
-            + [ContinuousColumn(f"z{j + 1}", *b)
-               for j, b in enumerate(z_bounds)])
+def _sim3_columns():
+    zb = sim3_z_bounds()
+    return [
+        CategoricalColumn("w1", tuple(range(SIM3_LEVELS[0]))),
+        CategoricalColumn("w2", tuple(range(SIM3_LEVELS[1]))),
+        CategoricalColumn("w3", tuple(range(SIM3_LEVELS[2]))),
+        ContinuousColumn("z1", *zb[0]),
+        ContinuousColumn("z2", *zb[1]),
+    ]
 
 
 def simulate_truth_sim3(rng: RngStream, n: int,
@@ -277,9 +284,19 @@ def simulate_truth_sim3(rng: RngStream, n: int,
         z[idx] = mus[cells[idx]] + gen.standard_normal((len(idx), 2)) @ chol.T
         bad[idx] = ((z[idx] < lo[idx]) | (z[idx] > hi[idx])).any(axis=1)
     w = np.unravel_index(cells, SIM3_LEVELS)
-    return TabularDataset(_w_z_columns(SIM3_LEVELS, sim3_z_bounds()), {
+    return TabularDataset(_sim3_columns(), {
         "w1": w[0].astype(np.int64), "w2": w[1].astype(np.int64),
         "w3": w[2].astype(np.int64), "z1": z[:, 0], "z2": z[:, 1]})
+
+
+def _sim4_columns():
+    return [
+        CategoricalColumn("w1", (0, 1)),
+        CategoricalColumn("w2", (0, 1)),
+        CategoricalColumn("w3", (0, 1, 2)),
+        ContinuousColumn("z1", *SIM4_Z_BOUNDS[0]),
+        ContinuousColumn("z2", *SIM4_Z_BOUNDS[1]),
+    ]
 
 
 def simulate_truth_sim4(rng: RngStream, n: int,
@@ -304,7 +321,7 @@ def simulate_truth_sim4(rng: RngStream, n: int,
     b = np.exp(x3 @ SIM4_BETA4)
     u = gen.random(n) * (1.0 + a + b)
     w3 = np.where(u < 1.0, 0, np.where(u < 1.0 + a, 1, 2)).astype(np.int64)
-    return TabularDataset(_w_z_columns((2, 2, 3), SIM4_Z_BOUNDS), {
+    return TabularDataset(_sim4_columns(), {
         "w1": w1, "w2": w2, "w3": w3, "z1": z[:, 0], "z2": z[:, 1]})
 
 
@@ -319,12 +336,13 @@ def _sim3_values(settings) -> dict[str, float]:
 
 
 def _sim4_values(settings) -> dict[str, float]:
-    betas = {"b1": SIM4_BETA1, "b2": SIM4_BETA2, "b3": SIM4_BETA3,
-             "b4": SIM4_BETA4}
-    return {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0,
-            "rho": SIM4_RHO, **{f"{tag}_{i}": float(v)
-                                for tag, beta in betas.items()
-                                for i, v in enumerate(beta)}}
+    vals = {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0,
+            "rho": SIM4_RHO}
+    for tag, beta in (("b1", SIM4_BETA1), ("b2", SIM4_BETA2),
+                      ("b3", SIM4_BETA3), ("b4", SIM4_BETA4)):
+        for i, v in enumerate(beta):
+            vals[f"{tag}_{i}"] = float(v)
+    return vals
 
 
 # -- study-only methods ------------------------------------------------------
@@ -382,7 +400,7 @@ def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
         if drawn is None:
             drawn = sub.generator.uniform(lower[k], upper[k], size=(n_new, 2))
         z_new[take] = drawn
-    return TabularDataset(_w_z_columns(SIM3_LEVELS, sim3_z_bounds()), {
+    return TabularDataset(_sim3_columns(), {
         "w1": codes["w1"], "w2": codes["w2"], "w3": codes["w3"],
         "z1": z_new[:, 0], "z2": z_new[:, 1]}, validate=False)
 
@@ -428,7 +446,9 @@ def _sim2_set_estimates(ds: TabularDataset, params) -> dict:
 
 
 def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
-    w1, w2, w3 = ds.column("w1"), ds.column("w2"), ds.column("w3")
+    w1 = ds.column("w1")
+    w2 = ds.column("w2")
+    w3 = ds.column("w3")
     z = np.column_stack([ds.column("z1"), ds.column("z2")])
     n = ds.n
     cells = np.ravel_multi_index([w1, w2, w3], SIM3_LEVELS)
@@ -464,26 +484,35 @@ def _sim4_set_estimates(ds: TabularDataset, params) -> dict:
     w1 = ds.column("w1").astype(float)
     w2 = ds.column("w2").astype(float)
     w3 = ds.column("w3")
+    n = ds.n
     out = {}
-    for name, estimator, args in (
-            ("mu1", estimate_mean, (z1,)), ("mu2", estimate_mean, (z2,)),
-            ("sigma1", estimate_variance, (z1,)),
-            ("sigma2", estimate_variance, (z2,)),
-            ("rho", estimate_correlation, (z1, z2))):
-        if name in params:
-            out[name] = estimator(*args)
-    x1 = np.column_stack([np.ones(ds.n), z1, z2])
-    if any(p.startswith("b1_") for p in params):
-        out.update((f"b1_{i}", e)
-                   for i, e in enumerate(firth_logistic(x1, w1)))
-    if any(p.startswith("b2_") for p in params):
+    if "mu1" in params:
+        out["mu1"] = estimate_mean(z1)
+    if "mu2" in params:
+        out["mu2"] = estimate_mean(z2)
+    if "sigma1" in params:
+        out["sigma1"] = estimate_variance(z1)
+    if "sigma2" in params:
+        out["sigma2"] = estimate_variance(z2)
+    if "rho" in params:
+        out["rho"] = estimate_correlation(z1, z2)
+    want_b1 = any(p.startswith("b1_") for p in params)
+    want_b2 = any(p.startswith("b2_") for p in params)
+    want_b34 = any(p.startswith(("b3_", "b4_")) for p in params)
+    x1 = np.column_stack([np.ones(n), z1, z2])
+    if want_b1:
+        for i, e in enumerate(firth_logistic(x1, w1)):
+            out[f"b1_{i}"] = e
+    if want_b2:
         x2 = np.column_stack([x1, w1])
-        out.update((f"b2_{i}", e)
-                   for i, e in enumerate(firth_logistic(x2, w2)))
-    if any(p.startswith(("b3_", "b4_")) for p in params):
-        blocks = fit_multinomial_logit(np.column_stack([x1, w1, w2]), w3)
+        for i, e in enumerate(firth_logistic(x2, w2)):
+            out[f"b2_{i}"] = e
+    if want_b34:
+        x3 = np.column_stack([x1, w1, w2])
+        blocks = fit_multinomial_logit(x3, w3)
         for tag, block in zip(("b3", "b4"), blocks):
-            out.update((f"{tag}_{i}", e) for i, e in enumerate(block))
+            for i, e in enumerate(block):
+                out[f"{tag}_{i}"] = e
     return {k: v for k, v in out.items() if k in params}
 
 

@@ -281,11 +281,13 @@ def test_bench_non_object_config_exits_2(tmp_path, capsys):
     ("sim2", {"parameters": ["mu", "mu"]}),
     ("sim2", {"parameters": ["kurtosis"]}), ("sim2", {"parameters": []}),
     ("sim1", {"eps_grid": [True]}), ("sim1", {"seed": -1}),
+    ("sim1", {"truth": {"pi": 10 ** 400}}),
+    ("sim1", {"eps_grid": [10 ** 400]}),
 ], ids=["reps", "n", "m", "seed", "bool-n", "unread-truth-key",
         "infinite-eps", "null-truth", "list-truth", "string-truth",
         "null-sim2-truth", "repeated-method", "repeated-eps",
         "repeated-parameter", "unknown-parameter", "no-parameters",
-        "bool-eps", "negative-seed"])
+        "bool-eps", "negative-seed", "huge-int-truth", "huge-int-eps"])
 def test_bench_config_value_errors_exit_2(study, cfg, tmp_path, capsys,
                                           monkeypatch):
     def replication_ran(*args, **kwargs):
