@@ -9,6 +9,7 @@ a small relative tolerance on top of the exact arithmetic.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,13 +41,16 @@ def _as_fraction(eps: EpsLike) -> Fraction:
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """A positive privacy-loss allowance."""
+    """A positive, finite privacy-loss allowance."""
 
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0):  # also refuses NaN
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        # an exact comparison also refuses NaN, inf and an int too large
+        # for a float, which the ledger's Fraction arithmetic cannot hold
+        if not (0 < self.epsilon <= sys.float_info.max):
+            raise ValueError(f"epsilon must be positive and finite, got "
+                             f"{self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
 
 
 def _run_synth(args) -> int:
-    ds = _load_csv(args.input, args.schema)
     ledger = PrivacyLedger(PrivacyBudget(args.eps))
+    ds = _load_csv(args.input, args.schema)
     sets = SYNTHESIZERS[args.method](RngStream(args.seed), ds, args.eps,
                                      args.m, ledger, "BIT")
     out = Path(args.out)

@@ -162,11 +162,16 @@ class StudyConfig:
             raise ValueError(f"truth keys {sorted(unknown)} are not read by "
                              f"{self.study}")
         for key, value in self.truth.items():
-            text = isinstance(study.truth[key], str)
-            if not (type(value) is str if text else _is_finite_number(value)):
-                raise ValueError(f"truth {key!r} must be a "
-                                 f"{'string' if text else 'finite number'}, "
-                                 f"got {value!r}")
+            default, valid = study.truth[key]
+            if isinstance(default, str):
+                ok = type(value) is str and value in valid
+                wanted = f"one of {list(valid)}"
+            else:
+                ok = _is_finite_number(value) and valid[0] < value < valid[1]
+                wanted = f"a finite number in ({valid[0]:g}, {valid[1]:g})"
+            if not ok:
+                raise ValueError(f"{self.study} truth {key!r} must be "
+                                 f"{wanted}, got {value!r}")
         if not all(_is_finite_number(e) and e > 0 for e in self.eps_grid):
             raise ValueError("eps_grid must hold positive, finite numbers")
         if list(self.eps_grid) != sorted(self.eps_grid):
@@ -518,17 +523,20 @@ def _sim4_set_estimates(ds: TabularDataset, params) -> dict:
 
 # -- the study table ---------------------------------------------------------
 
-def _truth_settings(simulate, *names) -> dict:
-    """Named settings of a truth simulator, with its signature's defaults."""
+def _truth_settings(simulate, **valid) -> dict:
+    """Named settings of a truth simulator: each maps to its signature's
+    default and its valid values, an open interval (lo, hi) for a number
+    or a tuple of choices for a string."""
     signature = inspect.signature(simulate).parameters
-    return {name: signature[name].default for name in names}
+    return {name: (signature[name].default, ok) for name, ok in valid.items()}
 
 
 @dataclass(frozen=True)
 class Study:
     """One simulation study.  ``truth`` maps each setting its simulator
-    reads to the default (``simulate_truth_<study>`` is looked up on this
-    module per replication), ``gate`` is a usability rule over the m sets
+    reads to its default and valid values, which ``StudyConfig`` checks
+    (``simulate_truth_<study>`` is looked up on this module per
+    replication), ``gate`` is a usability rule over the m sets
     of a replication, and ``relative`` names the parameters whose bias,
     RMSE and CI width are reported relative to the true value."""
     values: Callable[[dict], dict]
@@ -541,14 +549,15 @@ class Study:
 
     def settings(self, truth: dict) -> dict:
         """Every truth setting: the config's value, else the default."""
-        return {k: type(d)(truth.get(k, d)) for k, d in self.truth.items()}
+        return {k: type(d)(truth.get(k, d))
+                for k, (d, _) in self.truth.items()}
 
 
 # every method is release(rng, data, eps, m, ledger, postprocess) -> sets;
 # the order of the studies fixes each one's random stream
 STUDIES = {
     "sim1": Study(
-        truth=_truth_settings(simulate_truth_sim1, "pi"),
+        truth=_truth_settings(simulate_truth_sim1, pi=(0.0, 1.0)),
         values=lambda t: {"pi": t["pi"]}, default_params=("pi",),
         methods={
             **{name: SYNTHESIZERS[name]
@@ -558,7 +567,9 @@ STUDIES = {
         },
         analyze=_sim1_set_estimates, gate=_sim1_pooled_mixed),
     "sim2": Study(
-        truth=_truth_settings(simulate_truth_sim2, "mu", "sigma2", "bounds"),
+        truth=_truth_settings(simulate_truth_sim2, mu=(-math.inf, math.inf),
+                              sigma2=(0.0, math.inf),
+                              bounds=("asymmetric", "symmetric")),
         values=lambda t: {"mu": t["mu"], "sigma2": t["sigma2"]},
         default_params=("mu", "sigma2"),
         methods={

@@ -85,18 +85,24 @@ class SyntheticRelease:
 
 class ModipsModel(Protocol):
     """A stateless model plugin.  `modips_release` calls
-    ``sufficient_statistics`` once per release, then per set gives the
-    draws the ``stats`` by group label and the public facts: the row count
-    n and the declared ``columns``, from which a model reads its bounds and
-    level counts.  ``stats`` holds the sanitized groups and, as they are,
-    the groups declared with ``delta_s=None``.  A predictive draw returns a
-    set over exactly those columns.  The draws change neither the model nor
-    the ``stats`` arrays."""
+    ``sufficient_statistics`` once per release and ``posterior_draw`` once
+    per release with every set's ``stats`` (by group label) and stream,
+    in set order; it returns one parameter draw per set, each of which
+    ``predictive_draw`` turns into a set.  The draws also get the public
+    facts: the row count n and the declared ``columns``, from which a
+    model reads its bounds and level counts.  ``stats`` holds the
+    sanitized groups and, as they are, the groups declared with
+    ``delta_s=None``.  Set j's parameters depend only on ``rngs[j]`` and
+    ``stats_sets[j]``, so a call over m sets equals m one-set calls, and
+    its flags come in set order.  A predictive draw returns a set over
+    exactly those columns.  The draws change neither the model nor the
+    ``stats`` arrays."""
 
     def sufficient_statistics(self, data: TabularDataset) -> list[StatGroup]: ...
 
-    def posterior_draw(self, rng: RngStream, stats: dict[str, np.ndarray],
-                       n: int, flags: list[str]): ...
+    def posterior_draw(self, rngs: list[RngStream],
+                       stats_sets: list[dict[str, np.ndarray]], n: int,
+                       flags: list[str]) -> list: ...
 
     def predictive_draw(self, rng: RngStream, params, columns: list,
                         n: int) -> TabularDataset: ...
@@ -173,12 +179,15 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                    postprocess: str = "BIT",
                    method: str = "modips") -> SyntheticRelease:
     """Release m synthetic sets.  The model's sufficient statistics are
-    computed once.  Per set, eps/m is split across the sanitized groups by
-    ``allocation`` and ``mechanisms.laplace_mechanism`` sanitizes each
-    group with its share; parameters are drawn from the posterior given
-    the statistics, and a synthetic set of the source's n rows over its
-    declared columns is drawn from the predictive.  The draws take n and
-    the columns as public facts from this call.
+    computed once.  Per set, in set order, eps/m is split across the
+    sanitized groups by ``allocation`` and ``mechanisms.laplace_mechanism``
+    sanitizes each group with its share.  One posterior call then draws
+    every set's parameters given its statistics, and per set a synthetic
+    set of the source's n rows over its declared columns is drawn from
+    the predictive.  Set j sanitizes on ``rng.substream(j).substream(i)``,
+    draws its parameters on ``.substream(10_000)`` and its rows on
+    ``.substream(20_000)``.  The draws take n and the columns as public
+    facts from this call.
 
     A group declared with ``delta_s=None`` reaches the posterior raw,
     uncharged, and noted in the release's flags as ``unsanitized:<label>``;
@@ -200,10 +209,10 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in groups}
     noisy = list(zip(private, shares)) if sanitize else []
-    sets = []
+    subs = [rng.substream(j) for j in range(m)]
+    stats_sets = []
     records_all = []
-    for j in range(m):
-        sub = rng.substream(j)
+    for j, sub in enumerate(subs):
         stats = dict(raw)
         records = []
         for i, (group, share_frac) in enumerate(noisy):
@@ -216,10 +225,12 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
             stats[group.label] = record.sanitized
             if ledger is not None:
                 ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
-        params = model.posterior_draw(sub.substream(10_000), stats, n, flags)
-        sets.append(model.predictive_draw(sub.substream(20_000), params,
-                                          data.columns, n))
+        stats_sets.append(stats)
         records_all.append(records)
+    params = model.posterior_draw([sub.substream(10_000) for sub in subs],
+                                  stats_sets, n, flags)
+    sets = [model.predictive_draw(sub.substream(20_000), p, data.columns, n)
+            for sub, p in zip(subs, params, strict=True)]
     return SyntheticRelease(sets, flags, records_all)
 
 
@@ -238,9 +249,13 @@ class BernoulliModel:
         return [StatGroup("n1", np.array([float(data.column(col.name).sum())]),
                           1.0, 0.0, float(data.n))]
 
-    def posterior_draw(self, rng, stats, n, flags):
-        n1 = float(stats["n1"][0])
-        return sample_beta(rng, self.prior_a + n1, self.prior_b + n - n1)
+    def posterior_draw(self, rngs, stats_sets, n, flags):
+        draws = []
+        for rng, stats in zip(rngs, stats_sets, strict=True):
+            n1 = float(stats["n1"][0])
+            draws.append(sample_beta(rng, self.prior_a + n1,
+                                     self.prior_b + n - n1))
+        return draws
 
     def predictive_draw(self, rng, p, columns, n):
         (col,) = columns
@@ -286,14 +301,18 @@ class NormalModel:
             return float(stats["mean_var"][0]), float(stats["mean_var"][1])
         return float(stats["mean"][0]), float(stats["var"][0])
 
-    def posterior_draw(self, rng, stats, n, flags):
-        xbar, s2 = self._unpack(stats)
-        if s2 <= 0:
-            flags.append("PosteriorDegenerate:var")
-            s2 = TINY_VARIANCE
-        sigma2 = float(sample_inv_gamma(rng, (n - 1) / 2, (n - 1) * s2 / 2))
-        mu = float(sample_normal(rng, xbar, math.sqrt(sigma2 / n)))
-        return mu, sigma2
+    def posterior_draw(self, rngs, stats_sets, n, flags):
+        draws = []
+        for rng, stats in zip(rngs, stats_sets, strict=True):
+            xbar, s2 = self._unpack(stats)
+            if s2 <= 0:
+                flags.append("PosteriorDegenerate:var")
+                s2 = TINY_VARIANCE
+            sigma2 = float(sample_inv_gamma(rng, (n - 1) / 2,
+                                            (n - 1) * s2 / 2))
+            mu = float(sample_normal(rng, xbar, math.sqrt(sigma2 / n)))
+            draws.append((mu, sigma2))
+        return draws
 
     def predictive_draw(self, rng, params, columns, n):
         (col,) = columns
@@ -394,25 +413,28 @@ class GaussianMixtureModel:
             StatGroup("raw_counts", counts, None),
         ]
 
-    def posterior_draw(self, rng, stats, n, flags):
+    def posterior_draw(self, rngs, stats_sets, n, flags):
         k = self.k
-        counts_star = stats["counts"]
-        pi = sample_dirichlet(rng, self.prior_alpha + counts_star)
-        s_star = _sanitized_cov2(stats["var1"], stats["var2"], stats["cov"],
-                                 flags)
-        sigma = sample_inv_wishart(rng, n - k, n * s_star)
-        mus = np.zeros((k, 2))
-        raw_counts = stats["raw_counts"]
-        for kk in range(k):
-            if raw_counts[kk] > 0:
-                mus[kk] = sample_mvnormal(
-                    rng, np.array([stats["zbar1"][kk], stats["zbar2"][kk]]),
-                    sigma / raw_counts[kk])
-            else:
-                # no data in the cell: prior predictive over its bounds
-                mus[kk] = rng.generator.uniform(self.cell_lower[kk],
-                                                self.cell_upper[kk])
-        return pi, mus, sigma
+        draws = []
+        for rng, stats in zip(rngs, stats_sets, strict=True):
+            pi = sample_dirichlet(rng, self.prior_alpha + stats["counts"])
+            s_star = _sanitized_cov2(stats["var1"], stats["var2"],
+                                     stats["cov"], flags)
+            sigma = sample_inv_wishart(rng, n - k, n * s_star)
+            mus = np.zeros((k, 2))
+            raw_counts = stats["raw_counts"]
+            for kk in range(k):
+                if raw_counts[kk] > 0:
+                    mus[kk] = sample_mvnormal(
+                        rng, np.array([stats["zbar1"][kk],
+                                       stats["zbar2"][kk]]),
+                        sigma / raw_counts[kk])
+                else:
+                    # no data in the cell: prior predictive over its bounds
+                    mus[kk] = rng.generator.uniform(self.cell_lower[kk],
+                                                    self.cell_upper[kk])
+            draws.append((pi, mus, sigma))
+        return draws
 
     def predictive_draw(self, rng, params, columns, n):
         pi, mus, sigma = params
@@ -543,46 +565,54 @@ class SequentialLogisticModel:
 
     def _mh_lockstep(self, rngs, loglik, dims, n_draws):
         """Adaptive random-walk Metropolis over K targets advanced in
-        lockstep: each step makes one ``loglik(betas) -> K values`` call
-        with every target's proposal.  Returns one (n_draws, dims[k])
-        array per target.
+        lockstep.  The targets' states lie end to end in one vector, and
+        each step makes one ``loglik(proposal) -> K values`` call on every
+        target's proposal in that layout.  Returns one (n_draws, dims[k])
+        array per target.  The logistic posterior runs the three
+        regressions of every set of a release as one such call.
 
         Target k runs chain c on ``rngs[k].substream(c)``, with its own
         proposal scale, tuned during burn-in toward 0.2-0.5 acceptance and
-        frozen afterwards.  Each step draws every target's proposal and
-        then every target's accept uniform, so each generator sees the
-        same normal, uniform sequence as a run of that target alone and
-        returns the same draws.  Each chain keeps every `mh_thin`-th state
-        after burn-in, at most `per_chain` of them, and chains are
-        concatenated in order.  Only the iterations whose draws are
-        returned are run: a chain stops at its last used draw and a chain
-        with none is skipped.  The result equals the first `n_draws` rows
-        of the full run (tiled when `n_draws` exceeds the draws of all
-        chains)."""
+        frozen afterwards.  Each step draws every target's proposal
+        normals and then every target's accept uniform, so each generator
+        sees the same normal, uniform sequence as a run of that target
+        alone and returns the same draws.  Each chain keeps every
+        `mh_thin`-th state after burn-in, at most `per_chain` of them, and
+        chains are concatenated in order.  Only the iterations whose draws
+        are returned are run: a chain stops at its last used draw and a
+        chain with none is skipped.  The result equals the first `n_draws`
+        rows of the full run (tiled when `n_draws` exceeds the draws of
+        all chains)."""
         burnin, thin = self.mh_burnin, self.mh_thin
         per_chain = (self.mh_iters - burnin) // thin
         needed = min(n_draws, per_chain * self.mh_chains)
+        ends = np.cumsum(dims)
+        parts = [slice(end - d, end) for d, end in zip(dims, ends)]
         targets = range(len(dims))
-        draws = [[] for _ in targets]
+        kept = []
         for chain in range(self.mh_chains):
-            want = min(per_chain, needed - len(draws[0]))
+            want = min(per_chain, needed - len(kept))
             if want <= 0:
                 break
             gens = [r.substream(chain).generator for r in rngs]
-            betas = [np.zeros(d) for d in dims]
-            current = list(loglik(betas))
+            state = np.zeros(ends[-1])
+            noise = np.empty(ends[-1])
+            current = list(loglik(state))
             scales = [0.2] * len(dims)
+            steps = np.repeat(scales, dims)
             accepted = [0] * len(dims)
             window = 0
             for it in range(burnin + (want - 1) * thin + 1):
-                proposals = [beta + gen.normal(0.0, scale, size=d)
-                             for beta, gen, scale, d
-                             in zip(betas, gens, scales, dims)]
-                cands = loglik(proposals)
+                for gen, part in zip(gens, parts):
+                    gen.standard_normal(out=noise[part])
+                # the product numpy's normal(0, scale) forms, bit for bit
+                proposal = state + steps * noise
+                cands = loglik(proposal)
                 for k in targets:
                     if (math.log(gens[k].random() + 1e-300)
                             < cands[k] - current[k]):
-                        betas[k], current[k] = proposals[k], cands[k]
+                        state[parts[k]] = proposal[parts[k]]
+                        current[k] = cands[k]
                         accepted[k] += 1
                 window += 1
                 if it < burnin and window == 100:
@@ -593,35 +623,35 @@ class SequentialLogisticModel:
                         elif rate > 0.5:
                             scales[k] *= 1.4
                         accepted[k] = 0
+                    steps = np.repeat(scales, dims)
                     window = 0
                 if it >= burnin and (it - burnin) % thin == 0:
-                    # proposals are fresh arrays, so states need no copy
-                    for k in targets:
-                        draws[k].append(betas[k])
-        out = []
-        for kept, d in zip(draws, dims):
-            if not kept:
-                out.append(np.empty((0, d)))
-                continue
-            kept = np.array(kept)
-            reps = int(np.ceil(n_draws / len(kept)))
-            out.append(np.tile(kept, (reps, 1))[:n_draws])
-        return out
+                    kept.append(state.copy())
+        if not kept:
+            return [np.empty((0, d)) for d in dims]
+        reps = int(np.ceil(n_draws / len(kept)))
+        rows = np.tile(np.array(kept), (reps, 1))[:n_draws]
+        return [np.ascontiguousarray(rows[:, part]) for part in parts]
 
     @staticmethod
     def _lockstep_loglik(x3, w1, w2, w3, weights):
-        """The three regressions' tempered log-likelihoods in one pass:
-        ``loglik([beta1, beta2, beta34]) -> [ll1, ll2, ll34]``, each equal
-        to ``weights[k] * _clamped_loglik(_log_factors_*)`` up to rounding.
+        """The three regressions' tempered log-likelihoods for m sets in
+        one pass: with ``weights`` of shape (m, 3), ``loglik(coef) ->
+        [ll1, ll2, ll34] * m`` for ``coef`` the m sets' (beta1, beta2,
+        beta34) end to end, 17 entries per set, set j's each equal
+        to ``weights[j, k] * _clamped_loglik(_log_factors_*)`` up to
+        rounding.  The sets share the rows and differ in their
+        coefficients and weights.
 
         A row's log factor is -log1p(sum_j exp(d_j)), where d_j is the
         linear predictor of an unobserved category j minus that of the
         observed one (category 0's is 0): one d for each binary row, two
         for each trinomial row.  x1 and x2 are the first 3 and 4 columns
         of x3, so one signed design of 4n rows gives every d from the
-        stacked coefficients.  A d above -log(1e-12) saturates the clamp
-        however large it is, so capping d just above that keeps exp
-        finite and leaves every clamped factor unchanged."""
+        stacked coefficients, and one (m x 17) @ (17 x 4n) product gives
+        every set's.  A d above -log(1e-12) saturates the clamp however
+        large it is, so capping d just above that keeps exp finite and
+        leaves every clamped factor unchanged."""
         n = len(w1)
         y3 = np.asarray(w3, dtype=np.int64)
         # loading of each trinomial category's predictor on (beta3, beta4)
@@ -640,36 +670,56 @@ class SequentialLogisticModel:
         ceiling = -math.log(PROPORTION_CLAMP[0])
         cap = ceiling + 1.0
         neg_weights = -np.asarray(weights, dtype=float)
-        # d of the w1 rows, the w2 rows, then the first and second d of the
-        # w3 rows; after exp the second is added into the first
-        diff = np.empty(4 * n)
-        w3_first, w3_second = diff[2 * n:3 * n], diff[3 * n:]
-        per_row = diff[:3 * n]
+        m = len(neg_weights)
+        design_t = design.T
+        # per set: d of the w1 rows, the w2 rows, then the first and second
+        # d of the w3 rows; after exp the second is added into the first
+        diff = np.empty((m, 4 * n))
+        w3_first, w3_second = diff[:, 2 * n:3 * n], diff[:, 3 * n:]
+        per_row = diff[:, :3 * n]
 
-        def loglik(betas):
-            np.matmul(design, np.concatenate(betas), out=diff)
+        def loglik(coef):
+            np.matmul(coef.reshape(m, 17), design_t, out=diff)
             np.minimum(diff, cap, out=diff)
             np.exp(diff, out=diff)
             np.add(w3_first, w3_second, out=w3_first)
             neg_logp = np.log1p(per_row)
             np.maximum(neg_logp, floor, out=neg_logp)
             np.minimum(neg_logp, ceiling, out=neg_logp)
-            return (neg_weights * neg_logp.reshape(3, n).sum(axis=1)).tolist()
+            sums = neg_logp.reshape(m, 3, n).sum(axis=2)
+            return (neg_weights * sums).ravel().tolist()
         return loglik
 
-    def posterior_draw(self, rng, stats, n, flags):
-        s_star = _sanitized_cov2(stats["s11"], stats["s22"], stats["s12"],
-                                 flags)
-        sigma = sample_inv_wishart(rng, n, n * s_star)
-        mu = sample_mvnormal(rng, np.array([float(stats["zbar1"][0]),
-                                            float(stats["zbar2"][0])]),
-                             sigma / n)
-        weights = [self._temper_weight(stats, idx) for idx in range(3)]
-        loglik = self._lockstep_loglik(stats["x3"], stats["w1"], stats["w2"],
-                                       stats["w3"], weights)
-        beta1, beta2, beta34 = self._mh_lockstep(
-            [rng.substream(k) for k in (1, 2, 3)], loglik, (3, 4, 10), n)
-        return mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:]
+    def posterior_draw(self, rngs, stats_sets, n, flags):
+        """Per set, the covariate mean and covariance on its stream and
+        its three tempering weights; then one MH over the three
+        regressions of every set, set j's on ``rngs[j].substream(1|2|3)``,
+        with a likelihood that reads the rows all sets share."""
+        covariates, weights = [], []
+        for rng, stats in zip(rngs, stats_sets, strict=True):
+            s_star = _sanitized_cov2(stats["s11"], stats["s22"],
+                                     stats["s12"], flags)
+            sigma = sample_inv_wishart(rng, n, n * s_star)
+            mu = sample_mvnormal(rng, np.array([float(stats["zbar1"][0]),
+                                                float(stats["zbar2"][0])]),
+                                 sigma / n)
+            covariates.append((mu, sigma))
+            weights.append([self._temper_weight(stats, idx)
+                            for idx in range(3)])
+        labels = ("x3", "w1", "w2", "w3")
+        rows = [stats_sets[0][label] for label in labels]
+        if not all(np.array_equal(stats[label], row)
+                   for stats in stats_sets[1:]
+                   for label, row in zip(labels, rows)):
+            raise ValueError("the sets of one release must share their "
+                             "unsanitized rows")
+        loglik = self._lockstep_loglik(*rows, weights)
+        draws = self._mh_lockstep(
+            [rng.substream(k) for rng in rngs for k in (1, 2, 3)], loglik,
+            (3, 4, 10) * len(rngs), n)
+        return [(mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:])
+                for (mu, sigma), beta1, beta2, beta34
+                in zip(covariates, draws[0::3], draws[1::3], draws[2::3])]
 
     def predictive_draw(self, rng, params, columns, n):
         mu, sigma, beta1, beta2, beta3, beta4 = params

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 __all__ = [
     "ParameterDomainError",
@@ -221,5 +221,5 @@ def t_quantile(p: float, df: float) -> float:
     if df != math.inf and df <= 0:
         raise ParameterDomainError(f"df must be positive, got {df}")
     if math.isinf(df):
-        return float(stats.norm.ppf(p))
-    return float(stats.t.ppf(p, df))
+        return float(special.ndtri(p))
+    return float(special.stdtrit(df, p))

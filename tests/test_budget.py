@@ -24,6 +24,16 @@ def test_budget_requires_positive_epsilon():
         PrivacyBudget(float("nan"))
 
 
+@pytest.mark.parametrize("eps", [float("inf"), 10 ** 400],
+                         ids=["inf", "huge-int"])
+def test_budget_refuses_a_non_finite_epsilon(eps):
+    # a ledger holds exact Fractions, which cannot represent inf, and an
+    # int beyond the float range would overflow the first float(eps)
+    with pytest.raises(ValueError, match="positive and finite"):
+        PrivacyBudget(eps)
+    assert PrivacyBudget(sys.float_info.max).epsilon == sys.float_info.max
+
+
 def test_sequential_charges_accumulate():
     ledger = PrivacyLedger(PrivacyBudget(1.0))
     ledger.charge("a", 0.25)

@@ -213,6 +213,18 @@ def test_synth_config_errors(binary_csv, continuous_csv, tmp_path):
                  "--eps", "1", "--out", out]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("eps", ["inf", "1e400", "nan"])
+def test_synth_non_finite_eps_exits_2(eps, binary_csv, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["synth", "--input", str(binary_csv), "--method", "md",
+                 "--eps", eps, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "configuration error: epsilon must be positive and finite"), err
+    assert not out.exists()
+
+
 def test_synth_budget_violation_exit_code(binary_csv, tmp_path, monkeypatch):
     # force an overcharge: patch the md synthesizer to bill double
     import dips.synthesizers as synth_mod
@@ -301,6 +313,23 @@ def test_bench_config_value_errors_exit_2(study, cfg, tmp_path, capsys,
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_bench_sim2_bad_sigma2_names_study_and_setting(value, tmp_path,
+                                                       capsys, monkeypatch):
+    def replication_ran(*args, **kwargs):
+        raise AssertionError("a replication ran before the refusal")
+
+    monkeypatch.setattr(dips.harness, "simulate_truth_sim2", replication_ran)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"truth": {"sigma2": value}}))
+    code = main(["bench", "--study", "sim2", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: sim2 truth 'sigma2' must be a "
+                   f"finite number in (0, inf), got {value!r}"]
 
 
 def test_bench_config_study_must_match_flag(tmp_path, capsys):

@@ -126,6 +126,26 @@ def test_config_validation():
          "smooth-hist", "ms", "original"))
 
 
+@pytest.mark.parametrize("study, key, value, wanted", [
+    ("sim1", "pi", 0.0, "a finite number in (0, 1)"),
+    ("sim1", "pi", 1.5, "a finite number in (0, 1)"),
+    ("sim2", "sigma2", -1.0, "a finite number in (0, inf)"),
+    ("sim2", "sigma2", 0.0, "a finite number in (0, inf)"),
+    ("sim2", "mu", math.nan, "a finite number in (-inf, inf)"),
+    ("sim2", "bounds", "oval", "one of ['asymmetric', 'symmetric']"),
+    ("sim2", "bounds", 1.0, "one of ['asymmetric', 'symmetric']"),
+])
+def test_truth_settings_are_checked_against_their_valid_values(study, key,
+                                                               value, wanted):
+    # each study states every truth setting's valid values next to its
+    # default, so a bad one is refused before any replication runs
+    assert STUDIES[study].truth[key][0] == STUDIES[study].settings({})[key]
+    with pytest.raises(ValueError) as info:
+        StudyConfig(study, 100, truth={key: value})
+    assert str(info.value) == (f"{study} truth {key!r} must be {wanted}, "
+                               f"got {value!r}")
+
+
 def test_metric_row_bounds():
     with pytest.raises(ValueError, match="coverage"):
         MetricRow("sim1", "md", "pi", 1.0, 0.0, 0.0, 1.2, 0.0, 1.0, 10)

@@ -189,9 +189,9 @@ def test_normal_model_variance_cap():
 def test_normal_model_degenerate_variance_flagged():
     # the draws read only the sanitized statistics and the public n
     flags = []
-    mu, sigma2 = NormalModel().posterior_draw(
-        RngStream(2), {"mean": np.array([0.0]), "var": np.array([0.0])}, 50,
-        flags)
+    [(mu, sigma2)] = NormalModel().posterior_draw(
+        [RngStream(2)], [{"mean": np.array([0.0]), "var": np.array([0.0])}],
+        50, flags)
     assert flags == ["PosteriorDegenerate:var"]
     assert sigma2 > 0
 
@@ -277,7 +277,8 @@ def test_mixture_empty_cell_gets_uniform_location():
     flags = []
     stats = {g.label: np.atleast_1d(np.asarray(g.value, float))
              for g in groups}
-    pi, mus, sigma = model.posterior_draw(RngStream(59), stats, n, flags)
+    [(pi, mus, sigma)] = model.posterior_draw([RngStream(59)], [stats], n,
+                                              flags)
     # empty cell's location drawn inside its declared box
     assert -1.0 <= mus[1, 0] <= 4.0 and -1.0 <= mus[1, 1] <= 4.0
     assert np.all(np.linalg.eigvalsh(sigma) > 0)
@@ -381,7 +382,7 @@ def _counting_quadratic():
 
 def _mh_one(model, rng, loglik, dim, n_draws):
     """The lockstep sampler on one target with a scalar log-likelihood."""
-    return model._mh_lockstep([rng], lambda b: [loglik(b[0])], [dim],
+    return model._mh_lockstep([rng], lambda b: [loglik(b)], [dim],
                               n_draws)[0]
 
 
@@ -436,11 +437,13 @@ def _lockstep_calls(model, n_draws):
     targets = [lambda beta, mode=mode: -0.5 * float(np.sum((beta - mode) ** 2))
                for mode in LOCKSTEP_MODES]
     calls = [0]
-
-    def batched(betas):
-        calls[0] += 1
-        return [ll(beta) for ll, beta in zip(targets, betas)]
     dims = [len(mode) for mode in LOCKSTEP_MODES]
+
+    def batched(state):
+        # the targets' states lie end to end in one vector
+        calls[0] += 1
+        betas = np.split(state, np.cumsum(dims)[:-1])
+        return [ll(beta) for ll, beta in zip(targets, betas)]
     rngs = [RngStream(85).substream(k) for k in (1, 2, 3)]
     got = model._mh_lockstep(rngs, batched, dims, n_draws)
     assert len(got) == 3
@@ -477,29 +480,39 @@ def test_lockstep_loglik_matches_scalar_likelihoods():
     w3 = data.column("w3").astype(np.int64)
     x3 = np.column_stack([np.ones(n), data.column("z1"), data.column("z2"),
                           w1, w2])
-    weights = [0.7, 1.3, 0.05]
+    # up to four sets, each with its own three tempering weights
+    all_weights = np.array([[0.7, 1.3, 0.05], [1.0, 1.0, 1.0],
+                            [0.055, 8.4, 0.051], [2.5, 0.3, 1.7]])
     model = SequentialLogisticModel
-    loglik = model._lockstep_loglik(x3, w1, w2, w3, weights)
     gen = np.random.default_rng(87)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for trial in range(90):
-            b1, b2, b34 = (gen.normal(0.0, 2.0, d) for d in (3, 4, 10))
-            # intercepts of +-800 saturate both ends of the clamp
-            for beta, slot in ((b1, 0), (b2, 0), (b34, 0), (b34, 5)):
-                if gen.random() < 0.4:
-                    beta[slot] = gen.choice([800.0, -800.0])
-            want = [
-                weights[0] * model._clamped_loglik(
-                    model._log_factors_binary(x3[:, :3], w1, b1)),
-                weights[1] * model._clamped_loglik(
-                    model._log_factors_binary(x3[:, :4], w2, b2)),
-                weights[2] * model._clamped_loglik(
-                    model._log_factors_trinomial(x3, w3, b34[:5], b34[5:])),
-            ]
-            got = loglik([b1, b2, b34])
-            assert len(got) == 3
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        for m, trials in ((1, 30), (4, 90)):
+            weights = all_weights[:m]
+            loglik = model._lockstep_loglik(x3, w1, w2, w3, weights)
+            for trial in range(trials):
+                coefs, want = [], []
+                for set_weights in weights:
+                    b1, b2, b34 = (gen.normal(0.0, 2.0, d)
+                                   for d in (3, 4, 10))
+                    # intercepts of +-800 saturate both ends of the clamp
+                    for beta, slot in ((b1, 0), (b2, 0), (b34, 0),
+                                       (b34, 5)):
+                        if gen.random() < 0.4:
+                            beta[slot] = gen.choice([800.0, -800.0])
+                    coefs += [b1, b2, b34]
+                    want += [
+                        set_weights[0] * model._clamped_loglik(
+                            model._log_factors_binary(x3[:, :3], w1, b1)),
+                        set_weights[1] * model._clamped_loglik(
+                            model._log_factors_binary(x3[:, :4], w2, b2)),
+                        set_weights[2] * model._clamped_loglik(
+                            model._log_factors_trinomial(x3, w3, b34[:5],
+                                                         b34[5:])),
+                    ]
+                got = loglik(np.concatenate(coefs))
+                assert len(got) == 3 * m
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 SHORT_MH = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
@@ -587,18 +600,98 @@ def test_draws_from_the_recorded_stats_reproduce_each_set(plugin):
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in source.sufficient_statistics(data) if g.delta_s is None}
     assert list(raw) == UNSANITIZED[plugin]
-    for j, (records, synth) in enumerate(zip(rel.sanitized_stats,
-                                             rel.sets)):
-        stats = {**raw, **{r.label: r.sanitized for r in records}}
-        sub = RngStream(93).substream(j)
-        params = fresh.posterior_draw(sub.substream(10_000), stats, data.n,
-                                      [])
-        again = fresh.predictive_draw(sub.substream(20_000), params,
+    subs = [RngStream(93).substream(j) for j in range(len(rel.sets))]
+    stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+                  for records in rel.sanitized_stats]
+    params = fresh.posterior_draw([sub.substream(10_000) for sub in subs],
+                                  stats_sets, data.n, [])
+    for sub, p, synth in zip(subs, params, rel.sets, strict=True):
+        again = fresh.predictive_draw(sub.substream(20_000), p,
                                       data.columns, data.n)
         assert again.columns == synth.columns
         for col in data.columns:
             assert (again.column(col.name).tobytes()
                     == synth.column(col.name).tobytes())
+
+
+def _param_bytes(params):
+    """A posterior draw's parameters, entry by entry, as raw bytes."""
+    if isinstance(params, tuple):
+        return [b for p in params for b in _param_bytes(p)]
+    return [np.asarray(params).tobytes()]
+
+
+# the group set 1 gets as a non-positive variance, so its posterior flags
+# the release
+DEGENERATE = {"bernoulli": None, "normal": "var", "mixture": "var1",
+              "logistic": "s11"}
+
+
+@pytest.mark.parametrize("plugin", list(DEGENERATE))
+def test_posterior_over_m_sets_equals_one_set_calls(plugin):
+    """Set j's parameters depend only on its stream and statistics: one
+    call over three sets draws the same bytes, and flags in the same
+    order, as three one-set calls."""
+    model, data, allocation = _plugin_cases()[plugin]
+    rel = modips_release(RngStream(103), data, model, 1.0, m=3,
+                         allocation=allocation)
+    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+           for g in model.sufficient_statistics(data) if g.delta_s is None}
+    stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+                  for records in rel.sanitized_stats]
+    if DEGENERATE[plugin]:
+        stats_sets[1][DEGENERATE[plugin]] = np.array([-1.0])
+
+    def streams():
+        return [RngStream(104).substream(j, 10_000) for j in range(3)]
+    flags = []
+    batched = model.posterior_draw(streams(), stats_sets, data.n, flags)
+    assert len(batched) == 3
+    one_flags = []
+    for rng, stats, params in zip(streams(), stats_sets, batched):
+        [alone] = model.posterior_draw([rng], [stats], data.n, one_flags)
+        assert _param_bytes(alone) == _param_bytes(params)
+    # set 1 flags its variance; a set with noisy variances may flag too
+    assert flags == one_flags
+    assert ("PosteriorDegenerate:var" in flags) == bool(DEGENERATE[plugin])
+
+
+def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
+    """At n = 200 and m = 5 under the default chains, one release builds
+    one likelihood and calls it once per MH step for all fifteen
+    regressions: 3,492 calls, where one MH per set made 5 x 3,492."""
+    built, calls = [0], [0]
+    make = SequentialLogisticModel._lockstep_loglik
+
+    def counting_make(*args):
+        built[0] += 1
+        loglik = make(*args)
+
+        def counted(coef):
+            calls[0] += 1
+            return loglik(coef)
+        return counted
+    monkeypatch.setattr(SequentialLogisticModel, "_lockstep_loglik",
+                        staticmethod(counting_make))
+    data = simulate_truth_sim4(RngStream(105), 200)
+    rel = modips_release(RngStream(106), data, SequentialLogisticModel(),
+                         1.0, m=5)
+    assert len(rel.sets) == 5
+    assert built[0] == 1
+    assert calls[0] == 1 + 1500 + 199 * 10 + 1 == 3492
+
+
+def test_logistic_posterior_refuses_sets_with_different_rows():
+    model, data, _ = _plugin_cases()["logistic"]
+    rel = modips_release(RngStream(107), data, model, 1.0, m=2)
+    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+           for g in model.sufficient_statistics(data) if g.delta_s is None}
+    stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+                  for records in rel.sanitized_stats]
+    stats_sets[1]["w1"] = 1.0 - stats_sets[1]["w1"]
+    with pytest.raises(ValueError, match="share their unsanitized rows"):
+        model.posterior_draw([RngStream(108), RngStream(109)], stats_sets,
+                             data.n, [])
 
 
 @pytest.mark.parametrize("plugin", list(UNSANITIZED))
@@ -621,8 +714,9 @@ def test_traced_release_equals_untraced(plugin, monkeypatch):
         tracer.uninstall()
     calls = {name: v["calls"] for name, v in
              tracer.summary()["by_name"].items()}
-    assert calls["sufficient_statistics"] == 1
-    assert calls["posterior_draw"] == calls["predictive_draw"] == 2
+    # one posterior call draws both sets' parameters
+    assert calls["sufficient_statistics"] == calls["posterior_draw"] == 1
+    assert calls["predictive_draw"] == 2
     assert tracer.entries_sanitized > 0
     for a, b in zip(traced, untraced, strict=True):
         for col in b.columns:
@@ -670,10 +764,11 @@ def _logistic_release(seed, eps, sanitize):
     seen = []
     draw = model.posterior_draw
 
-    def recording_draw(rng, stats, n, flags):
-        params = draw(rng, stats, n, flags)
-        seen.append(([model._temper_weight(stats, i) for i in range(3)],
-                     params))
+    def recording_draw(rngs, stats_sets, n, flags):
+        params = draw(rngs, stats_sets, n, flags)
+        for stats, p in zip(stats_sets, params, strict=True):
+            seen.append(([model._temper_weight(stats, i) for i in range(3)],
+                         p))
         return params
     model.posterior_draw = recording_draw
     ledger = PrivacyLedger(PrivacyBudget(eps)) if sanitize else None
