@@ -114,18 +114,6 @@ class TabularDataset:
                          for name in names]
                 fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
-    @classmethod
-    def from_csv(cls, path: str | Path,
-                 columns: list[Column]) -> "TabularDataset":
-        header, values = read_numeric_csv(path)
-        by_name = {c.name: c for c in columns}
-        data = {}
-        for name, column in zip(header, values):
-            if isinstance(by_name[name], CategoricalColumn):
-                column = category_codes(name, column)
-            data[name] = column
-        return cls(columns, data)
-
 
 def _cell_text(name: str, block: np.ndarray):
     """The CSV text of each value of one column block."""

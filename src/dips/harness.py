@@ -34,11 +34,9 @@ import numpy as np
 from .budget import PrivacyBudget, PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from .hist_synth import (
+    MAX_GRID_CELLS,
     AllCellsZero,
-    build_histogram,
     laplace_sanitizer_crosstab,
-    perturb_histogram,
-    sample_from_histogram,
 )
 from .inference import (
     DegenerateEstimate,
@@ -53,14 +51,16 @@ from .inference import (
     fit_multinomial_logit,
     variance_from_moments,
 )
+from .mechanisms import SensitivitySpec, laplace_mechanism
 from .param_synth import (
     BernoulliModel,
     GaussianMixtureModel,
     NormalModel,
     SequentialLogisticModel,
+    cell_means,
 )
 from .randvar import RngStream
-from .synthesizers import SYNTHESIZERS, histogram_grid, modips_entry
+from .synthesizers import SYNTHESIZERS, modips_entry
 
 __all__ = [
     "StudyConfig",
@@ -172,6 +172,8 @@ class StudyConfig:
             if not ok:
                 raise ValueError(f"{self.study} truth {key!r} must be "
                                  f"{wanted}, got {value!r}")
+        if study.check is not None:
+            study.check(study.settings(self.truth))
         if not all(_is_finite_number(e) and e > 0 for e in self.eps_grid):
             raise ValueError("eps_grid must hold positive, finite numbers")
         if list(self.eps_grid) != sorted(self.eps_grid):
@@ -246,16 +248,42 @@ def _truncated_normal(gen, n, mean, sd, lo, hi):
     return out
 
 
+# the truncation bounds of each sim2 variant, in sds below and above mu
+SIM2_BOUNDS = {"asymmetric": (3, 4), "symmetric": (4, 4)}
+
+
+def _sim2_support(mu: float, sigma2: float,
+                  bounds: str) -> tuple[float, float, float]:
+    """The sd and the truncation bounds (c0, c1) of sim2's normal."""
+    if bounds not in SIM2_BOUNDS:
+        raise ValueError(f"unknown bounds variant {bounds!r}")
+    sd = math.sqrt(sigma2)
+    below, above = SIM2_BOUNDS[bounds]
+    return sd, mu - below * sd, mu + above * sd
+
+
+def _sim2_check(settings: dict):
+    """sim2's joint rule: distinct bounds, and a support whose width to
+    the fourth power (the scale of the kurtosis term of the variance
+    estimator) is a normal float."""
+    mu, sigma2 = settings["mu"], settings["sigma2"]
+    _, c0, c1 = _sim2_support(**settings)
+    if not c0 < c1:
+        raise ValueError(f"sim2 truth 'mu' = {mu!r} leaves no room "
+                         f"between the bounds at sigma2 = {sigma2!r}: "
+                         f"both round to {c0!r}")
+    if not (sys.float_info.min ** 0.25 <= c1 - c0
+            <= sys.float_info.max ** 0.25):
+        raise ValueError(f"sim2 truth 'sigma2' = {sigma2!r} is out of the "
+                         f"study's numeric range: the support [{c0!r}, "
+                         f"{c1!r}] has a width whose fourth power is not "
+                         f"a normal float")
+
+
 def simulate_truth_sim2(rng: RngStream, n: int, mu: float = 0.0,
                         sigma2: float = 1.0,
                         bounds: str = "asymmetric") -> TabularDataset:
-    sd = math.sqrt(sigma2)
-    if bounds == "asymmetric":
-        c0, c1 = mu - 3 * sd, mu + 4 * sd
-    elif bounds == "symmetric":
-        c0, c1 = mu - 4 * sd, mu + 4 * sd
-    else:
-        raise ValueError(f"unknown bounds variant {bounds!r}")
+    sd, c0, c1 = _sim2_support(mu, sigma2, bounds)
     x = _truncated_normal(rng.generator, n, mu, sd, c0, c1)
     return TabularDataset([ContinuousColumn("x", c0, c1)], {"x": x})
 
@@ -357,62 +385,122 @@ def _original(rng, data, eps, m, ledger, postprocess):
     return [data]
 
 
-def _sim3_np_set(rng, data, eps_set_frac, ledger, tag):
-    """One NP-DIPS release for the mixture study: Laplace-sanitized
+def _sim3_cells(ds: TabularDataset) -> np.ndarray:
+    """Each row's flat cell in the 2x3x4 cross-tabulation of w."""
+    return np.ravel_multi_index(
+        [ds.column("w1"), ds.column("w2"), ds.column("w3")], SIM3_LEVELS)
+
+
+@dataclass(frozen=True)
+class _CellGrids:
+    """Every sim3 cell's Scott grid over its declared bounds, stacked in
+    one flat bin vector: bins per axis and bin widths (K x 2), each cell's
+    first and last flat bin, each flat bin's cell, and the original rows'
+    count in each flat bin."""
+    bins: np.ndarray
+    width: np.ndarray
+    offsets: np.ndarray
+    ends: np.ndarray
+    owner: np.ndarray
+    counts: np.ndarray
+
+
+def _sim3_cell_grids(data: TabularDataset) -> _CellGrids:
+    """Each cell's grid takes Scott's rule on each axis: a ceil bin count
+    from the standard deviation (ddof 1) of the cell's rows, clipped to
+    its bounds, and one bin for fewer than two rows or rows that are all
+    equal.  One ``bincount`` counts every cell's histogram."""
+    lower, upper = sim3_cell_bounds()
+    ranges = upper - lower
+    k = len(ranges)
+    cells = _sim3_cells(data)
+    lo = np.take(lower, cells, axis=0)
+    z = np.clip(np.column_stack([data.column("z1"), data.column("z2")]),
+                lo, np.take(upper, cells, axis=0))
+    rows, means = cell_means(cells, z, k)
+    dev = z - np.take(means, cells, axis=0)
+    sq = np.column_stack([np.bincount(cells, d * d, minlength=k)
+                          for d in dev.T])
+    sd = np.sqrt(sq / np.maximum(rows - 1, 1)[:, None])
+    # a cell spreads on an axis when its rows differ there: an exact test,
+    # where sd can come out a rounding error above 0 for equal rows
+    low, high = np.full((k, 2), np.inf), np.full((k, 2), -np.inf)
+    np.minimum.at(low, cells, z)
+    np.maximum.at(high, cells, z)
+    spread = high > low
+    scott = (3.5 * np.where(spread, sd, 1.0)
+             * np.maximum(rows, 2)[:, None] ** (-1.0 / 3.0))
+    bins = np.where(spread, np.maximum(1.0, np.ceil(ranges / scott)), 1.0)
+    total = bins.prod(axis=1).sum()
+    if total > MAX_GRID_CELLS:
+        raise ValueError(f"the cell grids hold {total:g} bins, more than "
+                         f"the {MAX_GRID_CELLS} allowed")
+    bins = bins.astype(np.int64)
+    width = ranges / bins
+    sizes = bins.prod(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    cell_bins = np.take(bins, cells, axis=0)
+    code = np.minimum(
+        ((z - lo) / np.take(width, cells, axis=0)).astype(np.int64),
+        cell_bins - 1)
+    flat = offsets[cells] + code[:, 0] * cell_bins[:, 1] + code[:, 1]
+    return _CellGrids(bins, width, offsets, offsets + sizes - 1,
+                      np.repeat(np.arange(k), sizes),
+                      np.bincount(flat, minlength=sizes.sum()).astype(float))
+
+
+def _sim3_np_set(rng, data, grids, eps_set_frac, ledger, tag):
+    """One NP-DIPS set for the mixture study: a Laplace-sanitized
     cross-tabulation of w plus a perturbed 2-D histogram of z per cell,
-    the per-set budget split 1:1 between the two."""
+    the per-set budget split 1:1 between the two.
+
+    One Laplace call sanitizes every cell's histogram in ``grids`` (BIT
+    at 0); the cells are disjoint, so one parallel charge covers them.
+    Each row then picks a bin of its cell by inverse CDF and is uniform
+    within it, all on one generator.  A cell with fewer than two original
+    rows has one bin, and a cell whose sanitized histogram has no mass is
+    filled uniformly, so both draw uniformly over the cell's bounds."""
     half = eps_set_frac / 2
     lower, upper = sim3_cell_bounds()
     codes = laplace_sanitizer_crosstab(
         rng.substream(0), data, ["w1", "w2", "w3"], half, ledger=ledger,
         label=f"{tag}-counts")
-    cells_orig = np.ravel_multi_index(
-        [data.column("w1"), data.column("w2"), data.column("w3")],
-        SIM3_LEVELS)
-    z = np.column_stack([data.column("z1"), data.column("z2")])
-    cells_new = np.ravel_multi_index(
-        [codes["w1"], codes["w2"], codes["w3"]], SIM3_LEVELS)
-    n = data.n
-    z_new = np.zeros((n, 2))
-    # the cells are disjoint: one parallel charge covers every histogram
     if ledger is not None:
         ledger.charge(f"{tag}-hist", half, mode="parallel",
                       group=f"{tag}-hist")
-    for k in range(24):
-        take = cells_new == k
-        n_new = int(take.sum())
-        if n_new == 0:
-            continue
-        sub = rng.substream(1, k)
-        orig = z[cells_orig == k]
-        drawn = None
-        if len(orig) >= 2:
-            clipped = np.clip(orig, lower[k], upper[k])
-            cell = TabularDataset(
-                [ContinuousColumn("a", lower[k][0], upper[k][0]),
-                 ContinuousColumn("b", lower[k][1], upper[k][1])],
-                {"a": clipped[:, 0], "b": clipped[:, 1]}, validate=False)
-            grid = histogram_grid(cell)
-            counts = build_histogram(cell, grid)
-            try:
-                pert = perturb_histogram(sub, counts, half,
-                                         label=f"{tag}-hist")
-                draw = sample_from_histogram(sub.substream(1), grid, pert,
-                                             n_new)
-                drawn = np.column_stack([draw["axis0"], draw["axis1"]])
-            except AllCellsZero:
-                pass
-        if drawn is None:
-            drawn = sub.generator.uniform(lower[k], upper[k], size=(n_new, 2))
-        z_new[take] = drawn
-    return TabularDataset(_sim3_columns(), {
+    sub = rng.substream(1)
+    weights = laplace_mechanism(sub, grids.counts, SensitivitySpec(1.0),
+                                float(half), f"{tag}-hist",
+                                lower=0.0).sanitized
+    owner, offsets, ends = grids.owner, grids.offsets, grids.ends
+    mass = np.bincount(owner, weights, minlength=len(offsets))
+    weights[(mass <= 0)[owner]] = 1.0
+    # each cell's CDF lies in [cell, cell + 1] of one increasing key
+    # vector, exactly 0 before its first bin and 1 at its last
+    cum = np.cumsum(weights / np.where(mass > 0, mass, ends + 1 - offsets)[
+        owner])
+    start = np.concatenate(([0.0], cum))[offsets]
+    keys = owner + (cum - start[owner]) / (cum[ends] - start)[owner]
+    new = np.ravel_multi_index([codes["w1"], codes["w2"], codes["w3"]],
+                               SIM3_LEVELS)
+    gen = sub.generator
+    pick = np.minimum(np.searchsorted(keys, new + gen.random(len(new)),
+                                      side="right"), ends[new])
+    local = pick - offsets[new]
+    cols = grids.bins[:, 1][new]
+    lo = np.take(lower, new, axis=0)
+    z = lo + (np.column_stack([local // cols, local % cols])
+              + gen.random((len(new), 2))) * np.take(grids.width, new, axis=0)
+    z = np.clip(z, lo, np.take(upper, new, axis=0))
+    return TabularDataset(data.columns, {
         "w1": codes["w1"], "w2": codes["w2"], "w3": codes["w3"],
-        "z1": z_new[:, 0], "z2": z_new[:, 1]}, validate=False)
+        "z1": z[:, 0], "z2": z[:, 1]}, validate=False)
 
 
 def _sim3_np_dips(rng, data, eps, m, ledger, postprocess):
-    return [_sim3_np_set(rng.substream(j), data, Fraction(eps) / m, ledger,
-                         tag=f"np-set{j}") for j in range(m)]
+    grids = _sim3_cell_grids(data)
+    return [_sim3_np_set(rng.substream(j), data, grids, Fraction(eps) / m,
+                         ledger, tag=f"np-set{j}") for j in range(m)]
 
 
 def _sim4_np_dips(rng, data, eps, m, ledger, postprocess):
@@ -456,11 +544,8 @@ def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
     w3 = ds.column("w3")
     z = np.column_stack([ds.column("z1"), ds.column("z2")])
     n = ds.n
-    cells = np.ravel_multi_index([w1, w2, w3], SIM3_LEVELS)
-    counts = np.bincount(cells, minlength=24)
-    resid = z.copy()
-    for k in np.flatnonzero(counts > 0):
-        resid[cells == k] -= z[cells == k].mean(axis=0)
+    cells = _sim3_cells(ds)
+    resid = z - np.take(cell_means(cells, z, SIM3_PI.size)[1], cells, axis=0)
     s_mat = resid.T @ resid / n
     out = {}
     s11, s22, s12 = s_mat[0, 0], s_mat[1, 1], s_mat[0, 1]
@@ -536,14 +621,17 @@ class Study:
     """One simulation study.  ``truth`` maps each setting its simulator
     reads to its default and valid values, which ``StudyConfig`` checks
     (``simulate_truth_<study>`` is looked up on this module per
-    replication), ``gate`` is a usability rule over the m sets
-    of a replication, and ``relative`` names the parameters whose bias,
-    RMSE and CI width are reported relative to the true value."""
+    replication), ``check`` is a joint rule over every truth setting that
+    raises ``ValueError`` naming the setting, ``gate`` is a usability
+    rule over the m sets of a replication, and ``relative`` names the
+    parameters whose bias, RMSE and CI width are reported relative to the
+    true value."""
     values: Callable[[dict], dict]
     default_params: tuple[str, ...]
     methods: dict
     analyze: Callable
     truth: dict = field(default_factory=dict)
+    check: Callable[[dict], None] | None = None
     gate: Callable | None = None
     relative: tuple[str, ...] = ()
 
@@ -581,7 +669,8 @@ STUDIES = {
             "ms": modips_entry("ms", NormalModel()),
             "original": _original,
         },
-        analyze=_sim2_set_estimates, relative=("sigma2",)),
+        analyze=_sim2_set_estimates, check=_sim2_check,
+        relative=("sigma2",)),
     "sim3": Study(
         values=_sim3_values,
         default_params=("rho", "sigma1", "sigma2", *SIM3_MARGINS),
@@ -724,17 +813,3 @@ def report(rows: list[MetricRow], out_dir: str | Path,
     with open(out_dir / "index.json", "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
     return index
-
-
-def load_metrics(path: str | Path) -> list[MetricRow]:
-    """Parse a metrics CSV back into rows (bit-exact for repr'd floats)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(MetricRow(
-                rec["study"], rec["method"], rec["parameter"],
-                float(rec["eps"]), float(rec["bias"]), float(rec["rmse"]),
-                float(rec["coverage"]), float(rec["ci_width"]),
-                float(rec["usable_fraction"]), int(rec["reps_used"])))
-    return rows

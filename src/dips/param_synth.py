@@ -336,6 +336,16 @@ def _sanitized_cov2(var1, var2, cov, flags) -> np.ndarray:
     return np.array([[v1, cv], [cv, v2]])
 
 
+def cell_means(cells: np.ndarray, z: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row count of each of k cells, and the (k, d) column means of
+    z over each cell's rows, 0 for an empty cell."""
+    counts = np.bincount(cells, minlength=k)
+    sums = np.column_stack([np.bincount(cells, col, minlength=k)
+                            for col in z.T])
+    return counts, sums / np.maximum(counts, 1)[:, None]
+
+
 def _split_columns(columns):
     """The categorical columns, and the two continuous ones (z1, z2)."""
     cats = [c for c in columns if isinstance(c, CategoricalColumn)]
@@ -350,12 +360,15 @@ class GaussianMixtureModel:
     ``cell_upper`` (K x 2, flat cell order) bound them within each cell.
 
     Statistics form six sanitized groups: cell counts, the two vectors of
-    per-cell means, the two variances, and the covariance.  Per-cell mean
-    sensitivities use the realized cell counts, which the posterior also
-    reads raw (the unsanitized group ``raw_counts``) to scale each cell
-    mean's covariance; empty cells are skipped and their location
-    parameter falls back to a uniform draw over the cell's declared
-    bounds."""
+    per-cell means, the two variances, and the covariance, all from
+    ``bincount`` sums over the rows.  Per-cell mean sensitivities use the
+    realized cell counts, which the posterior also reads raw (the
+    unsanitized group ``raw_counts``) to scale each cell mean's
+    covariance.  Per set the posterior draws the cell probabilities, then
+    Sigma, factors Sigma once, and draws every occupied cell's mean
+    mu_k ~ N(zbar*_k, Sigma / c_k) from one (k_occ, 2) standard-normal
+    call; the empty cells are skipped in the statistics, and their
+    locations are one uniform call over their declared bounds."""
 
     def __init__(self, cell_lower: np.ndarray, cell_upper: np.ndarray,
                  prior_alpha: float = 0.5):
@@ -376,19 +389,14 @@ class GaussianMixtureModel:
                              f"cells, the cell bounds {k}")
         cells = np.ravel_multi_index([data.column(c.name) for c in cats],
                                      shape)
-        counts = np.bincount(cells, minlength=k).astype(float)
         z = np.column_stack([data.column(z1.name), data.column(z2.name)])
+        counts, zbar = cell_means(cells, z, k)
+        counts = counts.astype(float)
         ranges = self.cell_upper - self.cell_lower  # (K, 2)
-        zbar = np.zeros((k, 2))
         occupied = counts > 0
         # pooled within-cell covariance, MLE scale (divided by n)
-        scatter = np.zeros((2, 2))
-        for kk in np.flatnonzero(occupied):
-            rows = z[cells == kk]
-            zbar[kk] = rows.mean(axis=0)
-            dev = rows - zbar[kk]
-            scatter += dev.T @ dev
-        s_mat = scatter / n
+        dev = z - np.take(zbar, cells, axis=0)
+        s_mat = dev.T @ dev / n
         mean_delta = np.where(occupied[:, None], ranges / np.maximum(counts, 1)[:, None], 1.0)
         s_factor = (n - 1) / (n * (n - k))
         r1 = float(ranges[:, 0].max())
@@ -421,18 +429,21 @@ class GaussianMixtureModel:
             s_star = _sanitized_cov2(stats["var1"], stats["var2"],
                                      stats["cov"], flags)
             sigma = sample_inv_wishart(rng, n - k, n * s_star)
-            mus = np.zeros((k, 2))
+            # one factor F F' = Sigma serves every cell (the eigh factor
+            # that numpy's multivariate normal uses)
+            eigvals, eigvecs = np.linalg.eigh(sigma)
+            factor = eigvecs * np.sqrt(np.abs(eigvals))
             raw_counts = stats["raw_counts"]
-            for kk in range(k):
-                if raw_counts[kk] > 0:
-                    mus[kk] = sample_mvnormal(
-                        rng, np.array([stats["zbar1"][kk],
-                                       stats["zbar2"][kk]]),
-                        sigma / raw_counts[kk])
-                else:
-                    # no data in the cell: prior predictive over its bounds
-                    mus[kk] = rng.generator.uniform(self.cell_lower[kk],
-                                                    self.cell_upper[kk])
+            occupied = raw_counts > 0
+            gen = rng.generator
+            zbar = np.column_stack([stats["zbar1"], stats["zbar2"]])
+            mus = np.empty((k, 2))
+            noise = gen.standard_normal((int(occupied.sum()), 2))
+            mus[occupied] = zbar[occupied] + (
+                noise / np.sqrt(raw_counts[occupied])[:, None]) @ factor.T
+            # no data in a cell: prior predictive over its bounds
+            mus[~occupied] = gen.uniform(self.cell_lower[~occupied],
+                                         self.cell_upper[~occupied])
             draws.append((pi, mus, sigma))
         return draws
 

@@ -332,6 +332,27 @@ def test_bench_sim2_bad_sigma2_names_study_and_setting(value, tmp_path,
                    f"finite number in (0, inf), got {value!r}"]
 
 
+@pytest.mark.parametrize("truth, message", [
+    ({"mu": 1e17}, "sim2 truth 'mu' = 1e+17 leaves no room between the "
+                   "bounds at sigma2 = 1.0: both round to 1e+17"),
+    ({"sigma2": 1e-320}, "sim2 truth 'sigma2' = 1e-320 is out of the "
+                         "study's numeric range"),
+])
+def test_bench_sim2_joint_truth_exits_2_before_any_replication(
+        truth, message, tmp_path, capsys, monkeypatch):
+    def replication_ran(*args, **kwargs):
+        raise AssertionError("a replication ran before the refusal")
+
+    monkeypatch.setattr(dips.harness, "simulate_truth_sim2", replication_ran)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"truth": truth}))
+    code = main(["bench", "--study", "sim2", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(f"configuration error: {message}")
+
+
 def test_bench_config_study_must_match_flag(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"study": "sim2", "n": 50}))

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -16,7 +18,6 @@ from dips.harness import (
     STUDIES,
     MetricRow,
     StudyConfig,
-    load_metrics,
     report,
     run_study,
     sim3_cell_bounds,
@@ -25,7 +26,6 @@ from dips.harness import (
     simulate_truth_sim3,
     simulate_truth_sim4,
 )
-from dips.hist_synth import AllCellsZero
 from dips.randvar import RngStream
 
 
@@ -144,6 +144,26 @@ def test_truth_settings_are_checked_against_their_valid_values(study, key,
         StudyConfig(study, 100, truth={key: value})
     assert str(info.value) == (f"{study} truth {key!r} must be {wanted}, "
                                f"got {value!r}")
+
+
+@pytest.mark.parametrize("truth, setting", [
+    ({"mu": 1e17}, "mu"),
+    ({"mu": -1e308, "bounds": "symmetric"}, "mu"),
+    ({"sigma2": 1e-320}, "sigma2"),
+    ({"sigma2": 1e300}, "sigma2"),
+])
+def test_sim2_joint_truth_is_refused_naming_the_setting(truth, setting):
+    # each setting lies in its own range, but together they leave the
+    # bounds equal or the squared moments outside the floats
+    with pytest.raises(ValueError, match=f"^sim2 truth '{setting}' = "):
+        StudyConfig("sim2", 100, truth=truth)
+
+
+def test_sim2_joint_truth_keeps_the_usable_range():
+    for truth in ({"mu": 1e15}, {"sigma2": 1e-150}, {"sigma2": 1e150}):
+        rows = run_study(StudyConfig("sim2", 60, truth=truth, reps=2,
+                                     methods=["modips-normal", "pert-hist"]))
+        assert all(r.reps_used > 0 for r in rows), truth
 
 
 def test_metric_row_bounds():
@@ -281,14 +301,15 @@ def test_sim4_degenerate_set_is_skipped_not_fatal(n, reps_used):
 
 
 # sha256 over every MetricRow field, one line per row (as
-# perfbench.workloads.rows_digest), recorded before the O(1) ledger and the
-# one-charge-per-set sim3 NP-DIPS histogram group (numpy 2.4.6); a change
-# that moves a sim3 row must say why and re-pin
+# perfbench.workloads.rows_digest), recorded after the stacked NP-DIPS
+# histograms and the one-call mixture mean draw (numpy 2.4.6); a change
+# that moves a sim3 row must say why and re-pin, after
+# tests/test_sim3_distribution.py passes before and after it
 SIM3_PINNED_DIGESTS = {
     "np-dips":
-        "a3199bf58e84ba990db44da204befbf5e28723b45fcc3bb2ed2f88bc2df74f08",
+        "aa69cab7fe7f7234ed9fa15981ae0eb020832257ac0c06a28a68adc0bfd6b89b",
     "modips-mixture":
-        "ebd3a5ce744aef721aaf70e6b599a376d35b2a3302a3c9418c4db91de65e6655",
+        "5e0b4ff0b93c1297f47936f292eb8da2d1c8686575de523c5759ff860654e0d3",
 }
 
 
@@ -439,27 +460,107 @@ def test_sim3_np_dips_charges_each_histogram_group_once():
     sets = _sim3_np_release(0.7, ledger)
     assert len(sets) == 3
     _assert_two_entries_per_set(ledger, 0.7)
+    _assert_z_in_cell_bounds(sets)
+
+
+def _unit_z(ds):
+    """Each row's cell and its (z1, z2) scaled to [0, 1] over that cell's
+    declared bounds."""
+    lower, upper = sim3_cell_bounds()
+    cells = np.ravel_multi_index(
+        [ds.column("w1"), ds.column("w2"), ds.column("w3")], SIM3_LEVELS)
+    z = np.column_stack([ds.column("z1"), ds.column("z2")])
+    return cells, (z - lower[cells]) / (upper[cells] - lower[cells])
+
+
+def _assert_uniform(u, axes=(0, 1)):
+    assert len(u) >= 100
+    for axis in axes:
+        assert stats.kstest(u[:, axis], "uniform").pvalue > 1e-3, axis
+
+
+def _assert_z_in_cell_bounds(sets):
+    for s in sets:
+        _, u = _unit_z(s)
+        assert np.all(u >= 0) and np.all(u <= 1)
 
 
 def test_sim3_np_dips_charges_the_group_when_no_cell_has_a_histogram(
         monkeypatch):
+    """Every cell's sanitized histogram has no mass: the ledger holds the
+    same entries and spend, and every cell fills uniformly over its
+    bounds."""
     calls = []
+    sanitize = dips.harness.laplace_mechanism
 
     def no_mass(*args, **kwargs):
-        calls.append(kwargs)
-        raise AllCellsZero("no mass")
+        stat = sanitize(*args, **kwargs)
+        calls.append(stat.label)
+        return dataclasses.replace(stat,
+                                   sanitized=np.zeros_like(stat.sanitized))
 
-    monkeypatch.setattr(dips.harness, "perturb_histogram", no_mass)
+    monkeypatch.setattr(dips.harness, "laplace_mechanism", no_mass)
     ledger = PrivacyLedger(PrivacyBudget(0.7))
     sets = _sim3_np_release(0.7, ledger)
-    assert calls, "no cell reached the histogram"
+    # one sanitizing call covers every cell's histogram of a set
+    assert calls == ["np-set0-hist", "np-set1-hist", "np-set2-hist"]
     _assert_two_entries_per_set(ledger, 0.7)
-    lower, upper = dips.harness.sim3_cell_bounds()
-    for s in sets:  # every cell fell back to a uniform draw in its bounds
-        cells = np.ravel_multi_index(
-            [s.column("w1"), s.column("w2"), s.column("w3")], SIM3_LEVELS)
-        z = np.column_stack([s.column("z1"), s.column("z2")])
-        assert np.all(z >= lower[cells]) and np.all(z <= upper[cells])
+    _assert_z_in_cell_bounds(sets)
+    _assert_uniform(np.concatenate([_unit_z(s)[1] for s in sets]))
+
+
+def test_sim3_np_dips_sparse_cells_fill_uniformly(monkeypatch):
+    """A cell with no original row, or with one, fills uniformly over its
+    bounds, and so does an axis with no spread; a cell with many rows at
+    a large eps follows its histogram."""
+    data = simulate_truth_sim3(RngStream(5), 2000)
+    cells = np.ravel_multi_index(
+        [data.column("w1"), data.column("w2"), data.column("w3")],
+        SIM3_LEVELS)
+    keep = (cells != 0) & ((cells != 1) | (np.cumsum(cells == 1) == 1))
+    z1 = np.where(cells == 2, dips.harness.SIM3_MU1[2], data.column("z1"))
+    data = dips.harness.TabularDataset(data.columns, {
+        **{c: data.column(c)[keep] for c in ("w1", "w2", "w3", "z2")},
+        "z1": z1[keep]})
+    assert [int(np.sum(cells[keep] == k)) for k in (0, 1)] == [0, 1]
+    # every synthetic cell gets 300 rows
+    level_codes = np.unravel_index(np.repeat(np.arange(24), 300),
+                                   SIM3_LEVELS)
+    monkeypatch.setattr(
+        dips.harness, "laplace_sanitizer_crosstab",
+        lambda *args, **kwargs: dict(zip(("w1", "w2", "w3"), level_codes)))
+    [synth] = STUDIES["sim3"].methods["np-dips"](RngStream(6), data, 1e4, 1,
+                                                 None, "BIT")
+    _assert_z_in_cell_bounds([synth])
+    cells, u = _unit_z(synth)
+    _assert_uniform(u[cells == 0])
+    _assert_uniform(u[cells == 1])
+    _assert_uniform(u[cells == 2], axes=(0,))
+    # the original rows have unit sd in a box eight sds wide, so a
+    # histogram's rows spread far less than uniform ones (sd 1/sqrt(12))
+    busy = 3 + int(np.argmax(SIM3_PI[3:]))
+    spread = np.std(u[cells == busy], axis=0)
+    assert np.all(spread < 1.5 / 8), spread
+
+
+def test_sim3_np_dips_set_builds_at_most_three_generators(monkeypatch):
+    """Each set draws its counts on one generator and every histogram and
+    row on another; one substream per cell used to build about 49."""
+    data = simulate_truth_sim3(RngStream(3), 1000)
+    built = [0]
+    generator = RngStream.generator
+
+    def counting(self):
+        built[0] += self._gen is None
+        return generator.fget(self)
+
+    monkeypatch.setattr(RngStream, "generator", property(counting))
+    for m in (1, 5):
+        built[0] = 0
+        sets = STUDIES["sim3"].methods["np-dips"](RngStream(4), data, 1.0, m,
+                                                  None, "BIT")
+        assert len(sets) == m
+        assert built[0] <= 3 * m
 
 
 # -- reporting ---------------------------------------------------------------
@@ -474,8 +575,11 @@ def test_report_round_trip(tmp_path):
     rows, cfg = _tiny_rows()
     index = report(rows, tmp_path, cfg)
     assert index["files"] == {"sim1": "sim1_metrics.csv"}
-    back = load_metrics(tmp_path / "sim1_metrics.csv")
-    assert back == rows
+    with open(tmp_path / "sim1_metrics.csv", newline="") as fh:
+        back = list(csv.DictReader(fh))
+    # floats are written with repr, so each field reads back exactly
+    assert back == [{c: str(getattr(r, c)) for c in METRIC_COLUMNS}
+                    for r in rows]
 
 
 def test_report_identical_bytes_for_identical_inputs(tmp_path):

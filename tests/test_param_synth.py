@@ -8,7 +8,11 @@ import pytest
 
 import dips.param_synth
 from dips.budget import PrivacyBudget, PrivacyLedger
-from dips.harness import simulate_truth_sim4
+from dips.harness import (
+    sim3_cell_bounds,
+    simulate_truth_sim3,
+    simulate_truth_sim4,
+)
 from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from dips.inference import firth_logistic, fit_multinomial_logit
 from dips.mechanisms import SensitivitySpec, laplace_mechanism
@@ -19,11 +23,17 @@ from dips.param_synth import (
     SequentialLogisticModel,
     StatGroup,
     _md_alpha,
+    _sanitized_cov2,
     bbmr_synthesizer,
     md_synthesizer,
     modips_release,
 )
-from dips.randvar import RngStream
+from dips.randvar import (
+    RngStream,
+    sample_dirichlet,
+    sample_inv_wishart,
+    sample_mvnormal,
+)
 
 
 def test_pseudo_count_oracle():
@@ -282,6 +292,29 @@ def test_mixture_empty_cell_gets_uniform_location():
     # empty cell's location drawn inside its declared box
     assert -1.0 <= mus[1, 0] <= 4.0 and -1.0 <= mus[1, 1] <= 4.0
     assert np.all(np.linalg.eigvalsh(sigma) > 0)
+
+
+def test_mixture_mean_draw_matches_per_cell_normals():
+    """With every cell occupied, the one (K, 2) standard-normal call,
+    scaled by 1/sqrt(count) through one factor of Sigma, draws what one
+    N(zbar_k, Sigma / c_k) call per cell draws on the same stream."""
+    model = GaussianMixtureModel(*sim3_cell_bounds())
+    data = simulate_truth_sim3(RngStream(111), 1000)
+    stats = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+             for g in model.sufficient_statistics(data)}
+    counts = stats["raw_counts"]
+    assert np.all(counts > 0)
+    [(pi, mus, sigma)] = model.posterior_draw([RngStream(113)], [stats],
+                                              data.n, [])
+    rng = RngStream(113)
+    np.testing.assert_array_equal(
+        sample_dirichlet(rng, model.prior_alpha + stats["counts"]), pi)
+    s_star = _sanitized_cov2(stats["var1"], stats["var2"], stats["cov"], [])
+    np.testing.assert_array_equal(
+        sample_inv_wishart(rng, data.n - model.k, data.n * s_star), sigma)
+    expected = [sample_mvnormal(rng, [stats["zbar1"][k], stats["zbar2"][k]],
+                                sigma / counts[k]) for k in range(model.k)]
+    np.testing.assert_allclose(mus, expected, rtol=0, atol=1e-12)
 
 
 def test_mixture_recovers_structure_at_large_eps():
