@@ -473,12 +473,11 @@ def _sim3_np_set(rng, data, grids, eps_set_frac, ledger, tag):
                                 float(half), f"{tag}-hist",
                                 lower=0.0).sanitized
     owner, offsets, ends = grids.owner, grids.offsets, grids.ends
-    mass = np.bincount(owner, weights, minlength=len(offsets))
-    weights[(mass <= 0)[owner]] = 1.0
+    k = len(offsets)
+    weights[(np.bincount(owner, weights, minlength=k) <= 0)[owner]] = 1.0
     # each cell's CDF lies in [cell, cell + 1] of one increasing key
     # vector, exactly 0 before its first bin and 1 at its last
-    cum = np.cumsum(weights / np.where(mass > 0, mass, ends + 1 - offsets)[
-        owner])
+    cum = np.cumsum(weights / np.bincount(owner, weights, minlength=k)[owner])
     start = np.concatenate(([0.0], cum))[offsets]
     keys = owner + (cum - start[owner]) / (cum[ends] - start)[owner]
     new = np.ravel_multi_index([codes["w1"], codes["w2"], codes["w3"]],
