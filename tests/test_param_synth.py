@@ -25,6 +25,7 @@ from dips.param_synth import (
     _md_alpha,
     _sanitized_cov2,
     bbmr_synthesizer,
+    cell_means,
     md_synthesizer,
     modips_release,
 )
@@ -232,6 +233,25 @@ def _mixture_data(rng, n):
     return TabularDataset(cols, {"w1": cells.astype(np.int64),
                                  "z1": z[:, 0], "z2": z[:, 1]},
                           validate=False)
+
+
+def test_cell_means_match_the_per_cell_loop():
+    """The bincount sums give each cell's count and mean, and the pooled
+    within-cell scatter, as a loop over per-cell masks does."""
+    gen = np.random.default_rng(7)
+    cells = gen.integers(0, 6, 500)
+    cells[cells == 4] = 5  # cell 4 and cell 6 stay empty
+    z = gen.normal(10.0, 3.0, size=(500, 2))
+    counts, means = cell_means(cells, z, 7)
+    scatter = np.zeros((2, 2))
+    for k in range(7):
+        rows = z[cells == k]
+        assert counts[k] == len(rows)
+        mean = rows.mean(axis=0) if len(rows) else np.zeros(2)
+        np.testing.assert_allclose(means[k], mean, rtol=1e-13, atol=0)
+        scatter += (rows - mean).T @ (rows - mean)
+    dev = z - means[cells]
+    np.testing.assert_allclose(dev.T @ dev, scatter, rtol=1e-12)
 
 
 def test_mixture_statistic_groups():
