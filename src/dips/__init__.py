@@ -8,15 +8,13 @@ from .budget import BudgetExhausted, PrivacyBudget, PrivacyLedger
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from .hist_synth import (
     AllCellsZero,
-    BinnedAxis,
-    CategoricalAxis,
-    GridSpec,
-    bin_count_from_width,
-    bin_width_scott,
     build_histogram,
+    grid_cells,
     laplace_sanitizer_crosstab,
     perturb_histogram,
     sample_from_histogram,
+    scott_bins,
+    scott_grid,
     smooth_histogram,
     smoothing_weight,
 )

@@ -37,6 +37,7 @@ from .hist_synth import (
     MAX_GRID_CELLS,
     AllCellsZero,
     laplace_sanitizer_crosstab,
+    scott_bins,
 )
 from .inference import (
     DegenerateEstimate,
@@ -406,10 +407,11 @@ class _CellGrids:
 
 
 def _sim3_cell_grids(data: TabularDataset) -> _CellGrids:
-    """Each cell's grid takes Scott's rule on each axis: a ceil bin count
-    from the standard deviation (ddof 1) of the cell's rows, clipped to
-    its bounds, and one bin for fewer than two rows or rows that are all
-    equal.  One ``bincount`` counts every cell's histogram."""
+    """Each cell's grid takes Scott's rule (``scott_bins``) on each
+    axis: a ceil bin count from the standard deviation (ddof 1) of the
+    cell's rows, clipped to its bounds, and one bin for fewer than two
+    rows or rows that are all equal.  One ``bincount`` counts every
+    cell's histogram."""
     lower, upper = sim3_cell_bounds()
     ranges = upper - lower
     k = len(ranges)
@@ -427,10 +429,7 @@ def _sim3_cell_grids(data: TabularDataset) -> _CellGrids:
     low, high = np.full((k, 2), np.inf), np.full((k, 2), -np.inf)
     np.minimum.at(low, cells, z)
     np.maximum.at(high, cells, z)
-    spread = high > low
-    scott = (3.5 * np.where(spread, sd, 1.0)
-             * np.maximum(rows, 2)[:, None] ** (-1.0 / 3.0))
-    bins = np.where(spread, np.maximum(1.0, np.ceil(ranges / scott)), 1.0)
+    bins = scott_bins(ranges, sd, rows[:, None], high > low)
     total = bins.prod(axis=1).sum()
     if total > MAX_GRID_CELLS:
         raise ValueError(f"the cell grids hold {total:g} bins, more than "

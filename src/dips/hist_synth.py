@@ -1,9 +1,12 @@
 """Non-parametric synthesis: Laplace-sanitized cross-tabulations, perturbed
 and smoothed histograms, and data synthesis from sanitized grids.
 
-A histogram is a plain array of per-cell counts in the grid's flat cell
-order.  Every cell of a grid has the same volume, so a cell's probability
-is its count over the total.
+A grid over a dataset's columns is one size per column: the level count
+of a categorical column, or the bin count of a continuous one, whose bins
+split its declared [lo, hi] into equal widths from lo.  A histogram is a
+plain array of per-cell counts in the grid's flat (C-order) cell order.
+Every cell of a grid has the same volume, so a cell's probability is its
+count over the total.
 
 A count has sensitivity 1: neighbouring datasets differ by one row.
 Counts over disjoint grid cells are sanitized under parallel composition:
@@ -14,7 +17,6 @@ is attached) is charged once per release, not once per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +27,10 @@ from .randvar import RngStream
 
 __all__ = [
     "AllCellsZero",
-    "OutOfDomain",
-    "CategoricalAxis",
-    "BinnedAxis",
-    "GridSpec",
-    "bin_width_scott",
+    "MAX_GRID_CELLS",
+    "scott_bins",
+    "scott_grid",
+    "grid_cells",
     "build_histogram",
     "perturb_histogram",
     "smooth_histogram",
@@ -47,120 +48,63 @@ class AllCellsZero(RuntimeError):
 MAX_GRID_CELLS = 2 ** 24
 
 
-class OutOfDomain(ValueError):
-    """A data value falls outside its declared axis domain."""
+# -- grids ------------------------------------------------------------------
+
+def scott_bins(ranges, sd, rows, spread):
+    """Scott's rule (Scott 1979), elementwise: ceil(range / (3.5 * S *
+    n^(-1/3))) bins from the sample SD S of n rows, and one bin where the
+    rows do not spread (``spread`` false, or S = 0).  Float counts; a
+    width too small for its range gives inf, which ``grid_cells`` refuses."""
+    spread = np.logical_and(spread, np.asarray(sd) > 0)
+    width = (3.5 * np.where(spread, sd, 1.0)
+             * np.maximum(rows, 2) ** (-1.0 / 3.0))
+    with np.errstate(over="ignore"):
+        return np.where(spread, np.maximum(1.0, np.ceil(ranges / width)), 1.0)
 
 
-@dataclass(frozen=True)
-class CategoricalAxis:
-    levels: int  # number of levels; values are codes in [0, levels)
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("categorical axis needs at least one level")
-
-    @property
-    def size(self) -> int:
-        return self.levels
-
-
-@dataclass(frozen=True)
-class BinnedAxis:
-    lo: float
-    hi: float
-    bin_count: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"need finite bounds, got [{self.lo}, {self.hi}]")
-        if not (self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.bin_count < 1:
-            raise ValueError("bin_count must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.bin_count
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.bin_count
+def scott_grid(data: TabularDataset) -> tuple:
+    """The grid over ``data``'s columns: each categorical column's level
+    count, and Scott's-rule bins (SD with ddof 1) over each continuous
+    column's declared bounds."""
+    shape = []
+    for c in data.columns:
+        if isinstance(c, CategoricalColumn):
+            shape.append(len(c.levels))
+            continue
+        x = data.column(c.name)
+        many = len(x) > 1
+        bins = scott_bins(c.hi - c.lo, float(x.std(ddof=1)) if many else 0.0,
+                          len(x), many and x.min() < x.max())
+        shape.append(int(bins) if np.isfinite(bins) else math.inf)
+    return tuple(shape)
 
 
-Axis = CategoricalAxis | BinnedAxis
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    axes: tuple[Axis, ...]
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ValueError("grid needs at least one axis")
-        if self.cell_count > MAX_GRID_CELLS:
-            raise ValueError(f"a grid of {self.cell_count} cells is more "
-                             f"than the {MAX_GRID_CELLS} allowed")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(ax.size for ax in self.axes)
-
-    @property
-    def cell_count(self) -> int:
-        return math.prod(self.shape)
-
-    def cell_indices(self, values: list[np.ndarray]) -> np.ndarray:
-        """Flat cell index per row; values are one array per axis."""
-        idx = []
-        for ax, vals in zip(self.axes, values):
-            vals = np.asarray(vals)
-            if isinstance(ax, CategoricalAxis):
-                codes = vals.astype(np.int64)
-                if codes.size and (codes.min() < 0 or codes.max() >= ax.levels):
-                    raise OutOfDomain("categorical code outside level set")
-            else:
-                if vals.size and (vals.min() < ax.lo - 1e-9
-                                  or vals.max() > ax.hi + 1e-9):
-                    raise OutOfDomain(
-                        f"value outside [{ax.lo}, {ax.hi}]"
-                    )
-                scaled = (vals - ax.lo) / ax.width
-                codes = np.minimum(scaled.astype(np.int64), ax.bin_count - 1)
-                codes = np.maximum(codes, 0)
-            idx.append(codes)
-        return np.ravel_multi_index(idx, self.shape)
-
-
-# -- binning rules ----------------------------------------------------------
-
-def bin_width_scott(sample_sd: float, n: int) -> float:
-    """Scott's rule: 3.5 * S * n^(-1/3)."""
-    if not (sample_sd > 0):
-        raise ValueError(f"sample_sd must be positive, got {sample_sd}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return 3.5 * sample_sd * n ** (-1.0 / 3.0)
-
-
-def bin_count_from_width(lo: float, hi: float, width: float) -> int:
-    """Deterministic bin count anchored at the lower bound."""
-    if not (width > 0):
-        raise ValueError("width must be positive")
-    return max(1, math.ceil((hi - lo) / width))
+def grid_cells(shape) -> int:
+    """The exact cell count of a grid; refuses more than MAX_GRID_CELLS."""
+    cells = math.prod(shape)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"a grid of {cells} cells is more than the "
+                         f"{MAX_GRID_CELLS} allowed")
+    return cells
 
 
 # -- histogram operations ---------------------------------------------------
 
-def build_histogram(data: TabularDataset, grid: GridSpec,
-                    column_names: list[str] | None = None) -> np.ndarray:
-    """Per-cell row counts (float) in the grid's flat cell order; raises
-    OutOfDomain for stray values."""
-    names = column_names or [c.name for c in data.columns]
-    if len(names) != len(grid.axes):
-        raise ValueError("one column per grid axis required")
-    values = [data.column(name) for name in names]
-    idx = grid.cell_indices(values)
-    return np.bincount(idx, minlength=grid.cell_count).astype(float)
+def build_histogram(data: TabularDataset, shape) -> np.ndarray:
+    """Per-cell row counts (float) in the grid's flat cell order; a value
+    on a bin edge counts in the upper bin, and ``hi`` in the last bin."""
+    cells = grid_cells(shape)
+    codes = []
+    for c, size in zip(data.columns, shape, strict=True):
+        vals = data.column(c.name)
+        if isinstance(c, CategoricalColumn):
+            codes.append(vals.astype(np.int64))
+        else:
+            scaled = (vals - c.lo) / ((c.hi - c.lo) / size)
+            codes.append(np.maximum(
+                np.minimum(scaled.astype(np.int64), size - 1), 0))
+    return np.bincount(np.ravel_multi_index(codes, shape),
+                       minlength=cells).astype(float)
 
 
 def perturb_histogram(rng: RngStream, counts: np.ndarray, eps: EpsLike,
@@ -208,14 +152,12 @@ def smoothing_weight(cell_count: int, n: float, eps: float) -> float:
     return cell_count / (cell_count + n * math.expm1(eps / n))
 
 
-def sample_from_histogram(rng: RngStream, grid: GridSpec, weights,
-                          n_out: int) -> dict[str, np.ndarray]:
-    """Draw cells in proportion to their nonnegative weights (counts or
-    probabilities), then uniform within each binned axis.
-
-    Returns one array per axis (keyed "axis0", "axis1", ...); categorical
-    axes emit level codes.
-    """
+def sample_from_histogram(rng: RngStream, columns, shape, weights,
+                          n_out: int) -> TabularDataset:
+    """``n_out`` rows over ``columns`` (a grid of ``shape``): cells drawn in
+    proportion to their nonnegative weights (counts or probabilities),
+    then uniform within each continuous column's bin; categorical columns
+    take the level codes."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
@@ -224,16 +166,16 @@ def sample_from_histogram(rng: RngStream, grid: GridSpec, weights,
         raise AllCellsZero("weights have no mass")
     probs = weights / total
     gen = rng.generator
-    cells = gen.choice(grid.cell_count, size=n_out, p=probs)
-    multi = np.unravel_index(cells, grid.shape)
+    cells = gen.choice(grid_cells(shape), size=n_out, p=probs)
     out = {}
-    for j, (ax, codes) in enumerate(zip(grid.axes, multi)):
-        if isinstance(ax, CategoricalAxis):
-            out[f"axis{j}"] = codes.astype(np.int64)
+    for c, size, codes in zip(columns, shape, np.unravel_index(cells, shape),
+                              strict=True):
+        if isinstance(c, CategoricalColumn):
+            out[c.name] = codes.astype(np.int64)
         else:
             u = gen.random(n_out)
-            out[f"axis{j}"] = ax.lo + (codes + u) * ax.width
-    return out
+            out[c.name] = c.lo + (codes + u) * ((c.hi - c.lo) / size)
+    return TabularDataset(columns, out, validate=False)
 
 
 def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
@@ -246,18 +188,19 @@ def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
 
     Returns the synthetic level-code arrays by column name.
     """
-    axes = []
-    for name in categorical_axes:
-        col = next(c for c in data.columns if c.name == name)
+    columns = [next(c for c in data.columns if c.name == name)
+               for name in categorical_axes]
+    for col in columns:
         if not isinstance(col, CategoricalColumn):
-            raise ValueError(f"{name!r} is not categorical")
-        axes.append(CategoricalAxis(len(col.levels)))
-    grid = GridSpec(tuple(axes))
-    hist = build_histogram(data, grid, column_names=categorical_axes)
+            raise ValueError(f"{col.name!r} is not categorical")
+    shape = tuple(len(col.levels) for col in columns)
+    hist = build_histogram(TabularDataset(
+        columns, {col.name: data.column(col.name) for col in columns},
+        validate=False), shape)
     sanitized = perturb_histogram(rng, hist, eps, ledger=ledger, label=label)
     counts = rng.generator.multinomial(data.n, sanitized / sanitized.sum())
-    cells = np.repeat(np.arange(grid.cell_count), counts)
+    cells = np.repeat(np.arange(hist.size), counts)
     rng.generator.shuffle(cells)
-    multi = np.unravel_index(cells, grid.shape)
+    multi = np.unravel_index(cells, shape)
     return {name: codes.astype(np.int64)
             for name, codes in zip(categorical_axes, multi)}

@@ -237,8 +237,12 @@ def _multinomial_probs(design, theta, n_alt):
     (n, n_alt) matrix of non-reference level probabilities."""
     n, q = design.shape
     etas = design @ theta.reshape(n_alt, q).T  # (n, n_alt)
-    denom = 1.0 + np.exp(etas).sum(axis=1)
-    return np.exp(etas) / denom[:, None]
+    # a row whose largest predictor would overflow exp is shifted by it;
+    # every other row keeps the unshifted arithmetic
+    top = etas.max(axis=1)
+    shift = np.where(top > 700, top, 0.0)
+    expd = np.exp(etas - shift[:, None])
+    return expd / (np.exp(-shift) + expd.sum(axis=1))[:, None]
 
 
 def _multinomial_info(design, probs):

@@ -21,15 +21,11 @@ import numpy as np
 from .dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from .hist_synth import (
     AllCellsZero,
-    BinnedAxis,
-    CategoricalAxis,
-    GridSpec,
-    bin_count_from_width,
-    bin_width_scott,
     build_histogram,
     laplace_sanitizer_crosstab,
     perturb_histogram,
     sample_from_histogram,
+    scott_grid,
     smooth_histogram,
 )
 from .param_synth import (
@@ -40,23 +36,7 @@ from .param_synth import (
     modips_release,
 )
 
-__all__ = ["SYNTHESIZERS", "histogram_grid", "modips_entry"]
-
-
-def histogram_grid(data: TabularDataset) -> GridSpec:
-    """One axis per column: the categorical levels, or Scott's-rule bins
-    over the declared bounds (one bin when the column has no spread)."""
-    axes = []
-    for c in data.columns:
-        if isinstance(c, CategoricalColumn):
-            axes.append(CategoricalAxis(len(c.levels)))
-            continue
-        x = data.column(c.name)
-        sd = float(x.std(ddof=1)) if len(x) > 1 else 0.0
-        bins = (bin_count_from_width(c.lo, c.hi, bin_width_scott(sd, len(x)))
-                if sd > 0 else 1)
-        axes.append(BinnedAxis(c.lo, c.hi, bins))
-    return GridSpec(tuple(axes))
+__all__ = ["SYNTHESIZERS", "modips_entry"]
 
 
 def _per_set(rng, eps, m, draw) -> list[TabularDataset]:
@@ -109,40 +89,33 @@ def _laplace(rng, data, eps, m, ledger, postprocess):
     return _per_set(rng, eps, m, draw)
 
 
-def _from_axes(data, draw):
-    return TabularDataset(data.columns, {c.name: draw[f"axis{j}"]
-                                         for j, c in enumerate(data.columns)},
-                          validate=False)
-
-
 def _pert_hist(rng, data, eps, m, ledger, postprocess):
-    grid = histogram_grid(data)
-    counts = build_histogram(data, grid)
+    shape = scott_grid(data)
+    counts = build_histogram(data, shape)
 
     def draw(sub, share, j):
         pert = perturb_histogram(sub, counts, share, ledger=ledger,
                                  label=f"pert-set{j}")
-        return _from_axes(data, sample_from_histogram(
-            sub.substream(1), grid, pert, data.n))
+        return sample_from_histogram(sub.substream(1), data.columns, shape,
+                                     pert, data.n)
 
     return _per_set(rng, eps, m, draw)
 
 
 def _smooth_hist(rng, data, eps, m, ledger, postprocess):
-    grid = histogram_grid(data)
-    probs = smooth_histogram(build_histogram(data, grid), eps, ledger=ledger)
-    return [_from_axes(data, sample_from_histogram(rng, grid, probs,
-                                                   data.n))]
+    shape = scott_grid(data)
+    probs = smooth_histogram(build_histogram(data, shape), eps, ledger=ledger)
+    return [sample_from_histogram(rng, data.columns, shape, probs, data.n)]
 
 
 def _md(rng, data, eps, m, ledger, postprocess):
     _all_categorical(data, "md synthesizer")
-    grid = histogram_grid(data)
-    counts = build_histogram(data, grid).astype(int)
+    shape = scott_grid(data)
+    counts = build_histogram(data, shape).astype(int)
     return [TabularDataset(
         data.columns,
         {c.name: codes.astype(np.int64) for c, codes in zip(
-            data.columns, np.unravel_index(cells, grid.shape))},
+            data.columns, np.unravel_index(cells, shape))},
         validate=False)
         for cells in md_synthesizer(rng, counts, eps, m, ledger=ledger)]
 

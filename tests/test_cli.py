@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import dips.harness
 from dips.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS,
                       _load_csv, main)
 from dips.budget import PrivacyBudget, PrivacyLedger
-from dips.dataset import TabularDataset
+from dips.dataset import ContinuousColumn, TabularDataset
 from dips.randvar import RngStream
 from dips.synthesizers import SYNTHESIZERS
 
@@ -440,7 +441,12 @@ CONTINUOUS_X = {"x": {"type": "continuous", "lo": 0.0, "hi": 1.0}}
     ("x\n0.5\ninf\n0.2\n", None, "column 'x' holds a non-finite value inf"),
     ("x\n", None, "column 'x' has no rows to infer its type from; declare "
      "it in a schema"),
-], ids=["nan-under-schema", "inf", "header-only-without-schema"])
+    # Scott's width for these rows is far below the range's scale
+    ("x\n0.0\n1e-160\n0.0\n",
+     {"x": {"type": "continuous", "lo": 0.0, "hi": 1e300}},
+     "a grid of inf cells is more than the 16777216 allowed"),
+], ids=["nan-under-schema", "inf", "header-only-without-schema",
+        "width-below-range-scale"])
 def test_synth_unusable_values_exit_2_without_warnings(text, schema, message,
                                                        tmp_path, capsys):
     with warnings.catch_warnings():
@@ -531,6 +537,25 @@ def test_synth_huge_level_count_exits_2(method, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"configuration error: a grid of {10 ** 12} cells is more "
                    "than the 16777216 allowed"]
+
+
+@pytest.mark.parametrize("method", ["pert-hist", "smooth-hist"])
+def test_synth_equal_rows_take_one_bin(method, tmp_path):
+    # seven rows of 0.1 have a numpy sd of 1.5e-17, not 0: Scott's rule
+    # must still give the column one bin, so x is uniform over [0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _synth_exit(tmp_path, "x\n" + "0.1\n" * 7, CONTINUOUS_X,
+                           method)
+    assert code == EXIT_OK
+    header, rows = _read_csv(tmp_path / "o" / "synth_1.csv")
+    x = np.array([float(r[0]) for r in rows])
+    assert header == ["x"] and len(x) == 7
+    assert np.all((x >= 0.0) & (x <= 1.0)) and len(set(x)) == 7
+    data = TabularDataset(
+        [ContinuousColumn("x", 0.0, 1.0)], {"x": np.full(2000, 0.1)})
+    sets = SYNTHESIZERS[method](RngStream(4), data, 1.0, 1, None, "BIT")
+    assert stats.kstest(sets[0].column("x"), "uniform").pvalue > 0.01
 
 
 @pytest.mark.parametrize("n", [20, 24])

@@ -363,6 +363,30 @@ def test_sim4_rows_match_pinned_digest():
             assert _rows_digest(rows, method) == digest, (n, method)
 
 
+# the same digest over sim4's regression coefficients (b1_0 ... b4_4),
+# recorded at the parent of the multinomial overflow shift (numpy 2.4.6),
+# where this run raised overflow warnings in the multinomial fit; mu1, mu2
+# and rho never see the MH sampler, since the predictive draw takes z first
+SIM4_COEF_PINNED_DIGESTS = {
+    "modips-logistic":
+        "c1557dd8376c2904f73a489feffd35a2856322e609d21307bedefab00d08b2bf",
+    "ms": "aad78d5fcff79d21aa2c220b4a3d5291c1526d8991bca4893c0c2a8cf7d743d8",
+    "np-dips":
+        "3ad969fa9dd5d713823760d70aabbba3954c0f30e12aec2b3a6533b52b140e5f",
+}
+
+
+def test_sim4_coefficient_rows_match_pinned_digest():
+    study = STUDIES["sim4"]
+    coefs = [p for p in study.values(study.settings({})) if p[0] == "b"]
+    assert len(coefs) == 17
+    rows = run_study(StudyConfig(
+        "sim4", 200, eps_grid=[math.exp(-2), math.exp(2)], m=3, reps=1,
+        methods=list(SIM4_COEF_PINNED_DIGESTS), seed=11, parameters=coefs))
+    for method, digest in SIM4_COEF_PINNED_DIGESTS.items():
+        assert _rows_digest(rows, method) == digest, method
+
+
 # the same digest over every sim1 and sim2 method under BIT and under
 # truncate, recorded before `perturb_histogram` and `modips_release` shared
 # one sanitizer (numpy 2.4.6); at eps e^-9 most truncation windows lie far

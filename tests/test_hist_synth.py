@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,17 +10,14 @@ from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.dataset import CategoricalColumn, ContinuousColumn, TabularDataset
 from dips.hist_synth import (
     AllCellsZero,
-    BinnedAxis,
-    CategoricalAxis,
     MAX_GRID_CELLS,
-    GridSpec,
-    OutOfDomain,
-    bin_count_from_width,
-    bin_width_scott,
     build_histogram,
+    grid_cells,
     laplace_sanitizer_crosstab,
     perturb_histogram,
     sample_from_histogram,
+    scott_bins,
+    scott_grid,
     smooth_histogram,
     smoothing_weight,
 )
@@ -32,36 +30,51 @@ def _cont_dataset(values, lo=0.0, hi=1.0):
 
 
 def test_scott_rule_oracle():
-    # 3.5 * S * n^(-1/3) with S=2, n=1000 -> 0.7
-    assert bin_width_scott(2.0, 1000) == pytest.approx(0.7)
+    # 3.5 * S * n^(-1/3) with S=2, n=1000 -> a width of 0.7, so ranges of
+    # 1, 3 and 6 take ceil(1.43), ceil(4.29) and ceil(8.57) bins
+    bins = scott_bins(np.array([1.0, 3.0, 6.0]), 2.0, 1000, True)
+    assert bins.tolist() == [2.0, 5.0, 9.0]
+    data = _cont_dataset([0.0, 0.2, 0.3, 0.9, 1.0])
+    sd = float(np.std(data.column("x"), ddof=1))
+    assert scott_grid(data) == (math.ceil(1.0 / (3.5 * sd * 5 ** (-1 / 3))),)
 
 
 def test_bin_count_anchored_at_lower_bound():
-    assert bin_count_from_width(0.0, 1.0, 0.3) == 4
-    assert bin_count_from_width(0.0, 1.0, 0.5) == 2
+    # a width of 0.3 on [0, 1] rounds up to 4 bins, not down to 3
+    sd = 0.3 / (3.5 * 8 ** (-1 / 3))
+    assert scott_bins(1.0, sd, 8, True) == 4
+    # 4 equal bins from lo = 2: an edge counts in the upper bin, and hi
+    # in the last
+    ds = _cont_dataset([2.0, 2.24, 2.26, 2.5, 3.0], lo=2.0, hi=3.0)
+    assert build_histogram(ds, (4,)).tolist() == [2.0, 1.0, 1.0, 1.0]
+
+
+def test_equal_rows_take_one_bin():
+    # seven equal rows have a numpy sd a rounding error above 0
+    seven = _cont_dataset([0.1] * 7)
+    assert np.std(seven.column("x"), ddof=1) > 0
+    assert scott_grid(seven) == (1,)
+    # rows a subnormal apart: min < max, but the squares underflow to sd 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scott_grid(_cont_dataset([0.0, 5e-324, 0.0])) == (1,)
+    # one bin unless both the rows and the sd spread
+    assert scott_bins(np.ones(3), np.array([0.0, 1e-17, 0.5]), 7,
+                      np.array([True, False, True])).tolist() == [1, 1, 2]
 
 
 def test_histogram_counts():
     ds = _cont_dataset([0.05, 0.15, 0.95, 0.95])
-    grid = GridSpec((BinnedAxis(0.0, 1.0, 10),))
-    counts = build_histogram(ds, grid)
+    counts = build_histogram(ds, (10,))
     assert counts.dtype == float and counts.shape == (10,)
     assert counts[0] == 1 and counts[1] == 1 and counts[9] == 2
     assert counts.sum() == ds.n
 
 
-def test_out_of_domain_rejected():
-    ds = _cont_dataset([1.5], lo=0.0, hi=2.0)
-    grid = GridSpec((BinnedAxis(0.0, 1.0, 4),))  # narrower than the column
-    with pytest.raises(OutOfDomain):
-        build_histogram(ds, grid)
-
-
 def test_perturbed_histogram_nonnegative_and_charged_once():
     rng = RngStream(0)
     ds = _cont_dataset(np.linspace(0.01, 0.99, 200))
-    grid = GridSpec((BinnedAxis(0.0, 1.0, 8),))
-    counts = build_histogram(ds, grid)
+    counts = build_histogram(ds, (8,))
     ledger = PrivacyLedger(PrivacyBudget(0.5))
     pert = perturb_histogram(rng, counts, 0.5, ledger=ledger)
     assert pert.shape == counts.shape and np.all(pert >= 0)
@@ -109,8 +122,7 @@ def test_smoothing_weight_monotone_in_eps_and_cells():
 
 def test_smooth_histogram_mixes_toward_uniform():
     ds = _cont_dataset(np.repeat(0.05, 100))
-    grid = GridSpec((BinnedAxis(0.0, 1.0, 5),))
-    hist = build_histogram(ds, grid)
+    hist = build_histogram(ds, (5,))
     probs = smooth_histogram(hist, 1e-6)
     # lambda ~ 1: almost uniform
     np.testing.assert_allclose(probs, 0.2, rtol=1e-4)
@@ -127,55 +139,51 @@ def test_smooth_histogram_mixes_toward_uniform():
 
 def test_smooth_histogram_mixes_uniform_weight_on_mixed_grid():
     """The uniform share of the smoothed histogram is lambda on a grid with
-    categorical and binned axes alike: every cell gets lambda / K."""
+    categorical and continuous columns alike: every cell gets lambda / K."""
     w = np.full(100, 2, dtype=np.int64)
     ds = TabularDataset([CategoricalColumn("w", (0, 1, 2, 3)),
                          ContinuousColumn("x", 0.0, 1.0)],
                         {"w": w, "x": np.full(100, 0.55)})
-    grid = GridSpec((CategoricalAxis(4), BinnedAxis(0.0, 1.0, 5)))
-    assert grid.cell_count == 20
-    counts = build_histogram(ds, grid)
+    shape = (4, 5)
+    assert grid_cells(shape) == 20
+    counts = build_histogram(ds, shape)
     probs = smooth_histogram(counts, 100.0)
     lam = smoothing_weight(20, 100, 100.0)
     assert lam == pytest.approx(0.104, abs=1e-3)
     assert probs.sum() == pytest.approx(1.0)
     # only cell (2, 2) holds data; the other 19 get the uniform share only
-    empty = np.delete(probs, np.ravel_multi_index((2, 2), grid.shape))
+    empty = np.delete(probs, np.ravel_multi_index((2, 2), shape))
     np.testing.assert_allclose(empty, lam / 20, rtol=1e-12)
     assert 20 * probs.min() == pytest.approx(lam, rel=1e-12)
 
 
 def test_grid_cell_bound_is_exact():
-    assert GridSpec((CategoricalAxis(2 ** 12),
-                     CategoricalAxis(2 ** 12))).cell_count == MAX_GRID_CELLS
+    assert grid_cells((2 ** 12, 2 ** 12)) == MAX_GRID_CELLS
     with pytest.raises(ValueError, match="16777217 cells"):
-        GridSpec((CategoricalAxis(MAX_GRID_CELLS + 1),))
+        grid_cells((MAX_GRID_CELLS + 1,))
     # 2^32 x 2^32 wraps to 0 in int64; the exact product is refused
     with pytest.raises(ValueError, match=f"{2 ** 64} cells"):
-        GridSpec((CategoricalAxis(2 ** 32), CategoricalAxis(2 ** 32)))
-
-
-def test_binned_axis_needs_finite_bounds():
-    for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="finite bounds"):
-            BinnedAxis(lo, hi, 3)
+        grid_cells((2 ** 32, 2 ** 32))
 
 
 def test_sample_from_histogram_respects_support():
     rng = RngStream(5)
-    grid = GridSpec((BinnedAxis(-1.0, 1.0, 4),))
+    columns = [ContinuousColumn("x", -1.0, 1.0)]
     weights = np.array([0.0, 3.0, 0.0, 0.0])
-    draw = sample_from_histogram(rng, grid, weights, 500)["axis0"]
-    assert np.all(draw >= -0.5) and np.all(draw <= 0.0)
+    draw = sample_from_histogram(rng, columns, (4,), weights, 500)
+    assert draw.columns == columns
+    assert np.all(draw.column("x") >= -0.5) and np.all(draw.column("x") <= 0.0)
 
 
 def test_sample_from_histogram_mixed_axes():
     rng = RngStream(6)
-    grid = GridSpec((CategoricalAxis(3), BinnedAxis(0.0, 1.0, 2)))
+    columns = [CategoricalColumn("w", (0, 1, 2)),
+               ContinuousColumn("x", 0.0, 1.0)]
     weights = np.ones(6)
-    out = sample_from_histogram(rng, grid, weights, 1000)
-    assert set(np.unique(out["axis0"])) <= {0, 1, 2}
-    assert np.all((out["axis1"] >= 0.0) & (out["axis1"] <= 1.0))
+    out = sample_from_histogram(rng, columns, (3, 2), weights, 1000)
+    assert set(np.unique(out.column("w"))) <= {0, 1, 2}
+    assert out.column("w").dtype == np.int64
+    assert np.all((out.column("x") >= 0.0) & (out.column("x") <= 1.0))
 
 
 def test_laplace_sanitizer_crosstab_roundtrip():
