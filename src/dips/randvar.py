@@ -5,6 +5,7 @@ pairs reproduce identical sequences.  Standard scalar distributions
 delegate to numpy's Generator; the inverse-Wishart sampler is built here
 via the Bartlett decomposition so near-singular draws are never inverted
 directly.  The Laplace conditioned on an interval is drawn by inverse CDF.
+Of scipy only ``scipy.special`` is loaded, for the t and normal quantiles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 __all__ = [
     "ParameterDomainError",
@@ -196,7 +197,11 @@ def sample_inv_wishart(rng: RngStream, dof: float, scale: np.ndarray) -> np.ndar
 
     Draws W ~ Wishart(dof, scale^{-1}) as (LA)(LA)' with L the Cholesky
     factor of scale^{-1}, then returns W^{-1} through triangular solves
-    (no dense inverse of the draw itself).
+    (no dense inverse of the draw itself).  L' is the inverse of
+    chol(scale), found by forward substitution with the reciprocals of its
+    diagonal: at p = 2, with chol(scale) = [[a, 0], [b, d]], r0 = 1/a and
+    r1 = 1/d, it is [[r0, 0], [(-b r0) r1, r1]], bit for bit the result
+    of LAPACK's triangular solve with an identity right-hand side.
     """
     scale = np.asarray(scale, dtype=float)
     p = scale.shape[0]
@@ -206,7 +211,10 @@ def sample_inv_wishart(rng: RngStream, dof: float, scale: np.ndarray) -> np.ndar
         raise ParameterDomainError("scale must be symmetric")
     # L L' = scale^{-1} without forming the inverse: L = chol(scale)^{-T}
     chol_scale = np.linalg.cholesky(scale)
-    l_inv = linalg.solve_triangular(chol_scale, np.eye(p), lower=True)
+    recip = 1.0 / np.diag(chol_scale)
+    l_inv = np.diag(recip)
+    for i in range(1, p):
+        l_inv[i, :i] = -(chol_scale[i, :i] @ l_inv[:i, :i]) * recip[i]
     factor = l_inv.T @ _bartlett_factor(rng, dof, p)  # W = factor factor'
     # W^{-1} = factor^{-T} factor^{-1}
     finv = np.linalg.inv(factor)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
+import dips
 from dips.randvar import (
     ParameterDomainError,
     RngStream,
@@ -18,6 +24,7 @@ from dips.randvar import (
     sample_wishart,
     t_quantile,
 )
+from dips.randvar import _bartlett_factor
 
 N_DRAWS = 100_000
 ALPHA = 0.01
@@ -159,6 +166,55 @@ def test_inv_wishart_mean():
 def test_inv_wishart_dof_domain():
     with pytest.raises(ParameterDomainError):
         sample_inv_wishart(rng(), 1.0, np.eye(2))
+
+
+def _inv_wishart_from(rng, dof, l_inv):
+    """sample_inv_wishart given L', the inverse of chol(scale)."""
+    finv = np.linalg.inv(l_inv.T @ _bartlett_factor(rng, dof, len(l_inv)))
+    draw = finv.T @ finv
+    return 0.5 * (draw + draw.T)
+
+
+def test_inv_wishart_closed_form_equals_lapack_solve():
+    # the forward substitution by reciprocals gives LAPACK's 2x2 inverse
+    # bit for bit on this build (numpy 2.4.6, scipy 1.17.1 with OpenBLAS),
+    # which the sim3 and sim4 digests pin; scales span 16 orders of
+    # magnitude and every correlation.  One stacked solve_triangular call
+    # makes every reference (a scipy call between numpy's is slow).
+    gen = np.random.default_rng(12)
+    count = 10_000
+    a = gen.standard_normal((count, 2, 2))
+    scales = ((a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2))
+              * 10.0 ** gen.uniform(-8, 8, (count, 1, 1)))
+    dofs = 2.0 + gen.exponential(20.0, count)
+    l_invs = linalg.solve_triangular(
+        np.linalg.cholesky(scales),
+        np.broadcast_to(np.eye(2), (count, 2, 2)), lower=True)
+    for i in range(count):
+        got = sample_inv_wishart(rng(13).substream(i), dofs[i], scales[i])
+        want = _inv_wishart_from(rng(13).substream(i), dofs[i], l_invs[i])
+        assert got.tobytes() == want.tobytes(), (scales[i], dofs[i])
+    # p = 3 runs the same substitution; it agrees to rounding
+    a = gen.standard_normal((3, 3))
+    scale = a @ a.T + np.eye(3)
+    l_inv = linalg.solve_triangular(np.linalg.cholesky(scale), np.eye(3),
+                                    lower=True)
+    np.testing.assert_allclose(sample_inv_wishart(rng(14), 6.0, scale),
+                               _inv_wishart_from(rng(14), 6.0, l_inv),
+                               rtol=1e-10)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = ("import sys, dips.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.')"
+            " and m.split('.')[1] in ('linalg', 'stats')))")
+    # the child imports the same dips as this test run
+    src = str(Path(dips.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_wishart_draws_are_spd():
