@@ -180,6 +180,17 @@ def _check_design(design: np.ndarray):
         raise RankDeficient("design matrix is rank deficient")
 
 
+def _half_logdet(info) -> float:
+    """The Jeffreys penalty 1/2 log det I of an information matrix.  At
+    separation I is singular (slogdet's sign 0), and the penalty is -inf:
+    a step onto such a point is never taken."""
+    with np.errstate(divide="ignore"):  # log of a zero pivot
+        sign, logdet = np.linalg.slogdet(info)
+    if sign == 0:
+        return -math.inf
+    return 0.5 * logdet
+
+
 def firth_logistic(design, response, max_iter: int = 100,
                    tol: float = 1e-6) -> list[PerSetEstimate]:
     """Binary logistic regression maximizing the Jeffreys-penalized
@@ -209,8 +220,7 @@ def firth_logistic(design, response, max_iter: int = 100,
         ll = float(response @ eta - np.logaddexp(0.0, eta).sum())
         p = 1.0 / (1.0 + np.exp(-eta))
         w = p * (1 - p)
-        sign, logdet = np.linalg.slogdet((design.T * w) @ design)
-        return ll + 0.5 * logdet
+        return ll + _half_logdet((design.T * w) @ design)
 
     obj = penalized_loglik(beta)
     for _ in range(max_iter):
@@ -290,8 +300,7 @@ def fit_multinomial_logit(design, response, max_iter: int = 100,
 
     def penalty(th):
         probs = _multinomial_probs(design, th, n_alt)
-        sign, logdet = np.linalg.slogdet(_multinomial_info(design, probs))
-        return 0.5 * logdet
+        return _half_logdet(_multinomial_info(design, probs))
 
     def penalty_grad(th, h=1e-5):
         grad = np.zeros_like(th)

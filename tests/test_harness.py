@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -385,6 +386,21 @@ def test_sim4_coefficient_rows_match_pinned_digest():
         methods=list(SIM4_COEF_PINNED_DIGESTS), seed=11, parameters=coefs))
     for method, digest in SIM4_COEF_PINNED_DIGESTS.items():
         assert _rows_digest(rows, method) == digest, method
+
+
+def test_sim4_separated_multinomial_fit_raises_no_warning():
+    # at separation the multinomial Firth fit's information is singular:
+    # its Jeffreys penalty is -inf without slogdet's divide-by-zero warning
+    # (34 of them at n = 150, eps 0.5 and 5, m = 3, reps 3, seed 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_study(StudyConfig(
+            "sim4", 150, eps_grid=[0.5, 5.0], m=3, reps=3, seed=5,
+            parameters=["b3_0"]))
+    assert [(r.method, r.eps, r.reps_used) for r in rows] == [
+        (method, eps, used) for eps in (0.5, 5.0)
+        for method, used in (("modips-logistic", 2), ("np-dips", 3),
+                             ("ms", 3), ("original", 3))]
 
 
 # the same digest over every sim1 and sim2 method under BIT and under
