@@ -574,7 +574,7 @@ class SequentialLogisticModel:
             return 1.0
         return log_star / log_raw
 
-    def _mh_lockstep(self, rngs, loglik, dims, n_draws):
+    def _mh_lockstep(self, rng, loglik, dims, n_draws):
         """Adaptive random-walk Metropolis over K targets advanced in
         lockstep.  The targets' states lie end to end in one vector, and
         each step makes one ``loglik(proposal) -> K values`` call on every
@@ -582,12 +582,14 @@ class SequentialLogisticModel:
         array per target.  The logistic posterior runs the three
         regressions of every set of a release as one such call.
 
-        Target k runs chain c on ``rngs[k].substream(c)``, with its own
-        proposal scale, tuned during burn-in toward 0.2-0.5 acceptance and
-        frozen afterwards.  Each step draws every target's proposal
-        normals and then every target's accept uniform, so each generator
-        sees the same normal, uniform sequence as a run of that target
-        alone and returns the same draws.  Each chain keeps every
+        Chain c runs on ``rng.substream(c)``.  Each step makes one
+        standard-normal call that fills every target's proposal normals
+        end to end, then one call for the K accept uniforms, and target k
+        reads its slice of each.  Both sizes are fixed, so target k's
+        draws depend on its likelihood, its place in the layout and the
+        stream, never on another target's values.  Each target has its
+        own proposal scale, tuned during burn-in toward 0.2-0.5
+        acceptance and frozen afterwards.  Each chain keeps every
         `mh_thin`-th state after burn-in, at most `per_chain` of them, and
         chains are concatenated in order.  Only the iterations whose draws
         are returned are run: a chain stops at its last used draw and a
@@ -599,42 +601,39 @@ class SequentialLogisticModel:
         needed = min(n_draws, per_chain * self.mh_chains)
         ends = np.cumsum(dims)
         parts = [slice(end - d, end) for d, end in zip(dims, ends)]
-        targets = range(len(dims))
+        k = len(dims)
+        owner = np.repeat(np.arange(k), dims)  # the target of each entry
         kept = []
         for chain in range(self.mh_chains):
             want = min(per_chain, needed - len(kept))
             if want <= 0:
                 break
-            gens = [r.substream(chain).generator for r in rngs]
+            gen = rng.substream(chain).generator
             state = np.zeros(ends[-1])
             noise = np.empty(ends[-1])
-            current = list(loglik(state))
-            scales = [0.2] * len(dims)
-            steps = np.repeat(scales, dims)
-            accepted = [0] * len(dims)
+            proposal = np.empty(ends[-1])
+            current = np.array(loglik(state), dtype=float)
+            scales = np.full(k, 0.2)
+            steps = scales[owner]
+            accepted = np.zeros(k)
             window = 0
             for it in range(burnin + (want - 1) * thin + 1):
-                for gen, part in zip(gens, parts):
-                    gen.standard_normal(out=noise[part])
+                gen.standard_normal(out=noise)
                 # the product numpy's normal(0, scale) forms, bit for bit
-                proposal = state + steps * noise
+                np.multiply(steps, noise, out=noise)
+                np.add(state, noise, out=proposal)
                 cands = loglik(proposal)
-                for k in targets:
-                    if (math.log(gens[k].random() + 1e-300)
-                            < cands[k] - current[k]):
-                        state[parts[k]] = proposal[parts[k]]
-                        current[k] = cands[k]
-                        accepted[k] += 1
+                accept = np.log(gen.random(k) + 1e-300) < cands - current
+                np.copyto(state, proposal, where=accept[owner])
+                np.copyto(current, cands, where=accept)
+                accepted += accept
                 window += 1
                 if it < burnin and window == 100:
-                    for k in targets:
-                        rate = accepted[k] / window
-                        if rate < 0.2:
-                            scales[k] *= 0.7
-                        elif rate > 0.5:
-                            scales[k] *= 1.4
-                        accepted[k] = 0
-                    steps = np.repeat(scales, dims)
+                    rate = accepted / window
+                    scales[rate < 0.2] *= 0.7
+                    scales[rate > 0.5] *= 1.4
+                    steps = scales[owner]
+                    accepted[:] = 0
                     window = 0
                 if it >= burnin and (it - burnin) % thin == 0:
                     kept.append(state.copy())
@@ -698,14 +697,19 @@ class SequentialLogisticModel:
             np.maximum(neg_logp, floor, out=neg_logp)
             np.minimum(neg_logp, ceiling, out=neg_logp)
             sums = neg_logp.reshape(m, 3, n).sum(axis=2)
-            return (neg_weights * sums).ravel().tolist()
+            return (neg_weights * sums).ravel()
         return loglik
 
     def posterior_draw(self, rngs, stats_sets, n, flags):
         """Per set, the covariate mean and covariance on its stream and
         its three tempering weights; then one MH over the three
-        regressions of every set, set j's on ``rngs[j].substream(1|2|3)``,
-        with a likelihood that reads the rows all sets share."""
+        regressions of every set, with a likelihood that reads the rows
+        all sets share.  MH chain c draws on ``rngs[0].substream(4, c)``,
+        set j's regressions reading entries 17j to 17j + 16 of each
+        step's normals and 3j to 3j + 2 of its uniforms.  So set j's
+        coefficients depend on its own statistics, j, m and the release's
+        streams: with the same m, another set's statistics do not move
+        them."""
         covariates, weights = [], []
         for rng, stats in zip(rngs, stats_sets, strict=True):
             s_star = _sanitized_cov2(stats["s11"], stats["s22"],
@@ -725,9 +729,8 @@ class SequentialLogisticModel:
             raise ValueError("the sets of one release must share their "
                              "unsanitized rows")
         loglik = self._lockstep_loglik(*rows, weights)
-        draws = self._mh_lockstep(
-            [rng.substream(k) for rng in rngs for k in (1, 2, 3)], loglik,
-            (3, 4, 10) * len(rngs), n)
+        draws = self._mh_lockstep(rngs[0].substream(4), loglik,
+                                  (3, 4, 10) * len(rngs), n)
         return [(mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:])
                 for (mu, sigma), beta1, beta2, beta34
                 in zip(covariates, draws[0::3], draws[1::3], draws[2::3])]

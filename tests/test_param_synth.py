@@ -203,7 +203,7 @@ def test_normal_model_degenerate_variance_flagged():
     [(mu, sigma2)] = NormalModel().posterior_draw(
         [RngStream(2)], [{"mean": np.array([0.0]), "var": np.array([0.0])}],
         50, flags)
-    assert flags == ["PosteriorDegenerate:var"]
+    assert "PosteriorDegenerate:var" in flags
     assert sigma2 > 0
 
 
@@ -435,7 +435,7 @@ def _counting_quadratic():
 
 def _mh_one(model, rng, loglik, dim, n_draws):
     """The lockstep sampler on one target with a scalar log-likelihood."""
-    return model._mh_lockstep([rng], lambda b: [loglik(b)], [dim],
+    return model._mh_lockstep(rng, lambda b: [loglik(b)], [dim],
                               n_draws)[0]
 
 
@@ -484,45 +484,48 @@ LOCKSTEP_MODES = [np.array([1.0, -1.0, 0.5]), np.linspace(-1.0, 1.0, 4),
                   np.linspace(2.0, -2.0, 10)]
 
 
-def _lockstep_calls(model, n_draws):
-    """Sample the three quadratic targets in lockstep, check each one's
-    draws against `_mh_one` on it alone and return the batched calls."""
-    targets = [lambda beta, mode=mode: -0.5 * float(np.sum((beta - mode) ** 2))
-               for mode in LOCKSTEP_MODES]
+def _lockstep_draws(model, n_draws, modes):
+    """Sample quadratic targets with these modes in lockstep; return each
+    target's draws and the number of batched calls."""
     calls = [0]
-    dims = [len(mode) for mode in LOCKSTEP_MODES]
+    dims = [len(mode) for mode in modes]
 
     def batched(state):
         # the targets' states lie end to end in one vector
         calls[0] += 1
         betas = np.split(state, np.cumsum(dims)[:-1])
-        return [ll(beta) for ll, beta in zip(targets, betas)]
-    rngs = [RngStream(85).substream(k) for k in (1, 2, 3)]
-    got = model._mh_lockstep(rngs, batched, dims, n_draws)
-    assert len(got) == 3
-    for draws, rng, ll, dim in zip(got, rngs, targets, dims):
-        assert draws.shape == (n_draws, dim)
-        np.testing.assert_array_equal(draws,
-                                      _mh_one(model, rng, ll, dim, n_draws))
-    return calls[0]
+        return np.array([-0.5 * np.sum((beta - mode) ** 2)
+                         for beta, mode in zip(betas, modes)])
+    draws = model._mh_lockstep(RngStream(85), batched, dims, n_draws)
+    assert [d.shape for d in draws] == [(n_draws, dim) for dim in dims]
+    return draws, calls[0]
 
 
 @pytest.mark.parametrize("k", [1, 50, 51, 237])
-def test_mh_lockstep_matches_each_target_alone(k):
+def test_mh_lockstep_targets_ignore_each_other(k):
     burnin, thin = 250, 4
     model = SequentialLogisticModel(mh_chains=2, mh_iters=450,
                                     mh_burnin=burnin, mh_thin=thin)
+    draws, calls = _lockstep_draws(model, k, LOCKSTEP_MODES)
     # 50 draws per chain; one batched call starts each chain, one per step
     quotas = {1: [1], 50: [50], 51: [50, 1], 237: [50, 50]}[k]
-    assert _lockstep_calls(model, k) == sum(
-        1 + burnin + (want - 1) * thin + 1 for want in quotas)
+    assert calls == sum(1 + burnin + (want - 1) * thin + 1 for want in quotas)
+    # each step draws fixed sizes, so moving one target's mode leaves every
+    # other target's draws as they were, byte for byte
+    for moved in range(len(LOCKSTEP_MODES)):
+        modes = [mode + 0.5 * (t == moved)
+                 for t, mode in enumerate(LOCKSTEP_MODES)]
+        again, _ = _lockstep_draws(model, k, modes)
+        for t, (a, b) in enumerate(zip(again, draws)):
+            assert (a.tobytes() == b.tobytes()) == (t != moved), (moved, t)
 
 
 def test_mh_lockstep_default_settings_one_call_per_step_at_n_200():
     # the three targets share each step's call: 3,492 batched calls, where
     # sampling them one by one makes 3 x 3,492 scalar calls
     model = SequentialLogisticModel()
-    assert _lockstep_calls(model, 200) == 3492
+    _, calls = _lockstep_draws(model, 200, LOCKSTEP_MODES)
+    assert calls == 3492
 
 
 def test_lockstep_loglik_matches_scalar_likelihoods():
@@ -680,11 +683,8 @@ DEGENERATE = {"bernoulli": None, "normal": "var", "mixture": "var1",
               "logistic": "s11"}
 
 
-@pytest.mark.parametrize("plugin", list(DEGENERATE))
-def test_posterior_over_m_sets_equals_one_set_calls(plugin):
-    """Set j's parameters depend only on its stream and statistics: one
-    call over three sets draws the same bytes, and flags in the same
-    order, as three one-set calls."""
+def _three_sets(plugin):
+    """A plugin and the three sets' statistics of one of its releases."""
     model, data, allocation = _plugin_cases()[plugin]
     rel = modips_release(RngStream(103), data, model, 1.0, m=3,
                          allocation=allocation)
@@ -692,6 +692,15 @@ def test_posterior_over_m_sets_equals_one_set_calls(plugin):
            for g in model.sufficient_statistics(data) if g.delta_s is None}
     stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
                   for records in rel.sanitized_stats]
+    return model, data, stats_sets
+
+
+@pytest.mark.parametrize("plugin", ["bernoulli", "normal", "mixture"])
+def test_posterior_over_m_sets_equals_one_set_calls(plugin):
+    """Set j's parameters depend only on its stream and statistics: one
+    call over three sets draws the same bytes, and flags in the same
+    order, as three one-set calls."""
+    model, data, stats_sets = _three_sets(plugin)
     if DEGENERATE[plugin]:
         stats_sets[1][DEGENERATE[plugin]] = np.array([-1.0])
 
@@ -707,6 +716,32 @@ def test_posterior_over_m_sets_equals_one_set_calls(plugin):
     # set 1 flags its variance; a set with noisy variances may flag too
     assert flags == one_flags
     assert ("PosteriorDegenerate:var" in flags) == bool(DEGENERATE[plugin])
+
+
+def test_logistic_posterior_sets_ignore_each_others_statistics():
+    """The MH draws every set's coefficients on one stream with fixed
+    sizes per step: with the same streams and m, changing set 1's
+    statistics leaves the other sets' parameters byte-identical."""
+    model, data, stats_sets = _three_sets("logistic")
+
+    def streams():
+        return [RngStream(104).substream(j, 10_000) for j in range(3)]
+    base = model.posterior_draw(streams(), stats_sets, data.n, [])
+    again = model.posterior_draw(streams(), stats_sets, data.n, [])
+    assert list(map(_param_bytes, again)) == list(map(_param_bytes, base))
+    # set 1's variance goes degenerate and its tempering weights go to 1/2
+    stats_sets[1]["s11"] = np.array([-1.0])
+    for i, log_raw in enumerate(stats_sets[1]["log_raw"]):
+        stats_sets[1][f"likprod{i + 1}"] = np.array([math.exp(log_raw / 2)])
+    assert [model._temper_weight(stats_sets[1], i)
+            for i in range(3)] == pytest.approx([0.5] * 3)
+    flags = []
+    moved = model.posterior_draw(streams(), stats_sets, data.n, flags)
+    assert "PosteriorDegenerate:var" in flags
+    for j in (0, 2):
+        assert _param_bytes(moved[j]) == _param_bytes(base[j])
+    for new, old in zip(moved[1], base[1]):
+        assert new.tobytes() != old.tobytes()
 
 
 def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
@@ -810,10 +845,10 @@ def test_stateless_model_reused_equals_fresh(make, first, second):
 
 
 def _logistic_release(seed, eps, sanitize):
-    """modips_release of a seeded sim4 set (n = 200) under short MH chains;
-    records each set's tempering weights and posterior draw."""
+    """modips_release of a seeded sim4 set (n = 200) under the default MH
+    chains; records each set's tempering weights and posterior draw."""
     data = simulate_truth_sim4(RngStream(seed), 200)
-    model = SequentialLogisticModel(mh_iters=1200, mh_burnin=400, mh_thin=4)
+    model = SequentialLogisticModel()
     seen = []
     draw = model.posterior_draw
 
