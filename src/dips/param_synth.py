@@ -92,11 +92,13 @@ class ModipsModel(Protocol):
     facts: the row count n and the declared ``columns``, from which a
     model reads its bounds and level counts.  ``stats`` holds the
     sanitized groups and, as they are, the groups declared with
-    ``delta_s=None``.  Set j's parameters depend only on ``rngs[j]`` and
-    ``stats_sets[j]``, so a call over m sets equals m one-set calls, and
-    its flags come in set order.  A predictive draw returns a set over
-    exactly those columns.  The draws change neither the model nor the
-    ``stats`` arrays."""
+    ``delta_s=None``.  Set j's parameters depend on ``stats_sets[j]``
+    and the streams, never on another set's statistics, and its flags
+    come in set order.  Where set j draws on ``rngs[j]`` alone (every
+    plugin but the logistic one, whose MH serves all m sets from one
+    stream), a call over m sets equals m one-set calls.  A predictive
+    draw returns a set over exactly those columns.  The draws change
+    neither the model nor the ``stats`` arrays."""
 
     def sufficient_statistics(self, data: TabularDataset) -> list[StatGroup]: ...
 
