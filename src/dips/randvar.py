@@ -200,8 +200,9 @@ def sample_inv_wishart(rng: RngStream, dof: float, scale: np.ndarray) -> np.ndar
     (no dense inverse of the draw itself).  L' is the inverse of
     chol(scale), found by forward substitution with the reciprocals of its
     diagonal: at p = 2, with chol(scale) = [[a, 0], [b, d]], r0 = 1/a and
-    r1 = 1/d, it is [[r0, 0], [(-b r0) r1, r1]], bit for bit the result
-    of LAPACK's triangular solve with an identity right-hand side.
+    r1 = 1/d, it is [[r0, 0], [(-b r0) r1, r1]], bit for bit what
+    OpenBLAS's triangular solve returns for an identity right-hand side
+    (which also multiplies by the diagonal's reciprocals).
     """
     scale = np.asarray(scale, dtype=float)
     p = scale.shape[0]

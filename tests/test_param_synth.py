@@ -203,7 +203,7 @@ def test_normal_model_degenerate_variance_flagged():
     [(mu, sigma2)] = NormalModel().posterior_draw(
         [RngStream(2)], [{"mean": np.array([0.0]), "var": np.array([0.0])}],
         50, flags)
-    assert "PosteriorDegenerate:var" in flags
+    assert flags == ["PosteriorDegenerate:var"]
     assert sigma2 > 0
 
 

@@ -107,7 +107,7 @@ def _streams(seed):
     return [RngStream(seed).substream(j, 10_000) for j in range(M)]
 
 
-def _reference_last(model, stats_sets, loglik, seed):
+def _reference_last(model, loglik, seed):
     """The reference sampler's last kept draw, the sets' 17 coefficients
     end to end."""
     rngs = _streams(seed)
@@ -142,7 +142,7 @@ def test_logistic_mh_draws_follow_the_reference_law():
                for stats in stats_sets]
     rows = [stats_sets[0][label] for label in ("x3", "w1", "w2", "w3")]
     loglik = model._lockstep_loglik(*rows, weights)
-    ref = np.array([_reference_last(model, stats_sets, loglik, 1000 + s)
+    ref = np.array([_reference_last(model, loglik, 1000 + s)
                     for s in range(SEEDS)])
     new = np.array([_posterior_last(model, stats_sets, 5000 + s)
                     for s in range(SEEDS)])
@@ -169,7 +169,7 @@ def test_quadratic_mh_draws_follow_the_reference_law(monkeypatch):
     stats_sets = _release_stats()
     model = SequentialLogisticModel(**SHORT)
     loglik = _quadratic_loglik()
-    ref = np.array([_reference_last(model, stats_sets, loglik, 1000 + s)
+    ref = np.array([_reference_last(model, loglik, 1000 + s)
                     for s in range(SEEDS)])
     monkeypatch.setattr(SequentialLogisticModel, "_lockstep_loglik",
                         staticmethod(_quadratic_loglik))
