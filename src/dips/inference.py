@@ -3,6 +3,9 @@ and the multiple-synthesis combination rules.
 
 Within-set variability is stored as a variance throughout; the average of
 the per-set variances enters the total variance T = B/m + W directly.
+
+The binary and the three-level Firth fits share one Newton loop,
+``_firth_fit``, with the Jeffreys penalty's gradient in closed form.
 """
 
 from __future__ import annotations
@@ -172,12 +175,14 @@ def estimate_correlation(x, y=None, r: float | None = None,
 
 # -- Firth-penalized logistic regression ------------------------------------
 
-def _check_design(design: np.ndarray):
+def _check_design(design) -> np.ndarray:
+    design = np.asarray(design, dtype=float)
     n, q = design.shape
     if n <= q:
         raise RankDeficient(f"need n > q, got n={n}, q={q}")
     if np.linalg.matrix_rank(design) < q:
         raise RankDeficient("design matrix is rank deficient")
+    return design
 
 
 def _half_logdet(info) -> float:
@@ -191,152 +196,111 @@ def _half_logdet(info) -> float:
     return 0.5 * logdet
 
 
-def firth_logistic(design, response, max_iter: int = 100,
-                   tol: float = 1e-6) -> list[PerSetEstimate]:
-    """Binary logistic regression maximizing the Jeffreys-penalized
-    likelihood l(beta) + 1/2 log det I(beta) by Newton steps with
-    step-halving.  Returns one PerSetEstimate per coefficient, with
-    variances from the inverse information at the solution."""
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float)
-    _check_design(design)
+def _firth_terms(design, codes, k: int):
+    """The Jeffreys-penalized likelihood of a baseline-category logit with
+    level 0 as the reference and k other levels (k = 1 is the binary
+    logit).  theta holds one block of q coefficients per level.  Returns
+    ``evaluate(theta) -> (l + 1/2 log det I, p, I)`` and
+    ``penalized_score(p, I) -> (score, I^-1)``.
+
+    Row i has log-probabilities [0, eta_i1..eta_ik] minus their
+    log-sum-exp, and the information is I = sum_i W_i (x) x_i x_i' with
+    W_i = diag(p_i) - p_i p_i'.  The penalty's gradient is in closed form:
+    d(1/2 log det I)/d theta_aj = sum_i x_ij r_ia, where
+    r_ia = 1/2 sum_bc H_i[b, c] dW_i[b, c]/d eta_ia
+         = 1/2 p_ia (H_i[a, a] - sum_b p_ib H_i[b, b] - 2 (H_i p_i)_a
+                     + 2 p_i' H_i p_i)
+    and H_i[b, c] = x_i' (I^-1)_bc x_i.  For k = 1 that is h_i (1/2 - p_i)
+    with h_i the hat diagonal, Firth's modified score."""
     n, q = design.shape
-    beta = np.zeros(q)
+    rows = np.arange(n)
+    diag = np.arange(k)
+    observed = (codes[:, None] == diag + 1).astype(float)
+    # x_i x_i' flattened: I and H are its products with (k x k) weights
+    outer = (design[:, :, None] * design[:, None, :]).reshape(n, q * q)
 
-    def score_info(b):
-        eta = design @ b
-        p = 1.0 / (1.0 + np.exp(-eta))
-        w = p * (1 - p)
-        xtw = design.T * w
-        info = xtw @ design
-        # hat diagonal of W^(1/2) X (X'WX)^-1 X' W^(1/2)
-        half = design * np.sqrt(w)[:, None]
-        hat = np.einsum("ij,ij->i", half @ np.linalg.inv(info), half)
-        score = design.T @ (response - p + hat * (0.5 - p))
-        return score, info
+    def evaluate(theta):
+        full = np.zeros((n, k + 1))
+        full[:, 1:] = design @ theta.reshape(k, q).T
+        top = full.max(axis=1, keepdims=True)
+        lse = top + np.log(np.exp(full - top).sum(axis=1, keepdims=True))
+        logp = full - lse
+        p = np.exp(logp[:, 1:])
+        w = -p[:, :, None] * p[:, None, :]
+        w[:, diag, diag] += p
+        info = (w.reshape(n, k * k).T @ outer).reshape(
+            k, k, q, q).transpose(0, 2, 1, 3).reshape(k * q, k * q)
+        return float(logp[rows, codes].sum()) + _half_logdet(info), p, info
 
-    def penalized_loglik(b):
-        eta = design @ b
-        ll = float(response @ eta - np.logaddexp(0.0, eta).sum())
-        p = 1.0 / (1.0 + np.exp(-eta))
-        w = p * (1 - p)
-        return ll + _half_logdet((design.T * w) @ design)
+    def penalized_score(p, info):
+        cov = np.linalg.inv(info)
+        h = outer @ cov.reshape(k, q, k, q).transpose(0, 2, 1, 3).reshape(
+            k * k, q * q).T
+        h = h.reshape(n, k, k)
+        h_diag = h[:, diag, diag]
+        hp = np.einsum("iab,ib->ia", h, p)
+        r = 0.5 * p * (h_diag - (p * h_diag).sum(axis=1, keepdims=True)
+                       - 2 * hp + 2 * (p * hp).sum(axis=1, keepdims=True))
+        return ((observed - p + r).T @ design).ravel(), cov
 
-    obj = penalized_loglik(beta)
+    return evaluate, penalized_score
+
+
+def _firth_fit(design, codes, k: int, max_iter: int,
+               tol: float) -> list[list[PerSetEstimate]]:
+    """Maximize ``_firth_terms``' penalized likelihood by Newton steps on
+    the expected information, with step-halving.  Returns one list of
+    PerSetEstimates per non-reference level, with variances from the
+    inverse information at the solution."""
+    evaluate, penalized_score = _firth_terms(design, codes, k)
+    theta = np.zeros(k * design.shape[1])
+    obj, p, info = evaluate(theta)
     for _ in range(max_iter):
-        score, info = score_info(beta)
+        score, cov = penalized_score(p, info)
         if np.max(np.abs(score)) < tol:
-            cov = np.linalg.inv(info)
-            return [PerSetEstimate(float(beta[j]), float(cov[j, j]))
-                    for j in range(q)]
-        step = np.linalg.solve(info, score)
+            var = np.diag(cov)
+            return [[PerSetEstimate(float(t), float(v))
+                     for t, v in zip(block, block_var)]
+                    for block, block_var in zip(theta.reshape(k, -1),
+                                                var.reshape(k, -1))]
+        step = np.linalg.solve(info + 1e-10 * np.eye(len(theta)), score)
         factor = 1.0
         for _ in range(30):
-            trial = beta + factor * step
-            trial_obj = penalized_loglik(trial)
-            if trial_obj >= obj - 1e-12:
+            trial = evaluate(theta + factor * step)
+            if trial[0] >= obj - 1e-12:
                 break
             factor /= 2.0
-        beta = beta + factor * step
-        obj = penalized_loglik(beta)
+        else:
+            trial = evaluate(theta + factor * step)
+        theta = theta + factor * step
+        obj, p, info = trial
     raise NonConvergence(f"Firth fit did not converge in {max_iter} iterations")
 
 
-def _multinomial_probs(design, theta, n_alt):
-    """Softmax probabilities for a baseline-category logit; returns
-    (n, n_alt) matrix of non-reference level probabilities."""
-    n, q = design.shape
-    etas = design @ theta.reshape(n_alt, q).T  # (n, n_alt)
-    # a row whose largest predictor would overflow exp is shifted by it;
-    # every other row keeps the unshifted arithmetic
-    top = etas.max(axis=1)
-    shift = np.where(top > 700, top, 0.0)
-    expd = np.exp(etas - shift[:, None])
-    return expd / (np.exp(-shift) + expd.sum(axis=1))[:, None]
-
-
-def _multinomial_info(design, probs):
-    """Expected information of the baseline-category logit, blocked by
-    alternative."""
-    n, q = design.shape
-    n_alt = probs.shape[1]
-    info = np.zeros((n_alt * q, n_alt * q))
-    for a in range(n_alt):
-        for b in range(n_alt):
-            w = probs[:, a] * ((a == b) - probs[:, b])
-            info[a * q:(a + 1) * q, b * q:(b + 1) * q] = (design.T * w) @ design
-    return info
+def firth_logistic(design, response, max_iter: int = 100,
+                   tol: float = 1e-6) -> list[PerSetEstimate]:
+    """Firth-penalized binary logistic regression (``_firth_fit`` with
+    k = 1) for a 0/1 response.  Returns one PerSetEstimate per
+    coefficient."""
+    design = _check_design(design)
+    response = np.asarray(response)
+    if not np.isin(response, (0, 1)).all():
+        raise ValueError("response must use codes 0, 1")
+    return _firth_fit(design, response.astype(np.int64), 1, max_iter,
+                      tol)[0]
 
 
 def fit_multinomial_logit(design, response, max_iter: int = 100,
                           tol: float = 1e-6):
-    """Firth-penalized baseline-category logit for a 3-level response with
-    level 0 as the reference.  Returns a list of coefficient blocks, one
-    list of PerSetEstimates per non-reference level.
-
-    The Jeffreys penalty gradient is evaluated by central differences of
-    1/2 log det I(theta); the Newton direction uses the expected
-    information."""
-    design = np.asarray(design, dtype=float)
+    """Firth-penalized baseline-category logit (``_firth_fit`` with k = 2)
+    for a 3-level response with level 0 as the reference.  Returns a list
+    of coefficient blocks, one list of PerSetEstimates per non-reference
+    level.  A response that lacks a level is a DegenerateEstimate."""
+    design = _check_design(design)
     response = np.asarray(response, dtype=np.int64)
-    _check_design(design)
     levels = np.unique(response)
     if not np.isin(levels, (0, 1, 2)).all():
         raise ValueError("response must use codes 0, 1, 2")
     if len(levels) != 3:
         raise DegenerateEstimate(f"response lacks a level: {levels.tolist()}")
-    n, q = design.shape
-    n_alt = 2
-    indicator = np.column_stack([(response == a + 1).astype(float)
-                                 for a in range(n_alt)])
-    theta = np.zeros(n_alt * q)
-
-    def loglik(th):
-        probs = _multinomial_probs(design, th, n_alt)
-        p_ref = 1.0 - probs.sum(axis=1)
-        p_obs = np.where(response == 0, p_ref,
-                         probs[np.arange(n), np.maximum(response - 1, 0)])
-        return float(np.log(np.clip(p_obs, 1e-300, None)).sum())
-
-    def penalty(th):
-        probs = _multinomial_probs(design, th, n_alt)
-        return _half_logdet(_multinomial_info(design, probs))
-
-    def penalty_grad(th, h=1e-5):
-        grad = np.zeros_like(th)
-        for j in range(len(th)):
-            up, dn = th.copy(), th.copy()
-            up[j] += h
-            dn[j] -= h
-            grad[j] = (penalty(up) - penalty(dn)) / (2 * h)
-        return grad
-
-    obj = loglik(theta) + penalty(theta)
-    for _ in range(max_iter):
-        probs = _multinomial_probs(design, theta, n_alt)
-        score = np.concatenate([design.T @ (indicator[:, a] - probs[:, a])
-                                for a in range(n_alt)])
-        score = score + penalty_grad(theta)
-        if np.max(np.abs(score)) < tol:
-            cov = np.linalg.inv(_multinomial_info(design, probs))
-            blocks = []
-            for a in range(n_alt):
-                blocks.append([
-                    PerSetEstimate(float(theta[a * q + j]),
-                                   float(cov[a * q + j, a * q + j]))
-                    for j in range(q)
-                ])
-            return blocks
-        info = _multinomial_info(design, probs)
-        step = np.linalg.solve(info + 1e-10 * np.eye(len(theta)), score)
-        factor = 1.0
-        for _ in range(30):
-            trial = theta + factor * step
-            trial_obj = loglik(trial) + penalty(trial)
-            if trial_obj >= obj - 1e-12:
-                break
-            factor /= 2.0
-        theta = theta + factor * step
-        obj = loglik(theta) + penalty(theta)
-    raise NonConvergence(
-        f"multinomial Firth fit did not converge in {max_iter} iterations")
+    return _firth_fit(design, response, 2, max_iter, tol)

@@ -494,28 +494,6 @@ class SequentialLogisticModel:
         self.mh_burnin = mh_burnin
         self.mh_thin = mh_thin
 
-    # likelihood plumbing ---------------------------------------------------
-
-    @staticmethod
-    def _log_factors_binary(design, response, beta):
-        eta = design @ beta
-        logp = response * eta - np.logaddexp(0.0, eta)
-        return logp
-
-    @staticmethod
-    def _log_factors_trinomial(design, response, beta3, beta4):
-        eta3 = design @ beta3
-        eta4 = design @ beta4
-        lse = np.logaddexp(0.0, np.logaddexp(eta3, eta4))
-        logp = np.where(response == 0, -lse,
-                        np.where(response == 1, eta3 - lse, eta4 - lse))
-        return logp
-
-    @classmethod
-    def _clamped_loglik(cls, logp):
-        lo, hi = PROPORTION_CLAMP
-        return float(np.clip(logp, math.log(lo), math.log(hi)).sum())
-
     def sufficient_statistics(self, data):
         n = data.n
         _, z1, z2 = _split_columns(data.columns)
@@ -526,20 +504,14 @@ class SequentialLogisticModel:
         zbar = z.mean(axis=0)
         dev = z - zbar
         s_mat = dev.T @ dev / n
-        x1 = np.column_stack([np.ones(n), z])
-        x2 = np.column_stack([np.ones(n), z, w1])
         x3 = np.column_stack([np.ones(n), z, w1, w2])
-        # reference coefficients for evaluating the likelihood products
+        # the raw log-products at the Firth estimates of the regressions
         from .inference import firth_logistic, fit_multinomial_logit
-        b1 = np.array([e.estimate for e in firth_logistic(x1, w1)])
-        b2 = np.array([e.estimate for e in firth_logistic(x2, w2)])
-        blocks = fit_multinomial_logit(x3, w3)
-        b3 = np.array([e.estimate for e in blocks[0]])
-        b4 = np.array([e.estimate for e in blocks[1]])
-        log_prod1 = self._clamped_loglik(self._log_factors_binary(x1, w1, b1))
-        log_prod2 = self._clamped_loglik(self._log_factors_binary(x2, w2, b2))
-        log_prod3 = self._clamped_loglik(
-            self._log_factors_trinomial(x3, w3, b3, b4))
+        fits = (firth_logistic(x3[:, :3], w1), firth_logistic(x3[:, :4], w2),
+                *fit_multinomial_logit(x3, w3))
+        coef = np.array([e.estimate for fit in fits for e in fit])
+        loglik = self._lockstep_loglik(x3, w1, w2, w3, [[1.0, 1.0, 1.0]])
+        log_raw = loglik(coef)
         r1 = z1.hi - z1.lo
         r2 = z2.hi - z2.lo
         prod_bound = n * math.log(PROPORTION_CLAMP[1])  # log(0.99^n)
@@ -554,15 +526,14 @@ class SequentialLogisticModel:
             StatGroup("s12", np.array([s_mat[0, 1]]), r1 * r2 / n,
                       -r1 * r2 / 4, r1 * r2 / 4),
         ]
-        for idx, log_prod in enumerate((log_prod1, log_prod2, log_prod3)):
+        for idx, log_prod in enumerate(log_raw):
             groups.append(StatGroup(
                 f"likprod{idx + 1}", np.array([math.exp(log_prod)]),
                 delta_prod, PRODUCT_FLOOR, math.exp(prod_bound)))
         return groups + [
             StatGroup("x3", x3, None), StatGroup("w1", w1, None),
             StatGroup("w2", w2, None), StatGroup("w3", w3, None),
-            StatGroup("log_raw", np.array([log_prod1, log_prod2, log_prod3]),
-                      None),
+            StatGroup("log_raw", log_raw, None),
         ]
 
     @staticmethod
@@ -650,10 +621,12 @@ class SequentialLogisticModel:
         """The three regressions' tempered log-likelihoods for m sets in
         one pass: with ``weights`` of shape (m, 3), ``loglik(coef) ->
         [ll1, ll2, ll34] * m`` for ``coef`` the m sets' (beta1, beta2,
-        beta34) end to end, 17 entries per set, set j's each equal
-        to ``weights[j, k] * _clamped_loglik(_log_factors_*)`` up to
-        rounding.  The sets share the rows and differ in their
-        coefficients and weights.
+        beta34) end to end, 17 entries per set, set j's k-th equal to
+        ``weights[j, k]`` times the sum over the rows of each row's log
+        probability of its observed category, clamped into
+        [log(1e-12), log(0.99)].  The sets share the rows and differ in
+        their coefficients and weights.  With one set and unit weights it
+        gives the raw log-products of ``sufficient_statistics``.
 
         A row's log factor is -log1p(sum_j exp(d_j)), where d_j is the
         linear predictor of an unobserved category j minus that of the

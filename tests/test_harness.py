@@ -370,13 +370,16 @@ def test_sim4_rows_match_pinned_digest():
 # and rho never see the MH sampler, since the predictive draw takes z first.
 # modips-logistic and ms were re-pinned when each MH chain of a release
 # moved to one random stream, a change of stream consumption that keeps
-# the sampler's law (tests/test_sim4_mh_law.py)
+# the sampler's law (tests/test_sim4_mh_law.py).  All three were re-pinned
+# when the two Firth fits shared one Newton loop with the Jeffreys gradient
+# in closed form: the synthetic sets stayed byte-identical and the rows
+# moved by at most 1.6e-9 (tests/test_firth_equivalence.py)
 SIM4_COEF_PINNED_DIGESTS = {
     "modips-logistic":
-        "45287a7d22659e05e854e370c99e261f1c55869dc9dce34f4b74c4ec7fada38f",
-    "ms": "e0d306ed9d3425188230a67a4024d9832a451345903faf3c630a840097a4e0ab",
+        "26dcfac8a26c02562b24edcce5578ee5139e25e4df6f631f93ca7f01c9e630e0",
+    "ms": "048543ef1874c143a8de22dba2e8a94f2c8ca571e10ce6cb3a3f22e91c6f1bea",
     "np-dips":
-        "3ad969fa9dd5d713823760d70aabbba3954c0f30e12aec2b3a6533b52b140e5f",
+        "6e9c6fb193d60f4fcabc34cbcd92f43b5cbb9adff1828906f74be5bfe40ac8d2",
 }
 
 

@@ -7,6 +7,7 @@ from scipy.special import expit
 from dips.inference import (
     DegenerateEstimate,
     PerSetEstimate,
+    _firth_terms,
     combine,
     estimate_correlation,
     estimate_mean,
@@ -180,3 +181,25 @@ def test_multinomial_logit_degenerate_sets_are_degenerate_estimates():
     with pytest.raises(ValueError) as info:
         fit_multinomial_logit(x, np.array([0, 1, 2, 3] * 3))
     assert not isinstance(info.value, DegenerateEstimate)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_firth_penalized_score_is_the_objective_gradient(k):
+    """The closed-form penalized score equals the central-difference
+    gradient of l + 1/2 log det I at random coefficients."""
+    gen = np.random.default_rng(10 + k)
+    h = 1e-5
+    for trial in range(5):
+        n, q = 30 + 10 * trial, 2 + trial % 3
+        design = np.column_stack([np.ones(n),
+                                  gen.standard_normal((n, q - 1))])
+        codes = np.r_[np.arange(k + 1), gen.integers(0, k + 1, n - k - 1)]
+        evaluate, penalized_score = _firth_terms(design, codes, k)
+        theta = gen.normal(0.0, 0.7, k * q)
+        _, p, info = evaluate(theta)
+        score, _ = penalized_score(p, info)
+        numeric = np.array([
+            (evaluate(theta + h * e)[0] - evaluate(theta - h * e)[0]) / (2 * h)
+            for e in np.eye(k * q)])
+        assert np.max(np.abs(score - numeric)) <= 1e-6 * np.max(
+            np.abs(numeric))

@@ -5,6 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from sim4_reference import (
+    clamped_loglik,
+    log_factors_binary,
+    log_factors_trinomial,
+)
 
 import dips.param_synth
 from dips.budget import PrivacyBudget, PrivacyLedger
@@ -558,13 +563,12 @@ def test_lockstep_loglik_matches_scalar_likelihoods():
                             beta[slot] = gen.choice([800.0, -800.0])
                     coefs += [b1, b2, b34]
                     want += [
-                        set_weights[0] * model._clamped_loglik(
-                            model._log_factors_binary(x3[:, :3], w1, b1)),
-                        set_weights[1] * model._clamped_loglik(
-                            model._log_factors_binary(x3[:, :4], w2, b2)),
-                        set_weights[2] * model._clamped_loglik(
-                            model._log_factors_trinomial(x3, w3, b34[:5],
-                                                         b34[5:])),
+                        set_weights[0] * clamped_loglik(
+                            log_factors_binary(x3[:, :3], w1, b1)),
+                        set_weights[1] * clamped_loglik(
+                            log_factors_binary(x3[:, :4], w2, b2)),
+                        set_weights[2] * clamped_loglik(
+                            log_factors_trinomial(x3, w3, b34[:5], b34[5:])),
                     ]
                 got = loglik(np.concatenate(coefs))
                 assert len(got) == 3 * m
@@ -746,17 +750,20 @@ def test_logistic_posterior_sets_ignore_each_others_statistics():
 
 def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
     """At n = 200 and m = 5 under the default chains, one release builds
-    one likelihood and calls it once per MH step for all fifteen
-    regressions: 3,492 calls, where one MH per set made 5 x 3,492."""
-    built, calls = [0], [0]
+    one likelihood for its MH and calls it once per step for all fifteen
+    regressions: 3,492 calls, where one MH per set made 5 x 3,492.  The
+    raw log-products of the sufficient statistics are one call of a
+    one-set likelihood."""
+    calls = []  # (sets, calls) of each likelihood built
     make = SequentialLogisticModel._lockstep_loglik
 
-    def counting_make(*args):
-        built[0] += 1
-        loglik = make(*args)
+    def counting_make(x3, w1, w2, w3, weights):
+        loglik = make(x3, w1, w2, w3, weights)
+        count = [len(weights), 0]
+        calls.append(count)
 
         def counted(coef):
-            calls[0] += 1
+            count[1] += 1
             return loglik(coef)
         return counted
     monkeypatch.setattr(SequentialLogisticModel, "_lockstep_loglik",
@@ -765,8 +772,8 @@ def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
     rel = modips_release(RngStream(106), data, SequentialLogisticModel(),
                          1.0, m=5)
     assert len(rel.sets) == 5
-    assert built[0] == 1
-    assert calls[0] == 1 + 1500 + 199 * 10 + 1 == 3492
+    assert calls == [[1, 1], [5, 1 + 1500 + 199 * 10 + 1]]
+    assert calls[1][1] == 3492
 
 
 def test_logistic_posterior_refuses_sets_with_different_rows():
