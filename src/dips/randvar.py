@@ -175,10 +175,12 @@ def _bartlett_factor(rng: RngStream, dof: float, p: int) -> np.ndarray:
     """Lower-triangular Bartlett factor A with W = A A' ~ Wishart(dof, I)."""
     a = np.zeros((p, p))
     gen = rng.generator
+    # scalar calls: at p <= 5 one array-valued chisquare call costs more
     for i in range(p):
         a[i, i] = math.sqrt(gen.chisquare(dof - i))
-    rows, cols = np.tril_indices(p, -1)
-    a[rows, cols] = gen.standard_normal(len(rows))
+    # a boolean mask fills in row-major order, as np.tril_indices lists the
+    # entries, at a fraction of that call's cost
+    a[np.tri(p, k=-1, dtype=bool)] = gen.standard_normal(p * (p - 1) // 2)
     return a
 
 

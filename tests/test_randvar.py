@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,29 @@ def test_inv_wishart_mean():
 def test_inv_wishart_dof_domain():
     with pytest.raises(ParameterDomainError):
         sample_inv_wishart(rng(), 1.0, np.eye(2))
+
+
+def _bartlett_factor_by_indices(rng, dof, p):
+    """The Bartlett factor with its lower entries placed by index lists."""
+    a = np.zeros((p, p))
+    gen = rng.generator
+    for i in range(p):
+        a[i, i] = math.sqrt(gen.chisquare(dof - i))
+    rows, cols = np.tril_indices(p, -1)
+    a[rows, cols] = gen.standard_normal(len(rows))
+    return a
+
+
+@pytest.mark.parametrize("dof,p", [(1.5, 1), (2.0, 2), (2.3, 2), (7.5, 3),
+                                   (4.0, 4), (30.0, 6)])
+def test_bartlett_factor_fills_its_mask_in_index_order(dof, p):
+    # the masked fill places the normals where np.tril_indices lists them,
+    # so the factor and every later draw are bit-equal
+    for seed in range(5):
+        got, want = rng(seed).substream(p), rng(seed).substream(p)
+        assert (_bartlett_factor(got, dof, p).tobytes()
+                == _bartlett_factor_by_indices(want, dof, p).tobytes())
+        assert got.generator.random() == want.generator.random()
 
 
 def _inv_wishart_from(rng, dof, l_inv):
