@@ -6,13 +6,20 @@ look at values outside the declared schema.
 
 CSV text is read and written one block of ``BLOCK_ROWS`` rows at a time,
 one column of the block per call, so a large table never exists as
-Python strings all at once."""
+Python strings all at once.  ``TabularDataset.to_csv`` formats the blocks
+on every CPU the process may use: forked writers each format one
+contiguous run of blocks, and the file holds the same bytes as a serial
+write.  There is no option to turn this off."""
 
 from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import numbers
+import os
+import shutil
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -24,6 +31,9 @@ __all__ = ["CategoricalColumn", "ContinuousColumn", "TabularDataset",
            "category_codes", "read_numeric_csv"]
 
 BLOCK_ROWS = 8192
+# where fork exists, to_csv's writers share the parent's arrays unpickled
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 @dataclass(frozen=True)
@@ -104,19 +114,102 @@ class TabularDataset:
         A float64 value is written as ``repr(float(v))``, so the text reads
         back to the same float; integer, bool and other float widths as
         ``str``.  No number's text needs CSV quoting, so only the header
-        goes through ``csv.writer``."""
+        goes through ``csv.writer``.
+
+        The blocks are cut into k contiguous runs, k the smaller of the
+        CPUs this process may use and the number of blocks (1 where the
+        ``fork`` start method does not exist).  This process writes the
+        header and run 0 to ``path`` while forked children format runs
+        1..k-1, each into a part file beside ``path``; the parts are then
+        appended in order and deleted, so the bytes are those of a serial
+        write.  Every column's type is checked here before any fork.  A
+        child that fails raises ``OSError`` naming ``path``, and no part
+        file or child process is left behind."""
+        path = Path(path)
         names = [c.name for c in self.columns]
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(names)
-            for start in range(0, self.n, BLOCK_ROWS):
-                cells = [_cell_text(name,
-                                    self.data[name][start:start + BLOCK_ROWS])
-                         for name in names]
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        for name in names:
+            _check_numeric(name, self.data[name])
+        starts = range(0, self.n, BLOCK_ROWS)
+        k = max(1, min(_usable_cpus(), len(starts))) if _FORK else 1
+        cuts = [len(starts) * r // k for r in range(k + 1)]
+        runs = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+        parts = [path.with_name(f"{path.name}.part{r}") for r in range(1, k)]
+        started = []
+        try:
+            try:
+                for part, run in zip(parts, runs[1:]):
+                    child = _FORK.Process(target=_write_part,
+                                          args=(part, names, self.data, run))
+                    child.start()
+                    started.append((child, run))
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh).writerow(names)
+                    _write_blocks(fh, names, self.data, runs[0])
+            finally:
+                for child, _ in started:
+                    child.join()
+            for child, run in started:
+                if child.exitcode:
+                    raise OSError(
+                        f"could not write {path}: the writer of rows "
+                        f"{run[0]}-{min(run[-1] + BLOCK_ROWS, self.n) - 1} "
+                        f"exited with code {child.exitcode}")
+            with open(path, "ab") as out:
+                for part in parts:
+                    with open(part, "rb") as fh:
+                        shutil.copyfileobj(fh, out)
+        finally:
+            for part in parts:
+                part.unlink(missing_ok=True)
 
 
-def _cell_text(name: str, block: np.ndarray):
-    """The CSV text of each value of one column block."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_part(part: Path, names: list[str], data: dict, run: range):
+    """A forked writer: the rows of the blocks in ``run`` into ``part``.
+    It formats text only.  Any error ends it with exit code 1 and no
+    traceback, and the parent reports the failure."""
+    try:
+        with open(part, "w", newline="") as fh:
+            _write_blocks(fh, names, data, run)
+    except Exception:
+        sys.exit(1)
+
+
+def _write_blocks(fh, names: list[str], data: dict, run: range):
+    for start in run:
+        fh.write(_block_text(names, data, start))
+
+
+def _block_text(names: list[str], data: dict, start: int) -> str:
+    """The CSV lines of the block of rows that begins at ``start``."""
+    cells = [_cell_text(data[name][start:start + BLOCK_ROWS])
+             for name in names]
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+
+def _check_numeric(name: str, values: np.ndarray):
+    """A TypeError unless every value of the column is a number."""
+    kind = values.dtype.kind
+    if kind == "O":
+        for v in values:
+            if not isinstance(v, (numbers.Number, np.bool_)):
+                raise TypeError(f"column {name!r} holds a non-numeric "
+                                f"value {v!r}")
+    elif kind not in "biuf":
+        raise TypeError(f"column {name!r} has non-numeric dtype "
+                        f"{values.dtype}")
+
+
+def _cell_text(block: np.ndarray):
+    """The CSV text of each value of one column block, whose type
+    ``_check_numeric`` has passed."""
     if block.dtype.type is np.float64:
         # one C-level repr of the whole block: the same text as
         # repr(float(v)) per value, including -0.0, nan, inf and 1e-05
@@ -126,15 +219,8 @@ def _cell_text(name: str, block: np.ndarray):
         return map(str, block.tolist())
     if kind == "f":
         return map(str, block)
-    if kind == "O":
-        cells = []
-        for v in block:
-            if not isinstance(v, (numbers.Number, np.bool_)):
-                raise TypeError(f"column {name!r} holds a non-numeric "
-                                f"value {v!r}")
-            cells.append(repr(float(v)) if isinstance(v, float) else str(v))
-        return cells
-    raise TypeError(f"column {name!r} has non-numeric dtype {block.dtype}")
+    return [repr(float(v)) if isinstance(v, float) else str(v)
+            for v in block]
 
 
 def read_numeric_csv(path: str | Path) -> tuple[list[str], list[np.ndarray]]:

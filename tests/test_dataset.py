@@ -1,8 +1,13 @@
 import csv
+import json
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
 
+from dips import dataset
+from dips.cli import EXIT_CONFIG, main
 from dips.dataset import (BLOCK_ROWS, CategoricalColumn, ContinuousColumn,
                           TabularDataset, category_codes, read_numeric_csv)
 
@@ -174,6 +179,93 @@ def test_to_csv_quotes_header_names(tmp_path):
     _assert_same_bytes(ds, tmp_path)
     assert (tmp_path / "block.csv").read_bytes().startswith(
         b'"a,b","say ""hi"""\r\n')
+
+
+def _record_forks(monkeypatch) -> list:
+    """The writer processes to_csv starts, recorded as they start."""
+    started = []
+    if dataset._FORK is not None:
+        process = dataset._FORK.Process
+        start = process.start
+
+        def recorded_start(self):
+            started.append(self)
+            start(self)
+        monkeypatch.setattr(process, "start", recorded_start)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 77,
+                               5 * BLOCK_ROWS + 1])
+def test_to_csv_bytes_match_row_writer_on_any_cpu_count(cpus, n, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
+    forks = _record_forks(monkeypatch)
+    rng = np.random.default_rng(n)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    floats[:len(AWKWARD_FLOATS)] = AWKWARD_FLOATS[:n]
+    mixed = np.array([int(v) if i % 3 else v
+                      for i, v in enumerate(rng.normal(size=n).tolist())],
+                     dtype=object)
+    ds = _unchecked(f=floats, i=rng.integers(-2 ** 40, 2 ** 40, size=n),
+                    b=rng.random(n) < 0.5, o=mixed)
+    _assert_same_bytes(ds, tmp_path)
+    blocks = -(-n // BLOCK_ROWS)
+    runs = max(1, min(cpus, blocks)) if dataset._FORK is not None else 1
+    assert len(forks) == runs - 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["block.csv",
+                                                         "reference.csv"]
+
+
+@pytest.fixture
+def run_1_fails(monkeypatch):
+    """Two writers over three blocks; formatting any row of run 1 (blocks
+    1 and 2, in the forked child) raises.  Returns the row count."""
+    if dataset._FORK is None:
+        pytest.skip("no fork start method, so no writer child to fail")
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    block_text = dataset._block_text
+
+    def failing(names, data, start):
+        if start >= BLOCK_ROWS:
+            raise RuntimeError("no room left")
+        return block_text(names, data, start)
+    monkeypatch.setattr(dataset, "_block_text", failing)
+    return 2 * BLOCK_ROWS + 77
+
+
+def test_to_csv_raises_oserror_when_a_writer_fails(run_1_fails, tmp_path):
+    x = np.random.default_rng(0).random(run_1_fails)
+    ds = TabularDataset([ContinuousColumn("x", 0.0, 1.0)], {"x": x})
+    path = tmp_path / "s.csv"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        ds.to_csv(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    assert multiprocessing.active_children() == []
+
+
+def test_synth_exits_2_when_a_writer_fails(run_1_fails, tmp_path, capfd):
+    x = np.random.default_rng(1).random(run_1_fails)
+    data = tmp_path / "in.csv"
+    data.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"x": {"type": "continuous", "lo": 0.0,
+                                        "hi": 1.0}}))
+    out = tmp_path / "out"
+    code = main(["synth", "--input", str(data), "--schema", str(schema),
+                 "--method", "smooth-hist", "--eps", "1.0", "--out",
+                 str(out)])
+    captured = capfd.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("configuration error: could not write "
+                               f"{out / 'synth_1.csv'}")
+    assert sorted(p.name for p in out.iterdir()) == ["ledger.json",
+                                                    "synth_1.csv"]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("values", [
