@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import numbers
 import os
 import shutil
@@ -31,9 +30,6 @@ __all__ = ["CategoricalColumn", "ContinuousColumn", "TabularDataset",
            "category_codes", "read_numeric_csv"]
 
 BLOCK_ROWS = 8192
-# where fork exists, to_csv's writers share the parent's arrays unpickled
-_FORK = (multiprocessing.get_context("fork")
-         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 @dataclass(frozen=True)
@@ -118,19 +114,20 @@ class TabularDataset:
 
         The blocks are cut into k contiguous runs, k the smaller of the
         CPUs this process may use and the number of blocks (1 where the
-        ``fork`` start method does not exist).  This process writes the
-        header and run 0 to ``path`` while forked children format runs
-        1..k-1, each into a part file beside ``path``; the parts are then
-        appended in order and deleted, so the bytes are those of a serial
-        write.  Every column's type is checked here before any fork.  A
-        child that fails raises ``OSError`` naming ``path``, and no part
-        file or child process is left behind."""
+        platform has no ``fork``).  This process writes the header and
+        run 0 to ``path`` while forked children format runs 1..k-1, each
+        into a part file beside ``path``; the parts are then appended in
+        order and deleted, so the bytes are those of a serial write.
+        Every column's type is checked here, before any fork.  A child
+        that fails raises ``OSError`` naming ``path``, and no part file or
+        child process is left behind."""
         path = Path(path)
         names = [c.name for c in self.columns]
         for name in names:
             _check_numeric(name, self.data[name])
         starts = range(0, self.n, BLOCK_ROWS)
-        k = max(1, min(_usable_cpus(), len(starts))) if _FORK else 1
+        k = max(1, min(_usable_cpus(), len(starts))) \
+            if hasattr(os, "fork") else 1
         cuts = [len(starts) * r // k for r in range(k + 1)]
         runs = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
         parts = [path.with_name(f"{path.name}.part{r}") for r in range(1, k)]
@@ -138,22 +135,19 @@ class TabularDataset:
         try:
             try:
                 for part, run in zip(parts, runs[1:]):
-                    child = _FORK.Process(target=_write_part,
-                                          args=(part, names, self.data, run))
-                    child.start()
-                    started.append((child, run))
+                    started.append(_start_writer(part, names, self.data,
+                                                 run))
                 with open(path, "w", newline="") as fh:
                     csv.writer(fh).writerow(names)
                     _write_blocks(fh, names, self.data, runs[0])
             finally:
-                for child, _ in started:
+                for child in started:
                     child.join()
-            for child, run in started:
+            for child in started:
                 if child.exitcode:
-                    raise OSError(
-                        f"could not write {path}: the writer of rows "
-                        f"{run[0]}-{min(run[-1] + BLOCK_ROWS, self.n) - 1} "
-                        f"exited with code {child.exitcode}")
+                    raise OSError(f"could not write {path}: a writer "
+                                  f"process exited with code "
+                                  f"{child.exitcode}")
             with open(path, "ab") as out:
                 for part in parts:
                     with open(part, "rb") as fh:
@@ -169,6 +163,17 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _start_writer(part: Path, names: list[str], data: dict, run: range):
+    """A started fork of this process that runs ``_write_part``.  Forked,
+    it reads the parent's arrays without pickling them."""
+    # imported here, not at the top: it adds about 10 ms to `import dips`
+    import multiprocessing
+    child = multiprocessing.get_context("fork").Process(
+        target=_write_part, args=(part, names, data, run))
+    child.start()
+    return child
 
 
 def _write_part(part: Path, names: list[str], data: dict, run: range):

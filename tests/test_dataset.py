@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -184,14 +185,12 @@ def test_to_csv_quotes_header_names(tmp_path):
 def _record_forks(monkeypatch) -> list:
     """The writer processes to_csv starts, recorded as they start."""
     started = []
-    if dataset._FORK is not None:
-        process = dataset._FORK.Process
-        start = process.start
+    start_writer = dataset._start_writer
 
-        def recorded_start(self):
-            started.append(self)
-            start(self)
-        monkeypatch.setattr(process, "start", recorded_start)
+    def recorded(*args):
+        started.append(start_writer(*args))
+        return started[-1]
+    monkeypatch.setattr(dataset, "_start_writer", recorded)
     return started
 
 
@@ -212,7 +211,7 @@ def test_to_csv_bytes_match_row_writer_on_any_cpu_count(cpus, n, tmp_path,
                     b=rng.random(n) < 0.5, o=mixed)
     _assert_same_bytes(ds, tmp_path)
     blocks = -(-n // BLOCK_ROWS)
-    runs = max(1, min(cpus, blocks)) if dataset._FORK is not None else 1
+    runs = max(1, min(cpus, blocks)) if hasattr(os, "fork") else 1
     assert len(forks) == runs - 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["block.csv",
                                                          "reference.csv"]
@@ -222,7 +221,7 @@ def test_to_csv_bytes_match_row_writer_on_any_cpu_count(cpus, n, tmp_path,
 def run_1_fails(monkeypatch):
     """Two writers over three blocks; formatting any row of run 1 (blocks
     1 and 2, in the forked child) raises.  Returns the row count."""
-    if dataset._FORK is None:
+    if not hasattr(os, "fork"):
         pytest.skip("no fork start method, so no writer child to fail")
     monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     block_text = dataset._block_text
