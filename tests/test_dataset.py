@@ -217,12 +217,23 @@ def test_to_csv_bytes_match_row_writer_on_any_cpu_count(cpus, n, tmp_path,
                                                          "reference.csv"]
 
 
+def test_to_csv_checks_types_before_any_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    forks = _record_forks(monkeypatch)
+    values = np.arange(2 * BLOCK_ROWS + 77).astype(object)
+    values[-1] = "1,2"
+    with pytest.raises(TypeError, match="'v' holds a non-numeric value"):
+        _unchecked(v=values).to_csv(tmp_path / "s.csv")
+    assert forks == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture
 def run_1_fails(monkeypatch):
     """Two writers over three blocks; formatting any row of run 1 (blocks
     1 and 2, in the forked child) raises.  Returns the row count."""
     if not hasattr(os, "fork"):
-        pytest.skip("no fork start method, so no writer child to fail")
+        pytest.skip("this platform has no fork, so no writer child to fail")
     monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     block_text = dataset._block_text
 
