@@ -118,9 +118,9 @@ class TabularDataset:
         run 0 to ``path`` while forked children format runs 1..k-1, each
         into a part file beside ``path``; the parts are then appended in
         order and deleted, so the bytes are those of a serial write.
-        Every column's type is checked here, before any fork.  A child
-        that fails raises ``OSError`` naming ``path``, and no part file or
-        child process is left behind."""
+        Every column's type is checked here, before any fork.  A failed
+        child raises ``OSError`` naming ``path``.  A failed write leaves
+        no file at ``path``, no part file and no child process."""
         path = Path(path)
         names = [c.name for c in self.columns]
         for name in names:
@@ -132,12 +132,14 @@ class TabularDataset:
         runs = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
         parts = [path.with_name(f"{path.name}.part{r}") for r in range(1, k)]
         started = []
+        partial = False  # path holds an unfinished write
         try:
             try:
                 for part, run in zip(parts, runs[1:]):
                     started.append(_start_writer(part, names, self.data,
                                                  run))
                 with open(path, "w", newline="") as fh:
+                    partial = True
                     csv.writer(fh).writerow(names)
                     _write_blocks(fh, names, self.data, runs[0])
             finally:
@@ -152,9 +154,12 @@ class TabularDataset:
                 for part in parts:
                     with open(part, "rb") as fh:
                         shutil.copyfileobj(fh, out)
+            partial = False
         finally:
             for part in parts:
                 part.unlink(missing_ok=True)
+            if partial:
+                path.unlink(missing_ok=True)
 
 
 def _usable_cpus() -> int:

@@ -239,13 +239,19 @@ def simulate_truth_sim1(rng: RngStream, n: int,
     return TabularDataset([CategoricalColumn("x", (0, 1))], {"x": x})
 
 
-def _truncated_normal(gen, n, mean, sd, lo, hi):
-    """Vectorized rejection: redraw out-of-bound values until all fit."""
-    out = gen.normal(mean, sd, size=n)
-    bad = (out < lo) | (out > hi)
-    while bad.any():
-        out[bad] = gen.normal(mean, sd, size=int(bad.sum()))
-        bad = (out < lo) | (out > hi)
+def _draw_within(draw, n, lo, hi) -> np.ndarray:
+    """Rejection sampling of n rows: ``draw(rows)`` gives one value, or
+    one row of values, per index in ``rows``.  The rows with a value
+    outside [lo, hi] (scalars, or arrays with one entry per row) are drawn
+    again, in index order, until every row fits."""
+    rows = np.arange(n)
+    out = draw(rows)
+    lo, hi = np.broadcast_to(lo, out.shape), np.broadcast_to(hi, out.shape)
+    while rows.size:
+        bad = (out[rows] < lo[rows]) | (out[rows] > hi[rows])
+        rows = rows[bad.any(axis=1) if bad.ndim > 1 else bad]
+        if rows.size:
+            out[rows] = draw(rows)
     return out
 
 
@@ -285,7 +291,9 @@ def simulate_truth_sim2(rng: RngStream, n: int, mu: float = 0.0,
                         sigma2: float = 1.0,
                         bounds: str = "asymmetric") -> TabularDataset:
     sd, c0, c1 = _sim2_support(mu, sigma2, bounds)
-    x = _truncated_normal(rng.generator, n, mu, sd, c0, c1)
+    gen = rng.generator
+    x = _draw_within(lambda rows: gen.normal(mu, sd, size=len(rows)), n,
+                     c0, c1)
     return TabularDataset([ContinuousColumn("x", c0, c1)], {"x": x})
 
 
@@ -310,13 +318,8 @@ def simulate_truth_sim3(rng: RngStream, n: int,
     chol = np.linalg.cholesky(cov)
     lower, upper = sim3_cell_bounds()
     mus = np.column_stack([SIM3_MU1, SIM3_MU2])
-    z = mus[cells] + gen.standard_normal((n, 2)) @ chol.T
-    lo, hi = lower[cells], upper[cells]
-    bad = ((z < lo) | (z > hi)).any(axis=1)
-    while bad.any():
-        idx = np.flatnonzero(bad)
-        z[idx] = mus[cells[idx]] + gen.standard_normal((len(idx), 2)) @ chol.T
-        bad[idx] = ((z[idx] < lo[idx]) | (z[idx] > hi[idx])).any(axis=1)
+    z = _draw_within(lambda rows: mus[cells[rows]] + gen.standard_normal(
+        (len(rows), 2)) @ chol.T, n, lower[cells], upper[cells])
     w = np.unravel_index(cells, SIM3_LEVELS)
     return TabularDataset(_sim3_columns(), {
         "w1": w[0].astype(np.int64), "w2": w[1].astype(np.int64),
@@ -338,12 +341,8 @@ def simulate_truth_sim4(rng: RngStream, n: int,
     gen = rng.generator
     cov = np.array([[1.0, rho], [rho, 1.0]])
     chol = np.linalg.cholesky(cov)
-    z = gen.standard_normal((n, 2)) @ chol.T
-    bad = (np.abs(z) > 4.0).any(axis=1)
-    while bad.any():
-        idx = np.flatnonzero(bad)
-        z[idx] = gen.standard_normal((len(idx), 2)) @ chol.T
-        bad[idx] = (np.abs(z[idx]) > 4.0).any(axis=1)
+    z = _draw_within(lambda rows: gen.standard_normal((len(rows), 2))
+                     @ chol.T, n, -4.0, 4.0)
     x1 = np.column_stack([np.ones(n), z])
     p1 = 1.0 / (1.0 + np.exp(-x1 @ SIM4_BETA1))
     w1 = (gen.random(n) < p1).astype(np.int64)
@@ -464,9 +463,7 @@ def _sim3_np_set(rng, data, grids, eps_set_frac, ledger, tag):
     codes = laplace_sanitizer_crosstab(
         rng.substream(0), data, ["w1", "w2", "w3"], half, ledger=ledger,
         label=f"{tag}-counts")
-    if ledger is not None:
-        ledger.charge(f"{tag}-hist", half, mode="parallel",
-                      group=f"{tag}-hist")
+    ledger.charge(f"{tag}-hist", half, mode="parallel", group=f"{tag}-hist")
     sub = rng.substream(1)
     weights = laplace_mechanism(sub, grids.counts, SensitivitySpec(1.0),
                                 float(half), f"{tag}-hist",
@@ -696,6 +693,7 @@ STUDIES = {
 
 # -- replication drivers -----------------------------------------------------
 
+# the methods that spend nothing: their ledger audit expects 0
 _NO_BUDGET_METHODS = ("ms", "original")
 
 
@@ -705,10 +703,10 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
     combine.
 
     Returns ({parameter: CombinedEstimate or None}, extras); extras holds
-    the released sets and, for a charged method, the ledger audit."""
+    the released sets and the ledger audit, which every method passes:
+    each spends exactly eps, and those of ``_NO_BUDGET_METHODS`` nothing."""
     study = STUDIES[config.study]
-    ledger = (None if method in _NO_BUDGET_METHODS
-              else PrivacyLedger(PrivacyBudget(eps)))
+    ledger = PrivacyLedger(PrivacyBudget(eps))
     simulate = globals()[f"simulate_truth_{config.study}"]
     data = simulate(rng.substream(0), config.n,
                     **study.settings(config.truth))
@@ -725,17 +723,15 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
                 per_param[p].append(e)
     results = {p: (combine(lst) if lst else None)
                for p, lst in per_param.items()}
-    extras = {"sets": sets}
-    if ledger is not None:
-        # the one full recomputation of the replication: it must match both
-        # the budget and the running spend that every charge checked
-        spend = ledger.effective_spend_exact()
-        if spend != Fraction(eps) or spend != ledger.spend:
-            raise RuntimeError(
-                f"ledger audit failure: {method} spent {spend} (running "
-                f"{ledger.spend}) != {eps}")
-        extras["ledger_exact"] = True
-    return results, extras
+    # the one full recomputation of the replication: it must match both
+    # the method's spend and the running spend that every charge checked
+    spend = ledger.effective_spend_exact()
+    expected = Fraction(0 if method in _NO_BUDGET_METHODS else eps)
+    if spend != expected or spend != ledger.spend:
+        raise RuntimeError(
+            f"ledger audit failure: {method} spent {spend} (running "
+            f"{ledger.spend}) != {expected}")
+    return results, {"sets": sets, "ledger_exact": True}
 
 
 def run_study(config: StudyConfig) -> list[MetricRow]:

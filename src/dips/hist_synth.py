@@ -10,8 +10,8 @@ count over the total.
 
 A count has sensitivity 1: neighbouring datasets differ by one row.
 Counts over disjoint grid cells are sanitized under parallel composition:
-every cell receives the full per-release budget, and the ledger (when one
-is attached) is charged once per release, not once per cell.
+every cell receives the full per-release budget, and the ledger is
+charged once per release, not once per cell.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def build_histogram(data: TabularDataset, shape) -> np.ndarray:
 
 
 def perturb_histogram(rng: RngStream, counts: np.ndarray, eps: EpsLike,
-                      ledger: PrivacyLedger | None = None,
+                      ledger: PrivacyLedger,
                       label: str = "perturbed-histogram") -> np.ndarray:
     """Laplace-perturb every cell count with the full eps (parallel
     composition over disjoint cells), then legitimize negatives by BIT at 0;
@@ -119,15 +119,14 @@ def perturb_histogram(rng: RngStream, counts: np.ndarray, eps: EpsLike,
     """
     stat = laplace_mechanism(rng, counts, SensitivitySpec(1.0), float(eps),
                              label, lower=0.0)
-    if ledger is not None:
-        ledger.charge(label, eps, mode="parallel", group=label)
+    ledger.charge(label, eps, mode="parallel", group=label)
     if stat.sanitized.sum() <= 0:
         raise AllCellsZero(f"{label}: all sanitized counts are zero")
     return stat.sanitized
 
 
 def smooth_histogram(counts: np.ndarray, eps: float,
-                     ledger: PrivacyLedger | None = None,
+                     ledger: PrivacyLedger,
                      label: str = "smoothed-histogram") -> np.ndarray:
     """DP smoothed histogram: the cell probabilities (1 - lambda) c / n +
     lambda / K over K cells, with the minimal
@@ -136,8 +135,7 @@ def smooth_histogram(counts: np.ndarray, eps: float,
     k, n = counts.size, float(counts.sum())
     lam = smoothing_weight(k, n, eps)
     probs = (1.0 - lam) * (counts / n) + lam / k
-    if ledger is not None:
-        ledger.charge(label, eps, mode="sequential")
+    ledger.charge(label, eps, mode="sequential")
     return probs
 
 
@@ -180,7 +178,7 @@ def sample_from_histogram(rng: RngStream, columns, shape, weights,
 
 def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
                                categorical_axes: list[str], eps: EpsLike,
-                               ledger: PrivacyLedger | None = None,
+                               ledger: PrivacyLedger,
                                label: str = "laplace-sanitizer"):
     """Sanitize the full cross-tabulation of the named categorical columns
     with ``perturb_histogram`` and draw ``data.n`` synthetic rows

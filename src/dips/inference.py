@@ -67,24 +67,25 @@ class CombinedEstimate:
     degenerate_between: bool = False
 
 
-def combine(estimates: list[PerSetEstimate],
-            level: float = 0.95) -> CombinedEstimate:
+LEVEL = 0.95
+
+
+def combine(estimates: list[PerSetEstimate]) -> CombinedEstimate:
     """Pool per-set estimates: mean point estimate, T = B/m + W, and a
-    t-interval on df = (m-1)(1 + mW/B)^2.  B = 0 degenerates to the normal
-    quantile with T = W; a single estimate is passed through flagged."""
+    ``LEVEL`` t-interval on df = (m-1)(1 + mW/B)^2.  B = 0 degenerates to
+    the normal quantile with T = W; a single estimate is passed through
+    flagged."""
     if not estimates:
         raise ValueError("need at least one estimate")
-    if not (0 < level < 1):
-        raise ValueError(f"level must be in (0,1), got {level}")
     m = len(estimates)
     points = np.array([e.estimate for e in estimates])
     variances = np.array([e.within_variance for e in estimates])
     point = float(points.mean())
     within = float(variances.mean())
     if m == 1:
-        half = t_quantile(1 - (1 - level) / 2, math.inf) * math.sqrt(within)
+        half = t_quantile(1 - (1 - LEVEL) / 2, math.inf) * math.sqrt(within)
         return CombinedEstimate(point, 0.0, within, within, math.inf,
-                                point - half, point + half, level,
+                                point - half, point + half, LEVEL,
                                 single_set=True)
     between = float(np.sum((points - point) ** 2) / (m - 1))
     if between == 0.0:
@@ -95,9 +96,9 @@ def combine(estimates: list[PerSetEstimate],
         total = between / m + within
         df = (m - 1) * (1 + m * within / between) ** 2
         degenerate = False
-    half = t_quantile(1 - (1 - level) / 2, df) * math.sqrt(total)
+    half = t_quantile(1 - (1 - LEVEL) / 2, df) * math.sqrt(total)
     return CombinedEstimate(point, between, within, total, df,
-                            point - half, point + half, level,
+                            point - half, point + half, LEVEL,
                             degenerate_between=degenerate)
 
 
@@ -246,18 +247,23 @@ def _firth_terms(design, codes, k: int):
     return evaluate, penalized_score
 
 
-def _firth_fit(design, codes, k: int, max_iter: int,
-               tol: float) -> list[list[PerSetEstimate]]:
+FIRTH_MAX_ITER = 100
+FIRTH_TOL = 1e-6
+
+
+def _firth_fit(design, codes, k: int) -> list[list[PerSetEstimate]]:
     """Maximize ``_firth_terms``' penalized likelihood by Newton steps on
-    the expected information, with step-halving.  Returns one list of
-    PerSetEstimates per non-reference level, with variances from the
-    inverse information at the solution."""
+    the expected information, with step-halving, until no entry of the
+    penalized score exceeds ``FIRTH_TOL`` in absolute value, at most
+    ``FIRTH_MAX_ITER`` steps.  Returns one list of PerSetEstimates per
+    non-reference level, with variances from the inverse information at
+    the solution."""
     evaluate, penalized_score = _firth_terms(design, codes, k)
     theta = np.zeros(k * design.shape[1])
     obj, p, info = evaluate(theta)
-    for _ in range(max_iter):
+    for _ in range(FIRTH_MAX_ITER):
         score, cov = penalized_score(p, info)
-        if np.max(np.abs(score)) < tol:
+        if np.max(np.abs(score)) < FIRTH_TOL:
             var = np.diag(cov)
             return [[PerSetEstimate(float(t), float(v))
                      for t, v in zip(block, block_var)]
@@ -274,11 +280,11 @@ def _firth_fit(design, codes, k: int, max_iter: int,
             trial = evaluate(theta + factor * step)
         theta = theta + factor * step
         obj, p, info = trial
-    raise NonConvergence(f"Firth fit did not converge in {max_iter} iterations")
+    raise NonConvergence(f"Firth fit did not converge in {FIRTH_MAX_ITER} "
+                         "iterations")
 
 
-def firth_logistic(design, response, max_iter: int = 100,
-                   tol: float = 1e-6) -> list[PerSetEstimate]:
+def firth_logistic(design, response) -> list[PerSetEstimate]:
     """Firth-penalized binary logistic regression (``_firth_fit`` with
     k = 1) for a 0/1 response.  Returns one PerSetEstimate per
     coefficient."""
@@ -286,12 +292,10 @@ def firth_logistic(design, response, max_iter: int = 100,
     response = np.asarray(response)
     if not np.isin(response, (0, 1)).all():
         raise ValueError("response must use codes 0, 1")
-    return _firth_fit(design, response.astype(np.int64), 1, max_iter,
-                      tol)[0]
+    return _firth_fit(design, response.astype(np.int64), 1)[0]
 
 
-def fit_multinomial_logit(design, response, max_iter: int = 100,
-                          tol: float = 1e-6):
+def fit_multinomial_logit(design, response):
     """Firth-penalized baseline-category logit (``_firth_fit`` with k = 2)
     for a 3-level response with level 0 as the reference.  Returns a list
     of coefficient blocks, one list of PerSetEstimates per non-reference
@@ -303,4 +307,4 @@ def fit_multinomial_logit(design, response, max_iter: int = 100,
         raise ValueError("response must use codes 0, 1, 2")
     if len(levels) != 3:
         raise DegenerateEstimate(f"response lacks a level: {levels.tolist()}")
-    return _firth_fit(design, response, 2, max_iter, tol)
+    return _firth_fit(design, response, 2)

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 TINY_VARIANCE = 1e-12
+BERNOULLI_PRIOR = 1 / 3
+MIXTURE_PRIOR_ALPHA = 0.5
 
 
 @dataclass
@@ -122,8 +124,8 @@ def _md_alpha(n: int, eps: float) -> float:
     return max(n / math.expm1(eps), 1e-300)
 
 
-def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1,
-                   ledger: PrivacyLedger | None = None) -> list[np.ndarray]:
+def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1, *,
+                   ledger: PrivacyLedger) -> list[np.ndarray]:
     """Multinomial-Dirichlet synthesizer over K categories.
 
     Per set: pi* ~ Dirichlet(alpha* + counts) with every alpha* equal to
@@ -145,13 +147,12 @@ def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1,
         cells = np.repeat(np.arange(k), sample_multinomial(sub, n, pi))
         sub.generator.shuffle(cells)
         sets.append(cells)
-        if ledger is not None:
-            ledger.charge(f"md-set-{j}", Fraction(eps) / m)
+        ledger.charge(f"md-set-{j}", Fraction(eps) / m)
     return sets
 
 
 def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
-                     ledger: PrivacyLedger | None = None) -> np.ndarray:
+                     ledger: PrivacyLedger) -> np.ndarray:
     """Beta-Binomial synthesizer with a fixed DP proportion: a single set
     drawn Binomial(n, p*) with p* = (n1 + a)/(n + 2a), a = 1/(e^(eps/n)-1).
     Returns the set's n shuffled 0/1 codes.
@@ -166,8 +167,7 @@ def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
     data = np.zeros(n, dtype=np.int64)
     data[:ones] = 1
     rng.generator.shuffle(data)
-    if ledger is not None:
-        ledger.charge("bbmr", eps)
+    ledger.charge("bbmr", eps)
     return data
 
 
@@ -175,8 +175,8 @@ def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
 
 def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                    eps: float, m: int = 1,
-                   allocation: list[float] | None = None,
-                   ledger: PrivacyLedger | None = None,
+                   allocation: list[float] | None = None, *,
+                   ledger: PrivacyLedger,
                    sanitize: bool = True,
                    postprocess: str = "BIT",
                    method: str = "modips") -> SyntheticRelease:
@@ -225,8 +225,7 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
                 defined=group.defined, postprocess=postprocess)
             records.append(record)
             stats[group.label] = record.sanitized
-            if ledger is not None:
-                ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
+            ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
         stats_sets.append(stats)
         records_all.append(records)
     params = model.posterior_draw([sub.substream(10_000) for sub in subs],
@@ -240,11 +239,8 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
 
 class BernoulliModel:
     """One binary column; sufficient statistic n1 with sensitivity 1,
-    posterior Beta(a + n1, b + n - n1) with the neutral prior a = b = 1/3."""
-
-    def __init__(self, prior_a: float = 1 / 3, prior_b: float = 1 / 3):
-        self.prior_a = prior_a
-        self.prior_b = prior_b
+    posterior Beta(a + n1, a + n - n1) with the neutral prior
+    a = ``BERNOULLI_PRIOR``."""
 
     def sufficient_statistics(self, data):
         (col,) = data.columns
@@ -255,8 +251,8 @@ class BernoulliModel:
         draws = []
         for rng, stats in zip(rngs, stats_sets, strict=True):
             n1 = float(stats["n1"][0])
-            draws.append(sample_beta(rng, self.prior_a + n1,
-                                     self.prior_b + n - n1))
+            draws.append(sample_beta(rng, BERNOULLI_PRIOR + n1,
+                                     BERNOULLI_PRIOR + n - n1))
         return draws
 
     def predictive_draw(self, rng, p, columns, n):
@@ -370,14 +366,14 @@ class GaussianMixtureModel:
     Sigma, factors Sigma once, and draws every occupied cell's mean
     mu_k ~ N(zbar*_k, Sigma / c_k) from one (k_occ, 2) standard-normal
     call; the empty cells are skipped in the statistics, and their
-    locations are one uniform call over their declared bounds."""
+    locations are one uniform call over their declared bounds.  The cell
+    probabilities take a Dirichlet prior of ``MIXTURE_PRIOR_ALPHA`` per
+    cell."""
 
-    def __init__(self, cell_lower: np.ndarray, cell_upper: np.ndarray,
-                 prior_alpha: float = 0.5):
+    def __init__(self, cell_lower: np.ndarray, cell_upper: np.ndarray):
         self.cell_lower = np.asarray(cell_lower, dtype=float)  # (K, 2)
         self.cell_upper = np.asarray(cell_upper, dtype=float)
         self.k = len(self.cell_lower)
-        self.prior_alpha = prior_alpha
 
     def sufficient_statistics(self, data):
         n, k = data.n, self.k
@@ -427,7 +423,7 @@ class GaussianMixtureModel:
         k = self.k
         draws = []
         for rng, stats in zip(rngs, stats_sets, strict=True):
-            pi = sample_dirichlet(rng, self.prior_alpha + stats["counts"])
+            pi = sample_dirichlet(rng, MIXTURE_PRIOR_ALPHA + stats["counts"])
             s_star = _sanitized_cov2(stats["var1"], stats["var2"],
                                      stats["cov"], flags)
             sigma = sample_inv_wishart(rng, n - k, n * s_star)

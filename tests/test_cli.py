@@ -233,11 +233,10 @@ def test_synth_budget_violation_exit_code(binary_csv, tmp_path, monkeypatch):
 
     real = synth_mod.md_synthesizer
 
-    def greedy(rng, counts, eps, m=1, ledger=None):
-        rel = real(rng, counts, eps, m, ledger=None)
-        if ledger is not None:
-            for j in range(2 * m):
-                ledger.charge(f"md-set-{j}", Fraction(eps) / m)
+    def greedy(rng, counts, eps, m=1, *, ledger):
+        rel = real(rng, counts, eps, m, ledger=ledger)
+        for j in range(m):
+            ledger.charge(f"md-set-{m + j}", Fraction(eps) / m)
         return rel
 
     monkeypatch.setattr(synth_mod, "md_synthesizer", greedy)
@@ -554,7 +553,8 @@ def test_synth_equal_rows_take_one_bin(method, tmp_path):
     assert np.all((x >= 0.0) & (x <= 1.0)) and len(set(x)) == 7
     data = TabularDataset(
         [ContinuousColumn("x", 0.0, 1.0)], {"x": np.full(2000, 0.1)})
-    sets = SYNTHESIZERS[method](RngStream(4), data, 1.0, 1, None, "BIT")
+    sets = SYNTHESIZERS[method](RngStream(4), data, 1.0, 1,
+                                PrivacyLedger(PrivacyBudget(1.0)), "BIT")
     assert stats.kstest(sets[0].column("x"), "uniform").pvalue > 0.01
 
 

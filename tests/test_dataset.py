@@ -251,8 +251,25 @@ def test_to_csv_raises_oserror_when_a_writer_fails(run_1_fails, tmp_path):
     path = tmp_path / "s.csv"
     with pytest.raises(OSError, match=re.escape(str(path))):
         ds.to_csv(path)
-    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+def test_to_csv_leaves_no_file_when_the_serial_write_fails(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 1)
+    block_text = dataset._block_text
+
+    def failing(names, data, start):
+        if start >= BLOCK_ROWS:
+            raise OSError("no room left")
+        return block_text(names, data, start)
+    monkeypatch.setattr(dataset, "_block_text", failing)
+    x = np.random.default_rng(2).random(2 * BLOCK_ROWS + 77)
+    ds = TabularDataset([ContinuousColumn("x", 0.0, 1.0)], {"x": x})
+    with pytest.raises(OSError, match="no room left"):
+        ds.to_csv(tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_exits_2_when_a_writer_fails(run_1_fails, tmp_path, capfd):
@@ -273,8 +290,7 @@ def test_synth_exits_2_when_a_writer_fails(run_1_fails, tmp_path, capfd):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("configuration error: could not write "
                                f"{out / 'synth_1.csv'}")
-    assert sorted(p.name for p in out.iterdir()) == ["ledger.json",
-                                                    "synth_1.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["ledger.json"]
     assert multiprocessing.active_children() == []
 
 

@@ -1,7 +1,10 @@
-"""Every exported name exists, and the benchmark's tracer finds every layer
-boundary it wraps except the one known to be missing."""
+"""Every exported name exists, every exported function that spends budget
+takes a ledger with no default, no value with one use is a parameter, and
+the benchmark's tracer finds every layer boundary it wraps except the one
+known to be missing."""
 
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -19,6 +22,62 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert not missing
+
+
+def _exported_callables():
+    """(qualified name, callable) for every function and class that a
+    module's ``__all__`` names, and every public method of those classes."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if not callable(obj):
+                continue
+            yield f"{name}.{attr}", obj
+            if inspect.isclass(obj):
+                for meth in vars(obj):
+                    method = getattr(obj, meth)
+                    if not meth.startswith("_") and callable(method):
+                        yield f"{name}.{attr}.{meth}", method
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # a builtin without a signature
+        return {}
+
+
+# the releases that spend budget, and the parameters that have one value in
+# use and so are module constants
+LEDGER_TAKERS = {
+    "dips.param_synth.md_synthesizer", "dips.param_synth.bbmr_synthesizer",
+    "dips.param_synth.modips_release", "dips.hist_synth.perturb_histogram",
+    "dips.hist_synth.smooth_histogram",
+    "dips.hist_synth.laplace_sanitizer_crosstab",
+}
+CONSTANTS = {
+    "dips.inference.combine": {"level"},
+    "dips.inference.firth_logistic": {"max_iter", "tol"},
+    "dips.inference.fit_multinomial_logit": {"max_iter", "tol"},
+    "dips.param_synth.BernoulliModel": {"prior_a", "prior_b"},
+    "dips.param_synth.GaussianMixtureModel": {"prior_alpha"},
+}
+
+
+def test_every_ledger_is_required_and_no_constant_is_a_parameter():
+    exported = dict(_exported_callables())
+    takers = {name for name, obj in exported.items()
+              if "ledger" in _parameters(obj)}
+    assert LEDGER_TAKERS <= takers
+    defaulted = [name for name in takers
+                 if _parameters(exported[name])["ledger"].default
+                 is not inspect.Parameter.empty]
+    assert defaulted == []
+    assert CONSTANTS.keys() <= exported.keys()
+    regained = {name: names & set(_parameters(exported[name]))
+                for name, names in CONSTANTS.items()}
+    assert all(not names for names in regained.values()), regained
 
 
 def test_tracer_finds_every_boundary(monkeypatch):

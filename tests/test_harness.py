@@ -93,6 +93,36 @@ def test_sim4_truth_first_outcome_prevalence():
     assert np.corrcoef(z.T)[0, 1] == pytest.approx(0.5, abs=0.02)
 
 
+def test_draw_within_redraws_only_the_rows_out_of_bounds():
+    """A row is out when any of its values is; only those rows are drawn
+    again, in index order, against their own bounds."""
+    batches = iter([np.array([[0.5, 0.5], [2.0, 0.5], [0.5, -1.0],
+                              [0.1, 0.1]]),
+                    np.array([[3.0, 0.0], [0.2, 0.3]]),
+                    np.array([[0.9, 0.9]])])
+    calls = []
+
+    def draw(rows):
+        calls.append(rows.tolist())
+        return next(batches)
+    lo = np.zeros((4, 2))
+    hi = np.ones((4, 2))
+    out = dips.harness._draw_within(draw, 4, lo, hi)
+    assert calls == [[0, 1, 2, 3], [1, 2], [1]]
+    assert out.tolist() == [[0.5, 0.5], [0.9, 0.9], [0.2, 0.3], [0.1, 0.1]]
+    empty = dips.harness._draw_within(lambda rows: np.zeros(len(rows)), 0,
+                                      -1.0, 1.0)
+    assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("simulate", [simulate_truth_sim2,
+                                      simulate_truth_sim3,
+                                      simulate_truth_sim4])
+@pytest.mark.parametrize("n", [0, 1])
+def test_truncated_truth_has_n_rows(simulate, n):
+    assert simulate(RngStream(3), n).n == n
+
+
 # -- config / row validation -------------------------------------------------
 
 def test_config_validation():
@@ -575,8 +605,8 @@ def test_sim3_np_dips_sparse_cells_fill_uniformly(monkeypatch):
     monkeypatch.setattr(
         dips.harness, "laplace_sanitizer_crosstab",
         lambda *args, **kwargs: dict(zip(("w1", "w2", "w3"), level_codes)))
-    [synth] = STUDIES["sim3"].methods["np-dips"](RngStream(6), data, 1e4, 1,
-                                                 None, "BIT")
+    [synth] = STUDIES["sim3"].methods["np-dips"](
+        RngStream(6), data, 1e4, 1, PrivacyLedger(PrivacyBudget(1e4)), "BIT")
     _assert_z_in_cell_bounds([synth])
     cells, u = _unit_z(synth)
     _assert_uniform(u[cells == 0])
@@ -603,10 +633,53 @@ def test_sim3_np_dips_set_builds_at_most_three_generators(monkeypatch):
     monkeypatch.setattr(RngStream, "generator", property(counting))
     for m in (1, 5):
         built[0] = 0
-        sets = STUDIES["sim3"].methods["np-dips"](RngStream(4), data, 1.0, m,
-                                                  None, "BIT")
+        sets = STUDIES["sim3"].methods["np-dips"](
+            RngStream(4), data, 1.0, m, PrivacyLedger(PrivacyBudget(1.0)),
+            "BIT")
         assert len(sets) == m
         assert built[0] <= 3 * m
+
+
+# -- the ledger audit ----------------------------------------------------------
+
+AUDIT_N = {"sim1": 80, "sim2": 80, "sim3": 200, "sim4": 150}
+
+
+def _audit_rep(study, method):
+    config = StudyConfig(study, AUDIT_N[study], m=2, reps=1,
+                         methods=[method])
+    return dips.harness._run_rep(config, method, RngStream(8), 1.0,
+                                 list(STUDIES[study].default_params))
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+@pytest.mark.parametrize("method", ["ms", "original"])
+def test_no_budget_methods_are_audited_to_spend_nothing(study, method,
+                                                        monkeypatch):
+    ledgers = []
+
+    class Recorded(PrivacyLedger):
+        def __post_init__(self):
+            super().__post_init__()
+            ledgers.append(self)
+
+    monkeypatch.setattr(dips.harness, "PrivacyLedger", Recorded)
+    _, extras = _audit_rep(study, method)
+    assert extras["ledger_exact"] is True
+    [ledger] = ledgers
+    assert ledger.entries == []
+    assert ledger.spend == ledger.effective_spend_exact() == 0
+
+
+def test_audit_refuses_a_no_budget_method_that_charges(monkeypatch):
+    def leaky(rng, data, eps, m, ledger, postprocess):
+        ledger.charge("leak", Fraction(1, 10))
+        return [data]
+
+    monkeypatch.setitem(STUDIES["sim1"].methods, "ms", leaky)
+    with pytest.raises(RuntimeError,
+                       match=r"ledger audit failure: ms spent 1/10 .* != 0$"):
+        _audit_rep("sim1", "ms")
 
 
 # -- reporting ---------------------------------------------------------------

@@ -24,6 +24,10 @@ from dips.hist_synth import (
 from dips.randvar import RngStream
 
 
+def _ledger(eps):
+    return PrivacyLedger(PrivacyBudget(eps))
+
+
 def _cont_dataset(values, lo=0.0, hi=1.0):
     return TabularDataset([ContinuousColumn("x", lo, hi)],
                           {"x": np.asarray(values, dtype=float)})
@@ -90,7 +94,7 @@ def test_perturbed_histogram_noise_scale():
     pre-clamp deviation should match Laplace(1/eps)."""
     rng = RngStream(1)
     counts = np.full(50_000, 100.0)
-    pert = perturb_histogram(rng, counts, 2.0, ledger=None)
+    pert = perturb_histogram(rng, counts, 2.0, ledger=_ledger(2.0))
     noise = pert - counts  # far from zero, so BIT never binds
     _, p = stats.kstest(noise, stats.laplace(scale=0.5).cdf)
     assert p > 0.01
@@ -101,7 +105,7 @@ def test_all_cells_zero_raised():
     # with tiny eps the sanitized counts collapse to zero almost surely
     with pytest.raises(AllCellsZero):
         for i in range(200):
-            perturb_histogram(RngStream(i), hist, 1e-9)
+            perturb_histogram(RngStream(i), hist, 1e-9, _ledger(1e-9))
 
 
 def test_smoothing_weight_oracle():
@@ -123,10 +127,10 @@ def test_smoothing_weight_monotone_in_eps_and_cells():
 def test_smooth_histogram_mixes_toward_uniform():
     ds = _cont_dataset(np.repeat(0.05, 100))
     hist = build_histogram(ds, (5,))
-    probs = smooth_histogram(hist, 1e-6)
+    probs = smooth_histogram(hist, 1e-6, _ledger(1e-6))
     # lambda ~ 1: almost uniform
     np.testing.assert_allclose(probs, 0.2, rtol=1e-4)
-    probs = smooth_histogram(hist, 1e6)
+    probs = smooth_histogram(hist, 1e6, _ledger(1e6))
     # lambda ~ 0: almost the empirical histogram
     assert probs[0] == pytest.approx(1.0, rel=1e-3)
     ledger = PrivacyLedger(PrivacyBudget(1.0))
@@ -147,7 +151,7 @@ def test_smooth_histogram_mixes_uniform_weight_on_mixed_grid():
     shape = (4, 5)
     assert grid_cells(shape) == 20
     counts = build_histogram(ds, shape)
-    probs = smooth_histogram(counts, 100.0)
+    probs = smooth_histogram(counts, 100.0, _ledger(100.0))
     lam = smoothing_weight(20, 100, 100.0)
     assert lam == pytest.approx(0.104, abs=1e-3)
     assert probs.sum() == pytest.approx(1.0)

@@ -23,6 +23,7 @@ from dips.inference import firth_logistic, fit_multinomial_logit
 from dips.mechanisms import SensitivitySpec, laplace_mechanism
 from dips.param_synth import (
     BernoulliModel,
+    MIXTURE_PRIOR_ALPHA,
     GaussianMixtureModel,
     NormalModel,
     SequentialLogisticModel,
@@ -40,6 +41,10 @@ from dips.randvar import (
     sample_inv_wishart,
     sample_mvnormal,
 )
+
+
+def _ledger(eps=1.0):
+    return PrivacyLedger(PrivacyBudget(eps))
 
 
 def test_pseudo_count_oracle():
@@ -70,7 +75,8 @@ def test_md_tiny_eps_flattens_toward_uniform():
     counts = np.array([990, 5, 5])
     props = []
     for r in range(400):
-        (cells,) = md_synthesizer(rng.substream(r), counts, eps=0.001)
+        (cells,) = md_synthesizer(rng.substream(r), counts, eps=0.001,
+                                  ledger=_ledger(0.001))
         c = np.bincount(cells, minlength=3)
         props.append(c / 1000)
     mean_p = np.mean(props, axis=0)
@@ -82,7 +88,8 @@ def test_md_huge_eps_reproduces_observed_proportions():
     counts = np.array([700, 200, 100])
     props = []
     for r in range(400):
-        (cells,) = md_synthesizer(rng.substream(r), counts, eps=1e6)
+        (cells,) = md_synthesizer(rng.substream(r), counts, eps=1e6,
+                                  ledger=_ledger(1e6))
         c = np.bincount(cells, minlength=3)
         props.append(c / 1000)
     mean_p = np.mean(props, axis=0)
@@ -92,9 +99,9 @@ def test_md_huge_eps_reproduces_observed_proportions():
 def test_md_validation():
     rng = RngStream(1)
     with pytest.raises(ValueError):
-        md_synthesizer(rng, np.array([0, 0]), eps=1.0)
+        md_synthesizer(rng, np.array([0, 0]), eps=1.0, ledger=_ledger())
     with pytest.raises(ValueError):
-        md_synthesizer(rng, np.array([1, 2]), eps=-1.0)
+        md_synthesizer(rng, np.array([1, 2]), eps=-1.0, ledger=_ledger())
 
 
 def test_bbmr_mean_matches_shrunk_proportion():
@@ -102,7 +109,8 @@ def test_bbmr_mean_matches_shrunk_proportion():
     alpha = 1 / math.expm1(eps / n)
     p_star = (n1 + alpha) / (n + 2 * alpha)
     rng = RngStream(17)
-    means = [bbmr_synthesizer(rng.substream(r), n1, n, eps).mean()
+    means = [bbmr_synthesizer(rng.substream(r), n1, n, eps,
+                              _ledger(eps)).mean()
              for r in range(600)]
     se = math.sqrt(p_star * (1 - p_star) / n / 600)
     assert np.mean(means) == pytest.approx(p_star, abs=5 * se)
@@ -115,9 +123,9 @@ def test_bbmr_ledger_and_validation():
     assert set(np.unique(x)) <= {0, 1}
     assert ledger.effective_spend_exact() == Fraction(0.5)
     with pytest.raises(ValueError):
-        bbmr_synthesizer(RngStream(3), 60, 50, 0.5)
+        bbmr_synthesizer(RngStream(3), 60, 50, 0.5, _ledger())
     with pytest.raises(ValueError):
-        bbmr_synthesizer(RngStream(3), 10, 50, 0.0)
+        bbmr_synthesizer(RngStream(3), 10, 50, 0.0, _ledger())
 
 
 def _binary_data(n1, n):
@@ -153,7 +161,7 @@ def test_modips_allocation_length_checked():
     data = _binary_data(10, 40)
     with pytest.raises(ValueError, match="allocation"):
         modips_release(RngStream(1), data, BernoulliModel(), eps=1.0,
-                       allocation=[1.0, 1.0])
+                       allocation=[1.0, 1.0], ledger=_ledger())
 
 
 def test_modips_without_sanitization_charges_nothing():
@@ -172,7 +180,8 @@ def test_modips_bernoulli_posterior_mean_at_large_eps():
     data = _binary_data(n1, n)
     target = (n1 + 1 / 3) / (n + 2 / 3)
     means = [modips_release(RngStream(1000 + r), data, BernoulliModel(),
-                            eps=1e5).sets[0].column("x").mean()
+                            eps=1e5, ledger=_ledger(1e5)
+                            ).sets[0].column("x").mean()
              for r in range(500)]
     assert np.mean(means) == pytest.approx(target, abs=0.012)
 
@@ -216,7 +225,8 @@ def test_modips_normal_recovers_moments_at_large_eps():
     rng = RngStream(31)
     x = np.clip(rng.generator.normal(1.0, 0.5, size=2000), -4, 4)
     data = TabularDataset([ContinuousColumn("x", -4.0, 4.0)], {"x": x})
-    rel = modips_release(RngStream(37), data, NormalModel(), eps=1e5)
+    rel = modips_release(RngStream(37), data, NormalModel(), eps=1e5,
+                         ledger=_ledger(1e5))
     synth = rel.sets[0].column("x")
     assert synth.mean() == pytest.approx(x.mean(), abs=0.06)
     assert synth.var(ddof=1) == pytest.approx(x.var(ddof=1), rel=0.15)
@@ -333,7 +343,7 @@ def test_mixture_mean_draw_matches_per_cell_normals():
                                               data.n, [])
     rng = RngStream(113)
     np.testing.assert_array_equal(
-        sample_dirichlet(rng, model.prior_alpha + stats["counts"]), pi)
+        sample_dirichlet(rng, MIXTURE_PRIOR_ALPHA + stats["counts"]), pi)
     s_star = _sanitized_cov2(stats["var1"], stats["var2"], stats["cov"], [])
     np.testing.assert_array_equal(
         sample_inv_wishart(rng, data.n - model.k, data.n * s_star), sigma)
@@ -345,7 +355,8 @@ def test_mixture_mean_draw_matches_per_cell_normals():
 def test_mixture_recovers_structure_at_large_eps():
     model = _mixture_model()
     data = _mixture_data(RngStream(61), 1500)
-    rel = modips_release(RngStream(67), data, model, eps=1e5)
+    rel = modips_release(RngStream(67), data, model, eps=1e5,
+                         ledger=_ledger(1e5))
     synth = rel.sets[0]
     for cell, mu in ((0, -1.5), (1, 1.5)):
         mask = synth.column("w1") == cell
@@ -386,7 +397,8 @@ def test_modips_records_carry_per_entry_sensitivity():
     data = _mixture_data(RngStream(61), 301)
     groups = [g for g in model.sufficient_statistics(data)
               if g.delta_s is not None]
-    rel = modips_release(RngStream(67), data, model, eps=1.0, m=2)
+    rel = modips_release(RngStream(67), data, model, eps=1.0, m=2,
+                         ledger=_ledger())
     for records in rel.sanitized_stats:
         assert [r.label for r in records] == [g.label for g in groups]
         for group, record in zip(groups, records):
@@ -632,7 +644,7 @@ def test_release_writes_only_the_listed_model_state(plugin):
     model, data, allocation = _plugin_cases()[plugin]
     before = dict(vars(model))
     modips_release(RngStream(92), data, model, 1.0, m=1,
-                   allocation=allocation)
+                   allocation=allocation, ledger=_ledger())
     after = vars(model)
     assert after.keys() == before.keys()
     changed = {k for k in after if after[k] is not before[k]}
@@ -651,7 +663,7 @@ def test_draws_from_the_recorded_stats_reproduce_each_set(plugin):
     release's substreams draws the same bytes."""
     model, data, allocation = _plugin_cases()[plugin]
     rel = modips_release(RngStream(93), data, model, 1.0, m=2,
-                         allocation=allocation)
+                         allocation=allocation, ledger=_ledger())
     assert rel.flags[:len(UNSANITIZED[plugin])] == [
         f"unsanitized:{label}" for label in UNSANITIZED[plugin]]
     # the raw groups come from another instance: the fresh model sees
@@ -691,7 +703,7 @@ def _three_sets(plugin):
     """A plugin and the three sets' statistics of one of its releases."""
     model, data, allocation = _plugin_cases()[plugin]
     rel = modips_release(RngStream(103), data, model, 1.0, m=3,
-                         allocation=allocation)
+                         allocation=allocation, ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data) if g.delta_s is None}
     stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
@@ -770,7 +782,7 @@ def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
                         staticmethod(counting_make))
     data = simulate_truth_sim4(RngStream(105), 200)
     rel = modips_release(RngStream(106), data, SequentialLogisticModel(),
-                         1.0, m=5)
+                         1.0, m=5, ledger=_ledger())
     assert len(rel.sets) == 5
     assert calls == [[1, 1], [5, 1 + 1500 + 199 * 10 + 1]]
     assert calls[1][1] == 3492
@@ -778,7 +790,8 @@ def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
 
 def test_logistic_posterior_refuses_sets_with_different_rows():
     model, data, _ = _plugin_cases()["logistic"]
-    rel = modips_release(RngStream(107), data, model, 1.0, m=2)
+    rel = modips_release(RngStream(107), data, model, 1.0, m=2,
+                         ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data) if g.delta_s is None}
     stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
@@ -799,7 +812,8 @@ def test_traced_release_equals_untraced(plugin, monkeypatch):
     def release():
         model, data, allocation = _plugin_cases()[plugin]
         return dips.param_synth.modips_release(
-            RngStream(98), data, model, 1.0, m=2, allocation=allocation).sets
+            RngStream(98), data, model, 1.0, m=2, allocation=allocation,
+            ledger=_ledger()).sets
     untraced = release()
     tracer = Tracer()
     try:
@@ -839,11 +853,13 @@ def _normal_data(seed, name, lo, hi, n):
 def test_stateless_model_reused_equals_fresh(make, first, second):
     model = make()
     before = dict(vars(model))
-    modips_release(RngStream(96), first, model, 1.0, m=2)
+    modips_release(RngStream(96), first, model, 1.0, m=2, ledger=_ledger())
     assert vars(model) == before
     # a second dataset with another column name and declared domain
-    reused = modips_release(RngStream(97), second, model, 1.0, m=2).sets
-    fresh = modips_release(RngStream(97), second, make(), 1.0, m=2).sets
+    reused = modips_release(RngStream(97), second, model, 1.0, m=2,
+                            ledger=_ledger()).sets
+    fresh = modips_release(RngStream(97), second, make(), 1.0, m=2,
+                           ledger=_ledger()).sets
     assert len(reused) == len(fresh) == 2
     for a, b in zip(reused, fresh):
         assert a.columns == b.columns == second.columns
@@ -866,7 +882,7 @@ def _logistic_release(seed, eps, sanitize):
                          p))
         return params
     model.posterior_draw = recording_draw
-    ledger = PrivacyLedger(PrivacyBudget(eps)) if sanitize else None
+    ledger = PrivacyLedger(PrivacyBudget(eps))
     rel = modips_release(RngStream(seed + 1), data, model, eps, m=2,
                          ledger=ledger, sanitize=sanitize,
                          method="modips-logistic")

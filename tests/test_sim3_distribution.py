@@ -37,6 +37,7 @@ import math
 import numpy as np
 from scipy import stats
 
+from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import (
     SIM3_LEVELS,
     STUDIES,
@@ -73,8 +74,8 @@ def _released_rows(method):
     first = []
     per_cell = [[] for _ in range(K)]
     for r in range(RELEASES):
-        for s in release(RngStream(29).substream(r), data, EPS, M, None,
-                         "BIT"):
+        for s in release(RngStream(29).substream(r), data, EPS, M,
+                         PrivacyLedger(PrivacyBudget(EPS)), "BIT"):
             cells = np.ravel_multi_index(
                 [s.column("w1"), s.column("w2"), s.column("w3")],
                 SIM3_LEVELS)

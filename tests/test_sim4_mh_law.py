@@ -23,6 +23,7 @@ import math
 import numpy as np
 from scipy import stats
 
+from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import simulate_truth_sim4
 from dips.param_synth import SequentialLogisticModel, modips_release
 from dips.randvar import RngStream
@@ -96,7 +97,8 @@ def _release_stats():
     """The m sets' statistics of one seeded sim4 release at n = 200."""
     data = simulate_truth_sim4(RngStream(120), 200)
     model = SequentialLogisticModel(**SHORT)
-    rel = modips_release(RngStream(121), data, model, math.exp(2), m=M)
+    rel = modips_release(RngStream(121), data, model, math.exp(2), m=M,
+                         ledger=PrivacyLedger(PrivacyBudget(math.exp(2))))
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data) if g.delta_s is None}
     return [{**raw, **{r.label: r.sanitized for r in records}}
