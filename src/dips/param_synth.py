@@ -585,6 +585,8 @@ class SequentialLogisticModel:
             scales = np.full(k, 0.2)
             steps = scales[owner]
             accepted = np.zeros(k)
+            u, gap = np.empty(k), np.empty(k)
+            accept = np.empty(k, dtype=bool)
             window = 0
             for it in range(burnin + (want - 1) * thin + 1):
                 gen.standard_normal(out=noise)
@@ -592,19 +594,24 @@ class SequentialLogisticModel:
                 np.multiply(steps, noise, out=noise)
                 np.add(state, noise, out=proposal)
                 cands = loglik(proposal)
-                accept = np.log(gen.random(k) + 1e-300) < cands - current
+                gen.random(out=u)
+                np.add(u, 1e-300, out=u)
+                np.log(u, out=u)
+                np.subtract(cands, current, out=gap)
+                np.less(u, gap, out=accept)
                 np.copyto(state, proposal, where=accept[owner])
                 np.copyto(current, cands, where=accept)
-                accepted += accept
-                window += 1
-                if it < burnin and window == 100:
-                    rate = accepted / window
-                    scales[rate < 0.2] *= 0.7
-                    scales[rate > 0.5] *= 1.4
-                    steps = scales[owner]
-                    accepted[:] = 0
-                    window = 0
-                if it >= burnin and (it - burnin) % thin == 0:
+                if it < burnin:
+                    accepted += accept
+                    window += 1
+                    if window == 100:
+                        rate = accepted / window
+                        scales[rate < 0.2] *= 0.7
+                        scales[rate > 0.5] *= 1.4
+                        steps = scales[owner]
+                        accepted[:] = 0
+                        window = 0
+                elif (it - burnin) % thin == 0:
                     kept.append(state.copy())
         if not kept:
             return [np.empty((0, d)) for d in dims]
@@ -652,7 +659,7 @@ class SequentialLogisticModel:
         cap = ceiling + 1.0
         neg_weights = -np.asarray(weights, dtype=float)
         m = len(neg_weights)
-        design_t = design.T
+        design_t = np.ascontiguousarray(design.T)
         # per set: d of the w1 rows, the w2 rows, then the first and second
         # d of the w3 rows; after exp the second is added into the first
         diff = np.empty((m, 4 * n))
@@ -664,10 +671,9 @@ class SequentialLogisticModel:
             np.minimum(diff, cap, out=diff)
             np.exp(diff, out=diff)
             np.add(w3_first, w3_second, out=w3_first)
-            neg_logp = np.log1p(per_row)
-            np.maximum(neg_logp, floor, out=neg_logp)
-            np.minimum(neg_logp, ceiling, out=neg_logp)
-            sums = neg_logp.reshape(m, 3, n).sum(axis=2)
+            np.log1p(per_row, out=per_row)
+            np.clip(per_row, floor, ceiling, out=per_row)
+            sums = per_row.reshape(m, 3, n).sum(axis=2)
             return (neg_weights * sums).ravel()
         return loglik
 
