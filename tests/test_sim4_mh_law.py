@@ -1,26 +1,32 @@
 """Law check for the Metropolis-Hastings sampler of sim4's logistic posterior.
 
 ``SequentialLogisticModel.posterior_draw`` runs one adaptive random-walk
-Metropolis over the three regressions of every set of a release.  The
-Markov kernel is fixed: every target starts at 0 with proposal scale 0.2,
-adapts the scale every 100 burn-in steps (x0.7 below 20% acceptance, x1.4
-above 50%), and keeps every ``mh_thin``-th state after burn-in.  How the
-sampler consumes its random streams is not part of that kernel, so two
-stream layouts of the same kernel draw from the same law.
+Metropolis over the three regressions of every set of a release.  A kernel
+that keeps the tempered posterior invariant draws from it once its chain
+has run long enough; kernels differ in how many steps that takes.  So
+every kept draw, the first as much as the last, must follow the law that
+a long run of any such kernel reaches.
 
-The reference below is the sampler as it ran with one generator per
-(set, regression) target: each step drew every target's proposal normals
-on that target's generator, then every target's accept uniform.  It is
-kept verbatim.  Each side runs many independent releases on disjoint
-seeds, and per coordinate the last kept draw of the two sides is compared
-by a two-sample Kolmogorov-Smirnov test and by its mean.  The likelihood
-is the real batched one of a seeded n = 200 sim4 set with m = 2 sets; a
-second case runs quadratic targets whose modes are known.
+The reference is the kernel that starts every target at 0 with proposal
+scale 0.2, adapts the scale every 100 burn-in steps (x0.7 below 20%
+acceptance, x1.4 above 50%), and keeps every ``mh_thin``-th state after
+burn-in.  It is kept verbatim and run with a burn-in of 7,500 steps, five
+times its default of 1,500, so its first kept draw is a draw from the
+stationary law.  The lockstep keeps its targets independent, so the
+reference runs many seeds' sets as the targets of one lockstep, one draw
+per target, which costs one likelihood call per step for all of them.
+
+The likelihood is the real batched one of a seeded n = 200 sim4 release
+with m = 2 sets.  Per coordinate, ``posterior_draw``'s first and last
+kept draws over many seeds are compared with the reference's by a
+two-sample Kolmogorov-Smirnov test and by their means.  A second case runs
+``_mh_lockstep`` on standard-normal targets, whose law is known.
 """
 
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from dips.budget import PrivacyBudget, PrivacyLedger
@@ -28,61 +34,78 @@ from dips.harness import simulate_truth_sim4
 from dips.param_synth import SequentialLogisticModel, modips_release
 from dips.randvar import RngStream
 
-SEEDS = 300
+SEEDS = 100
 M = 2
-SHORT = dict(mh_iters=400, mh_burnin=300, mh_thin=5)
-# one chain of 20 kept draws: the last is 396 steps from the start
-N_DRAWS = 20
 DIMS = (3, 4, 10) * M
+# posterior_draw keeps one draw per row of the release, n = 200 of them
+N_DRAWS = 200
+REFERENCE_BURNIN = 7500
+# seeds per reference lockstep: 40 sets, so one call covers 40 x 800 rows
+BATCH = 20
 KS_P_MIN = 1e-3
 MEAN_GAP_SE = 4.0
 
 
-def reference_mh_lockstep(self, rngs, loglik, dims, n_draws):
-    """The sampler with one generator per target, target k's chain c on
-    ``rngs[k].substream(c)``: per step every target's proposal normals,
-    then every target's accept uniform."""
+def reference_mh_lockstep(self, rng, loglik, dims, n_draws):
+    """Adaptive random-walk Metropolis over K targets advanced in
+    lockstep.  The targets' states lie end to end in one vector, and
+    each step makes one ``loglik(proposal) -> K values`` call on every
+    target's proposal in that layout.  Returns one (n_draws, dims[k])
+    array per target.  The logistic posterior runs the three
+    regressions of every set of a release as one such call.
+
+    Chain c runs on ``rng.substream(c)``.  Each step makes one
+    standard-normal call that fills every target's proposal normals
+    end to end, then one call for the K accept uniforms, and target k
+    reads its slice of each.  Both sizes are fixed, so target k's
+    draws depend on its likelihood, its place in the layout and the
+    stream, never on another target's values.  Each target has its
+    own proposal scale, tuned during burn-in toward 0.2-0.5
+    acceptance and frozen afterwards.  Each chain keeps every
+    `mh_thin`-th state after burn-in, at most `per_chain` of them, and
+    chains are concatenated in order.  Only the iterations whose draws
+    are returned are run: a chain stops at its last used draw and a
+    chain with none is skipped.  The result equals the first `n_draws`
+    rows of the full run (tiled when `n_draws` exceeds the draws of
+    all chains)."""
     burnin, thin = self.mh_burnin, self.mh_thin
     per_chain = (self.mh_iters - burnin) // thin
     needed = min(n_draws, per_chain * self.mh_chains)
     ends = np.cumsum(dims)
     parts = [slice(end - d, end) for d, end in zip(dims, ends)]
-    targets = range(len(dims))
+    k = len(dims)
+    owner = np.repeat(np.arange(k), dims)  # the target of each entry
     kept = []
     for chain in range(self.mh_chains):
         want = min(per_chain, needed - len(kept))
         if want <= 0:
             break
-        gens = [r.substream(chain).generator for r in rngs]
+        gen = rng.substream(chain).generator
         state = np.zeros(ends[-1])
         noise = np.empty(ends[-1])
-        current = list(loglik(state))
-        scales = [0.2] * len(dims)
-        steps = np.repeat(scales, dims)
-        accepted = [0] * len(dims)
+        proposal = np.empty(ends[-1])
+        current = np.array(loglik(state), dtype=float)
+        scales = np.full(k, 0.2)
+        steps = scales[owner]
+        accepted = np.zeros(k)
         window = 0
         for it in range(burnin + (want - 1) * thin + 1):
-            for gen, part in zip(gens, parts):
-                gen.standard_normal(out=noise[part])
+            gen.standard_normal(out=noise)
             # the product numpy's normal(0, scale) forms, bit for bit
-            proposal = state + steps * noise
+            np.multiply(steps, noise, out=noise)
+            np.add(state, noise, out=proposal)
             cands = loglik(proposal)
-            for k in targets:
-                if (math.log(gens[k].random() + 1e-300)
-                        < cands[k] - current[k]):
-                    state[parts[k]] = proposal[parts[k]]
-                    current[k] = cands[k]
-                    accepted[k] += 1
+            accept = np.log(gen.random(k) + 1e-300) < cands - current
+            np.copyto(state, proposal, where=accept[owner])
+            np.copyto(current, cands, where=accept)
+            accepted += accept
             window += 1
             if it < burnin and window == 100:
-                for k in targets:
-                    rate = accepted[k] / window
-                    if rate < 0.2:
-                        scales[k] *= 0.7
-                    elif rate > 0.5:
-                        scales[k] *= 1.4
-                    accepted[k] = 0
-                steps = np.repeat(scales, dims)
+                rate = accepted / window
+                scales[rate < 0.2] *= 0.7
+                scales[rate > 0.5] *= 1.4
+                steps = scales[owner]
+                accepted[:] = 0
                 window = 0
             if it >= burnin and (it - burnin) % thin == 0:
                 kept.append(state.copy())
@@ -93,41 +116,87 @@ def reference_mh_lockstep(self, rngs, loglik, dims, n_draws):
     return [np.ascontiguousarray(rows[:, part]) for part in parts]
 
 
-def _release_stats():
-    """The m sets' statistics of one seeded sim4 release at n = 200."""
+def _stats_sets(tempered):
+    """The m sets' statistics of a seeded sim4 set at n = 200: raw, as
+    the non-private ``ms`` release passes them, so every tempering weight
+    is 1; or sanitized by a release at eps = e^2."""
     data = simulate_truth_sim4(RngStream(120), 200)
-    model = SequentialLogisticModel(**SHORT)
+    model = SequentialLogisticModel(mh_iters=400, mh_burnin=300, mh_thin=5)
+    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+           for g in model.sufficient_statistics(data)}
+    if not tempered:
+        return [raw] * M
     rel = modips_release(RngStream(121), data, model, math.exp(2), m=M,
                          ledger=PrivacyLedger(PrivacyBudget(math.exp(2))))
-    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
-           for g in model.sufficient_statistics(data) if g.delta_s is None}
     return [{**raw, **{r.label: r.sanitized for r in records}}
             for records in rel.sanitized_stats]
+
+
+def _weights(stats_sets):
+    return [[SequentialLogisticModel._temper_weight(stats, i)
+             for i in range(3)] for stats in stats_sets]
 
 
 def _streams(seed):
     return [RngStream(seed).substream(j, 10_000) for j in range(M)]
 
 
-def _reference_last(model, loglik, seed):
-    """The reference sampler's last kept draw, the sets' 17 coefficients
-    end to end."""
-    rngs = _streams(seed)
-    draws = reference_mh_lockstep(
-        model, [rng.substream(k) for rng in rngs for k in (1, 2, 3)],
-        loglik, DIMS, N_DRAWS)
-    return np.concatenate([d[-1] for d in draws])
+def _reference_draws(stats_sets):
+    """One reference draw per seed, the sets' 17 coefficients end to end:
+    each lockstep runs BATCH seeds' sets as its targets."""
+    model = SequentialLogisticModel(mh_iters=REFERENCE_BURNIN + 1,
+                                    mh_burnin=REFERENCE_BURNIN, mh_thin=1)
+    rows = [stats_sets[0][label] for label in ("x3", "w1", "w2", "w3")]
+    loglik = model._lockstep_loglik(*rows, _weights(stats_sets) * BATCH)
+    draws = []
+    for batch in range(SEEDS // BATCH):
+        targets = reference_mh_lockstep(model, RngStream(1000 + batch),
+                                        loglik, DIMS * BATCH, 1)
+        state = np.concatenate([t[0] for t in targets])
+        draws += list(state.reshape(BATCH, sum(DIMS)))
+    return np.array(draws)
 
 
-def _posterior_last(model, stats_sets, seed):
-    """``posterior_draw``'s last kept draw, laid out as the reference's."""
-    params = model.posterior_draw(_streams(seed), stats_sets, N_DRAWS, [])
-    return np.concatenate([beta[-1] for p in params for beta in
-                           (p[2], p[3], np.hstack([p[4], p[5]]))])
+def _posterior_draws(stats_sets):
+    """``posterior_draw``'s first and last kept draws per seed under the
+    default settings, laid out as the reference's."""
+    model = SequentialLogisticModel()
+    first, last = [], []
+    for s in range(SEEDS):
+        params = model.posterior_draw(_streams(5000 + s), stats_sets,
+                                      N_DRAWS, [])
+        betas = [beta for p in params
+                 for beta in (p[2], p[3], np.hstack([p[4], p[5]]))]
+        first.append(np.concatenate([beta[0] for beta in betas]))
+        last.append(np.concatenate([beta[-1] for beta in betas]))
+    return np.array(first), np.array(last)
+
+
+@pytest.fixture(scope="module", params=["unit", "tempered"])
+def logistic_draws(request):
+    """The reference's draws and ``posterior_draw``'s first and last, on
+    the coordinates whose tempered posterior is proper.
+
+    The clamp bounds every row's log factor below by log(1e-12), so under
+    a flat prior the tempered posterior is proper only while the weight
+    makes the region near the mode outweigh the unbounded flat tails.  In
+    the eps = e^2 release the sanitized likelihood products are noise, and
+    three of the six weights lie between 0.013 and 0.039.  There the
+    reference keeps drifting: after 7,500 steps set 1's b3/b4 draws (w =
+    0.013) have SDs of 1e8 and set 1's b2 (w = 0.026) a last-coefficient
+    SD six times the default kernel's, so no kernel has a stationary law
+    to match.  The tempered case compares the targets with weight at
+    least 1, the other half of a release's targets."""
+    stats_sets = _stats_sets(request.param == "tempered")
+    keep = np.repeat([w >= 1 for ws in _weights(stats_sets) for w in ws],
+                     DIMS)
+    ref = _reference_draws(stats_sets)
+    first, last = _posterior_draws(stats_sets)
+    return ref[:, keep], first[:, keep], last[:, keep]
 
 
 def _assert_same_law(ref, new):
-    assert ref.shape == new.shape == (SEEDS, sum(DIMS))
+    assert ref.shape == new.shape and ref.shape[0] == SEEDS
     gap_se = np.sqrt(ref.var(axis=0, ddof=1) / SEEDS
                      + new.var(axis=0, ddof=1) / SEEDS)
     for c in range(ref.shape[1]):
@@ -137,18 +206,14 @@ def _assert_same_law(ref, new):
         assert gap <= MEAN_GAP_SE * gap_se[c], (c, gap, gap_se[c])
 
 
-def test_logistic_mh_draws_follow_the_reference_law():
-    stats_sets = _release_stats()
-    model = SequentialLogisticModel(**SHORT)
-    weights = [[model._temper_weight(stats, i) for i in range(3)]
-               for stats in stats_sets]
-    rows = [stats_sets[0][label] for label in ("x3", "w1", "w2", "w3")]
-    loglik = model._lockstep_loglik(*rows, weights)
-    ref = np.array([_reference_last(model, loglik, 1000 + s)
-                    for s in range(SEEDS)])
-    new = np.array([_posterior_last(model, stats_sets, 5000 + s)
-                    for s in range(SEEDS)])
-    _assert_same_law(ref, new)
+def test_logistic_mh_last_draws_follow_the_reference_law(logistic_draws):
+    ref, _, last = logistic_draws
+    _assert_same_law(ref, last)
+
+
+def test_logistic_mh_first_draws_follow_the_reference_law(logistic_draws):
+    ref, first, _ = logistic_draws
+    _assert_same_law(ref, first)
 
 
 # per set: the three regressions' modes, 3 + 4 + 10 coordinates
@@ -157,29 +222,26 @@ QUADRATIC_MODES = np.concatenate([
     np.linspace(2.0, -2.0, 10)] * M)
 
 
-def _quadratic_loglik(*args):
+def _quadratic_loglik(coef):
     """Standard-normal targets centred on QUADRATIC_MODES, one
     log-density per (set, regression)."""
     starts = np.cumsum(DIMS) - DIMS
-
-    def loglik(coef):
-        return -0.5 * np.add.reduceat((coef - QUADRATIC_MODES) ** 2, starts)
-    return loglik
+    return -0.5 * np.add.reduceat((coef - QUADRATIC_MODES) ** 2, starts)
 
 
-def test_quadratic_mh_draws_follow_the_reference_law(monkeypatch):
-    stats_sets = _release_stats()
-    model = SequentialLogisticModel(**SHORT)
-    loglik = _quadratic_loglik()
-    ref = np.array([_reference_last(model, loglik, 1000 + s)
-                    for s in range(SEEDS)])
-    monkeypatch.setattr(SequentialLogisticModel, "_lockstep_loglik",
-                        staticmethod(_quadratic_loglik))
-    new = np.array([_posterior_last(model, stats_sets, 5000 + s)
-                    for s in range(SEEDS)])
-    _assert_same_law(ref, new)
-    # both sides centre on the known modes with about unit spread
-    for draws in (ref, new):
+def test_quadratic_mh_draws_follow_the_known_law():
+    model = SequentialLogisticModel()
+    first, last = [], []
+    for s in range(SEEDS):
+        targets = model._mh_lockstep(RngStream(5000 + s), _quadratic_loglik,
+                                     DIMS, N_DRAWS)
+        first.append(np.concatenate([t[0] for t in targets]))
+        last.append(np.concatenate([t[-1] for t in targets]))
+    # each coordinate is N(mode, 1): known modes, unit spread
+    for draws in (np.array(first), np.array(last)):
+        for c, mode in enumerate(QUADRATIC_MODES):
+            p = stats.kstest(draws[:, c] - mode, "norm").pvalue
+            assert p > KS_P_MIN, (c, p)
         se = draws.std(axis=0, ddof=1) / math.sqrt(SEEDS)
         assert np.all(np.abs(draws.mean(axis=0) - QUADRATIC_MODES)
                       <= MEAN_GAP_SE * se)
