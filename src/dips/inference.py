@@ -251,24 +251,20 @@ FIRTH_MAX_ITER = 100
 FIRTH_TOL = 1e-6
 
 
-def _firth_fit(design, codes, k: int) -> list[list[PerSetEstimate]]:
+def _firth_fit(design, codes, k: int):
     """Maximize ``_firth_terms``' penalized likelihood by Newton steps on
     the expected information, with step-halving, until no entry of the
     penalized score exceeds ``FIRTH_TOL`` in absolute value, at most
-    ``FIRTH_MAX_ITER`` steps.  Returns one list of PerSetEstimates per
-    non-reference level, with variances from the inverse information at
-    the solution."""
+    ``FIRTH_MAX_ITER`` steps.  Returns the estimate theta, one block of
+    coefficients per non-reference level end to end, and the inverse
+    information at it."""
     evaluate, penalized_score = _firth_terms(design, codes, k)
     theta = np.zeros(k * design.shape[1])
     obj, p, info = evaluate(theta)
     for _ in range(FIRTH_MAX_ITER):
         score, cov = penalized_score(p, info)
         if np.max(np.abs(score)) < FIRTH_TOL:
-            var = np.diag(cov)
-            return [[PerSetEstimate(float(t), float(v))
-                     for t, v in zip(block, block_var)]
-                    for block, block_var in zip(theta.reshape(k, -1),
-                                                var.reshape(k, -1))]
+            return theta, cov
         step = np.linalg.solve(info + 1e-10 * np.eye(len(theta)), score)
         factor = 1.0
         for _ in range(30):
@@ -284,6 +280,15 @@ def _firth_fit(design, codes, k: int) -> list[list[PerSetEstimate]]:
                          "iterations")
 
 
+def _estimates(theta, cov, k: int) -> list[list[PerSetEstimate]]:
+    """One list of PerSetEstimates per non-reference level, with
+    variances from the inverse information."""
+    return [[PerSetEstimate(float(t), float(v))
+             for t, v in zip(block, block_var)]
+            for block, block_var in zip(theta.reshape(k, -1),
+                                        np.diag(cov).reshape(k, -1))]
+
+
 def firth_logistic(design, response) -> list[PerSetEstimate]:
     """Firth-penalized binary logistic regression (``_firth_fit`` with
     k = 1) for a 0/1 response.  Returns one PerSetEstimate per
@@ -292,7 +297,8 @@ def firth_logistic(design, response) -> list[PerSetEstimate]:
     response = np.asarray(response)
     if not np.isin(response, (0, 1)).all():
         raise ValueError("response must use codes 0, 1")
-    return _firth_fit(design, response.astype(np.int64), 1)[0]
+    return _estimates(*_firth_fit(design, response.astype(np.int64), 1),
+                      1)[0]
 
 
 def fit_multinomial_logit(design, response):
@@ -307,4 +313,4 @@ def fit_multinomial_logit(design, response):
         raise ValueError("response must use codes 0, 1, 2")
     if len(levels) != 3:
         raise DegenerateEstimate(f"response lacks a level: {levels.tolist()}")
-    return _firth_fit(design, response, 2)
+    return _estimates(*_firth_fit(design, response, 2), 2)

@@ -450,10 +450,16 @@ def _counting_quadratic():
     return loglik, calls
 
 
+def _proposals(dims):
+    """Starts at 0 and unit-information proposal factors, one per target."""
+    return ([np.zeros(d) for d in dims],
+            [np.eye(d) * (2.38 / math.sqrt(d)) for d in dims])
+
+
 def _mh_one(model, rng, loglik, dim, n_draws):
     """The lockstep sampler on one target with a scalar log-likelihood."""
-    return model._mh_lockstep(rng, lambda b: [loglik(b)], [dim],
-                              n_draws)[0]
+    return model._mh_lockstep(rng, lambda b: [loglik(b)], [dim], n_draws,
+                              *_proposals([dim]))[0]
 
 
 def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
@@ -477,14 +483,14 @@ def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
 
 
 def test_mh_sample_default_settings_likelihood_calls_at_n_200():
-    # 1,500 burn-in iterations, then 200 draws thinned by 10 from chain 0
-    # alone: 3,492 likelihood calls, where running both chains in full
-    # took 2 x (1 + 6,500) = 13,002
+    # 200 burn-in iterations, then 200 draws thinned by 5 from chain 0
+    # alone: 1,197 likelihood calls, where running both chains in full
+    # takes 2 x (1 + 2,700) = 5,402
     model = SequentialLogisticModel()
     ll, calls = _counting_quadratic()
     draws = _mh_one(model, RngStream(82), ll, 3, 200)
     assert draws.shape == (200, 3)
-    assert calls[0] == 1 + 1500 + 199 * 10 + 1 == 3492
+    assert calls[0] == 1 + 200 + 199 * 5 + 1 == 1197
 
 
 def test_mh_sample_zero_draws_is_empty():
@@ -501,11 +507,17 @@ LOCKSTEP_MODES = [np.array([1.0, -1.0, 0.5]), np.linspace(-1.0, 1.0, 4),
                   np.linspace(2.0, -2.0, 10)]
 
 
-def _lockstep_draws(model, n_draws, modes):
-    """Sample quadratic targets with these modes in lockstep; return each
-    target's draws and the number of batched calls."""
+def _lockstep_draws(model, n_draws, modes, widen=None):
+    """Sample quadratic targets with these modes in lockstep, from 0 with
+    unit-information proposals, target ``widen`` starting at 0.3 with
+    twice that factor; return each target's draws and the number of
+    batched calls."""
     calls = [0]
     dims = [len(mode) for mode in modes]
+    starts, factors = _proposals(dims)
+    if widen is not None:
+        starts[widen] = starts[widen] + 0.3
+        factors[widen] = 2 * factors[widen]
 
     def batched(state):
         # the targets' states lie end to end in one vector
@@ -513,7 +525,8 @@ def _lockstep_draws(model, n_draws, modes):
         betas = np.split(state, np.cumsum(dims)[:-1])
         return np.array([-0.5 * np.sum((beta - mode) ** 2)
                          for beta, mode in zip(betas, modes)])
-    draws = model._mh_lockstep(RngStream(85), batched, dims, n_draws)
+    draws = model._mh_lockstep(RngStream(85), batched, dims, n_draws,
+                               starts, factors)
     assert [d.shape for d in draws] == [(n_draws, dim) for dim in dims]
     return draws, calls[0]
 
@@ -527,22 +540,25 @@ def test_mh_lockstep_targets_ignore_each_other(k):
     # 50 draws per chain; one batched call starts each chain, one per step
     quotas = {1: [1], 50: [50], 51: [50, 1], 237: [50, 50]}[k]
     assert calls == sum(1 + burnin + (want - 1) * thin + 1 for want in quotas)
-    # each step draws fixed sizes, so moving one target's mode leaves every
-    # other target's draws as they were, byte for byte
+    # each step draws fixed sizes, so moving one target's mode, or its
+    # start and proposal factor, leaves every other target's draws as they
+    # were, byte for byte
     for moved in range(len(LOCKSTEP_MODES)):
         modes = [mode + 0.5 * (t == moved)
                  for t, mode in enumerate(LOCKSTEP_MODES)]
-        again, _ = _lockstep_draws(model, k, modes)
-        for t, (a, b) in enumerate(zip(again, draws)):
-            assert (a.tobytes() == b.tobytes()) == (t != moved), (moved, t)
+        for again, _ in (_lockstep_draws(model, k, modes),
+                         _lockstep_draws(model, k, LOCKSTEP_MODES, moved)):
+            for t, (a, b) in enumerate(zip(again, draws)):
+                same = a.tobytes() == b.tobytes()
+                assert same == (t != moved), (moved, t)
 
 
 def test_mh_lockstep_default_settings_one_call_per_step_at_n_200():
-    # the three targets share each step's call: 3,492 batched calls, where
-    # sampling them one by one makes 3 x 3,492 scalar calls
+    # the three targets share each step's call: 1,197 batched calls, where
+    # sampling them one by one makes 3 x 1,197 scalar calls
     model = SequentialLogisticModel()
     _, calls = _lockstep_draws(model, 200, LOCKSTEP_MODES)
-    assert calls == 3492
+    assert calls == 1 + 200 + 199 * 5 + 1 == 1197
 
 
 def test_lockstep_loglik_matches_scalar_likelihoods():
@@ -763,7 +779,7 @@ def test_logistic_posterior_sets_ignore_each_others_statistics():
 def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
     """At n = 200 and m = 5 under the default chains, one release builds
     one likelihood for its MH and calls it once per step for all fifteen
-    regressions: 3,492 calls, where one MH per set made 5 x 3,492.  The
+    regressions: 1,197 calls, where one MH per set makes 5 x 1,197.  The
     raw log-products of the sufficient statistics are one call of a
     one-set likelihood."""
     calls = []  # (sets, calls) of each likelihood built
@@ -784,8 +800,57 @@ def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
     rel = modips_release(RngStream(106), data, SequentialLogisticModel(),
                          1.0, m=5, ledger=_ledger())
     assert len(rel.sets) == 5
-    assert calls == [[1, 1], [5, 1 + 1500 + 199 * 10 + 1]]
-    assert calls[1][1] == 3492
+    assert calls == [[1, 1], [5, 1 + 200 + 199 * 5 + 1]]
+    assert calls[1][1] == 1197
+
+
+def _sim4_release(sanitize):
+    """A seeded sim4 release at n = 200, eps = 1, m = 5 and its sets'
+    statistics as ``posterior_draw`` reads them."""
+    data = simulate_truth_sim4(RngStream(105), 200)
+    model = SequentialLogisticModel()
+    rel = modips_release(RngStream(106), data, model, 1.0, m=5,
+                         ledger=_ledger(), sanitize=sanitize)
+    raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
+           for g in model.sufficient_statistics(data)}
+    return rel, [{**raw, **{r.label: r.sanitized for r in records}}
+                 for records in rel.sanitized_stats]
+
+
+@pytest.mark.parametrize("sanitize", [True, False])
+def test_logistic_mh_acceptance_after_burn_in(sanitize):
+    """Every target whose tempered posterior is proper accepts 15-50% of
+    its proposals after burn-in.  With ``mh_thin=1`` the kept draws are
+    consecutive states, so a target accepted a step where its draw
+    changed.  A weight far below 1 (0.012-0.027 in a release's noisy
+    sanitized products) leaves the clamped likelihood's flat tails
+    unbounded mass: there a chain drifts, accepting 50-80% of its steps
+    with coefficients that grow with the burn-in, so no rate is right."""
+    _, stats_sets = _sim4_release(sanitize)
+    model = SequentialLogisticModel()
+    consecutive = SequentialLogisticModel(mh_iters=model.mh_burnin + 1000,
+                                          mh_thin=1)
+    params = consecutive.posterior_draw(
+        [RngStream(107).substream(j) for j in range(5)], stats_sets, 1000,
+        [])
+    rates = [np.mean(np.any(np.diff(beta, axis=0) != 0, axis=1))
+             for p in params for beta in (p[2], p[3], np.hstack(p[4:]))]
+    weights = [model._temper_weight(stats, i)
+               for stats in stats_sets for i in range(3)]
+    proper = [rate for rate, w in zip(rates, weights) if w > 0.5]
+    assert len(proper) == (8 if sanitize else 15)
+    assert all(0.15 <= rate <= 0.5 for rate in proper), rates
+
+
+@pytest.mark.parametrize("sanitize", [True, False])
+def test_logistic_release_flags(sanitize):
+    # the raw reads the model declares, then one PosteriorDegenerate:var
+    # per set whose sanitized covariance was floored; the MH adds none
+    rel, _ = _sim4_release(sanitize)
+    reads = [f"unsanitized:{label}"
+             for label in ("x3", "w1", "w2", "w3", "log_raw")]
+    floored = ["PosteriorDegenerate:var"] * (4 if sanitize else 0)
+    assert rel.flags == reads + floored
 
 
 def test_logistic_posterior_refuses_sets_with_different_rows():

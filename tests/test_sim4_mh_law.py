@@ -16,11 +16,12 @@ stationary law.  The lockstep keeps its targets independent, so the
 reference runs many seeds' sets as the targets of one lockstep, one draw
 per target, which costs one likelihood call per step for all of them.
 
-The likelihood is the real batched one of a seeded n = 200 sim4 release
-with m = 2 sets.  Per coordinate, ``posterior_draw``'s first and last
-kept draws over many seeds are compared with the reference's by a
-two-sample Kolmogorov-Smirnov test and by their means.  A second case runs
-``_mh_lockstep`` on standard-normal targets, whose law is known.
+The likelihood is the real batched one of a seeded n = 200 sim4 set with
+m = 2 sets.  Per coordinate, ``posterior_draw``'s first and last kept
+draws over many seeds are compared with the reference's by a two-sample
+Kolmogorov-Smirnov test and by their means.  A second case runs
+``_mh_lockstep`` on standard-normal targets, whose law is known, from
+their modes with the identity as their information.
 """
 
 import math
@@ -141,13 +142,19 @@ def _streams(seed):
     return [RngStream(seed).substream(j, 10_000) for j in range(M)]
 
 
-def _reference_draws(stats_sets):
+def _reference_draws(stats_sets, keep):
     """One reference draw per seed, the sets' 17 coefficients end to end:
-    each lockstep runs BATCH seeds' sets as its targets."""
+    each lockstep runs BATCH seeds' sets as its targets.  The targets are
+    independent, so the ones not kept are sampled at weight 1: their
+    draws are dropped, and at weight 1 they stay near their mode instead
+    of drifting to coefficients whose exp underflows, which slows every
+    call."""
     model = SequentialLogisticModel(mh_iters=REFERENCE_BURNIN + 1,
                                     mh_burnin=REFERENCE_BURNIN, mh_thin=1)
     rows = [stats_sets[0][label] for label in ("x3", "w1", "w2", "w3")]
-    loglik = model._lockstep_loglik(*rows, _weights(stats_sets) * BATCH)
+    weights = [[w if k else 1.0 for w, k in zip(ws, kept)]
+               for ws, kept in zip(_weights(stats_sets), keep)]
+    loglik = model._lockstep_loglik(*rows, weights * BATCH)
     draws = []
     for batch in range(SEEDS // BATCH):
         targets = reference_mh_lockstep(model, RngStream(1000 + batch),
@@ -188,11 +195,11 @@ def logistic_draws(request):
     to match.  The tempered case compares the targets with weight at
     least 1, the other half of a release's targets."""
     stats_sets = _stats_sets(request.param == "tempered")
-    keep = np.repeat([w >= 1 for ws in _weights(stats_sets) for w in ws],
-                     DIMS)
-    ref = _reference_draws(stats_sets)
+    keep = [[w >= 1 for w in ws] for ws in _weights(stats_sets)]
+    coords = np.repeat(np.concatenate(keep), DIMS)
+    ref = _reference_draws(stats_sets, keep)
     first, last = _posterior_draws(stats_sets)
-    return ref[:, keep], first[:, keep], last[:, keep]
+    return ref[:, coords], first[:, coords], last[:, coords]
 
 
 def _assert_same_law(ref, new):
@@ -222,21 +229,32 @@ QUADRATIC_MODES = np.concatenate([
     np.linspace(2.0, -2.0, 10)] * M)
 
 
+# seeds per quadratic lockstep, each seed's sets its own targets
+QUADRATIC_BATCH = 5
+
+
 def _quadratic_loglik(coef):
     """Standard-normal targets centred on QUADRATIC_MODES, one
-    log-density per (set, regression)."""
-    starts = np.cumsum(DIMS) - DIMS
-    return -0.5 * np.add.reduceat((coef - QUADRATIC_MODES) ** 2, starts)
+    log-density per (set, regression), for QUADRATIC_BATCH seeds."""
+    dims = np.array(DIMS * QUADRATIC_BATCH)
+    modes = np.tile(QUADRATIC_MODES, QUADRATIC_BATCH)
+    return -0.5 * np.add.reduceat((coef - modes) ** 2, np.cumsum(dims) - dims)
 
 
 def test_quadratic_mh_draws_follow_the_known_law():
     model = SequentialLogisticModel()
+    # each target starts at its mode; its covariance is the identity
+    starts = np.split(QUADRATIC_MODES, np.cumsum(DIMS)[:-1])
+    factors = [np.eye(d) * (2.38 / math.sqrt(d)) for d in DIMS]
     first, last = [], []
-    for s in range(SEEDS):
-        targets = model._mh_lockstep(RngStream(5000 + s), _quadratic_loglik,
-                                     DIMS, N_DRAWS)
-        first.append(np.concatenate([t[0] for t in targets]))
-        last.append(np.concatenate([t[-1] for t in targets]))
+    for batch in range(SEEDS // QUADRATIC_BATCH):
+        targets = model._mh_lockstep(
+            RngStream(5000 + batch), _quadratic_loglik,
+            DIMS * QUADRATIC_BATCH, N_DRAWS, starts * QUADRATIC_BATCH,
+            factors * QUADRATIC_BATCH)
+        for t in np.split(np.arange(len(targets)), QUADRATIC_BATCH):
+            first.append(np.concatenate([targets[k][0] for k in t]))
+            last.append(np.concatenate([targets[k][-1] for k in t]))
     # each coordinate is N(mode, 1): known modes, unit spread
     for draws in (np.array(first), np.array(last)):
         for c, mode in enumerate(QUADRATIC_MODES):
