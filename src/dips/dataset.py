@@ -64,8 +64,9 @@ Column = CategoricalColumn | ContinuousColumn
 class TabularDataset:
     """n rows over a fixed schema of categorical and continuous columns.
 
-    Categorical values are integer codes in [0, len(levels)); continuous
-    values must be finite and lie within the column's declared bounds.
+    Categorical values are integer codes in [0, len(levels)), held as
+    integers or as whole finite floats; continuous values must be finite
+    and lie within the column's declared bounds.
     """
 
     def __init__(self, columns: list[Column], data: dict[str, np.ndarray],
@@ -85,6 +86,8 @@ class TabularDataset:
         for col in self.columns:
             values = self.data[col.name]
             if isinstance(col, CategoricalColumn):
+                if values.dtype.kind == "f":
+                    category_codes(col.name, values)
                 if values.size and (values.min() < 0
                                     or values.max() >= len(col.levels)):
                     raise ValueError(f"codes out of range in {col.name!r}")

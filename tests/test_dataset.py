@@ -70,6 +70,16 @@ def test_bad_codes_rejected():
         TabularDataset(cols, {"c": np.array([-1, 0])})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+def test_float_categorical_codes_must_be_whole_and_finite(bad):
+    # NaN passes both range comparisons, so only the whole-code rule of
+    # category_codes catches it
+    cols = [CategoricalColumn("c", range(3))]
+    with pytest.raises(ValueError, match="'c' holds a non-integer code"):
+        TabularDataset(cols, {"c": np.array([0.0, bad])})
+    assert TabularDataset(cols, {"c": np.array([0.0, 2.0])}).n == 2
+
+
 def test_degenerate_columns_rejected():
     with pytest.raises(ValueError):
         CategoricalColumn("c", ())
