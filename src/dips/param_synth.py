@@ -587,7 +587,7 @@ class SequentialLogisticModel:
         parts = [slice(end - d, end) for d, end in zip(dims, ends)]
         k = len(dims)
         owner = np.repeat(np.arange(k), dims)  # the target of each entry
-        start = np.concatenate(starts).astype(float)
+        start = np.concatenate(starts)
         shape = np.zeros((ends[-1], ends[-1]))
         for part, factor in zip(parts, factors):
             shape[part, part] = factor
