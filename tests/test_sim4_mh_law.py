@@ -236,14 +236,14 @@ QUADRATIC_MODES = np.concatenate([
 
 # seeds per quadratic lockstep, each seed's sets its own targets
 QUADRATIC_BATCH = 5
+_BATCH_MODES = np.tile(QUADRATIC_MODES, QUADRATIC_BATCH)
+_BATCH_STARTS = np.cumsum(DIMS * QUADRATIC_BATCH) - DIMS * QUADRATIC_BATCH
 
 
 def _quadratic_loglik(coef):
     """Standard-normal targets centred on QUADRATIC_MODES, one
     log-density per (set, regression), for QUADRATIC_BATCH seeds."""
-    dims = np.array(DIMS * QUADRATIC_BATCH)
-    modes = np.tile(QUADRATIC_MODES, QUADRATIC_BATCH)
-    return -0.5 * np.add.reduceat((coef - modes) ** 2, np.cumsum(dims) - dims)
+    return -0.5 * np.add.reduceat((coef - _BATCH_MODES) ** 2, _BATCH_STARTS)
 
 
 def test_quadratic_mh_draws_follow_the_known_law():
