@@ -24,6 +24,8 @@ __all__ = [
 
 #: relative tolerance used when checking budget exhaustion
 EXHAUSTION_RTOL = 1e-12
+# the factor a ledger's total is scaled by to give its limit, as a Fraction
+_SLACK = 1 + Fraction(EXHAUSTION_RTOL).limit_denominator(10**15)
 
 EpsLike = Union[float, int, Fraction]
 
@@ -83,8 +85,7 @@ class PrivacyLedger:
     )
 
     def __post_init__(self):
-        rtol = Fraction(EXHAUSTION_RTOL).limit_denominator(10**15)
-        self._limit = Fraction(self.total.epsilon) * (1 + rtol)
+        self._limit = Fraction(self.total.epsilon) * _SLACK
         self._spend = Fraction(0)
         self._group_max: dict[str, Fraction] = {}
         for entry in self.entries:

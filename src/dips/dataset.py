@@ -6,18 +6,25 @@ look at values outside the declared schema.
 
 CSV text is read and written one block of ``BLOCK_ROWS`` rows at a time,
 one column of the block per call, so a large table never exists as
-Python strings all at once.  ``TabularDataset.to_csv`` formats the blocks
-on every CPU the process may use: forked writers each format one
+Python strings all at once.  Both directions use every CPU the process
+may use.  ``TabularDataset.to_csv`` forks writers that each format one
 contiguous run of blocks, and the file holds the same bytes as a serial
-write.  There is no option to turn this off."""
+write.  ``read_numeric_csv`` forks readers that each parse one byte range
+of records and send their columns back through a pipe; the columns, and
+any error with its message, are those of a one-process read, and a pipe
+is read in one process.  There is no option to turn this off."""
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
+import io
 import math
 import numbers
 import os
 import shutil
+import stat
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -139,8 +146,8 @@ class TabularDataset:
         try:
             try:
                 for part, run in zip(parts, runs[1:]):
-                    started.append(_start_writer(part, names, self.data,
-                                                 run))
+                    started.append(_start_child(_write_part, part, names,
+                                                self.data, run))
                 with open(path, "w", newline="") as fh:
                     partial = True
                     csv.writer(fh).writerow(names)
@@ -173,13 +180,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_writer(part: Path, names: list[str], data: dict, run: range):
-    """A started fork of this process that runs ``_write_part``.  Forked,
-    it reads the parent's arrays without pickling them."""
+def _start_child(target, *args):
+    """A started fork of this process that runs ``target(*args)``.
+    Forked, it reads the parent's arrays and open files without pickling
+    them."""
     # imported here, not at the top: it adds about 10 ms to `import dips`
     import multiprocessing
-    child = multiprocessing.get_context("fork").Process(
-        target=_write_part, args=(part, names, data, run))
+    child = multiprocessing.get_context("fork").Process(target=target,
+                                                        args=args)
     child.start()
     return child
 
@@ -243,24 +251,173 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], list[np.ndarray]]:
     blank lines behave as in the csv module; each row must have the
     header's width and each header name must be unique.  Rows are
     converted one block of ``BLOCK_ROWS`` at a time.  An empty file has
-    no columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name in header:
-            if header.count(name) > 1:
-                raise ValueError(f"duplicate CSV column name {name!r}")
-        width = len(header)
-        blocks = [[] for _ in header]
-        while rows := list(islice(reader, BLOCK_ROWS)):
-            if set(map(len, rows)) != {width}:
-                row = next(r for r in rows if len(r) != width)
-                raise ValueError(f"ragged CSV row: {row}")
-            for j, parts in enumerate(blocks):
-                parts.append(np.fromiter(map(float, map(itemgetter(j), rows)),
-                                         float, count=len(rows)))
-    return header, [np.concatenate(parts) if parts else np.empty(0)
-                    for parts in blocks]
+    no columns.  A field longer than the csv module's limit is a
+    ``ValueError`` naming the file.
+
+    The rows after the header are cut into k byte ranges of about equal
+    record counts, k the smaller of the CPUs this process may use and
+    the records over ``BLOCK_ROWS``.  k is 1 where the platform has no
+    ``fork``, where the input is not a regular file (a pipe) and where
+    ``open`` does not decode it as UTF-8.  Forked children parse ranges
+    1..k-1 and send their columns back through pipes while this process
+    parses range 0.  A cut
+    follows a newline with an even number of ``"`` bytes before it in
+    the body, so each range starts at a record.  If any range fails, the
+    file is read again as one range, so an error is the one a serial
+    read meets first, with the same message."""
+    try:
+        with open(path, newline="") as fh:
+            lines = []
+            header = next(csv.reader(_recorded(fh, lines)), [])
+            for name in header:
+                if header.count(name) > 1:
+                    raise ValueError(f"duplicate CSV column name {name!r}")
+            ranges = _body_ranges(fh, "".join(lines))
+            if len(ranges) > 1:
+                # on any failure, read again as one range: that raises the
+                # error a serial read meets first
+                with contextlib.suppress(Exception):
+                    return header, _parse_ranges(fh.fileno(), len(header),
+                                                 ranges)
+            return header, _parse_rows(fh, len(header))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _recorded(lines, into: list):
+    """``lines``, each appended to ``into`` as it is taken."""
+    for line in lines:
+        into.append(line)
+        yield line
+
+
+def _parse_rows(lines, width: int) -> list[np.ndarray]:
+    """The float64 columns of the CSV records in ``lines``, each of
+    ``width`` fields: ragged rows are checked per block before any cell
+    of the block is converted, then the cells column by column."""
+    reader = csv.reader(lines)
+    blocks = [[] for _ in range(width)]
+    while rows := list(islice(reader, BLOCK_ROWS)):
+        if set(map(len, rows)) != {width}:
+            row = next(r for r in rows if len(r) != width)
+            raise ValueError(f"ragged CSV row: {row}")
+        for j, parts in enumerate(blocks):
+            parts.append(np.fromiter(map(float, map(itemgetter(j), rows)),
+                                     float, count=len(rows)))
+    return [np.concatenate(parts) if parts else np.empty(0)
+            for parts in blocks]
+
+
+def _body_ranges(fh, header: str) -> list[tuple[int, int]]:
+    """The byte ranges [start, stop) of ``fh``'s records after its
+    ``header`` text; fewer than two where the body is read as one range.
+    Counting the records takes one pass over the bytes; each cut reads
+    one chunk more."""
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    fd = fh.fileno()
+    if not (cpus > 1 and stat.S_ISREG(os.fstat(fd).st_mode)
+            and codecs.lookup(fh.encoding).name == "utf-8"):
+        return []
+    start = pos = len(header.encode())
+    chunks = []  # (offset, begins inside quotes, record ends)
+    inside = False
+    while chunk := os.pread(fd, shutil.COPY_BUFSIZE, pos):
+        ends, after = _record_ends(chunk, inside)
+        chunks.append((pos, inside, len(ends)))
+        last, inside = chunk[-1:], after
+        pos += len(chunk)
+    records = sum(n for _, _, n in chunks) + (pos > start and last != b"\n")
+    k = min(cpus, records // BLOCK_ROWS)
+    # range r starts after the first records * r // k records
+    targets = [records * r // k for r in range(1, k)]
+    cuts = [start]
+    seen = 0
+    for offset, inside, n in chunks:
+        if here := [j for j in targets if seen < j <= seen + n]:
+            ends, _ = _record_ends(os.pread(fd, shutil.COPY_BUFSIZE, offset),
+                                   inside)
+            cuts += [offset + int(ends[j - seen - 1]) + 1 for j in here]
+        seen += n
+    return list(zip(cuts, cuts[1:] + [pos]))
+
+
+def _record_ends(chunk: bytes, inside: bool) -> tuple[np.ndarray, bool]:
+    """The offsets in ``chunk`` of its newlines that end a record, and
+    whether it ends inside a quoted field; ``inside``: whether it begins
+    inside one.  A quoted field's ``"`` bytes come in pairs, so a newline
+    is inside quotes when an odd number of them come before it."""
+    octets = np.frombuffer(chunk, np.uint8)
+    quotes = np.flatnonzero(octets == ord('"'))
+    newlines = np.flatnonzero(octets == ord("\n"))
+    quoted = (np.searchsorted(quotes, newlines) + inside) % 2 == 1
+    return newlines[~quoted], (len(quotes) + inside) % 2 == 1
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of an open file, read by ``os.pread``, which
+    neither uses nor moves the file's offset."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        data = os.pread(self._fd, min(len(buffer), self._stop - self._pos),
+                        self._pos)
+        buffer[:len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _parse_range(fd: int, start: int, stop: int, width: int):
+    """``_parse_rows`` over bytes [start, stop) of the file, decoded as
+    UTF-8 as they stream in."""
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, stop)),
+                          encoding="utf-8", newline="") as lines:
+        return _parse_rows(lines, width)
+
+
+def _parse_ranges(fd: int, width: int, ranges: list) -> list[np.ndarray]:
+    """The columns of the body, range 0 parsed here and each later range
+    by a forked child that sends its columns back, one message per
+    column.  A child that fails exits without sending them, and this
+    raises ``EOFError``.  No child or pipe outlives the call."""
+    import multiprocessing
+    children, readers = [], []
+    try:
+        for start, stop in ranges[1:]:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            readers.append(reader)
+            with writer:
+                children.append(_start_child(_send_range, writer, fd, start,
+                                             stop, width))
+        columns = [[c] for c in _parse_range(fd, *ranges[0], width)]
+        for reader in readers:
+            for parts in columns:
+                parts.append(np.frombuffer(reader.recv_bytes()))
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for reader in readers:
+            reader.close()
+    return [np.concatenate(parts) for parts in columns]
+
+
+def _send_range(conn, fd: int, start: int, stop: int, width: int):
+    """A forked reader: the columns of bytes [start, stop) into ``conn``.
+    Any error ends it with exit code 1 and no traceback, and the parent
+    reads the file again in one process."""
+    try:
+        for column in _parse_range(fd, start, stop, width):
+            conn.send_bytes(column)
+    except Exception:
+        sys.exit(1)
 
 
 def category_codes(name: str, values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ Of scipy only ``scipy.special`` is loaded, for the t and normal quantiles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,14 +59,38 @@ class RngStream:
 
     @property
     def generator(self) -> np.random.Generator:
+        """The PCG64 generator of ``SeedSequence(entropy=seed,
+        spawn_key=stream)``, whose state it equals.  The entropy array is
+        assembled here as numpy assembles it: the seed's 32-bit words,
+        zero-padded to the pool size when the path is not empty, then each
+        path key's words.  numpy then takes the array as it is, which
+        saves its per-key Python coercion."""
         if self._gen is None:
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
+            words = _uint32_words(self.seed)
+            if self.stream:
+                # zero-padded to SeedSequence's default pool of 4 words
+                words += [0] * (4 - len(words))
+                for key in self.stream:
+                    words += _uint32_words(key)
+            seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
             self._gen = np.random.Generator(np.random.PCG64(seq))
         return self._gen
 
     def substream(self, *path: int) -> "RngStream":
         """A fresh independent stream derived from this one's identity."""
         return RngStream(self.seed, self.stream + tuple(path))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant
+    first; 0 is one word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
 def _check_positive(name, value):

@@ -1,12 +1,18 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dips
+import dips.dataset
 import dips.harness
 from dips.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, SYNTH_METHODS,
                       _load_csv, main)
@@ -429,6 +435,31 @@ def test_synth_bad_input_csv_exits_2(text, schema, message, tmp_path,
     assert _synth_exit(tmp_path, text, schema) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"configuration error: {message}"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_synth_over_long_field_exits_2(cpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dips.dataset, "_usable_cpus", lambda: cpus)
+    rows = ["1,0"] * (3 * dips.dataset.BLOCK_ROWS) + ["1," + "9" * 200_000]
+    assert _synth_exit(tmp_path, "x,y\n" + "\n".join(rows) + "\n") \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: {tmp_path / 'in.csv'}: field "
+                   "larger than field limit (131072)"]
+
+
+def test_synth_reads_a_piped_input(tmp_path):
+    src = str(Path(dips.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "dips.cli", "synth", "--input", "/dev/stdin",
+         "--method", "md", "--eps", "1.0", "--m", "1", "--out", str(out)],
+        input="x\n0\n1\n1\n0\n", env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert sorted(p.name for p in out.iterdir()) == ["ledger.json",
+                                                     "synth_1.csv"]
 
 
 CONTINUOUS_X = {"x": {"type": "continuous", "lo": 0.0, "hi": 1.0}}

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -193,14 +194,14 @@ def test_to_csv_quotes_header_names(tmp_path):
 
 
 def _record_forks(monkeypatch) -> list:
-    """The writer processes to_csv starts, recorded as they start."""
+    """The writer and reader processes started, recorded as they start."""
     started = []
-    start_writer = dataset._start_writer
+    start_child = dataset._start_child
 
     def recorded(*args):
-        started.append(start_writer(*args))
+        started.append(start_child(*args))
         return started[-1]
-    monkeypatch.setattr(dataset, "_start_writer", recorded)
+    monkeypatch.setattr(dataset, "_start_child", recorded)
     return started
 
 
@@ -342,3 +343,142 @@ def test_read_numeric_csv_rejects_duplicate_names_and_ragged_rows(tmp_path):
     path.write_text("x\n" + "1\n" * (BLOCK_ROWS + 5) + "1,2\n")
     with pytest.raises(ValueError, match=r"ragged CSV row: \['1', '2'\]"):
         read_numeric_csv(path)
+
+
+def _read_with_cpus(path, cpus, monkeypatch):
+    """read_numeric_csv with ``cpus`` usable CPUs: the header, the columns
+    (or the ValueError's message), the forks it started and whether the
+    ranges it parsed at the same time gave the result."""
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
+    forks = _record_forks(monkeypatch)
+    parsed = []
+    parse_ranges = dataset._parse_ranges
+
+    def recorded(*args):
+        columns = parse_ranges(*args)
+        parsed.append(True)
+        return columns
+    monkeypatch.setattr(dataset, "_parse_ranges", recorded)
+    try:
+        header, columns = read_numeric_csv(path)
+    except ValueError as exc:
+        header, columns = None, str(exc)
+    monkeypatch.undo()
+    return header, columns, len(forks), bool(parsed)
+
+
+def _expected_forks(cpus, records):
+    return max(1, min(cpus, records // BLOCK_ROWS)) - 1 \
+        if hasattr(os, "fork") else 0
+
+
+def _awkward_rows(n: int) -> list[str]:
+    """n rows of three numbers: plain, quoted and padded.  In every third
+    row the quoted field holds three newlines, so half the newlines of
+    the file do not end a record."""
+    values = np.random.default_rng(n).normal(size=(n, 3)) * 1e3
+    rows = []
+    for i, (a, b, c) in enumerate(values.tolist()):
+        second = f'"\n\n\n{b!r}"' if i % 3 == 0 else f'"{b!r}"'
+        rows.append(f"{a!r},{second}, {c!r} ")
+    return rows
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 77])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("last_eol", [True, False])
+def test_read_on_k_cpus_equals_the_one_range_read(cpus, n, eol, last_eol,
+                                                  tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    text = eol.join(['a,"b\nc",ĉ€', *_awkward_rows(n)])
+    path.write_bytes((text + eol * last_eol).encode("utf-8"))
+    header, columns, forks, parallel = _read_with_cpus(path, 1, monkeypatch)
+    assert (forks, parallel) == (0, False)
+    assert header == ["a", "b\nc", "ĉ€"]
+    assert [len(c) for c in columns] == [n] * 3
+    got_header, got, forks, parallel = _read_with_cpus(path, cpus,
+                                                       monkeypatch)
+    assert got_header == header
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in columns]
+    assert forks == _expected_forks(cpus, n)
+    assert parallel == (forks > 0)
+    assert multiprocessing.active_children() == []
+
+
+ERROR_ROWS = {
+    "ragged": ("1,2,3,4", "ragged CSV row: ['1', '2', '3', '4']"),
+    "blank": ("", "ragged CSV row: []"),
+    "bad-cell": ('1,"\nx",3', "could not convert string to float: '\\nx'"),
+    "long-field": ("1,2," + "9" * 200_000,
+                   "field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("error", sorted(ERROR_ROWS))
+@pytest.mark.parametrize("where", ["range-0", "later-range", "at-cut"])
+def test_read_errors_have_the_same_message_on_any_cpu_count(
+        error, where, tmp_path, monkeypatch):
+    n = 3 * BLOCK_ROWS + 77
+    rows = _awkward_rows(n)
+    # at-cut: the rows on both sides of the cut before range 1 of two
+    at = {"range-0": [10], "later-range": [n - 3],
+          "at-cut": [n // 2 - 1, n // 2]}[where]
+    row, message = ERROR_ROWS[error]
+    for i in at:
+        rows[i] = row
+    path = tmp_path / "in.csv"
+    path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    if error == "long-field":
+        message = f"{path}: {message}"
+    for cpus in (1, 2, 3):
+        header, got, forks, parallel = _read_with_cpus(path, cpus,
+                                                       monkeypatch)
+        assert (header, got, parallel) == (None, message, False)
+        assert forks == _expected_forks(cpus, n)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+    assert multiprocessing.active_children() == []
+
+
+def test_read_reports_the_serial_first_error_across_ranges(tmp_path,
+                                                          monkeypatch):
+    """A bad cell in range 1 and a ragged row later in the same block:
+    the block's ragged row wins, as in a one-process read."""
+    n = 3 * BLOCK_ROWS + 77
+    rows = ["1,2,3"] * n
+    rows[2 * BLOCK_ROWS + 5] = "1,x,3"
+    rows[2 * BLOCK_ROWS + 9] = "1,2"
+    path = tmp_path / "in.csv"
+    path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    for cpus in (1, 2, 3):
+        assert _read_with_cpus(path, cpus, monkeypatch)[1] == \
+            "ragged CSV row: ['1', '2']"
+
+
+def test_failed_parallel_read_leaves_no_file(tmp_path, monkeypatch):
+    before = set(os.listdir(tempfile.gettempdir()))
+    path = tmp_path / "in.csv"
+    path.write_text("x\n" + "1\n" * (3 * BLOCK_ROWS) + "1,2\n")
+    _, message, forks, _ = _read_with_cpus(path, 2, monkeypatch)
+    assert message == "ragged CSV row: ['1', '2']"
+    assert forks == 1
+    assert list(tmp_path.iterdir()) == [path]
+    assert set(os.listdir(tempfile.gettempdir())) <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_piped_input_is_read_as_one_range(monkeypatch):
+    n = 3 * BLOCK_ROWS + 77
+    text = "x\n" + "1\n0\n" * (n // 2) + "1\n"
+    read_end, write_end = os.pipe()
+    try:
+        # fits in a pipe's buffer, so no thread is needed to write it
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        header, columns, forks, _ = _read_with_cpus(f"/dev/fd/{read_end}",
+                                                    2, monkeypatch)
+    finally:
+        os.close(read_end)
+    assert (header, forks) == (["x"], 0)
+    np.testing.assert_array_equal(columns[0], [1.0, 0.0] * (n // 2) + [1.0])

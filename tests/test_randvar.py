@@ -47,6 +47,29 @@ def test_substreams_differ():
     assert not np.array_equal(a, b)
 
 
+def test_generator_state_equals_seed_sequence_of_seed_and_path():
+    pick = np.random.default_rng(20261019)
+    sizes = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128, 2 ** 200 + 3]
+
+    def number():
+        if pick.random() < 0.5:
+            return int(pick.choice(sizes))
+        return int(pick.integers(0, 2 ** 63)) >> int(pick.integers(0, 63))
+    pairs = [(0, ()), (2 ** 128, ()), (0, (2 ** 32,)), (2 ** 130, (0, 7))]
+    pairs += [(number(), tuple(number() for _ in range(pick.integers(6))))
+              for _ in range(1200)]
+    for seed, path in pairs:
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=path)
+        assert (RngStream(seed, path).generator.bit_generator.state
+                == np.random.PCG64(seq).state), (seed, path)
+
+
+@pytest.mark.parametrize("seed, path", [(-1, ()), (3, (-1,)), (3, (2, -5))])
+def test_generator_refuses_negative_seed_or_key(seed, path):
+    with pytest.raises(ValueError):
+        RngStream(seed, path).generator
+
+
 def test_laplace_gof():
     draws = sample_laplace(rng(), 0.0, 2.0, size=N_DRAWS)
     _, p = stats.kstest(draws, stats.laplace(scale=2.0).cdf)
