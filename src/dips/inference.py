@@ -289,16 +289,26 @@ def _estimates(theta, cov, k: int) -> list[list[PerSetEstimate]]:
                                         np.diag(cov).reshape(k, -1))]
 
 
+def _checked_firth_fit(design, response, k: int):
+    """``_firth_fit`` of a full-rank design and response codes 0..k, each
+    present when k > 1: the estimate theta and its inverse information."""
+    design = _check_design(design)
+    response = np.asarray(response)
+    if not np.isin(response, np.arange(k + 1)).all():
+        raise ValueError("response must use codes "
+                         + ", ".join(map(str, range(k + 1))))
+    codes = response.astype(np.int64)
+    levels = np.unique(codes)
+    if k > 1 and len(levels) != k + 1:
+        raise DegenerateEstimate(f"response lacks a level: {levels.tolist()}")
+    return _firth_fit(design, codes, k)
+
+
 def firth_logistic(design, response) -> list[PerSetEstimate]:
     """Firth-penalized binary logistic regression (``_firth_fit`` with
     k = 1) for a 0/1 response.  Returns one PerSetEstimate per
     coefficient."""
-    design = _check_design(design)
-    response = np.asarray(response)
-    if not np.isin(response, (0, 1)).all():
-        raise ValueError("response must use codes 0, 1")
-    return _estimates(*_firth_fit(design, response.astype(np.int64), 1),
-                      1)[0]
+    return _estimates(*_checked_firth_fit(design, response, 1), 1)[0]
 
 
 def fit_multinomial_logit(design, response):
@@ -306,11 +316,4 @@ def fit_multinomial_logit(design, response):
     for a 3-level response with level 0 as the reference.  Returns a list
     of coefficient blocks, one list of PerSetEstimates per non-reference
     level.  A response that lacks a level is a DegenerateEstimate."""
-    design = _check_design(design)
-    response = np.asarray(response, dtype=np.int64)
-    levels = np.unique(response)
-    if not np.isin(levels, (0, 1, 2)).all():
-        raise ValueError("response must use codes 0, 1, 2")
-    if len(levels) != 3:
-        raise DegenerateEstimate(f"response lacks a level: {levels.tolist()}")
-    return _estimates(*_firth_fit(design, response, 2), 2)
+    return _estimates(*_checked_firth_fit(design, response, 2), 2)

@@ -377,9 +377,9 @@ class GaussianMixtureModel:
 
     def sufficient_statistics(self, data):
         n, k = data.n, self.k
-        if n <= k:
-            raise ValueError(f"the mixture model needs more rows than its "
-                             f"{k} cells, got n = {n}")
+        if n < k + 2:  # Sigma's inverse-Wishart draw has n - k > 1 dof
+            raise ValueError(f"the mixture model needs at least {k + 2} "
+                             f"rows, 2 more than its {k} cells, got n = {n}")
         cats, z1, z2 = _split_columns(data.columns)
         shape = [len(c.levels) for c in cats]
         if math.prod(shape) != k:
@@ -483,12 +483,13 @@ class SequentialLogisticModel:
     tempering exponents (``log_raw``, the three raw log-products).
 
     The sampler starts each regression at its Firth estimate on those
-    rows and proposes from the inverse information there, scaled by
-    2.38^2/d and divided by the set's tempering weight (Gelman, Roberts
-    and Gilks 1996).  At unit weight its integrated autocorrelation time
-    on a seeded n = 200 set is 10-38 steps per coefficient, so a 200-step
-    burn-in and thinning by 5 suffice: 1,197 likelihood calls for the
-    n = 200 draws of a release.
+    rows, fitted once per release and read raw as ``firth``, and proposes
+    from the inverse information there, scaled by 2.38^2/d and divided
+    by the set's tempering weight (Gelman, Roberts and Gilks 1996).  At
+    unit weight its integrated autocorrelation time on a seeded n = 200
+    set is 10-38 steps per coefficient, so a 200-step burn-in and
+    thinning by 5 suffice: 1,197 likelihood calls for the n = 200 draws
+    of a release.
     """
 
     def __init__(self, mh_chains: int = 2, mh_iters: int = 2700,
@@ -509,13 +510,13 @@ class SequentialLogisticModel:
         dev = z - zbar
         s_mat = dev.T @ dev / n
         x3 = np.column_stack([np.ones(n), z, w1, w2])
-        # the raw log-products at the Firth estimates of the regressions
-        from .inference import firth_logistic, fit_multinomial_logit
-        fits = (firth_logistic(x3[:, :3], w1), firth_logistic(x3[:, :4], w2),
-                *fit_multinomial_logit(x3, w3))
-        coef = np.array([e.estimate for fit in fits for e in fit])
+        # the regressions' Firth fits, and the raw log-products at them
+        from .inference import _checked_firth_fit
+        fits = (_checked_firth_fit(x3[:, :3], w1, 1),
+                _checked_firth_fit(x3[:, :4], w2, 1),
+                _checked_firth_fit(x3, w3, 2))
         loglik = self._lockstep_loglik(x3, w1, w2, w3, [[1.0, 1.0, 1.0]])
-        log_raw = loglik(coef)
+        log_raw = loglik(np.concatenate([theta for theta, _ in fits]))
         r1 = z1.hi - z1.lo
         r2 = z2.hi - z2.lo
         prod_bound = n * math.log(PROPORTION_CLAMP[1])  # log(0.99^n)
@@ -538,6 +539,9 @@ class SequentialLogisticModel:
             StatGroup("x3", x3, None), StatGroup("w1", w1, None),
             StatGroup("w2", w2, None), StatGroup("w3", w3, None),
             StatGroup("log_raw", log_raw, None),
+            # per regression its estimate, then its inverse information
+            StatGroup("firth", np.concatenate(
+                [np.r_[theta, cov.ravel()] for theta, cov in fits]), None),
         ]
 
     @staticmethod
@@ -639,21 +643,6 @@ class SequentialLogisticModel:
         return [np.ascontiguousarray(rows[:, part]) for part in parts]
 
     @staticmethod
-    def _mh_proposals(x3, w1, w2, w3):
-        """The three regressions' Firth estimates, where their chains
-        start, and the Cholesky factors of the inverse information there
-        times 2.38/sqrt(d), their proposal factors at tempering weight 1.
-        They read the rows the likelihood reads, which
-        ``sufficient_statistics`` has already fitted."""
-        from .inference import _firth_fit
-        fits = (_firth_fit(x3[:, :3], np.asarray(w1, dtype=np.int64), 1),
-                _firth_fit(x3[:, :4], np.asarray(w2, dtype=np.int64), 1),
-                _firth_fit(x3, np.asarray(w3, dtype=np.int64), 2))
-        return ([theta for theta, _ in fits],
-                [np.linalg.cholesky(cov) * (2.38 / math.sqrt(len(theta)))
-                 for theta, cov in fits])
-
-    @staticmethod
     def _lockstep_loglik(x3, w1, w2, w3, weights):
         """The three regressions' tempered log-likelihoods for m sets in
         one pass: with ``weights`` of shape (m, 3), ``loglik(coef) ->
@@ -706,7 +695,8 @@ class SequentialLogisticModel:
             np.exp(diff, out=diff)
             np.add(w3_first, w3_second, out=w3_first)
             np.log1p(per_row, out=per_row)
-            np.clip(per_row, floor, ceiling, out=per_row)
+            np.maximum(per_row, floor, out=per_row)
+            np.minimum(per_row, ceiling, out=per_row)
             sums = per_row.reshape(m, 3, n).sum(axis=2)
             return (neg_weights * sums).ravel()
         return loglik
@@ -735,14 +725,20 @@ class SequentialLogisticModel:
             covariates.append((mu, sigma))
             weights.append([self._temper_weight(stats, idx)
                             for idx in range(3)])
-        labels = ("x3", "w1", "w2", "w3")
-        rows = [stats_sets[0][label] for label in labels]
-        if not all(np.array_equal(stats[label], row)
+        labels = ("x3", "w1", "w2", "w3", "firth")
+        shared = [stats_sets[0][label] for label in labels]
+        if not all(np.array_equal(stats[label], value)
                    for stats in stats_sets[1:]
-                   for label, row in zip(labels, rows)):
+                   for label, value in zip(labels, shared)):
             raise ValueError("the sets of one release must share their "
                              "unsanitized rows")
-        starts, factors = self._mh_proposals(*rows)
+        *rows, firth = shared
+        starts, factors, offset = [], [], 0
+        for d in (3, 4, 10):
+            starts.append(firth[offset:offset + d])
+            cov = firth[offset + d:offset + d + d * d].reshape(d, d)
+            factors.append(np.linalg.cholesky(cov) * (2.38 / math.sqrt(d)))
+            offset += d + d * d
         draws = self._mh_lockstep(
             rngs[0].substream(4), self._lockstep_loglik(*rows, weights),
             (3, 4, 10) * len(rngs), n, starts * len(rngs),

@@ -589,7 +589,7 @@ def test_synth_equal_rows_take_one_bin(method, tmp_path):
     assert stats.kstest(sets[0].column("x"), "uniform").pvalue > 0.01
 
 
-@pytest.mark.parametrize("n", [20, 24])
+@pytest.mark.parametrize("n", [20, 24, 25])
 def test_bench_sim3_too_few_rows_exits_2(n, tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n": n, "m": 2, "eps_grid": [1.0]}))
@@ -597,8 +597,8 @@ def test_bench_sim3_too_few_rows_exits_2(n, tmp_path, capsys):
                  "--reps", "1", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["configuration error: the mixture model needs more rows "
-                   f"than its 24 cells, got n = {n}"]
+    assert err == ["configuration error: the mixture model needs at least 26 "
+                   f"rows, 2 more than its 24 cells, got n = {n}"]
 
 
 ONE_LEVEL_X = {"x": {"type": "categorical", "levels": 1}}

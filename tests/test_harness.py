@@ -264,7 +264,7 @@ def test_truth_simulator_runs_once_per_replication(study, monkeypatch):
 
     monkeypatch.setattr(dips.harness, name, counting)
     methods = list(STUDIES[study].methods)[-2:]  # ms and original: no noise
-    # the mixture model needs more rows than its 24 cells
+    # the mixture model needs at least 26 rows, 2 more than its 24 cells
     run_study(StudyConfig(study, {"sim3": 30}.get(study, 20),
                           eps_grid=[1.0, 2.0], m=2, reps=2, methods=methods,
                           seed=3))

@@ -183,6 +183,23 @@ def test_multinomial_logit_degenerate_sets_are_degenerate_estimates():
     assert not isinstance(info.value, DegenerateEstimate)
 
 
+@pytest.mark.parametrize("fit, codes", [(firth_logistic, "0, 1"),
+                                         (fit_multinomial_logit, "0, 1, 2")])
+def test_fractional_response_codes_are_refused(fit, codes):
+    """A response code outside 0..k is a caller error in both fits, a
+    fractional one too: y + 0.5 is not read as y."""
+    gen = np.random.default_rng(6)
+    x = np.column_stack([np.ones(30), gen.standard_normal(30)])
+    y = np.arange(30) % (codes.count(",") + 1)
+    one_off = y.astype(float)
+    one_off[5] += 0.5
+    for response in (y + 0.5, one_off):
+        with pytest.raises(ValueError,
+                           match=f"^response must use codes {codes}$") as info:
+            fit(x, response)
+        assert not isinstance(info.value, DegenerateEstimate)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_firth_penalized_score_is_the_objective_gradient(k):
     """The closed-form penalized score equals the central-difference

@@ -11,9 +11,11 @@ from sim4_reference import (
     log_factors_trinomial,
 )
 
+import dips.inference
 import dips.param_synth
 from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import (
+    STUDIES,
     sim3_cell_bounds,
     simulate_truth_sim3,
     simulate_truth_sim4,
@@ -669,7 +671,7 @@ def test_release_writes_only_the_listed_model_state(plugin):
 
 # which groups each plugin's posterior reads raw
 UNSANITIZED = {"bernoulli": [], "normal": [], "mixture": ["raw_counts"],
-               "logistic": ["x3", "w1", "w2", "w3", "log_raw"]}
+               "logistic": ["x3", "w1", "w2", "w3", "log_raw", "firth"]}
 
 
 @pytest.mark.parametrize("plugin", list(UNSANITIZED))
@@ -804,6 +806,25 @@ def test_logistic_release_runs_one_mh_for_all_sets(monkeypatch):
     assert calls[1][1] == 1197
 
 
+@pytest.mark.parametrize("method", ["modips-logistic", "ms"])
+def test_logistic_release_fits_each_regression_once(method, monkeypatch):
+    """A sim4 release at n = 200 makes the three regressions' Firth fits
+    once, in the sufficient statistics: the MH takes its starts and
+    proposal factors from the ``firth`` group."""
+    fit = dips.inference._firth_fit
+    levels = []
+
+    def counting(design, codes, k):
+        levels.append(k)
+        return fit(design, codes, k)
+    monkeypatch.setattr(dips.inference, "_firth_fit", counting)
+    data = simulate_truth_sim4(RngStream(105), 200)
+    sets = STUDIES["sim4"].methods[method](RngStream(106), data, 1.0, 5,
+                                           _ledger(), "BIT")
+    assert len(sets) == 5
+    assert levels == [1, 1, 2]
+
+
 def _sim4_release(sanitize):
     """A seeded sim4 release at n = 200, eps = 1, m = 5 and its sets'
     statistics as ``posterior_draw`` reads them."""
@@ -848,7 +869,7 @@ def test_logistic_release_flags(sanitize):
     # per set whose sanitized covariance was floored; the MH adds none
     rel, _ = _sim4_release(sanitize)
     reads = [f"unsanitized:{label}"
-             for label in ("x3", "w1", "w2", "w3", "log_raw")]
+             for label in ("x3", "w1", "w2", "w3", "log_raw", "firth")]
     floored = ["PosteriorDegenerate:var"] * (4 if sanitize else 0)
     assert rel.flags == reads + floored
 
@@ -859,12 +880,15 @@ def test_logistic_posterior_refuses_sets_with_different_rows():
                          ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data) if g.delta_s is None}
-    stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
-                  for records in rel.sanitized_stats]
-    stats_sets[1]["w1"] = 1.0 - stats_sets[1]["w1"]
-    with pytest.raises(ValueError, match="share their unsanitized rows"):
-        model.posterior_draw([RngStream(108), RngStream(109)], stats_sets,
-                             data.n, [])
+    # set 1 gets other outcome rows, or other Firth fits of the rows
+    for label, change in (("w1", lambda w1: 1.0 - w1),
+                          ("firth", lambda firth: firth + 0.5)):
+        stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+                      for records in rel.sanitized_stats]
+        stats_sets[1][label] = change(stats_sets[1][label])
+        with pytest.raises(ValueError, match="share their unsanitized rows"):
+            model.posterior_draw([RngStream(108), RngStream(109)],
+                                 stats_sets, data.n, [])
 
 
 @pytest.mark.parametrize("plugin", list(UNSANITIZED))
