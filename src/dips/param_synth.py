@@ -464,6 +464,8 @@ class GaussianMixtureModel:
 
 PROPORTION_CLAMP = (1e-12, 0.99)
 PRODUCT_FLOOR = 1e-300
+# steps per window of the MH sampler, and per scale tuning in its burn-in
+MH_WINDOW = 100
 
 
 class SequentialLogisticModel:
@@ -494,6 +496,17 @@ class SequentialLogisticModel:
 
     def __init__(self, mh_chains: int = 2, mh_iters: int = 2700,
                  mh_burnin: int = 200, mh_thin: int = 5):
+        if mh_chains < 1:
+            raise ValueError(f"mh_chains must be at least 1, got {mh_chains}")
+        if mh_thin < 1:
+            raise ValueError(f"mh_thin must be at least 1, got {mh_thin}")
+        if not 0 <= mh_burnin < mh_iters:
+            raise ValueError(f"mh_burnin must lie in [0, mh_iters = "
+                             f"{mh_iters}), got {mh_burnin}")
+        if mh_iters - mh_burnin < mh_thin:
+            raise ValueError(f"mh_thin = {mh_thin} exceeds the "
+                             f"{mh_iters - mh_burnin} steps after mh_burnin, "
+                             f"so no chain would keep a draw")
         self.mh_chains = mh_chains
         self.mh_iters = mh_iters
         self.mh_burnin = mh_burnin
@@ -583,10 +596,27 @@ class SequentialLogisticModel:
         are returned are run: a chain stops at its last used draw and a
         chain with none is skipped.  The result equals the first `n_draws`
         rows of the full run (tiled when `n_draws` exceeds the draws of
-        all chains)."""
+        all chains).
+
+        A chain runs in windows of at most 100 steps, split at every
+        multiple of 100 and at the end of burn-in, so the proposal scales
+        are fixed within a window.  A window first makes its steps' stream
+        calls, in the order the steps would make them, then takes every
+        log uniform in one call and every proposal move in one stacked
+        matrix-vector product; its steps then only add, call the
+        likelihood and accept.  The draws are those of a loop that makes
+        each step's calls in turn: the stream yields the same numbers in
+        the same order, the stacked product runs the same matrix-vector
+        kernel per step, and the other operations are elementwise.  A
+        full burn-in window tunes the scales from its steps' accept rows.
+        (A matrix-matrix product of the window's normals with the block
+        matrix is not the same kernel, and its results differ in the last
+        bits.)"""
         burnin, thin = self.mh_burnin, self.mh_thin
         per_chain = (self.mh_iters - burnin) // thin
         needed = min(n_draws, per_chain * self.mh_chains)
+        if needed <= 0:
+            return [np.empty((0, d)) for d in dims]
         ends = np.cumsum(dims)
         parts = [slice(end - d, end) for d, end in zip(dims, ends)]
         k = len(dims)
@@ -595,51 +625,54 @@ class SequentialLogisticModel:
         shape = np.zeros((ends[-1], ends[-1]))
         for part, factor in zip(parts, factors):
             shape[part, part] = factor
-        kept = []
+        rows = np.empty((needed, ends[-1]))
+        noise = np.empty((MH_WINDOW, ends[-1]))
+        log_u = np.empty((MH_WINDOW, k))
+        accepts = np.empty((MH_WINDOW, k), dtype=bool)
+        gap = np.empty(k)
+        proposal = np.empty(ends[-1])
+        done = 0
         for chain in range(self.mh_chains):
-            want = min(per_chain, needed - len(kept))
+            want = min(per_chain, needed - done)
             if want <= 0:
                 break
             gen = rng.substream(chain).generator
             state = start.copy()
-            noise = np.empty(ends[-1])
-            proposal = np.empty(ends[-1])
             current = np.array(loglik(state), dtype=float)
             scales = np.ones(k)
             steps = shape.copy()
-            accepted = np.zeros(k)
-            u, gap = np.empty(k), np.empty(k)
-            accept = np.empty(k, dtype=bool)
-            window = 0
-            for it in range(burnin + (want - 1) * thin + 1):
-                gen.standard_normal(out=noise)
-                np.matmul(steps, noise, out=proposal)
-                np.add(state, proposal, out=proposal)
-                cands = loglik(proposal)
-                gen.random(out=u)
-                np.add(u, 1e-300, out=u)
-                np.log(u, out=u)
-                np.subtract(cands, current, out=gap)
-                np.less(u, gap, out=accept)
-                np.copyto(state, proposal, where=accept[owner])
-                np.copyto(current, cands, where=accept)
+            total = burnin + (want - 1) * thin + 1
+            it = 0
+            while it < total:
+                stop = min(total, it - it % MH_WINDOW + MH_WINDOW)
                 if it < burnin:
-                    accepted += accept
-                    window += 1
-                    if window == 100:
-                        rate = accepted / window
-                        scales[rate < 0.2] *= 0.7
-                        scales[rate > 0.5] *= 1.4
-                        # row i of the block matrix belongs to owner[i]
-                        np.multiply(scales[owner, None], shape, out=steps)
-                        accepted[:] = 0
-                        window = 0
-                elif (it - burnin) % thin == 0:
-                    kept.append(state.copy())
-        if not kept:
-            return [np.empty((0, d)) for d in dims]
-        reps = int(np.ceil(n_draws / len(kept)))
-        rows = np.tile(np.array(kept), (reps, 1))[:n_draws]
+                    stop = min(stop, burnin)
+                w = stop - it
+                for i in range(w):
+                    gen.standard_normal(out=noise[i])
+                    gen.random(out=log_u[i])
+                np.add(log_u[:w], 1e-300, out=log_u[:w])
+                np.log(log_u[:w], out=log_u[:w])
+                moves = np.matmul(steps, noise[:w, :, None])[:, :, 0]
+                for move, threshold, accept in zip(moves, log_u, accepts):
+                    np.add(state, move, out=proposal)
+                    cands = loglik(proposal)
+                    np.subtract(cands, current, out=gap)
+                    np.less(threshold, gap, out=accept)
+                    np.copyto(state, proposal, where=accept[owner])
+                    np.copyto(current, cands, where=accept)
+                    if it >= burnin and (it - burnin) % thin == 0:
+                        rows[done] = state
+                        done += 1
+                    it += 1
+                if w == MH_WINDOW and stop <= burnin:
+                    rate = accepts.sum(axis=0) / MH_WINDOW
+                    scales[rate < 0.2] *= 0.7
+                    scales[rate > 0.5] *= 1.4
+                    # row i of the block matrix belongs to owner[i]
+                    np.multiply(scales[owner, None], shape, out=steps)
+        reps = int(np.ceil(n_draws / needed))
+        rows = np.tile(rows, (reps, 1))[:n_draws]
         return [np.ascontiguousarray(rows[:, part]) for part in parts]
 
     @staticmethod
@@ -652,53 +685,61 @@ class SequentialLogisticModel:
         probability of its observed category, clamped into
         [log(1e-12), log(0.99)].  The sets share the rows and differ in
         their coefficients and weights.  With one set and unit weights it
-        gives the raw log-products of ``sufficient_statistics``.
+        gives the raw log-products of ``sufficient_statistics``.  Each
+        call returns a new array.
 
         A row's log factor is -log1p(sum_j exp(d_j)), where d_j is the
         linear predictor of an unobserved category j minus that of the
         observed one (category 0's is 0): one d for each binary row, two
         for each trinomial row.  x1 and x2 are the first 3 and 4 columns
         of x3, so one signed design of 4n rows gives every d from the
-        stacked coefficients, and one (m x 17) @ (17 x 4n) product gives
-        every set's.  A d above -log(1e-12) saturates the clamp however
-        large it is, so capping d just above that keeps exp finite and
-        leaves every clamped factor unchanged."""
+        stacked coefficients.  A d above -log(1e-12) saturates the clamp
+        however large it is, so capping d just above that keeps exp
+        finite and leaves every clamped factor unchanged.
+
+        The design is kept block-major, as four (17, n) blocks: the w1
+        rows, the w2 rows, then the first and second d of the w3 rows.
+        One stacked (m, 17) @ (4, 17, n) product fills a contiguous
+        (4, m, n) buffer, so the w3 add, the log1p, the clamp and the
+        sums over the rows each run on contiguous memory.  Each block's
+        product is the same matrix kernel as that block's columns of one
+        (m, 17) @ (17, 4n) product, and the sum over a contiguous row of
+        n takes the same pairwise order, so the values do not depend on
+        the layout."""
         n = len(w1)
         y3 = np.asarray(w3, dtype=np.int64)
         # loading of each trinomial category's predictor on (beta3, beta4)
         load = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         others = np.array([[1, 2], [0, 2], [0, 1]])[y3]
-        design = np.zeros((4 * n, 17))
-        design[:n, :3] = (1 - 2 * w1)[:, None] * x3[:, :3]
-        design[n:2 * n, 3:7] = (1 - 2 * w2)[:, None] * x3[:, :4]
+        blocks = np.zeros((4, 17, n))
+        blocks[0, :3] = ((1 - 2 * w1)[:, None] * x3[:, :3]).T
+        blocks[1, 3:7] = ((1 - 2 * w2)[:, None] * x3[:, :4]).T
         for t in (0, 1):
             c = load[others[:, t]] - load[y3]
-            rows = slice((2 + t) * n, (3 + t) * n)
-            design[rows, 7:12] = c[:, :1] * x3
-            design[rows, 12:] = c[:, 1:] * x3
+            blocks[2 + t, 7:12] = (c[:, :1] * x3).T
+            blocks[2 + t, 12:] = (c[:, 1:] * x3).T
         # -log factor is clamped into [-log(0.99), -log(1e-12)]
         floor = -math.log(PROPORTION_CLAMP[1])
         ceiling = -math.log(PROPORTION_CLAMP[0])
         cap = ceiling + 1.0
         neg_weights = -np.asarray(weights, dtype=float)
         m = len(neg_weights)
-        design_t = np.ascontiguousarray(design.T)
-        # per set: d of the w1 rows, the w2 rows, then the first and second
-        # d of the w3 rows; after exp the second is added into the first
-        diff = np.empty((m, 4 * n))
-        w3_first, w3_second = diff[:, 2 * n:3 * n], diff[:, 3 * n:]
-        per_row = diff[:, :3 * n]
+        # per block and set, the d of every row; after exp the w3 rows'
+        # second d is added into their first
+        diff = np.empty((4, m, n))
+        w3_first, w3_second = diff[2], diff[3]
+        per_row = diff[:3]
 
         def loglik(coef):
-            np.matmul(coef.reshape(m, 17), design_t, out=diff)
+            np.matmul(coef.reshape(m, 17), blocks, out=diff)
             np.minimum(diff, cap, out=diff)
             np.exp(diff, out=diff)
             np.add(w3_first, w3_second, out=w3_first)
             np.log1p(per_row, out=per_row)
             np.maximum(per_row, floor, out=per_row)
             np.minimum(per_row, ceiling, out=per_row)
-            sums = per_row.reshape(m, 3, n).sum(axis=2)
-            return (neg_weights * sums).ravel()
+            sums = np.add.reduce(per_row, axis=2)
+            return (neg_weights * sums.T).ravel()
         return loglik
 
     def posterior_draw(self, rngs, stats_sets, n, flags):

@@ -9,6 +9,8 @@ from sim4_reference import (
     clamped_loglik,
     log_factors_binary,
     log_factors_trinomial,
+    row_major_lockstep_loglik,
+    stepwise_mh_lockstep,
 )
 
 import dips.inference
@@ -603,6 +605,107 @@ def test_lockstep_loglik_matches_scalar_likelihoods():
                 got = loglik(np.concatenate(coefs))
                 assert len(got) == 3 * m
                 np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _sim4_rows(seed, n):
+    """The rows a sim4 set's likelihood reads: x3, w1, w2 and w3."""
+    data = simulate_truth_sim4(RngStream(seed), n)
+    w1 = data.column("w1").astype(float)
+    w2 = data.column("w2").astype(float)
+    x3 = np.column_stack([np.ones(n), data.column("z1"), data.column("z2"),
+                          w1, w2])
+    return x3, w1, w2, data.column("w3").astype(np.int64)
+
+
+def _saturating_coefs(gen, m):
+    """m sets' coefficients, some intercepts at +-800 so that rows sit on
+    either end of the clamp."""
+    coef = gen.normal(0.0, 2.0, 17 * m)
+    for j in range(m):
+        for slot in (0, 3, 7, 12):
+            if gen.random() < 0.3:
+                coef[17 * j + slot] = gen.choice([800.0, -800.0])
+    return coef
+
+
+def test_lockstep_loglik_equals_row_major_reference():
+    """The block-major likelihood gives the bytes of the row-major one
+    it replaced, for one set and for several, on coefficients that
+    saturate both ends of the clamp."""
+    rows = _sim4_rows(86, 200)
+    gen = np.random.default_rng(90)
+    for m, trials in ((1, 800), (3, 600), (5, 600)):
+        weights = gen.uniform(0.01, 9.0, (m, 3))
+        new = SequentialLogisticModel._lockstep_loglik(*rows, weights)
+        old = row_major_lockstep_loglik(*rows, weights)
+        for _ in range(trials):
+            coef = _saturating_coefs(gen, m)
+            assert new(coef).tobytes() == old(coef).tobytes()
+
+
+def test_lockstep_loglik_returns_a_new_array():
+    """The sufficient statistics keep one call's result and the MH keeps
+    a step's candidates until it accepts them, so a call must not write
+    into the array an earlier call returned."""
+    rows = _sim4_rows(86, 200)
+    loglik = SequentialLogisticModel._lockstep_loglik(*rows, np.ones((2, 3)))
+    gen = np.random.default_rng(91)
+    first = loglik(gen.normal(0.0, 1.0, 34))
+    kept = first.copy()
+    second = loglik(gen.normal(0.0, 1.0, 34))
+    assert second is not first
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() != kept.tobytes()
+
+
+@pytest.mark.parametrize("thin", [1, 4, 5])
+@pytest.mark.parametrize("burnin", [0, 60, 200, 250])
+def test_mh_lockstep_equals_stepwise_reference(burnin, thin):
+    """The windowed sampler on the block-major likelihood draws the bytes
+    of the per-step sampler on the row-major one.  A burn-in of 250 ends
+    on a 50-step window, which must not tune; the draws asked for end
+    inside chain 0, inside chain 1, and past both, where they tile."""
+    model = SequentialLogisticModel(mh_chains=2, mh_iters=burnin + 100,
+                                    mh_burnin=burnin, mh_thin=thin)
+    per_chain = 100 // thin
+    rows = _sim4_rows(92, 80)
+    gen = np.random.default_rng(93 + burnin + thin)
+    for m in (1, 3, 5):
+        dims = (3, 4, 10) * m
+        weights = gen.uniform(0.01, 9.0, (m, 3))
+        starts = np.split(_saturating_coefs(gen, m), np.cumsum(dims)[:-1])
+        factors = [np.linalg.cholesky(np.cov(gen.normal(size=(d, 3 * d))))
+                   * gen.uniform(0.05, 0.5) for d in dims]
+        for n_draws in (per_chain // 2 + 1, per_chain + 3,
+                        2 * per_chain + 7):
+            new = model._mh_lockstep(
+                RngStream(94), model._lockstep_loglik(*rows, weights), dims,
+                n_draws, starts, factors)
+            old = stepwise_mh_lockstep(
+                model, RngStream(94), row_major_lockstep_loglik(*rows, weights),
+                dims, n_draws, starts, factors)
+            assert len(new) == len(old) == len(dims)
+            for a, b in zip(new, old):
+                assert a.shape == b.shape == (n_draws, len(a[0]))
+                assert a.tobytes() == b.tobytes(), (m, n_draws)
+
+
+@pytest.mark.parametrize("settings, name", [
+    (dict(mh_chains=0), "mh_chains"),
+    (dict(mh_thin=0), "mh_thin"),
+    (dict(mh_burnin=-5), "mh_burnin"),
+    (dict(mh_iters=100, mh_burnin=200), "mh_burnin"),
+    (dict(mh_iters=200, mh_burnin=200), "mh_burnin"),
+    (dict(mh_iters=203, mh_burnin=200, mh_thin=5), "mh_thin"),
+])
+def test_logistic_mh_settings_are_validated(settings, name):
+    """Settings under which no chain keeps a draw, or a step count is
+    negative, are refused by name rather than giving too few draws or a
+    ZeroDivisionError."""
+    with pytest.raises(ValueError, match=name):
+        SequentialLogisticModel(**settings)
+    # the smallest valid settings are accepted
+    SequentialLogisticModel(mh_chains=1, mh_thin=1, mh_burnin=0, mh_iters=1)
 
 
 SHORT_MH = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
