@@ -685,8 +685,8 @@ def test_mh_lockstep_equals_stepwise_reference(burnin, thin):
                 model, RngStream(94), row_major_lockstep_loglik(*rows, weights),
                 dims, n_draws, starts, factors)
             assert len(new) == len(old) == len(dims)
-            for a, b in zip(new, old):
-                assert a.shape == b.shape == (n_draws, len(a[0]))
+            for a, b, d in zip(new, old, dims):
+                assert a.shape == b.shape == (n_draws, d)
                 assert a.tobytes() == b.tobytes(), (m, n_draws)
 
 
