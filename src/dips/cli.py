@@ -99,11 +99,12 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
                 raise ConfigError(f"column {name!r} needs a type of "
                                   f"categorical or continuous, got {kind!r}")
             continue
-        ints = values.astype(np.int64)
-        if np.all(ints == values) and ints.min() >= 0 and ints.max() < 20:
+        # tested on the floats: a cast out of int64's range warns
+        if (values.min() >= 0 and values.max() < 20
+                and np.all(values == np.trunc(values))):
             columns.append(CategoricalColumn(name,
-                                             range(int(ints.max()) + 1)))
-            data[name] = ints
+                                             range(int(values.max()) + 1)))
+            data[name] = values.astype(np.int64)
         else:
             columns.append(ContinuousColumn(name, float(values.min()),
                                             float(values.max())))

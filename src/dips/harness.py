@@ -10,10 +10,13 @@ Study 4: bivariate normal covariates plus three sequential logistic
 
 Every replication owns its own ledger and derived random stream, so the
 loop over (eps, method, rep) can be reordered or parallelized without
-changing any draw.  A replication that raises is recorded as unusable and
-never aborts a study.  ``STUDIES`` states each study once: its truth
-settings, true values, default parameters, methods, per-set analyzer and
-the rules that only it keeps.
+changing any draw.  A replication that raises ``AllCellsZero``,
+``NonConvergence``, ``DegenerateEstimate`` or ``LinAlgError`` is recorded
+as unusable and does not abort the study.  Within a replication, an
+estimator group that raises ``DegenerateEstimate`` or ``NonConvergence``
+on a set skips only its own parameters for that set.  ``STUDIES`` states
+each study once: its truth settings, true values, default parameters,
+methods, per-set estimators and the rules that only it keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -108,6 +110,8 @@ SIM4_BETA1 = np.array([-1.0, 0.5, -1.0])
 SIM4_BETA2 = np.array([-2.0, -1.0, 1.5, 0.5])
 SIM4_BETA3 = np.array([0.0, -2.5, 1.0, 0.5, 0.4])
 SIM4_BETA4 = np.array([0.1, -1.0, -0.5, 0.0, 1.5])
+SIM4_BETAS = {"b1": SIM4_BETA1, "b2": SIM4_BETA2, "b3": SIM4_BETA3,
+              "b4": SIM4_BETA4}
 SIM4_RHO = 0.5
 
 
@@ -158,6 +162,9 @@ class StudyConfig:
             raise ValueError("n, reps, and m must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.truth, dict):
+            raise ValueError(f"truth must be an object of settings, got "
+                             f"{self.truth!r}")
         unknown = set(self.truth) - set(study.truth)
         if unknown:
             raise ValueError(f"truth keys {sorted(unknown)} are not read by "
@@ -368,13 +375,18 @@ def _sim3_values(settings) -> dict[str, float]:
                for name, (axis, level) in SIM3_MARGINS.items()}}
 
 
+def _sim4_coefs(*tags: str) -> tuple[str, ...]:
+    """The coefficient names b<k>_<i> of the regressions ``tags``, one
+    per entry of their SIM4_BETA<k>."""
+    return tuple(f"{tag}_{i}" for tag in tags
+                 for i in range(len(SIM4_BETAS[tag])))
+
+
 def _sim4_values(settings) -> dict[str, float]:
     vals = {"mu1": 0.0, "mu2": 0.0, "sigma1": 1.0, "sigma2": 1.0,
             "rho": SIM4_RHO}
-    for tag, beta in (("b1", SIM4_BETA1), ("b2", SIM4_BETA2),
-                      ("b3", SIM4_BETA3), ("b4", SIM4_BETA4)):
-        for i, v in enumerate(beta):
-            vals[f"{tag}_{i}"] = float(v)
+    for tag, beta in SIM4_BETAS.items():
+        vals.update(zip(_sim4_coefs(tag), map(float, beta)))
     return vals
 
 
@@ -507,13 +519,12 @@ def _sim4_np_dips(rng, data, eps, m, ledger, postprocess):
         ledger, postprocess)
 
 
-# -- per-set analyzers -------------------------------------------------------
-# each is analyze(dataset, params) -> {parameter: PerSetEstimate}; a set it
-# raises DegenerateEstimate or NonConvergence on is skipped
-
-def _sim1_set_estimates(ds: TabularDataset, params) -> dict:
-    return {"pi": estimate_proportion(ds.column("x"))}
-
+# -- per-set estimators ------------------------------------------------------
+# each study's estimators are (parameter names, estimate) groups, where
+# estimate(dataset) gives one PerSetEstimate per name in order; a group that
+# raises DegenerateEstimate or NonConvergence skips only its own parameters
+# for that set.  Each names the inference functions it calls, so a patched
+# module attribute is seen at call time.
 
 def _sim1_pooled_mixed(sets) -> bool:
     """Study 1's usability rule: the m sets pooled hold both codes."""
@@ -521,84 +532,34 @@ def _sim1_pooled_mixed(sets) -> bool:
     return any(x.size for x in xs) and 0.0 < np.concatenate(xs).mean() < 1.0
 
 
-def _sim2_set_estimates(ds: TabularDataset, params) -> dict:
-    """Each parameter skips the set on its own, so the mean keeps a set
-    whose variance is undefined."""
-    out = {}
-    for param, estimator in (("mu", estimate_mean),
-                             ("sigma2", estimate_variance)):
-        if param in params:
-            with suppress(DegenerateEstimate):
-                out[param] = estimator(ds.column("x"))
-    return out
-
-
-def _sim3_set_estimates(ds: TabularDataset, params) -> dict:
-    w1 = ds.column("w1")
-    w2 = ds.column("w2")
-    w3 = ds.column("w3")
+def _sim3_moments(ds: TabularDataset) -> list:
+    """rho, sigma1 and sigma2 from one covariance of the z residuals about
+    their cell means, pooled over the cells."""
     z = np.column_stack([ds.column("z1"), ds.column("z2")])
     n = ds.n
     cells = _sim3_cells(ds)
     resid = z - np.take(cell_means(cells, z, SIM3_PI.size)[1], cells, axis=0)
     s_mat = resid.T @ resid / n
-    out = {}
     s11, s22, s12 = s_mat[0, 0], s_mat[1, 1], s_mat[0, 1]
-    if "rho" in params:
-        if s11 <= 0 or s22 <= 0:
-            raise DegenerateEstimate("pooled variance collapsed")
-        out["rho"] = estimate_correlation(
-            None, r=float(s12 / math.sqrt(s11 * s22)), n=n)
-    for name, col, vals in (("sigma1", 0, resid[:, 0]),
-                            ("sigma2", 1, resid[:, 1])):
-        if name in params:
-            s2 = s_mat[col, col] * n / (n - 1)
-            if s2 <= 0:
-                raise DegenerateEstimate("pooled variance collapsed")
-            out[name] = variance_from_moments(float(s2),
-                                              excess_kurtosis(vals), n)
-    for name, (axis, level) in SIM3_MARGINS.items():
-        if name in params:
-            out[name] = estimate_proportion(
-                ((w1, w2, w3)[axis] == level).astype(float))
-    return out
+    if s11 <= 0 or s22 <= 0:
+        raise DegenerateEstimate("pooled variance collapsed")
+    rho = estimate_correlation(None, r=float(s12 / math.sqrt(s11 * s22)), n=n)
+    return [rho] + [variance_from_moments(float(s_mat[col, col] * n / (n - 1)),
+                                          excess_kurtosis(resid[:, col]), n)
+                    for col in (0, 1)]
 
 
-def _sim4_set_estimates(ds: TabularDataset, params) -> dict:
-    z1, z2 = ds.column("z1"), ds.column("z2")
-    w1 = ds.column("w1").astype(float)
-    w2 = ds.column("w2").astype(float)
-    w3 = ds.column("w3")
-    n = ds.n
-    out = {}
-    if "mu1" in params:
-        out["mu1"] = estimate_mean(z1)
-    if "mu2" in params:
-        out["mu2"] = estimate_mean(z2)
-    if "sigma1" in params:
-        out["sigma1"] = estimate_variance(z1)
-    if "sigma2" in params:
-        out["sigma2"] = estimate_variance(z2)
-    if "rho" in params:
-        out["rho"] = estimate_correlation(z1, z2)
-    want_b1 = any(p.startswith("b1_") for p in params)
-    want_b2 = any(p.startswith("b2_") for p in params)
-    want_b34 = any(p.startswith(("b3_", "b4_")) for p in params)
-    x1 = np.column_stack([np.ones(n), z1, z2])
-    if want_b1:
-        for i, e in enumerate(firth_logistic(x1, w1)):
-            out[f"b1_{i}"] = e
-    if want_b2:
-        x2 = np.column_stack([x1, w1])
-        for i, e in enumerate(firth_logistic(x2, w2)):
-            out[f"b2_{i}"] = e
-    if want_b34:
-        x3 = np.column_stack([x1, w1, w2])
-        blocks = fit_multinomial_logit(x3, w3)
-        for tag, block in zip(("b3", "b4"), blocks):
-            for i, e in enumerate(block):
-                out[f"{tag}_{i}"] = e
-    return {k: v for k, v in out.items() if k in params}
+def _sim3_margins(ds: TabularDataset) -> list:
+    w = (ds.column("w1"), ds.column("w2"), ds.column("w3"))
+    return [estimate_proportion((w[axis] == level).astype(float))
+            for axis, level in SIM3_MARGINS.values()]
+
+
+def _sim4_design(ds: TabularDataset, outcomes: int) -> np.ndarray:
+    """The intercept, z1, z2 and the first ``outcomes`` binary outcomes."""
+    return np.column_stack(
+        [np.ones(ds.n), ds.column("z1"), ds.column("z2"),
+         *(ds.column(w).astype(float) for w in ("w1", "w2")[:outcomes])])
 
 
 # -- the study table ---------------------------------------------------------
@@ -616,15 +577,16 @@ class Study:
     """One simulation study.  ``truth`` maps each setting its simulator
     reads to its default and valid values, which ``StudyConfig`` checks
     (``simulate_truth_<study>`` is looked up on this module per
-    replication), ``check`` is a joint rule over every truth setting that
-    raises ``ValueError`` naming the setting, ``gate`` is a usability
-    rule over the m sets of a replication, and ``relative`` names the
-    parameters whose bias, RMSE and CI width are reported relative to the
-    true value."""
+    replication), ``estimators`` holds each parameter in exactly one
+    (names, estimate) group of the per-set estimators, ``check`` is a
+    joint rule over every truth setting that raises ``ValueError`` naming
+    the setting, ``gate`` is a usability rule over the m sets of a
+    replication, and ``relative`` names the parameters whose bias, RMSE and
+    CI width are reported relative to the true value."""
     values: Callable[[dict], dict]
     default_params: tuple[str, ...]
     methods: dict
-    analyze: Callable
+    estimators: tuple[tuple[tuple[str, ...], Callable], ...]
     truth: dict = field(default_factory=dict)
     check: Callable[[dict], None] | None = None
     gate: Callable | None = None
@@ -648,7 +610,9 @@ STUDIES = {
             "ms": modips_entry("ms", BernoulliModel()),
             "original": _original,
         },
-        analyze=_sim1_set_estimates, gate=_sim1_pooled_mixed),
+        estimators=((("pi",),
+                     lambda ds: [estimate_proportion(ds.column("x"))]),),
+        gate=_sim1_pooled_mixed),
     "sim2": Study(
         truth=_truth_settings(simulate_truth_sim2, mu=(-math.inf, math.inf),
                               sigma2=(0.0, math.inf),
@@ -664,7 +628,10 @@ STUDIES = {
             "ms": modips_entry("ms", NormalModel()),
             "original": _original,
         },
-        analyze=_sim2_set_estimates, check=_sim2_check,
+        estimators=((("mu",), lambda ds: [estimate_mean(ds.column("x"))]),
+                    (("sigma2",),
+                     lambda ds: [estimate_variance(ds.column("x"))])),
+        check=_sim2_check,
         relative=("sigma2",)),
     "sim3": Study(
         values=_sim3_values,
@@ -677,7 +644,8 @@ STUDIES = {
                                GaussianMixtureModel(*sim3_cell_bounds())),
             "original": _original,
         },
-        analyze=_sim3_set_estimates),
+        estimators=((("rho", "sigma1", "sigma2"), _sim3_moments),
+                    (tuple(SIM3_MARGINS), _sim3_margins))),
     "sim4": Study(
         values=_sim4_values, default_params=("mu1", "mu2", "rho"),
         methods={
@@ -687,7 +655,20 @@ STUDIES = {
             "ms": modips_entry("ms", SequentialLogisticModel()),
             "original": _original,
         },
-        analyze=_sim4_set_estimates),
+        estimators=(
+            (("mu1",), lambda ds: [estimate_mean(ds.column("z1"))]),
+            (("mu2",), lambda ds: [estimate_mean(ds.column("z2"))]),
+            (("sigma1",), lambda ds: [estimate_variance(ds.column("z1"))]),
+            (("sigma2",), lambda ds: [estimate_variance(ds.column("z2"))]),
+            (("rho",), lambda ds: [estimate_correlation(ds.column("z1"),
+                                                        ds.column("z2"))]),
+            (_sim4_coefs("b1"), lambda ds: firth_logistic(
+                _sim4_design(ds, 0), ds.column("w1").astype(float))),
+            (_sim4_coefs("b2"), lambda ds: firth_logistic(
+                _sim4_design(ds, 1), ds.column("w2").astype(float))),
+            (_sim4_coefs("b3", "b4"), lambda ds: sum(fit_multinomial_logit(
+                _sim4_design(ds, 2), ds.column("w3")), [])),
+        )),
 }
 
 
@@ -699,8 +680,8 @@ _NO_BUDGET_METHODS = ("ms", "original")
 
 def _run_rep(config: StudyConfig, method: str, rng: RngStream,
              eps: float, params) -> tuple[dict, dict]:
-    """One replication: simulate truth, synthesize, analyze each set,
-    combine.
+    """One replication: simulate truth, synthesize, run each estimator
+    group that holds a requested parameter on each set, combine.
 
     Returns ({parameter: CombinedEstimate or None}, extras); extras holds
     the released sets and the ledger audit, which every method passes:
@@ -713,14 +694,18 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
     sets = study.methods[method](
         rng.substream(1), data, eps, config.m, ledger, config.postprocess)
     per_param: dict[str, list] = {p: [] for p in params}
+    groups = [(names, estimate) for names, estimate in study.estimators
+              if not per_param.keys().isdisjoint(names)]
     if study.gate is None or study.gate(sets):
         for s in sets:
-            try:
-                ests = study.analyze(s, params)
-            except (DegenerateEstimate, NonConvergence):
-                continue
-            for p, e in ests.items():
-                per_param[p].append(e)
+            for names, estimate in groups:
+                try:
+                    ests = estimate(s)
+                except (DegenerateEstimate, NonConvergence):
+                    continue
+                for p, e in zip(names, ests, strict=True):
+                    if p in per_param:
+                        per_param[p].append(e)
     results = {p: (combine(lst) if lst else None)
                for p, lst in per_param.items()}
     # the one full recomputation of the replication: it must match both

@@ -321,6 +321,18 @@ def test_bench_config_value_errors_exit_2(study, cfg, tmp_path, capsys,
     _one_config_error(capsys)
 
 
+@pytest.mark.parametrize("truth", [[], ["pi"]])
+def test_bench_non_object_truth_exits_2(truth, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"truth": truth, "reps": 1}))
+    code = main(["bench", "--study", "sim1", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: truth must be an object of "
+                   f"settings, got {truth!r}"]
+
+
 @pytest.mark.parametrize("value", [-1.0, 0.0])
 def test_bench_sim2_bad_sigma2_names_study_and_setting(value, tmp_path,
                                                        capsys, monkeypatch):
@@ -523,6 +535,16 @@ def test_synth_bad_schema_exits_2_without_warnings(schema, method, message,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
     assert err[0].endswith(message)
+
+
+def test_load_csv_tests_a_huge_value_before_casting(tmp_path):
+    # a cast of -1e19 to int64 is out of range and warns
+    path = tmp_path / "big.csv"
+    path.write_text("x,w\n-1e19,1\n0.5,0\n2,3\n")
+    ds = _load_csv(str(path), None)
+    assert isinstance(ds.columns[0], ContinuousColumn)
+    assert ds.column("x").tolist() == [-1e19, 0.5, 2.0]
+    assert ds.column("w").dtype == np.int64
 
 
 def test_load_csv_reads_quoted_and_padded_numbers(tmp_path):

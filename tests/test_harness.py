@@ -320,15 +320,47 @@ def test_truncation_nonconvergence_counts_as_unusable(monkeypatch):
     assert row.usable_fraction < 1
 
 
-@pytest.mark.parametrize("n, reps_used", [(5, 0), (8, 4)])
-def test_sim4_degenerate_set_is_skipped_not_fatal(n, reps_used):
+@pytest.mark.parametrize("n, parameters, reps_used", [
+    (5, ["b3_0"], [0]), (8, ["b3_0"], [4]), (5, ["mu1", "b3_0"], [4, 0])],
+    ids=["5-0", "8-4", "5-mu1-4-b3_0-0"])
+def test_sim4_degenerate_set_is_skipped_not_fatal(n, parameters, reps_used):
     """At n = 5 every set is too short for the five-column w3 design
-    (RankDeficient); at n = 8 some sets lack a w3 level.  Both skip the set
-    and the study runs to the end."""
+    (RankDeficient); at n = 8 some sets lack a w3 level.  Both skip the
+    set's b3 and b4 estimates, but not its mu1 estimate, and the study runs
+    to the end."""
     cfg = StudyConfig("sim4", n, m=2, reps=4, methods=["np-dips"],
-                      parameters=["b3_0"], seed=5)
-    (row,) = run_study(cfg)
-    assert row.reps_used == reps_used
+                      parameters=parameters, seed=5)
+    assert [r.reps_used for r in run_study(cfg)] == reps_used
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_every_parameter_has_one_estimator(study):
+    """A parameter with no estimator would give an all-NaN row."""
+    s = STUDIES[study]
+    names = [name for group, _ in s.estimators for name in group]
+    assert sorted(names) == sorted(s.values(s.settings({})))
+
+
+# runs in which some estimator groups fail on some sets: at n = 3 sim2's
+# variance needs a fourth row, and at n = 8 some of sim4's sets lack a w3
+# level
+@pytest.mark.parametrize("study, config", [
+    ("sim2", dict(n=3, eps_grid=[1.0], m=2, reps=3, seed=5,
+                  methods=["pert-hist", "original"])),
+    ("sim3", dict(n=30, eps_grid=[0.1, 10.0], m=2, reps=2, seed=5,
+                  methods=["np-dips", "modips-mixture"])),
+    ("sim4", dict(n=8, eps_grid=[0.5, 5.0], m=2, reps=3, seed=5,
+                  methods=["np-dips"])),
+])
+def test_a_row_does_not_depend_on_the_other_parameters_requested(study,
+                                                                  config):
+    s = STUDIES[study]
+    every = list(s.values(s.settings({})))
+    together = run_study(StudyConfig(study, parameters=every, **config))
+    for p in every:
+        alone = run_study(StudyConfig(study, parameters=[p], **config))
+        assert ([repr(r) for r in alone]
+                == [repr(r) for r in together if r.parameter == p]), p
 
 
 # sha256 over every MetricRow field, one line per row (as
