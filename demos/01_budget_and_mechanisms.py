@@ -1,8 +1,11 @@
 """Privacy budgets, the ledger, and the Laplace sanitizer.
 
-A ledger tracks a fixed epsilon.  Sequential charges add up; parallel
-charges within a group (statistics computed on disjoint rows) cost only
-the maximum.  Overspending raises BudgetExhausted.
+A ledger tracks a fixed epsilon, and its spend is the sum of its charges.
+Parallel composition happens inside one mechanism call: counts on disjoint
+rows sanitized together each get the full epsilon, and the call is charged
+once.  Separate calls add up even on disjoint rows, because a neighbouring
+dataset replaces one row, and that row can move from one part to another.
+Overspending raises BudgetExhausted.
 """
 
 from fractions import Fraction
@@ -39,10 +42,14 @@ ledger.charge("mean", 0.3)
 print(f"true mean {mean[0]:.2f}, sanitized {stat.sanitized[0]:.2f} "
       f"(Laplace scale {stat.scale:.3f})")
 
-# Parallel composition: per-subgroup counts on disjoint rows share a group
-# label, so three charges of 0.2 cost 0.2 in total.
-for j in range(3):
-    ledger.charge(f"subgroup-{j}", 0.2, mode="parallel", group="subgroups")
+# Parallel composition: three subgroup counts on disjoint rows, sanitized
+# in one call, each with the full 0.2, cost 0.2 in total.
+subgroups = np.array([130.0, 171.0, 111.0])
+stat = laplace_mechanism(rng.substream(2), subgroups, SensitivitySpec(1.0),
+                         0.2, label="subgroups", lower=0.0)
+ledger.charge("subgroups", 0.2, mode="parallel", group="subgroups")
+print(f"subgroup counts {subgroups.astype(int).tolist()}, sanitized "
+      f"{np.round(stat.sanitized, 2).tolist()}")
 print(f"spent so far: {float(ledger.effective_spend_exact()):.4f} of "
       f"{ledger.total.epsilon}")
 

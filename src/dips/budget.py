@@ -1,9 +1,17 @@
-"""Privacy-budget arithmetic under sequential and parallel composition.
+"""Privacy-budget arithmetic: a ledger whose spend is the sum of its entries.
 
-A ledger tracks every epsilon expenditure against a fixed total.  Charges
-are stored internally as exact rationals so that e.g. thirty charges of
-eps/30 sum back to eps with no floating-point drift; exhaustion checks use
-a small relative tolerance on top of the exact arithmetic.
+A ledger tracks every epsilon expenditure against a fixed total.  Its
+spend is the exact sum of every entry's epsilon, whatever the entry's
+composition mode.  Parallel composition is applied inside one mechanism
+call, which gives every disjoint cell the full epsilon and charges the
+ledger once: separate calls add up even on disjoint parts, since under
+replace-one neighbours one replaced row can move between two parts.  An
+entry's ``mode`` and ``group`` record which kind of charge it was; no
+arithmetic reads them.
+
+Charges are stored as exact rationals, so e.g. thirty charges of eps/30
+sum back to eps with no floating-point drift; exhaustion checks use a
+small relative tolerance on top of the exact arithmetic.
 """
 
 from __future__ import annotations
@@ -67,15 +75,15 @@ class LedgerEntry:
 class PrivacyLedger:
     """Append-only record of privacy expenditures against a total budget.
 
-    Sequential entries accumulate; entries in the same parallel group count
-    only through the group's maximum.  The ledger keeps that effective
-    spend as a running exact sum, so a charge costs O(1): under a lock,
-    ``charge`` prices the candidate entry against the running sum and the
-    group maxima, raises ``BudgetExhausted`` if it cannot fit, and only
-    then appends it (check-then-append, so a harness may charge from
-    several workers and a rejected charge leaves no trace).
-    ``effective_spend_exact`` recomputes the spend from the entries; it is
-    the audit a caller runs once a release is done.
+    The spend is the exact sum of the entries' epsilon; a ``"parallel"``
+    entry records one mechanism call that composed its disjoint cells in
+    parallel, and costs its epsilon like any other.  The ledger keeps the
+    spend as a running sum, so a charge costs O(1): under a lock,
+    ``charge`` adds the candidate's epsilon, raises ``BudgetExhausted`` if
+    the total cannot hold it, and only then appends it (check-then-append,
+    so a harness may charge from several workers and a rejected charge
+    leaves no trace).  ``effective_spend_exact`` recomputes the sum from
+    the entries; it is the audit a caller runs once a release is done.
     """
 
     total: PrivacyBudget
@@ -86,41 +94,17 @@ class PrivacyLedger:
 
     def __post_init__(self):
         self._limit = Fraction(self.total.epsilon) * _SLACK
-        self._spend = Fraction(0)
-        self._group_max: dict[str, Fraction] = {}
-        for entry in self.entries:
-            self._count(entry, self._extra(entry))
+        self._spend = self.effective_spend_exact()
 
     # -- accounting ---------------------------------------------------------
 
-    def _extra(self, entry: LedgerEntry) -> Fraction:
-        """How much counting ``entry`` raises the effective spend."""
-        if entry.mode == "sequential":
-            return entry.eps
-        return max(entry.eps - self._group_max.get(entry.group, 0), 0)
-
-    def _count(self, entry: LedgerEntry, extra: Fraction) -> None:
-        """Fold an accepted entry into the running spend and group maxima."""
-        self._spend += extra
-        if extra and entry.mode == "parallel":
-            self._group_max[entry.group] = entry.eps
-
     def effective_spend_exact(self) -> Fraction:
-        """Exact effective spend recomputed from the entries: sequential
-        sum plus per-group maxima."""
-        seq = Fraction(0)
-        groups: dict[str, Fraction] = {}
-        for entry in self.entries:
-            if entry.mode == "sequential":
-                seq += entry.eps
-            else:
-                prev = groups.get(entry.group, Fraction(0))
-                groups[entry.group] = max(prev, entry.eps)
-        return seq + sum(groups.values(), Fraction(0))
+        """Exact spend recomputed from the entries: the sum of their eps."""
+        return sum((entry.eps for entry in self.entries), Fraction(0))
 
     @property
     def spend(self) -> Fraction:
-        """Exact effective spend, as kept up to date by ``charge``."""
+        """Exact spend, as kept up to date by ``charge``."""
         return self._spend
 
     @property
@@ -135,17 +119,15 @@ class PrivacyLedger:
             raise ValueError(f"unknown composition mode {mode!r}")
         if mode == "parallel" and group is None:
             raise ValueError("parallel charges need a group id")
-        candidate = LedgerEntry(label, eps_frac, mode, group)
         with self._lock:
-            extra = self._extra(candidate)
-            spend = self._spend + extra
+            spend = self._spend + eps_frac
             if spend > self._limit:
                 raise BudgetExhausted(
                     f"charge {label!r} of {float(eps_frac)} would raise effective "
                     f"spend to {float(spend)} > total {self.total.epsilon}"
                 )
-            self.entries.append(candidate)
-            self._count(candidate, extra)
+            self.entries.append(LedgerEntry(label, eps_frac, mode, group))
+            self._spend = spend
         return self
 
     # -- serialization ------------------------------------------------------

@@ -683,9 +683,10 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
     """One replication: simulate truth, synthesize, run each estimator
     group that holds a requested parameter on each set, combine.
 
-    Returns ({parameter: CombinedEstimate or None}, extras); extras holds
-    the released sets and the ledger audit, which every method passes:
-    each spends exactly eps, and those of ``_NO_BUDGET_METHODS`` nothing."""
+    Returns ({parameter: CombinedEstimate or None}, {"sets": the released
+    sets}).  Raises RuntimeError unless the ledger audit passes: each
+    method spends exactly eps, and those of ``_NO_BUDGET_METHODS``
+    nothing."""
     study = STUDIES[config.study]
     ledger = PrivacyLedger(PrivacyBudget(eps))
     simulate = globals()[f"simulate_truth_{config.study}"]
@@ -716,7 +717,7 @@ def _run_rep(config: StudyConfig, method: str, rng: RngStream,
         raise RuntimeError(
             f"ledger audit failure: {method} spent {spend} (running "
             f"{ledger.spend}) != {expected}")
-    return results, {"sets": sets, "ledger_exact": True}
+    return results, {"sets": sets}
 
 
 def run_study(config: StudyConfig) -> list[MetricRow]:

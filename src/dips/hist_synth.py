@@ -65,7 +65,8 @@ def scott_bins(ranges, sd, rows, spread):
 def scott_grid(data: TabularDataset) -> tuple:
     """The grid over ``data``'s columns: each categorical column's level
     count, and Scott's-rule bins (SD with ddof 1) over each continuous
-    column's declared bounds."""
+    column's declared bounds.  A column whose SD overflows a float is a
+    ValueError that names it."""
     shape = []
     for c in data.columns:
         if isinstance(c, CategoricalColumn):
@@ -73,8 +74,15 @@ def scott_grid(data: TabularDataset) -> tuple:
             continue
         x = data.column(c.name)
         many = len(x) > 1
-        bins = scott_bins(c.hi - c.lo, float(x.std(ddof=1)) if many else 0.0,
-                          len(x), many and x.min() < x.max())
+        sd = 0.0
+        if many:
+            try:
+                with np.errstate(over="raise"):
+                    sd = float(x.std(ddof=1))
+            except FloatingPointError:
+                raise ValueError(f"column {c.name!r} is too wide: its SD "
+                                 "overflows a float") from None
+        bins = scott_bins(c.hi - c.lo, sd, len(x), many and x.min() < x.max())
         shape.append(int(bins) if np.isfinite(bins) else math.inf)
     return tuple(shape)
 

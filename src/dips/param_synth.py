@@ -282,6 +282,10 @@ class NormalModel:
         if n < 2:
             raise ValueError(f"the normal model needs n >= 2 rows, got {n}")
         r = col.hi - col.lo
+        # n r^2 bounds every statistic, sum and sensitivity below
+        if math.isinf(r * r * n):
+            raise ValueError(f"column {col.name!r} spans {r:g}, too wide: "
+                             "its variance bound overflows a float")
         var_upper = r ** 2 / 4 * n / (n - 1)
         xbar = float(x.mean())
         s2 = float(x.var(ddof=1))

@@ -8,11 +8,14 @@ every run is deterministic.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dips.harness
+from dips.budget import PrivacyLedger
 from dips.harness import (
     SIM3_LEVELS,
     SIM3_PI,
@@ -121,22 +124,33 @@ def _empty_cells(ds) -> int:
 def _sim3_empty_run(ln_eps: int, method: str, reps: int = SIM3_REPS):
     """Shared Sim-3 runs for the empty-cell and budget-audit checks.
 
-    Returns (mean empty cells per set, number of exactly-audited reps,
-    reps attempted)."""
+    Records the ledger of each replication and returns (mean empty cells
+    per set, number of reps whose entries sum exactly to eps, reps
+    attempted)."""
     eps = math.exp(ln_eps)
     config = StudyConfig("sim3", SIM3_N, eps_grid=[eps], m=SIM3_M, reps=reps,
                          methods=[method], seed=SIM3_SEED,
                          parameters=["rho"])
     study_idx = list(STUDIES).index("sim3")
+    ledgers = []
+
+    class Recorded(PrivacyLedger):
+        def __post_init__(self):
+            super().__post_init__()
+            ledgers.append(self)
+
     empties = []
-    audited = 0
-    for rep in range(reps):
-        rng = RngStream(config.seed).substream(study_idx, 0, 0, rep)
-        _, extras = _run_rep(config, method, rng, eps, ["rho"])
-        if extras["sets"]:
-            empties.append(np.mean([_empty_cells(s)
-                                    for s in extras["sets"]]))
-        audited += bool(extras.get("ledger_exact"))
+    with mock.patch.object(dips.harness, "PrivacyLedger", Recorded):
+        for rep in range(reps):
+            rng = RngStream(config.seed).substream(study_idx, 0, 0, rep)
+            _, extras = _run_rep(config, method, rng, eps, ["rho"])
+            if extras["sets"]:
+                empties.append(np.mean([_empty_cells(s)
+                                        for s in extras["sets"]]))
+    assert len(ledgers) == reps
+    audited = sum(
+        sum((e.eps for e in ledger.entries), Fraction(0)) == Fraction(eps)
+        == ledger.spend for ledger in ledgers)
     return float(np.mean(empties)), audited, reps
 
 
@@ -386,5 +400,5 @@ def test_criterion_10_budget_audit():
             audited += ok
             attempted += total
     _verdict(10, audited == attempted and attempted > 0,
-             f"{audited}/{attempted} replications spent exactly eps "
-             "(exact rational bookkeeping, zero violations)")
+             f"{audited}/{attempted} replications' recorded ledgers sum "
+             "exactly to eps (exact rational bookkeeping, zero violations)")

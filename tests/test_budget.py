@@ -2,6 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,9 @@ from dips.budget import (
     PrivacyBudget,
     PrivacyLedger,
 )
+from dips.dataset import CategoricalColumn, TabularDataset
+from dips.hist_synth import laplace_sanitizer_crosstab, perturb_histogram
+from dips.randvar import RngStream
 
 
 def test_budget_requires_positive_epsilon():
@@ -41,11 +45,18 @@ def test_sequential_charges_accumulate():
     assert ledger.effective_spend == pytest.approx(0.5)
 
 
-def test_parallel_group_counts_by_maximum():
+def test_parallel_group_charges_add_up():
+    # one replaced row can move between two disjoint parts, so separate
+    # calls on them compose sequentially: the fourth 0.3 cannot fit
     ledger = PrivacyLedger(PrivacyBudget(1.0))
+    refused = []
     for i in range(10):
-        ledger.charge(f"cell-{i}", 0.3, mode="parallel", group="cells")
-    assert ledger.effective_spend == pytest.approx(0.3)
+        try:
+            ledger.charge(f"cell-{i}", 0.3, mode="parallel", group="cells")
+        except BudgetExhausted:
+            refused.append(i)
+    assert refused == list(range(3, 10))
+    assert ledger.effective_spend == pytest.approx(0.9)
 
 
 def test_mixed_composition():
@@ -53,7 +64,28 @@ def test_mixed_composition():
     ledger.charge("seq", 0.4)
     ledger.charge("c1", 0.2, mode="parallel", group="g")
     ledger.charge("c2", 0.35, mode="parallel", group="g")
-    assert ledger.effective_spend == pytest.approx(0.75)
+    assert ledger.effective_spend == pytest.approx(0.95)
+
+
+@pytest.mark.parametrize("release", ["perturb_histogram",
+                                     "laplace_sanitizer_crosstab"])
+def test_a_repeated_default_label_release_is_charged_twice(release):
+    # both calls charge the same parallel group; the second must not ride
+    # on the first's charge
+    counts = np.array([30.0, 50.0, 20.0])
+    data = TabularDataset([CategoricalColumn("w", range(3))],
+                          {"w": np.repeat(np.arange(3), [30, 50, 20])})
+    ledger = PrivacyLedger(PrivacyBudget(1.0))
+
+    def call(rng):
+        if release == "perturb_histogram":
+            return perturb_histogram(rng, counts, 1.0, ledger)
+        return laplace_sanitizer_crosstab(rng, data, ["w"], 1.0, ledger)
+
+    call(RngStream(0))
+    with pytest.raises(BudgetExhausted):
+        call(RngStream(1))
+    assert len(ledger.entries) == 1 and ledger.spend == 1
 
 
 def test_overcharge_rejected_and_rolled_back():
@@ -107,8 +139,8 @@ def test_concurrent_charges_are_atomic():
 def test_concurrent_mixed_charges_keep_running_spend_exact():
     """More threads than cores, switching often, mix sequential and
     parallel charges until the budget runs out: a lost update of the
-    running spend or a group maximum would part it from the recomputed
-    spend, and a check racing an append would overspend."""
+    running spend would part it from the recomputed sum, and a check
+    racing an append would overspend."""
     ledger = PrivacyLedger(PrivacyBudget(1.0))
 
     def worker(i):
@@ -163,13 +195,11 @@ def test_ledger_spend_is_sum_of_sequential_charges(charges):
 
 
 def _reference_spend(entries):
-    """Sequential sum plus per-group maxima, from scratch."""
-    groups = {}
+    """The sum of every entry's eps, whatever its mode, from scratch."""
+    total = Fraction(0)
     for e in entries:
-        if e.mode == "parallel":
-            groups[e.group] = max(groups.get(e.group, Fraction(0)), e.eps)
-    return (sum((e.eps for e in entries if e.mode == "sequential"),
-                Fraction(0)) + sum(groups.values(), Fraction(0)))
+        total += e.eps
+    return total
 
 
 @given(
@@ -209,11 +239,14 @@ def test_ledger_built_from_entries_reports_and_extends_their_spend():
         LedgerEntry("g1", Fraction(1, 2), "parallel", "g"),
         LedgerEntry("g2", Fraction(1, 3), "parallel", "g"),
     ])
-    assert ledger.spend == ledger.effective_spend_exact() == Fraction(3, 4)
-    ledger.charge("g3", Fraction(1, 2), mode="parallel", group="g")
+    assert ledger.spend == ledger.effective_spend_exact() == Fraction(13, 12)
+    with pytest.raises(BudgetExhausted):
+        ledger.charge("g3", Fraction(1, 100), mode="parallel", group="g")
+    assert len(ledger.entries) == 3
+    ledger = PrivacyLedger(PrivacyBudget(1.0), entries=ledger.entries[:2])
     assert ledger.spend == Fraction(3, 4)
     with pytest.raises(BudgetExhausted):
         ledger.charge("s2", Fraction(1, 2))
-    assert len(ledger.entries) == 4
+    assert len(ledger.entries) == 2
     ledger.charge("h", Fraction(1, 4), mode="parallel", group="h")
     assert ledger.spend == ledger.effective_spend_exact() == 1

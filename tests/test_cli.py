@@ -499,6 +499,22 @@ def test_synth_unusable_values_exit_2_without_warnings(text, schema, message,
     assert err == [f"configuration error: {message}"]
 
 
+@pytest.mark.parametrize("method, message", [
+    ("pert-hist", "is too wide: its SD overflows a float"),
+    ("smooth-hist", "is too wide: its SD overflows a float"),
+    ("modips-normal", "spans 1e+300, too wide: its variance bound overflows "
+     "a float"),
+])
+def test_synth_too_wide_a_column_exits_2(method, message, tmp_path, capsys):
+    # under the suite's error::RuntimeWarning filter an overflow warning
+    # in the SD would escape main as an exception
+    code = _synth_exit(tmp_path, "x\n0\n1e300\n1\n-2\n", method=method)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: column 'x' {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 NOT_AN_OBJECT = "the schema must be a JSON object of column objects"
 
 
