@@ -4,28 +4,26 @@ Categorical columns carry a finite level set (stored as integer codes into
 that set); continuous columns carry declared bounds.  Synthesizers never
 look at values outside the declared schema.
 
-CSV text is read and written one block of ``BLOCK_ROWS`` rows at a time,
-one column of the block per call, so a large table never exists as
-Python strings all at once.  Both directions use every CPU the process
-may use.  ``TabularDataset.to_csv`` forks writers that each format one
-contiguous run of blocks, and the file holds the same bytes as a serial
-write.  ``read_numeric_csv`` forks readers that each parse one byte range
-of records and send their columns back through a pipe; the columns, and
-any error with its message, are those of a one-process read, and a pipe
-is read in one process.  There is no option to turn this off."""
+CSV text is written one block of ``BLOCK_ROWS`` rows at a time, one
+column of the block per call, so a large table never exists as Python
+strings all at once.  ``TabularDataset.to_csv`` forks writers that each
+format one contiguous run of blocks, on every CPU the process may use,
+and the file holds the same bytes as a serial write.
+``read_numeric_csv`` reads in this process: a plain-text body in one
+call to numpy's C reader, any other body with ``csv.reader``, one block
+at a time; either way the columns and every error are the csv
+module's."""
 
 from __future__ import annotations
 
-import codecs
-import contextlib
 import csv
-import io
 import math
 import numbers
 import os
 import shutil
 import stat
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -247,24 +245,20 @@ def _cell_text(block: np.ndarray):
 def read_numeric_csv(path: str | Path) -> tuple[list[str], list[np.ndarray]]:
     """The header and float64 columns of a CSV file of numbers.
 
-    ``csv.reader`` parses the text, so quoting, padded whitespace and
-    blank lines behave as in the csv module; each row must have the
-    header's width and each header name must be unique.  Rows are
-    converted one block of ``BLOCK_ROWS`` at a time.  An empty file has
-    no columns.  A field longer than the csv module's limit is a
+    ``csv.reader`` semantics hold: quoting, padded whitespace and blank
+    lines behave as in the csv module; each row must have the header's
+    width and each header name must be unique.  An empty file has no
+    columns.  A field longer than the csv module's limit is a
     ``ValueError`` naming the file.
 
-    The rows after the header are cut into k byte ranges of about equal
-    record counts, k the smaller of the CPUs this process may use and
-    the records over ``BLOCK_ROWS``.  k is 1 where the platform has no
-    ``fork``, where the input is not a regular file (a pipe) and where
-    ``open`` does not decode it as UTF-8.  Forked children parse ranges
-    1..k-1 and send their columns back through pipes while this process
-    parses range 0.  A cut
-    follows a newline with an even number of ``"`` bytes before it in
-    the body, so each range starts at a record.  If any range fails, the
-    file is read again as one range, so an error is the one a serial
-    read meets first, with the same message."""
+    ``csv.reader`` parses the header.  A plain-text body is then read in
+    one call to numpy's C reader, ``np.loadtxt``, which turns each field
+    into a float by the routine ``float`` uses.  Plain text is the body
+    of a regular file with no ``"``, NUL, lone CR or byte \\x1c-\\x1f and
+    no line longer than the csv module's field limit, which
+    ``np.loadtxt`` reads with no error or warning into one row per
+    record.  Any other body, and every error, is parsed by ``csv.reader``
+    one block of ``BLOCK_ROWS`` rows at a time."""
     try:
         with open(path, newline="") as fh:
             lines = []
@@ -272,13 +266,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], list[np.ndarray]]:
             for name in header:
                 if header.count(name) > 1:
                     raise ValueError(f"duplicate CSV column name {name!r}")
-            ranges = _body_ranges(fh, "".join(lines))
-            if len(ranges) > 1:
-                # on any failure, read again as one range: that raises the
-                # error a serial read meets first
-                with contextlib.suppress(Exception):
-                    return header, _parse_ranges(fh.fileno(), len(header),
-                                                 ranges)
+            table = _plain_table(path, fh, lines, len(header))
+            if table is not None:
+                return header, list(np.ascontiguousarray(table.T))
             return header, _parse_rows(fh, len(header))
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -289,6 +279,47 @@ def _recorded(lines, into: list):
     for line in lines:
         into.append(line)
         yield line
+
+
+def _plain_table(path, fh, header_lines: list[str], width: int):
+    """The table ``np.loadtxt`` reads from ``fh``'s body, the text after
+    its ``header_lines``, or None where it may differ from the csv
+    module's columns.  Each check stands for one way the two parsers
+    disagree: ``loadtxt`` keeps a ``"`` as text, skips blank and
+    whitespace-only lines (so its table has fewer rows than the body has
+    records) and parses a field longer than the csv module's limit; a NUL
+    and a lone CR read differently, and ``loadtxt`` strips the
+    separators \\x1c-\\x1f around a number as whitespace where ``float``
+    refuses them."""
+    st = os.fstat(fh.fileno())
+    if not (width and stat.S_ISREG(st.st_mode)):
+        return None
+    # one read of the whole file: a short read (over 2 GB, or a file that
+    # changed) fails the size check below
+    data = os.pread(fh.fileno(), st.st_size, 0)
+    start = len("".join(header_lines).encode(fh.encoding))
+    if (len(data) != st.st_size or data.find(b'"', start) != -1
+            or any(c in data for c in b"\0\x1c\x1d\x1e\x1f")
+            or data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8, offset=start)
+                          == ord("\n"))
+    records = len(ends) + (len(data) > start and data[-1:] != b"\n")
+    # each line's length plus one, a CR counted
+    longest = np.diff(ends, prepend=-1, append=len(data) - start).max()
+    del data  # the table alone is held while loadtxt runs
+    if not records or longest > csv.field_size_limit() + 1:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines makes loadtxt warn
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                               skiprows=len(header_lines),
+                               encoding=fh.encoding)
+    except Exception:
+        return None
+    return table if table.shape == (records, width) else None
 
 
 def _parse_rows(lines, width: int) -> list[np.ndarray]:
@@ -306,118 +337,6 @@ def _parse_rows(lines, width: int) -> list[np.ndarray]:
                                      float, count=len(rows)))
     return [np.concatenate(parts) if parts else np.empty(0)
             for parts in blocks]
-
-
-def _body_ranges(fh, header: str) -> list[tuple[int, int]]:
-    """The byte ranges [start, stop) of ``fh``'s records after its
-    ``header`` text; fewer than two where the body is read as one range.
-    Counting the records takes one pass over the bytes; each cut reads
-    one chunk more."""
-    cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    fd = fh.fileno()
-    if not (cpus > 1 and stat.S_ISREG(os.fstat(fd).st_mode)
-            and codecs.lookup(fh.encoding).name == "utf-8"):
-        return []
-    start = pos = len(header.encode())
-    chunks = []  # (offset, begins inside quotes, record ends)
-    inside = False
-    while chunk := os.pread(fd, shutil.COPY_BUFSIZE, pos):
-        ends, after = _record_ends(chunk, inside)
-        chunks.append((pos, inside, len(ends)))
-        last, inside = chunk[-1:], after
-        pos += len(chunk)
-    records = sum(n for _, _, n in chunks) + (pos > start and last != b"\n")
-    k = min(cpus, records // BLOCK_ROWS)
-    # range r starts after the first records * r // k records
-    targets = [records * r // k for r in range(1, k)]
-    cuts = [start]
-    seen = 0
-    for offset, inside, n in chunks:
-        if here := [j for j in targets if seen < j <= seen + n]:
-            ends, _ = _record_ends(os.pread(fd, shutil.COPY_BUFSIZE, offset),
-                                   inside)
-            cuts += [offset + int(ends[j - seen - 1]) + 1 for j in here]
-        seen += n
-    return list(zip(cuts, cuts[1:] + [pos]))
-
-
-def _record_ends(chunk: bytes, inside: bool) -> tuple[np.ndarray, bool]:
-    """The offsets in ``chunk`` of its newlines that end a record, and
-    whether it ends inside a quoted field; ``inside``: whether it begins
-    inside one.  A quoted field's ``"`` bytes come in pairs, so a newline
-    is inside quotes when an odd number of them come before it."""
-    octets = np.frombuffer(chunk, np.uint8)
-    quotes = np.flatnonzero(octets == ord('"'))
-    newlines = np.flatnonzero(octets == ord("\n"))
-    quoted = (np.searchsorted(quotes, newlines) + inside) % 2 == 1
-    return newlines[~quoted], (len(quotes) + inside) % 2 == 1
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, stop) of an open file, read by ``os.pread``, which
-    neither uses nor moves the file's offset."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        self._fd, self._pos, self._stop = fd, start, stop
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        data = os.pread(self._fd, min(len(buffer), self._stop - self._pos),
-                        self._pos)
-        buffer[:len(data)] = data
-        self._pos += len(data)
-        return len(data)
-
-
-def _parse_range(fd: int, start: int, stop: int, width: int):
-    """``_parse_rows`` over bytes [start, stop) of the file, decoded as
-    UTF-8 as they stream in."""
-    with io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, stop)),
-                          encoding="utf-8", newline="") as lines:
-        return _parse_rows(lines, width)
-
-
-def _parse_ranges(fd: int, width: int, ranges: list) -> list[np.ndarray]:
-    """The columns of the body, range 0 parsed here and each later range
-    by a forked child that sends its columns back, one message per
-    column.  A child that fails exits without sending them, and this
-    raises ``EOFError``.  No child or pipe outlives the call."""
-    import multiprocessing
-    children, readers = [], []
-    try:
-        for start, stop in ranges[1:]:
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            readers.append(reader)
-            with writer:
-                children.append(_start_child(_send_range, writer, fd, start,
-                                             stop, width))
-        columns = [[c] for c in _parse_range(fd, *ranges[0], width)]
-        for reader in readers:
-            for parts in columns:
-                parts.append(np.frombuffer(reader.recv_bytes()))
-    except BaseException:
-        for child in children:
-            child.terminate()
-        raise
-    finally:
-        for child in children:
-            child.join()
-        for reader in readers:
-            reader.close()
-    return [np.concatenate(parts) for parts in columns]
-
-
-def _send_range(conn, fd: int, start: int, stop: int, width: int):
-    """A forked reader: the columns of bytes [start, stop) into ``conn``.
-    Any error ends it with exit code 1 and no traceback, and the parent
-    reads the file again in one process."""
-    try:
-        for column in _parse_range(fd, start, stop, width):
-            conn.send_bytes(column)
-    except Exception:
-        sys.exit(1)
 
 
 def category_codes(name: str, values: np.ndarray) -> np.ndarray:

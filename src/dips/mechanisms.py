@@ -67,14 +67,21 @@ def laplace_mechanism(rng: RngStream, raw, sens: SensitivitySpec, eps: float,
     ``postprocess`` "BIT" (boundary inflated truncation) clamps; "truncate"
     replaces each out-of-bound defined entry by a draw of raw + Laplace
     noise conditioned on its bounds, made on ``rng`` after the noise, so
-    in-bound entries keep their first draw.
+    in-bound entries keep their first draw.  An ``eps`` so small that a
+    scale delta_s/eps overflows a float is a ValueError naming ``label``.
     """
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     if postprocess not in ("BIT", "truncate"):
         raise ValueError(f"unknown postprocess {postprocess!r}")
     raw = np.atleast_1d(np.asarray(raw, dtype=float))
-    scale = sens.delta_s / eps
+    delta = sens.delta_s
+    # the largest entry's scale overflows first; a float division never warns
+    peak = delta.max() if isinstance(delta, np.ndarray) else delta
+    if not math.isfinite(float(peak) / float(eps)):
+        raise ValueError(f"{label}: eps = {float(eps)!r} is too small, its "
+                         "Laplace scale overflows a float")
+    scale = delta / eps
     if defined is None:
         sanitized = raw + sample_laplace(rng, 0.0, scale, size=raw.shape)
     else:

@@ -515,6 +515,46 @@ def test_synth_too_wide_a_column_exits_2(method, message, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+TOO_SMALL = "is too small, its Laplace scale overflows a float"
+# method -> (exit code, message) at --eps 1e-320 --m 2, 5e-321 a set
+TINY_EPS_OUTCOMES = {
+    "laplace": (EXIT_CONFIG, f"laplace-set0: eps = 5e-321 {TOO_SMALL}"),
+    "pert-hist": (EXIT_CONFIG, f"pert-set0: eps = 5e-321 {TOO_SMALL}"),
+    "smooth-hist": (EXIT_OK, None),
+    "md": (EXIT_CONFIG, "eps underflow in pseudo-count"),
+    "bbmr": (EXIT_CONFIG, "eps underflow in pseudo-count"),
+    "modips-bernoulli": (EXIT_CONFIG, f"n1: eps = 5e-321 {TOO_SMALL}"),
+    # two sanitized groups share each set's budget
+    "modips-normal": (EXIT_CONFIG, f"mean: eps = 2.5e-321 {TOO_SMALL}"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", SYNTH_METHODS)
+def test_synth_tiny_eps_succeeds_or_exits_2_without_warnings(
+        method, request, tmp_path, capsys):
+    code, message = TINY_EPS_OUTCOMES[method]
+    path = request.getfixturevalue(SYNTH_CASES[method][0])
+    assert main(["synth", "--input", str(path), "--method", method,
+                 "--eps", "1e-320", "--m", "2",
+                 "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ([f"configuration error: {message}"] if message else [])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("study", ["sim1", "sim2", "sim3", "sim4"])
+def test_bench_tiny_eps_exits_2_without_warnings(study, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": 60, "eps_grid": [1e-320], "m": 2}))
+    code = main(["bench", "--study", study, "--config", str(path),
+                 "--reps", "2", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert err[0].endswith(TOO_SMALL)
+
+
 NOT_AN_OBJECT = "the schema must be a JSON object of column objects"
 
 

@@ -4,14 +4,20 @@ import multiprocessing
 import os
 import re
 import tempfile
+import warnings
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dips import dataset
 from dips.cli import EXIT_CONFIG, main
 from dips.dataset import (BLOCK_ROWS, CategoricalColumn, ContinuousColumn,
                           TabularDataset, category_codes, read_numeric_csv)
+from dips.harness import simulate_truth_sim3
+from dips.randvar import RngStream
 
 
 def _read_back(path) -> dict[str, np.ndarray]:
@@ -345,43 +351,66 @@ def test_read_numeric_csv_rejects_duplicate_names_and_ragged_rows(tmp_path):
         read_numeric_csv(path)
 
 
-def _read_with_cpus(path, cpus, monkeypatch):
-    """read_numeric_csv with ``cpus`` usable CPUs: the header, the columns
-    (or the ValueError's message), the forks it started and whether the
-    ranges it parsed at the same time gave the result."""
-    monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
-    forks = _record_forks(monkeypatch)
-    parsed = []
-    parse_ranges = dataset._parse_ranges
+def _no_start(process):
+    raise AssertionError("a process was started")
 
-    def recorded(*args):
-        columns = parse_ranges(*args)
-        parsed.append(True)
-        return columns
-    monkeypatch.setattr(dataset, "_parse_ranges", recorded)
+
+def _outcome(path):
+    """The header and the columns' bytes of a read, or its ValueError's
+    message."""
     try:
         header, columns = read_numeric_csv(path)
     except ValueError as exc:
-        header, columns = None, str(exc)
-    monkeypatch.undo()
-    return header, columns, len(forks), bool(parsed)
+        return str(exc)
+    return header, [c.tobytes() for c in columns]
 
 
-def _expected_forks(cpus, records):
-    return max(1, min(cpus, records // BLOCK_ROWS)) - 1 \
-        if hasattr(os, "fork") else 0
+def _record_numpy_path(mp) -> list:
+    """The tables the numpy path returns (None where it declines),
+    recorded as it returns them."""
+    tables = []
+    plain_table = dataset._plain_table
+
+    def recorded(*args):
+        tables.append(plain_table(*args))
+        return tables[-1]
+    mp.setattr(dataset, "_plain_table", recorded)
+    return tables
+
+
+def _read_both_paths(path, cpus: int = 2):
+    """The outcome of read_numeric_csv on ``path``, whether it took the
+    numpy path, and the outcome of the csv path alone, forced by a numpy
+    path that returns None.  Both reads see ``cpus`` usable CPUs, and any
+    process start fails."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_usable_cpus", lambda: cpus)
+        mp.setattr(BaseProcess, "start", _no_start)
+        tables = _record_numpy_path(mp)
+        got = _outcome(path)
+        mp.setattr(dataset, "_plain_table", lambda *args: None)
+        oracle = _outcome(path)
+    return got, any(t is not None for t in tables), oracle
+
+
+def _values(n: int) -> list[list[float]]:
+    return (np.random.default_rng(n).normal(size=(n, 3)) * 1e3).tolist()
 
 
 def _awkward_rows(n: int) -> list[str]:
     """n rows of three numbers: plain, quoted and padded.  In every third
     row the quoted field holds three newlines, so half the newlines of
     the file do not end a record."""
-    values = np.random.default_rng(n).normal(size=(n, 3)) * 1e3
     rows = []
-    for i, (a, b, c) in enumerate(values.tolist()):
+    for i, (a, b, c) in enumerate(_values(n)):
         second = f'"\n\n\n{b!r}"' if i % 3 == 0 else f'"{b!r}"'
         rows.append(f"{a!r},{second}, {c!r} ")
     return rows
+
+
+def _plain_rows(n: int) -> list[str]:
+    """The numbers of ``_awkward_rows(n)``, unquoted and unpadded."""
+    return [",".join(map(repr, row)) for row in _values(n)]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -390,21 +419,24 @@ def _awkward_rows(n: int) -> list[str]:
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 @pytest.mark.parametrize("last_eol", [True, False])
 def test_read_on_k_cpus_equals_the_one_range_read(cpus, n, eol, last_eol,
-                                                  tmp_path, monkeypatch):
+                                                  tmp_path):
+    """On 2 or 3 usable CPUs, quoted multi-line rows take the csv path;
+    the same numbers as plain rows take the numpy path, and both give the
+    csv path's bytes."""
     path = tmp_path / "in.csv"
-    text = eol.join(['a,"b\nc",ĉ€', *_awkward_rows(n)])
-    path.write_bytes((text + eol * last_eol).encode("utf-8"))
-    header, columns, forks, parallel = _read_with_cpus(path, 1, monkeypatch)
-    assert (forks, parallel) == (0, False)
+    results = []
+    for rows, numpy_path in ((_awkward_rows(n), False),
+                             (_plain_rows(n), True)):
+        text = eol.join(['a,"b\nc",ĉ€', *rows])
+        path.write_bytes((text + eol * last_eol).encode("utf-8"))
+        got, took_numpy, oracle = _read_both_paths(path, cpus)
+        assert took_numpy == numpy_path
+        assert got == oracle
+        results.append(got)
+    header, columns = results[0]
     assert header == ["a", "b\nc", "ĉ€"]
-    assert [len(c) for c in columns] == [n] * 3
-    got_header, got, forks, parallel = _read_with_cpus(path, cpus,
-                                                       monkeypatch)
-    assert got_header == header
-    assert [c.tobytes() for c in got] == [c.tobytes() for c in columns]
-    assert forks == _expected_forks(cpus, n)
-    assert parallel == (forks > 0)
-    assert multiprocessing.active_children() == []
+    assert [len(c) for c in columns] == [8 * n] * 3
+    assert results[1] == results[0]
 
 
 ERROR_ROWS = {
@@ -419,10 +451,11 @@ ERROR_ROWS = {
 @pytest.mark.parametrize("error", sorted(ERROR_ROWS))
 @pytest.mark.parametrize("where", ["range-0", "later-range", "at-cut"])
 def test_read_errors_have_the_same_message_on_any_cpu_count(
-        error, where, tmp_path, monkeypatch):
+        error, where, tmp_path):
+    """A bad row among plain rows, near the start, near the end or at the
+    middle: the numpy path declines and the error is the csv path's."""
     n = 3 * BLOCK_ROWS + 77
-    rows = _awkward_rows(n)
-    # at-cut: the rows on both sides of the cut before range 1 of two
+    rows = _plain_rows(n)
     at = {"range-0": [10], "later-range": [n - 3],
           "at-cut": [n // 2 - 1, n // 2]}[where]
     row, message = ERROR_ROWS[error]
@@ -433,42 +466,47 @@ def test_read_errors_have_the_same_message_on_any_cpu_count(
     if error == "long-field":
         message = f"{path}: {message}"
     for cpus in (1, 2, 3):
-        header, got, forks, parallel = _read_with_cpus(path, cpus,
-                                                       monkeypatch)
-        assert (header, got, parallel) == (None, message, False)
-        assert forks == _expected_forks(cpus, n)
+        assert _read_both_paths(path, cpus) == (message, False, message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
-    assert multiprocessing.active_children() == []
 
 
-def test_read_reports_the_serial_first_error_across_ranges(tmp_path,
-                                                          monkeypatch):
-    """A bad cell in range 1 and a ragged row later in the same block:
-    the block's ragged row wins, as in a one-process read."""
+def test_read_reports_the_serial_first_error_across_ranges(tmp_path):
+    """A bad cell and a ragged row later in the same block: the block's
+    ragged row wins."""
     n = 3 * BLOCK_ROWS + 77
     rows = ["1,2,3"] * n
     rows[2 * BLOCK_ROWS + 5] = "1,x,3"
     rows[2 * BLOCK_ROWS + 9] = "1,2"
     path = tmp_path / "in.csv"
     path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
-    for cpus in (1, 2, 3):
-        assert _read_with_cpus(path, cpus, monkeypatch)[1] == \
-            "ragged CSV row: ['1', '2']"
+    message = "ragged CSV row: ['1', '2']"
+    assert _read_both_paths(path) == (message, False, message)
 
 
-def test_failed_parallel_read_leaves_no_file(tmp_path, monkeypatch):
+def test_read_starts_no_process_and_leaves_no_file(tmp_path, monkeypatch):
+    """With every process start made to fail, a plain read and a failed
+    read both run, and leave no file behind.  The same patch stops a
+    forked write, so it would stop a forked read."""
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(BaseProcess, "start", _no_start)
     before = set(os.listdir(tempfile.gettempdir()))
     path = tmp_path / "in.csv"
-    path.write_text("x\n" + "1\n" * (3 * BLOCK_ROWS) + "1,2\n")
-    _, message, forks, _ = _read_with_cpus(path, 2, monkeypatch)
-    assert message == "ragged CSV row: ['1', '2']"
-    assert forks == 1
+    n = 3 * BLOCK_ROWS
+    path.write_text("x\n" + "1\n" * n)
+    assert _outcome(path) == (["x"], [np.ones(n).tobytes()])
+    path.write_text("x\n" + "1\n" * n + "1,2\n")
+    assert _outcome(path) == "ragged CSV row: ['1', '2']"
     assert list(tmp_path.iterdir()) == [path]
     assert set(os.listdir(tempfile.gettempdir())) <= before
+    if hasattr(os, "fork"):
+        with pytest.raises(AssertionError, match="a process was started"):
+            _unchecked(x=np.ones(n)).to_csv(tmp_path / "out.csv")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_piped_input_is_read_as_one_range(monkeypatch):
+    """A pipe is not a regular file, so it takes the csv path."""
+    tables = _record_numpy_path(monkeypatch)
     n = 3 * BLOCK_ROWS + 77
     text = "x\n" + "1\n0\n" * (n // 2) + "1\n"
     read_end, write_end = os.pipe()
@@ -476,9 +514,112 @@ def test_piped_input_is_read_as_one_range(monkeypatch):
         # fits in a pipe's buffer, so no thread is needed to write it
         os.write(write_end, text.encode())
         os.close(write_end)
-        header, columns, forks, _ = _read_with_cpus(f"/dev/fd/{read_end}",
-                                                    2, monkeypatch)
+        header, columns = read_numeric_csv(f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
-    assert (header, forks) == (["x"], 0)
+    assert (header, tables) == (["x"], [None])
     np.testing.assert_array_equal(columns[0], [1.0, 0.0] * (n // 2) + [1.0])
+
+
+def test_to_csv_output_takes_the_numpy_path(tmp_path):
+    """A file in the format ``dips synth`` reads: integer codes and
+    floats with CRLF line ends, over more than one block."""
+    ds = simulate_truth_sim3(RngStream(5), 2 * BLOCK_ROWS + 77)
+    path = tmp_path / "in.csv"
+    ds.to_csv(path)
+    got, took_numpy, oracle = _read_both_paths(path)
+    assert took_numpy and got == oracle
+    names = [c.name for c in ds.columns]
+    assert got == (names, [ds.column(name).astype(float).tobytes()
+                           for name in names])
+
+
+FIELD_LIMIT = csv.field_size_limit()
+# over the longest plain row below, 14 characters, and under "9" * 20
+SHORT_LIMIT = 16
+# one text per way the numpy path and the csv path could disagree, and
+# the csv field limit it is read under
+DECLINED = {
+    "quote": ('a\n"1"\n', FIELD_LIMIT),
+    "lone-cr": ("a\n\r1\n", FIELD_LIMIT),
+    "blank-line": ("a\n1\n\n2\n", FIELD_LIMIT),
+    "whitespace-line": ("a\n1\n \n", FIELD_LIMIT),
+    "blank-body": ("a\n\n", FIELD_LIMIT),
+    "separator": ("a\n\x1c1\n", FIELD_LIMIT),
+    "nul": ("a\n1\0\n", FIELD_LIMIT),
+    "long-field": ("a\n" + "9" * 20 + "\n", SHORT_LIMIT),
+}
+
+
+def _read_under_limit(path, limit: int):
+    """``_read_both_paths`` under the csv field limit ``limit``, and the
+    warnings the reads emitted."""
+    previous = csv.field_size_limit(limit)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return (*_read_both_paths(path), caught)
+    finally:
+        csv.field_size_limit(previous)
+
+
+@pytest.mark.parametrize("case", sorted(DECLINED))
+def test_numpy_path_declines_what_the_csv_module_reads_otherwise(case,
+                                                                tmp_path):
+    text, limit = DECLINED[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, took_numpy, oracle, caught = _read_under_limit(path, limit)
+    assert (took_numpy, got, caught) == (False, oracle, [])
+
+
+HEADER_NAMES = ["a", "b", '"c\nd"', '"e"', "f g", "ĉ€", '"h,i"', '"j\r\nk"',
+                '"l""m"']
+PLAIN_FIELDS = ["1", "-2.5", "3e2", "nan", " 4 ", "-0", "1e-3", "inf"]
+ODD_FIELDS = ['"5"', '"6\n7"', 'a"b', '"', "\r", "\r1", "1\r", "\r\n", "\0",
+              "", " ", "\t", "_", "1_0", "١", "\xa01", "1\xa0", "#", "#1",
+              "9" * 20, "x", "1e400", "\x1c1", "1\x1f", "\x0b2", "　", "1,"]
+
+
+def _plain_row(width: int):
+    return st.lists(st.sampled_from(PLAIN_FIELDS), min_size=width,
+                    max_size=width)
+
+
+@st.composite
+def _odd_row(draw, width: int) -> list[str]:
+    """Plain numbers with one field made odd, or any fields."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(PLAIN_FIELDS + ODD_FIELDS),
+                             max_size=width + 1))
+    fields = draw(_plain_row(width))
+    fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(ODD_FIELDS))
+    return fields
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text of plain rows with at most one odd row among them, and a
+    csv field limit."""
+    width = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=width,
+                          max_size=width, unique=True))
+    rows = draw(st.lists(_plain_row(width), max_size=5))
+    if (odd := draw(st.none() | _odd_row(width))) is not None:
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names), *map(",".join, rows)]
+    text = eol.join(lines) + eol * draw(st.booleans())
+    return text, draw(st.sampled_from([SHORT_LIMIT, FIELD_LIMIT]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_csv_texts())
+def test_read_equals_the_csv_path_on_any_text(case, tmp_path_factory):
+    """The read's header, column bytes or error message are those of the
+    csv path, and it emits no warning."""
+    text, limit = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, _, oracle, caught = _read_under_limit(path, limit)
+    assert (got, caught) == (oracle, [])

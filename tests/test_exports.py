@@ -1,8 +1,9 @@
 """Every exported name exists, every exported function that spends budget
-takes a ledger with no default, no value with one use is a parameter, and
-the benchmark's tracer finds every layer boundary it wraps except the one
-known to be missing."""
+takes a ledger with no default, no value with one use is a parameter, no
+module imports a name it never uses, and the benchmark's tracer finds
+every layer boundary it wraps except the one known to be missing."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -78,6 +79,36 @@ def test_every_ledger_is_required_and_no_constant_is_a_parameter():
     regained = {name: names & set(_parameters(exported[name]))
                 for name, names in CONSTANTS.items()}
     assert all(not names for names in regained.values()), regained
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names the module at ``path`` imports and never reads.  A name
+    in ``__all__``, a package ``__init__``'s re-export and a
+    ``__future__`` import count as used, and so does a name read in an
+    annotation."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not (
+                node.module == "__future__"
+                or (path.name == "__init__.py" and node.level)):
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(Path(dips.__file__).parent.glob(
+    "*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path) == []
 
 
 def test_tracer_finds_every_boundary(monkeypatch):

@@ -123,3 +123,13 @@ def test_sensitivity_must_be_positive():
 def test_eps_must_be_positive():
     with pytest.raises(ValueError):
         laplace_mechanism(rng(), 0.0, SensitivitySpec(1.0), 0.0, "s")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1.0, np.float64(2.0), np.array([1.0, 3.0])],
+                         ids=["float", "numpy-scalar", "per-entry"])
+def test_eps_whose_scale_overflows_is_refused_without_a_warning(delta):
+    with pytest.raises(ValueError, match=r"^cell: eps = 5e-321 is too small, "
+                       "its Laplace scale overflows a float$"):
+        laplace_mechanism(rng(), [1.0, 2.0], SensitivitySpec(delta), 5e-321,
+                          "cell")
