@@ -246,26 +246,42 @@ def _quadratic_loglik(coef):
     return -0.5 * np.add.reduceat((coef - _BATCH_MODES) ** 2, _BATCH_STARTS)
 
 
-def test_quadratic_mh_draws_follow_the_known_law():
-    model = SequentialLogisticModel()
-    # each target starts at its mode; its covariance is the identity
+def _quadratic_draws(seed, n_draws, kept):
+    """Per seed, draws ``kept`` of an ``n_draws`` run of ``_mh_lockstep``
+    on the quadratic targets, each target started at its mode with the
+    identity as its covariance: one (SEEDS, 34) array per kept index."""
     starts = np.split(QUADRATIC_MODES, np.cumsum(DIMS)[:-1])
     factors = [np.eye(d) * (2.38 / math.sqrt(d)) for d in DIMS]
-    first, last = [], []
+    rows = [[] for _ in kept]
     for batch in range(SEEDS // QUADRATIC_BATCH):
-        targets = model._mh_lockstep(
-            RngStream(5000 + batch), _quadratic_loglik,
-            DIMS * QUADRATIC_BATCH, N_DRAWS, starts * QUADRATIC_BATCH,
+        targets = SequentialLogisticModel()._mh_lockstep(
+            RngStream(seed + batch), _quadratic_loglik,
+            DIMS * QUADRATIC_BATCH, n_draws, starts * QUADRATIC_BATCH,
             factors * QUADRATIC_BATCH)
         for t in np.split(np.arange(len(targets)), QUADRATIC_BATCH):
-            first.append(np.concatenate([targets[k][0] for k in t]))
-            last.append(np.concatenate([targets[k][-1] for k in t]))
-    # each coordinate is N(mode, 1): known modes, unit spread
-    for draws in (np.array(first), np.array(last)):
-        for c, mode in enumerate(QUADRATIC_MODES):
-            p = stats.kstest(draws[:, c] - mode, "norm").pvalue
-            assert p > KS_P_MIN, (c, p)
-        se = draws.std(axis=0, ddof=1) / math.sqrt(SEEDS)
-        assert np.all(np.abs(draws.mean(axis=0) - QUADRATIC_MODES)
-                      <= MEAN_GAP_SE * se)
-        np.testing.assert_allclose(draws.std(axis=0), 1.0, atol=0.3)
+            for out, i in zip(rows, kept):
+                out.append(np.concatenate([targets[k][i] for k in t]))
+    return [np.array(out) for out in rows]
+
+
+def _assert_known_law(draws):
+    """Each coordinate is N(mode, 1): known modes, unit spread."""
+    for c, mode in enumerate(QUADRATIC_MODES):
+        p = stats.kstest(draws[:, c] - mode, "norm").pvalue
+        assert p > KS_P_MIN, (c, p)
+    se = draws.std(axis=0, ddof=1) / math.sqrt(SEEDS)
+    assert np.all(np.abs(draws.mean(axis=0) - QUADRATIC_MODES)
+                  <= MEAN_GAP_SE * se)
+    np.testing.assert_allclose(draws.std(axis=0), 1.0, atol=0.3)
+
+
+def test_quadratic_mh_draws_follow_the_known_law():
+    for draws in _quadratic_draws(5000, N_DRAWS, (0, -1)):
+        _assert_known_law(draws)
+
+
+def test_quadratic_mh_draws_past_the_500th_follow_the_known_law():
+    """A 1,000-draw run's 501st and last draws: one chain's continuation
+    draws from the same law as its first draws."""
+    for draws in _quadratic_draws(6000, 1000, (500, 999)):
+        _assert_known_law(draws)
