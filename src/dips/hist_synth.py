@@ -8,7 +8,10 @@ plain array of per-cell counts in the grid's flat (C-order) cell order.
 Every cell of a grid has the same volume, so a cell's probability is its
 count over the total.
 
-A count has sensitivity 1: neighbouring datasets differ by one row.
+A count has sensitivity 1, its add/remove-one value: adding or removing
+a row moves one cell by 1.  Under the replace-one neighbours of
+``budget``, a replaced row can leave one cell and enter another, so a
+count vector's l1 sensitivity is 2.
 Counts over disjoint grid cells are sanitized under parallel composition:
 every cell receives the full per-release budget, and the ledger is
 charged once per release, not once per cell.

@@ -470,6 +470,11 @@ PROPORTION_CLAMP = (1e-12, 0.99)
 PRODUCT_FLOOR = 1e-300
 # steps per window of the MH sampler, and per scale tuning in its burn-in
 MH_WINDOW = 100
+# the MH's burn-in steps, the steps between its kept states, and the most
+# states it keeps: a release of more rows tiles them
+MH_BURNIN = 200
+MH_THIN = 5
+MH_MAX_DRAWS = 1000
 
 
 class SequentialLogisticModel:
@@ -497,24 +502,6 @@ class SequentialLogisticModel:
     thinning by 5 suffice: 1,197 likelihood calls for the n = 200 draws
     of a release.
     """
-
-    def __init__(self, mh_chains: int = 2, mh_iters: int = 2700,
-                 mh_burnin: int = 200, mh_thin: int = 5):
-        if mh_chains < 1:
-            raise ValueError(f"mh_chains must be at least 1, got {mh_chains}")
-        if mh_thin < 1:
-            raise ValueError(f"mh_thin must be at least 1, got {mh_thin}")
-        if not 0 <= mh_burnin < mh_iters:
-            raise ValueError(f"mh_burnin must lie in [0, mh_iters = "
-                             f"{mh_iters}), got {mh_burnin}")
-        if mh_iters - mh_burnin < mh_thin:
-            raise ValueError(f"mh_thin = {mh_thin} exceeds the "
-                             f"{mh_iters - mh_burnin} steps after mh_burnin, "
-                             f"so no chain would keep a draw")
-        self.mh_chains = mh_chains
-        self.mh_iters = mh_iters
-        self.mh_burnin = mh_burnin
-        self.mh_thin = mh_thin
 
     def sufficient_statistics(self, data):
         n = data.n
@@ -563,16 +550,18 @@ class SequentialLogisticModel:
 
     @staticmethod
     def _temper_weight(stats, idx):
-        """log(sanitized product)/log(raw product): a likelihood tempering
-        exponent that equals 1 when no noise was added."""
+        """log(sanitized product)/log(raw product), with log_raw < 0 since
+        each row's factor is at most 0.99: a likelihood tempering exponent.
+        A product equal to the raw one had no noise added and gets exactly
+        1, also where the raw product lies below ``PRODUCT_FLOOR``."""
         log_raw = stats["log_raw"][idx]
         sanitized = float(stats[f"likprod{idx + 1}"][0])
-        log_star = math.log(max(sanitized, PRODUCT_FLOOR))
-        if log_raw >= 0:  # degenerate: empty product
+        if sanitized == math.exp(log_raw):
             return 1.0
-        return log_star / log_raw
+        return math.log(max(sanitized, PRODUCT_FLOOR)) / log_raw
 
-    def _mh_lockstep(self, rng, loglik, dims, n_draws, starts, factors):
+    @staticmethod
+    def _mh_lockstep(rng, loglik, dims, n_draws, starts, factors):
         """Adaptive random-walk Metropolis over K targets advanced in
         lockstep.  The targets' states lie end to end in one vector, and
         each step makes one ``loglik(proposal) -> K values`` call on every
@@ -588,21 +577,18 @@ class SequentialLogisticModel:
         tuned during burn-in toward 0.2-0.5 acceptance (x0.7 below, x1.4
         above, every 100 steps), then frozen.
 
-        Chain c runs on ``rng.substream(c)``.  Each step makes one
+        One chain runs on ``rng.substream(0)``.  Each step makes one
         standard-normal call that fills every target's proposal normals
         end to end, then one call for the K accept uniforms, and target k
         reads its slice of each.  Both sizes are fixed, and the factors
         sit on the diagonal of one block matrix, so target k's draws
         depend on its likelihood, start, factor, place in the layout and
-        the stream, never on another target's.  Each chain keeps every
-        `mh_thin`-th state after burn-in, at most `per_chain` of them, and
-        chains are concatenated in order.  Only the iterations whose draws
-        are returned are run: a chain stops at its last used draw and a
-        chain with none is skipped.  The result equals the first `n_draws`
-        rows of the full run (tiled when `n_draws` exceeds the draws of
-        all chains).
+        the stream, never on another target's.  After ``MH_BURNIN`` steps
+        the chain keeps every ``MH_THIN``-th state and stops at its
+        min(n_draws, ``MH_MAX_DRAWS``)-th, so its draws are a prefix of a
+        longer run's; past the cap they are tiled.
 
-        A chain runs in windows of at most 100 steps, split at every
+        The chain runs in windows of at most 100 steps, split at every
         multiple of 100 and at the end of burn-in, so the proposal scales
         are fixed within a window.  A window first makes its steps' stream
         calls, in the order the steps would make them, then takes every
@@ -616,16 +602,14 @@ class SequentialLogisticModel:
         (A matrix-matrix product of the window's normals with the block
         matrix is not the same kernel, and its results differ in the last
         bits.)"""
-        burnin, thin = self.mh_burnin, self.mh_thin
-        per_chain = (self.mh_iters - burnin) // thin
-        needed = min(n_draws, per_chain * self.mh_chains)
+        needed = min(n_draws, MH_MAX_DRAWS)
         if needed <= 0:
             return [np.empty((0, d)) for d in dims]
+        burnin, thin = MH_BURNIN, MH_THIN
         ends = np.cumsum(dims)
         parts = [slice(end - d, end) for d, end in zip(dims, ends)]
         k = len(dims)
         owner = np.repeat(np.arange(k), dims)  # the target of each entry
-        start = np.concatenate(starts)
         shape = np.zeros((ends[-1], ends[-1]))
         for part, factor in zip(parts, factors):
             shape[part, part] = factor
@@ -635,46 +619,41 @@ class SequentialLogisticModel:
         accepts = np.empty((MH_WINDOW, k), dtype=bool)
         gap = np.empty(k)
         proposal = np.empty(ends[-1])
-        done = 0
-        for chain in range(self.mh_chains):
-            want = min(per_chain, needed - done)
-            if want <= 0:
-                break
-            gen = rng.substream(chain).generator
-            state = start.copy()
-            current = np.array(loglik(state), dtype=float)
-            scales = np.ones(k)
-            steps = shape.copy()
-            total = burnin + (want - 1) * thin + 1
-            it = 0
-            while it < total:
-                stop = min(total, it - it % MH_WINDOW + MH_WINDOW)
-                if it < burnin:
-                    stop = min(stop, burnin)
-                w = stop - it
-                for i in range(w):
-                    gen.standard_normal(out=noise[i])
-                    gen.random(out=log_u[i])
-                np.add(log_u[:w], 1e-300, out=log_u[:w])
-                np.log(log_u[:w], out=log_u[:w])
-                moves = np.matmul(steps, noise[:w, :, None])[:, :, 0]
-                for move, threshold, accept in zip(moves, log_u, accepts):
-                    np.add(state, move, out=proposal)
-                    cands = loglik(proposal)
-                    np.subtract(cands, current, out=gap)
-                    np.less(threshold, gap, out=accept)
-                    np.copyto(state, proposal, where=accept[owner])
-                    np.copyto(current, cands, where=accept)
-                    if it >= burnin and (it - burnin) % thin == 0:
-                        rows[done] = state
-                        done += 1
-                    it += 1
-                if w == MH_WINDOW and stop <= burnin:
-                    rate = accepts.sum(axis=0) / MH_WINDOW
-                    scales[rate < 0.2] *= 0.7
-                    scales[rate > 0.5] *= 1.4
-                    # row i of the block matrix belongs to owner[i]
-                    np.multiply(scales[owner, None], shape, out=steps)
+        gen = rng.substream(0).generator
+        state = np.concatenate(starts)
+        current = np.array(loglik(state), dtype=float)
+        scales = np.ones(k)
+        steps = shape.copy()
+        total = burnin + (needed - 1) * thin + 1
+        done = it = 0
+        while it < total:
+            stop = min(total, it - it % MH_WINDOW + MH_WINDOW)
+            if it < burnin:
+                stop = min(stop, burnin)
+            w = stop - it
+            for i in range(w):
+                gen.standard_normal(out=noise[i])
+                gen.random(out=log_u[i])
+            np.add(log_u[:w], 1e-300, out=log_u[:w])
+            np.log(log_u[:w], out=log_u[:w])
+            moves = np.matmul(steps, noise[:w, :, None])[:, :, 0]
+            for move, threshold, accept in zip(moves, log_u, accepts):
+                np.add(state, move, out=proposal)
+                cands = loglik(proposal)
+                np.subtract(cands, current, out=gap)
+                np.less(threshold, gap, out=accept)
+                np.copyto(state, proposal, where=accept[owner])
+                np.copyto(current, cands, where=accept)
+                if it >= burnin and (it - burnin) % thin == 0:
+                    rows[done] = state
+                    done += 1
+                it += 1
+            if w == MH_WINDOW and stop <= burnin:
+                rate = accepts.sum(axis=0) / MH_WINDOW
+                scales[rate < 0.2] *= 0.7
+                scales[rate > 0.5] *= 1.4
+                # row i of the block matrix belongs to owner[i]
+                np.multiply(scales[owner, None], shape, out=steps)
         reps = int(np.ceil(n_draws / needed))
         rows = np.tile(rows, (reps, 1))[:n_draws]
         return [np.ascontiguousarray(rows[:, part]) for part in parts]
@@ -753,8 +732,8 @@ class SequentialLogisticModel:
         all sets share.  The rows' three Firth fits, made once per
         release, give every set's starts and, divided by the square root
         of the set's weight, its proposal factors: a weight scales the
-        log-likelihood and so its curvature.  MH chain c draws on
-        ``rngs[0].substream(4, c)``, set j's regressions reading entries
+        log-likelihood and so its curvature.  The MH's one chain draws on
+        ``rngs[0].substream(4, 0)``, set j's regressions reading entries
         17j to 17j + 16 of each step's normals and 3j to 3j + 2 of its
         uniforms.  So set j's coefficients depend on its own statistics,
         j, m and the release's streams: with the same m, another set's

@@ -14,7 +14,8 @@ verbatim from before the design that replaced it.
   sampler that made each step's stream calls, proposal product and log in
   turn, and the batched likelihood over one row-major (m, 4n) buffer,
   kept verbatim from before the windowed loop and the block-major
-  design.  ``stepwise_mh_lockstep`` takes the model as ``self``.
+  design.  ``stepwise_mh_lockstep`` reads its settings (``mh_chains``,
+  ``mh_iters``, ``mh_burnin``, ``mh_thin``) from ``self``.
 
 The tests import these by name; they are not collected themselves.
 """

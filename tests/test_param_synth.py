@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -460,48 +461,41 @@ def _proposals(dims):
             [np.eye(d) * (2.38 / math.sqrt(d)) for d in dims])
 
 
-def _mh_one(model, rng, loglik, dim, n_draws):
+def _mh_one(rng, loglik, dim, n_draws):
     """The lockstep sampler on one target with a scalar log-likelihood."""
-    return model._mh_lockstep(rng, lambda b: [loglik(b)], [dim], n_draws,
-                              *_proposals([dim]))[0]
+    return SequentialLogisticModel._mh_lockstep(
+        rng, lambda b: [loglik(b)], [dim], n_draws, *_proposals([dim]))[0]
 
 
-def test_mh_sample_returns_prefix_of_full_run_and_stops_early():
-    burnin, thin = 250, 4
-    model = SequentialLogisticModel(mh_chains=2, mh_iters=450,
-                                    mh_burnin=burnin, mh_thin=thin)
+def test_mh_sample_returns_prefix_of_full_run_and_stops_early(mh_settings):
+    burnin, thin, cap = 250, 4, 50
+    mh_settings(burnin=burnin, thin=thin, max_draws=cap)
     ll, calls = _counting_quadratic()
-    # 2 chains x 50 kept draws: both chains run to their last kept draw
-    full = _mh_one(model, RngStream(81), ll, 3, 100)
-    assert full.shape == (100, 3)
-    assert calls[0] == 2 * (1 + burnin + 49 * thin + 1)
-    for k in (1, 49, 50, 51, 100):
+    # one call at the start, then one per step up to the last kept draw
+    full = _mh_one(RngStream(81), ll, 3, cap)
+    assert full.shape == (cap, 3)
+    assert calls[0] == 1 + burnin + (cap - 1) * thin + 1
+    for k in (1, 25, 49, 237):
         calls[0] = 0
-        got = _mh_one(model, RngStream(81), ll, 3, k)
-        np.testing.assert_array_equal(got, full[:k])
-        if k <= 50:  # chain 1 is never started
-            assert calls[0] == 1 + burnin + (k - 1) * thin + 1
-    # more rows than both chains keep: the kept draws are tiled
-    np.testing.assert_array_equal(_mh_one(model, RngStream(81), ll, 3, 237),
-                                  np.tile(full, (3, 1))[:237])
+        got = _mh_one(RngStream(81), ll, 3, k)
+        # past the cap the kept draws are tiled, at the cap's cost
+        np.testing.assert_array_equal(got, np.tile(full, (5, 1))[:k])
+        assert calls[0] == 1 + burnin + (min(k, cap) - 1) * thin + 1
 
 
 def test_mh_sample_default_settings_likelihood_calls_at_n_200():
-    # 200 burn-in iterations, then 200 draws thinned by 5 from chain 0
-    # alone: 1,197 likelihood calls, where running both chains in full
-    # takes 2 x (1 + 2,700) = 5,402
-    model = SequentialLogisticModel()
-    ll, calls = _counting_quadratic()
-    draws = _mh_one(model, RngStream(82), ll, 3, 200)
-    assert draws.shape == (200, 3)
-    assert calls[0] == 1 + 200 + 199 * 5 + 1 == 1197
+    # one call at the start, 200 burn-in steps, then n draws thinned by 5:
+    # 1,197 likelihood calls at n = 200; past the 1,000-draw cap, 5,197
+    for n_draws, want in ((200, 1197), (1234, 5197)):
+        ll, calls = _counting_quadratic()
+        draws = _mh_one(RngStream(82), ll, 3, n_draws)
+        assert draws.shape == (n_draws, 3)
+        assert calls[0] == 1 + 200 + (min(n_draws, 1000) - 1) * 5 + 1 == want
 
 
 def test_mh_sample_zero_draws_is_empty():
-    model = SequentialLogisticModel(mh_chains=2, mh_iters=260,
-                                    mh_burnin=60, mh_thin=4)
     ll, calls = _counting_quadratic()
-    draws = _mh_one(model, RngStream(83), ll, 3, 0)
+    draws = _mh_one(RngStream(83), ll, 3, 0)
     assert draws.shape == (0, 3)
     assert calls[0] == 0
 
@@ -511,7 +505,7 @@ LOCKSTEP_MODES = [np.array([1.0, -1.0, 0.5]), np.linspace(-1.0, 1.0, 4),
                   np.linspace(2.0, -2.0, 10)]
 
 
-def _lockstep_draws(model, n_draws, modes, widen=None):
+def _lockstep_draws(n_draws, modes, widen=None):
     """Sample quadratic targets with these modes in lockstep, from 0 with
     unit-information proposals, target ``widen`` starting at 0.3 with
     twice that factor; return each target's draws and the number of
@@ -529,29 +523,28 @@ def _lockstep_draws(model, n_draws, modes, widen=None):
         betas = np.split(state, np.cumsum(dims)[:-1])
         return np.array([-0.5 * np.sum((beta - mode) ** 2)
                          for beta, mode in zip(betas, modes)])
-    draws = model._mh_lockstep(RngStream(85), batched, dims, n_draws,
-                               starts, factors)
+    draws = SequentialLogisticModel._mh_lockstep(
+        RngStream(85), batched, dims, n_draws, starts, factors)
     assert [d.shape for d in draws] == [(n_draws, dim) for dim in dims]
     return draws, calls[0]
 
 
 @pytest.mark.parametrize("k", [1, 50, 51, 237])
-def test_mh_lockstep_targets_ignore_each_other(k):
-    burnin, thin = 250, 4
-    model = SequentialLogisticModel(mh_chains=2, mh_iters=450,
-                                    mh_burnin=burnin, mh_thin=thin)
-    draws, calls = _lockstep_draws(model, k, LOCKSTEP_MODES)
-    # 50 draws per chain; one batched call starts each chain, one per step
-    quotas = {1: [1], 50: [50], 51: [50, 1], 237: [50, 50]}[k]
-    assert calls == sum(1 + burnin + (want - 1) * thin + 1 for want in quotas)
+def test_mh_lockstep_targets_ignore_each_other(k, mh_settings):
+    burnin, thin, cap = 250, 4, 50
+    mh_settings(burnin=burnin, thin=thin, max_draws=cap)
+    draws, calls = _lockstep_draws(k, LOCKSTEP_MODES)
+    # one batched call starts the chain, one per step up to its last kept
+    # draw; past the cap the draws are tiled
+    assert calls == 1 + burnin + (min(k, cap) - 1) * thin + 1
     # each step draws fixed sizes, so moving one target's mode, or its
     # start and proposal factor, leaves every other target's draws as they
     # were, byte for byte
     for moved in range(len(LOCKSTEP_MODES)):
         modes = [mode + 0.5 * (t == moved)
                  for t, mode in enumerate(LOCKSTEP_MODES)]
-        for again, _ in (_lockstep_draws(model, k, modes),
-                         _lockstep_draws(model, k, LOCKSTEP_MODES, moved)):
+        for again, _ in (_lockstep_draws(k, modes),
+                         _lockstep_draws(k, LOCKSTEP_MODES, moved)):
             for t, (a, b) in enumerate(zip(again, draws)):
                 same = a.tobytes() == b.tobytes()
                 assert same == (t != moved), (moved, t)
@@ -560,8 +553,7 @@ def test_mh_lockstep_targets_ignore_each_other(k):
 def test_mh_lockstep_default_settings_one_call_per_step_at_n_200():
     # the three targets share each step's call: 1,197 batched calls, where
     # sampling them one by one makes 3 x 1,197 scalar calls
-    model = SequentialLogisticModel()
-    _, calls = _lockstep_draws(model, 200, LOCKSTEP_MODES)
+    _, calls = _lockstep_draws(200, LOCKSTEP_MODES)
     assert calls == 1 + 200 + 199 * 5 + 1 == 1197
 
 
@@ -660,14 +652,16 @@ def test_lockstep_loglik_returns_a_new_array():
 
 @pytest.mark.parametrize("thin", [1, 4, 5])
 @pytest.mark.parametrize("burnin", [0, 60, 200, 250])
-def test_mh_lockstep_equals_stepwise_reference(burnin, thin):
+def test_mh_lockstep_equals_stepwise_reference(burnin, thin, mh_settings):
     """The windowed sampler on the block-major likelihood draws the bytes
-    of the per-step sampler on the row-major one.  A burn-in of 250 ends
-    on a 50-step window, which must not tune; the draws asked for end
-    inside chain 0, inside chain 1, and past both, where they tile."""
-    model = SequentialLogisticModel(mh_chains=2, mh_iters=burnin + 100,
-                                    mh_burnin=burnin, mh_thin=thin)
-    per_chain = 100 // thin
+    of the per-step sampler on the row-major one, run as one chain whose
+    quota is the cap.  A burn-in of 250 ends on a 50-step window, which
+    must not tune; the draws asked for end inside the chain, at the cap,
+    and past it, where they tile."""
+    cap = 100 // thin
+    mh_settings(burnin=burnin, thin=thin, max_draws=cap)
+    reference = SimpleNamespace(mh_chains=1, mh_iters=burnin + cap * thin,
+                                mh_burnin=burnin, mh_thin=thin)
     rows = _sim4_rows(92, 80)
     gen = np.random.default_rng(93 + burnin + thin)
     for m in (1, 3, 5):
@@ -676,42 +670,48 @@ def test_mh_lockstep_equals_stepwise_reference(burnin, thin):
         starts = np.split(_saturating_coefs(gen, m), np.cumsum(dims)[:-1])
         factors = [np.linalg.cholesky(np.cov(gen.normal(size=(d, 3 * d))))
                    * gen.uniform(0.05, 0.5) for d in dims]
-        for n_draws in (per_chain // 2 + 1, per_chain + 3,
-                        2 * per_chain + 7):
-            new = model._mh_lockstep(
-                RngStream(94), model._lockstep_loglik(*rows, weights), dims,
-                n_draws, starts, factors)
-            old = stepwise_mh_lockstep(
-                model, RngStream(94), row_major_lockstep_loglik(*rows, weights),
-                dims, n_draws, starts, factors)
-            assert len(new) == len(old) == len(dims)
-            for a, b, d in zip(new, old, dims):
-                assert a.shape == b.shape == (n_draws, d)
-                assert a.tobytes() == b.tobytes(), (m, n_draws)
+        for n_draws in (cap // 2 + 1, cap, cap + 3, 2 * cap + 7):
+            _assert_equals_stepwise_reference(
+                reference, rows, weights, dims, n_draws, starts, factors)
 
 
-@pytest.mark.parametrize("settings, name", [
-    (dict(mh_chains=0), "mh_chains"),
-    (dict(mh_thin=0), "mh_thin"),
-    (dict(mh_burnin=-5), "mh_burnin"),
-    (dict(mh_iters=100, mh_burnin=200), "mh_burnin"),
-    (dict(mh_iters=200, mh_burnin=200), "mh_burnin"),
-    (dict(mh_iters=203, mh_burnin=200, mh_thin=5), "mh_thin"),
-])
-def test_logistic_mh_settings_are_validated(settings, name):
-    """Settings under which no chain keeps a draw, or a step count is
-    negative, are refused by name rather than giving too few draws or a
-    ZeroDivisionError."""
-    with pytest.raises(ValueError, match=name):
-        SequentialLogisticModel(**settings)
-    # the smallest valid settings are accepted
-    SequentialLogisticModel(mh_chains=1, mh_thin=1, mh_burnin=0, mh_iters=1)
+def _assert_equals_stepwise_reference(reference, rows, weights, dims,
+                                      n_draws, starts, factors):
+    model = SequentialLogisticModel
+    new = model._mh_lockstep(
+        RngStream(94), model._lockstep_loglik(*rows, weights), dims,
+        n_draws, starts, factors)
+    old = stepwise_mh_lockstep(
+        reference, RngStream(94), row_major_lockstep_loglik(*rows, weights),
+        dims, n_draws, starts, factors)
+    assert len(new) == len(old) == len(dims)
+    for a, b, d in zip(new, old, dims):
+        assert a.shape == b.shape == (n_draws, d)
+        assert a.tobytes() == b.tobytes(), (len(weights), n_draws)
 
 
-SHORT_MH = dict(mh_iters=120, mh_burnin=40, mh_thin=2)
+def test_mh_lockstep_default_settings_equal_stepwise_reference():
+    """Under the module's burn-in, thinning and cap, one set's draws past
+    the 1,000-draw cap are the reference's, run as one chain with that
+    quota, byte for byte."""
+    reference = SimpleNamespace(mh_chains=1, mh_iters=200 + 1000 * 5,
+                                mh_burnin=200, mh_thin=5)
+    gen = np.random.default_rng(95)
+    dims = (3, 4, 10)
+    starts = np.split(_saturating_coefs(gen, 1), np.cumsum(dims)[:-1])
+    factors = [np.linalg.cholesky(np.cov(gen.normal(size=(d, 3 * d))))
+               * gen.uniform(0.05, 0.5) for d in dims]
+    _assert_equals_stepwise_reference(
+        reference, _sim4_rows(92, 80), gen.uniform(0.01, 9.0, (1, 3)), dims,
+        1234, starts, factors)
 
 
-def _plugin_cases():
+# a short chain for the plugin cases' releases
+SHORT_MH = dict(burnin=40, thin=2, max_draws=40)
+
+
+def _plugin_cases(mh_settings):
+    mh_settings(**SHORT_MH)
     gen = RngStream(88).generator
     normal = TabularDataset([ContinuousColumn("x", -5.0, 5.0)],
                             {"x": np.clip(gen.normal(0.0, 1.0, 80), -5, 5)})
@@ -720,15 +720,15 @@ def _plugin_cases():
         "normal": (NormalModel(), normal, [1.0, 3.0]),
         "mixture": (_mixture_model(), _mixture_data(RngStream(89), 120),
                     None),
-        "logistic": (SequentialLogisticModel(**SHORT_MH),
+        "logistic": (SequentialLogisticModel(),
                      simulate_truth_sim4(RngStream(90), 120), None),
     }
 
 
 @pytest.mark.parametrize("plugin", ["bernoulli", "normal", "mixture",
                                     "logistic"])
-def test_modips_release_computes_statistics_once(plugin):
-    model, data, allocation = _plugin_cases()[plugin]
+def test_modips_release_computes_statistics_once(plugin, mh_settings):
+    model, data, allocation = _plugin_cases(mh_settings)[plugin]
     labels = [g.label for g in model.sufficient_statistics(data)
               if g.delta_s is not None]
     weights = allocation or [1.0] * len(labels)
@@ -761,8 +761,8 @@ RELEASE_STATE = {"bernoulli": set(), "normal": set(),
 
 
 @pytest.mark.parametrize("plugin", list(RELEASE_STATE))
-def test_release_writes_only_the_listed_model_state(plugin):
-    model, data, allocation = _plugin_cases()[plugin]
+def test_release_writes_only_the_listed_model_state(plugin, mh_settings):
+    model, data, allocation = _plugin_cases(mh_settings)[plugin]
     before = dict(vars(model))
     modips_release(RngStream(92), data, model, 1.0, m=1,
                    allocation=allocation, ledger=_ledger())
@@ -778,18 +778,19 @@ UNSANITIZED = {"bernoulli": [], "normal": [], "mixture": ["raw_counts"],
 
 
 @pytest.mark.parametrize("plugin", list(UNSANITIZED))
-def test_draws_from_the_recorded_stats_reproduce_each_set(plugin):
+def test_draws_from_the_recorded_stats_reproduce_each_set(plugin,
+                                                          mh_settings):
     """Each set is a function of its sanitize records, the declared
     unsanitized groups, n and the columns: a fresh model fed those on the
     release's substreams draws the same bytes."""
-    model, data, allocation = _plugin_cases()[plugin]
+    model, data, allocation = _plugin_cases(mh_settings)[plugin]
     rel = modips_release(RngStream(93), data, model, 1.0, m=2,
                          allocation=allocation, ledger=_ledger())
     assert rel.flags[:len(UNSANITIZED[plugin])] == [
         f"unsanitized:{label}" for label in UNSANITIZED[plugin]]
     # the raw groups come from another instance: the fresh model sees
     # only the draws' inputs
-    source, fresh = _plugin_cases()[plugin][0], _plugin_cases()[plugin][0]
+    source, fresh = (_plugin_cases(mh_settings)[plugin][0] for _ in range(2))
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in source.sufficient_statistics(data) if g.delta_s is None}
     assert list(raw) == UNSANITIZED[plugin]
@@ -820,9 +821,9 @@ DEGENERATE = {"bernoulli": None, "normal": "var", "mixture": "var1",
               "logistic": "s11"}
 
 
-def _three_sets(plugin):
+def _three_sets(plugin, mh_settings):
     """A plugin and the three sets' statistics of one of its releases."""
-    model, data, allocation = _plugin_cases()[plugin]
+    model, data, allocation = _plugin_cases(mh_settings)[plugin]
     rel = modips_release(RngStream(103), data, model, 1.0, m=3,
                          allocation=allocation, ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
@@ -833,11 +834,11 @@ def _three_sets(plugin):
 
 
 @pytest.mark.parametrize("plugin", ["bernoulli", "normal", "mixture"])
-def test_posterior_over_m_sets_equals_one_set_calls(plugin):
+def test_posterior_over_m_sets_equals_one_set_calls(plugin, mh_settings):
     """Set j's parameters depend only on its stream and statistics: one
     call over three sets draws the same bytes, and flags in the same
     order, as three one-set calls."""
-    model, data, stats_sets = _three_sets(plugin)
+    model, data, stats_sets = _three_sets(plugin, mh_settings)
     if DEGENERATE[plugin]:
         stats_sets[1][DEGENERATE[plugin]] = np.array([-1.0])
 
@@ -855,11 +856,11 @@ def test_posterior_over_m_sets_equals_one_set_calls(plugin):
     assert ("PosteriorDegenerate:var" in flags) == bool(DEGENERATE[plugin])
 
 
-def test_logistic_posterior_sets_ignore_each_others_statistics():
+def test_logistic_posterior_sets_ignore_each_others_statistics(mh_settings):
     """The MH draws every set's coefficients on one stream with fixed
     sizes per step: with the same streams and m, changing set 1's
     statistics leaves the other sets' parameters byte-identical."""
-    model, data, stats_sets = _three_sets("logistic")
+    model, data, stats_sets = _three_sets("logistic", mh_settings)
 
     def streams():
         return [RngStream(104).substream(j, 10_000) for j in range(3)]
@@ -942,9 +943,9 @@ def _sim4_release(sanitize):
 
 
 @pytest.mark.parametrize("sanitize", [True, False])
-def test_logistic_mh_acceptance_after_burn_in(sanitize):
+def test_logistic_mh_acceptance_after_burn_in(sanitize, mh_settings):
     """Every target whose tempered posterior is proper accepts 15-50% of
-    its proposals after burn-in.  With ``mh_thin=1`` the kept draws are
+    its proposals after burn-in.  With ``MH_THIN = 1`` the kept draws are
     consecutive states, so a target accepted a step where its draw
     changed.  A weight far below 1 (0.012-0.027 in a release's noisy
     sanitized products) leaves the clamped likelihood's flat tails
@@ -952,9 +953,8 @@ def test_logistic_mh_acceptance_after_burn_in(sanitize):
     with coefficients that grow with the burn-in, so no rate is right."""
     _, stats_sets = _sim4_release(sanitize)
     model = SequentialLogisticModel()
-    consecutive = SequentialLogisticModel(mh_iters=model.mh_burnin + 1000,
-                                          mh_thin=1)
-    params = consecutive.posterior_draw(
+    mh_settings(thin=1)
+    params = model.posterior_draw(
         [RngStream(107).substream(j) for j in range(5)], stats_sets, 1000,
         [])
     rates = [np.mean(np.any(np.diff(beta, axis=0) != 0, axis=1))
@@ -977,8 +977,8 @@ def test_logistic_release_flags(sanitize):
     assert rel.flags == reads + floored
 
 
-def test_logistic_posterior_refuses_sets_with_different_rows():
-    model, data, _ = _plugin_cases()["logistic"]
+def test_logistic_posterior_refuses_sets_with_different_rows(mh_settings):
+    model, data, _ = _plugin_cases(mh_settings)["logistic"]
     rel = modips_release(RngStream(107), data, model, 1.0, m=2,
                          ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
@@ -995,14 +995,14 @@ def test_logistic_posterior_refuses_sets_with_different_rows():
 
 
 @pytest.mark.parametrize("plugin", list(UNSANITIZED))
-def test_traced_release_equals_untraced(plugin, monkeypatch):
+def test_traced_release_equals_untraced(plugin, monkeypatch, mh_settings):
     """The benchmark's tracer wraps every plugin's three methods and reads
     each statistic group; a traced release draws the same bytes."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.tracing import Tracer
 
     def release():
-        model, data, allocation = _plugin_cases()[plugin]
+        model, data, allocation = _plugin_cases(mh_settings)[plugin]
         return dips.param_synth.modips_release(
             RngStream(98), data, model, 1.0, m=2, allocation=allocation,
             ledger=_ledger()).sets
@@ -1038,11 +1038,13 @@ def _normal_data(seed, name, lo, hi, n):
      _normal_data(95, "y", 0.0, 10.0, 60)),
     (_mixture_model, _mixture_data(RngStream(99), 150),
      _mixture_data(RngStream(100), 90)),
-    (lambda: SequentialLogisticModel(**SHORT_MH),
+    (SequentialLogisticModel,
      simulate_truth_sim4(RngStream(101), 120),
      simulate_truth_sim4(RngStream(102), 90)),
 ], ids=["bernoulli", "normal", "mixture", "logistic"])
-def test_stateless_model_reused_equals_fresh(make, first, second):
+def test_stateless_model_reused_equals_fresh(make, first, second,
+                                             mh_settings):
+    mh_settings(**SHORT_MH)
     model = make()
     before = dict(vars(model))
     modips_release(RngStream(96), first, model, 1.0, m=2, ledger=_ledger())
@@ -1121,6 +1123,27 @@ def test_logistic_release_round_trip():
         for draws, centre in zip(params[2:], ref):
             spread = draws.std(axis=0)
             assert np.all(np.abs(draws.mean(axis=0) - centre) < 2 * spread)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 2000])
+def test_logistic_ms_tempering_weights_are_one(n):
+    """The non-private ``ms`` release passes the raw likelihood products,
+    so every tempering weight is exactly 1, also where the raw product
+    lies below ``PRODUCT_FLOOR`` (from n of about 1,000) or underflows
+    to 0."""
+    data = simulate_truth_sim4(RngStream(3), n)
+    model = SequentialLogisticModel()
+    weights = []
+    draw = model.posterior_draw
+
+    def recording_draw(rngs, stats_sets, n, flags):
+        weights.extend(model._temper_weight(stats, i)
+                       for stats in stats_sets for i in range(3))
+        return draw(rngs, stats_sets, n, flags)
+    model.posterior_draw = recording_draw
+    modips_release(RngStream(4), data, model, 1.0, m=2, ledger=_ledger(),
+                   sanitize=False)
+    assert weights == [1.0] * 6
 
 
 @pytest.mark.parametrize("intercept", [800.0, -800.0])

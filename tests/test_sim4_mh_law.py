@@ -25,6 +25,7 @@ their modes with the identity as their information.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def _stats_sets(tempered):
     the non-private ``ms`` release passes them, so every tempering weight
     is 1; or sanitized by a release at eps = e^2."""
     data = simulate_truth_sim4(RngStream(120), 200)
-    model = SequentialLogisticModel(mh_iters=400, mh_burnin=300, mh_thin=5)
+    model = SequentialLogisticModel()
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data)}
     if not tempered:
@@ -149,15 +150,15 @@ def _reference_draws(stats_sets, keep):
     draws are dropped, and at weight 1 they stay near their mode instead
     of drifting to coefficients whose exp underflows, which slows every
     call."""
-    model = SequentialLogisticModel(mh_iters=REFERENCE_BURNIN + 1,
-                                    mh_burnin=REFERENCE_BURNIN, mh_thin=1)
+    settings = SimpleNamespace(mh_chains=1, mh_iters=REFERENCE_BURNIN + 1,
+                               mh_burnin=REFERENCE_BURNIN, mh_thin=1)
     rows = [stats_sets[0][label] for label in ("x3", "w1", "w2", "w3")]
     weights = [[w if k else 1.0 for w, k in zip(ws, kept)]
                for ws, kept in zip(_weights(stats_sets), keep)]
-    loglik = model._lockstep_loglik(*rows, weights * BATCH)
+    loglik = SequentialLogisticModel._lockstep_loglik(*rows, weights * BATCH)
     draws = []
     for batch in range(SEEDS // BATCH):
-        targets = reference_mh_lockstep(model, RngStream(1000 + batch),
+        targets = reference_mh_lockstep(settings, RngStream(1000 + batch),
                                         loglik, DIMS * BATCH, 1)
         state = np.concatenate([t[0] for t in targets])
         draws += list(state.reshape(BATCH, sum(DIMS)))
@@ -254,7 +255,7 @@ def _quadratic_draws(seed, n_draws, kept):
     factors = [np.eye(d) * (2.38 / math.sqrt(d)) for d in DIMS]
     rows = [[] for _ in kept]
     for batch in range(SEEDS // QUADRATIC_BATCH):
-        targets = SequentialLogisticModel()._mh_lockstep(
+        targets = SequentialLogisticModel._mh_lockstep(
             RngStream(seed + batch), _quadratic_loglik,
             DIMS * QUADRATIC_BATCH, n_draws, starts * QUADRATIC_BATCH,
             factors * QUADRATIC_BATCH)
