@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import linalg, stats
+from scipy import linalg, special, stats
 
 import dips
 from dips.randvar import (
@@ -292,3 +292,20 @@ def test_t_quantile_frozen_values():
                                                  abs=1e-12)
     assert t_quantile(0.975, float("inf")) == pytest.approx(
         1.959963984540054, abs=1e-12)
+
+
+T_QUANTILE_PS = [0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.9995]
+# 241 log-spaced df from 1 to 1e12, and every integer df up to 40: the
+# pooled df of m synthetic sets is (m - 1)(1 + mW/B)^2 >= m - 1
+T_QUANTILE_DFS = sorted({*map(float, np.geomspace(1, 1e12, 241)),
+                         *map(float, range(1, 41))})
+
+
+@pytest.mark.parametrize("p", [*T_QUANTILE_PS,
+                               *(1 - p for p in T_QUANTILE_PS)])
+def test_t_quantile_matches_scipy(p):
+    for df in T_QUANTILE_DFS:
+        assert t_quantile(p, df) == pytest.approx(
+            float(special.stdtrit(df, p)), rel=1e-13, abs=0), df
+    normal = float(special.ndtri(p))
+    assert abs(t_quantile(p, math.inf) - normal) <= 2 * math.ulp(normal)
