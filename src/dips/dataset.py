@@ -299,15 +299,19 @@ def _plain_table(path, fh, header_lines: list[str], width: int):
     data = os.pread(fh.fileno(), st.st_size, 0)
     start = len("".join(header_lines).encode(fh.encoding))
     if (len(data) != st.st_size or data.find(b'"', start) != -1
-            or any(c in data for c in b"\0\x1c\x1d\x1e\x1f")
-            or data.count(b"\r") != data.count(b"\r\n")):
+            or any(c in data for c in b"\0\x1c\x1d\x1e\x1f")):
         return None
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8, offset=start)
-                          == ord("\n"))
+    text = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(text == ord("\n"))
+    # every CR must end a line: as many CRs as newlines that follow one
+    crlf = np.count_nonzero(text[newlines[newlines > 0] - 1] == ord("\r"))
+    if data.count(b"\r") != crlf:
+        return None
+    ends = newlines[newlines >= start] - start
     records = len(ends) + (len(data) > start and data[-1:] != b"\n")
     # each line's length plus one, a CR counted
     longest = np.diff(ends, prepend=-1, append=len(data) - start).max()
-    del data  # the table alone is held while loadtxt runs
+    del data, text, newlines  # the table alone is held while loadtxt runs
     if not records or longest > csv.field_size_limit() + 1:
         return None
     try:

@@ -189,7 +189,9 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
     the predictive.  Set j sanitizes on ``rng.substream(j).substream(i)``,
     draws its parameters on ``.substream(10_000)`` and its rows on
     ``.substream(20_000)``.  The draws take n and the columns as public
-    facts from this call.
+    facts from this call.  The ledger entry of each sanitized group, its
+    ``SanitizedStatistic`` record and a refusal of its share of eps all
+    name it ``<method>-set<j>-<group label>``.
 
     A group declared with ``delta_s=None`` reaches the posterior raw,
     uncharged, and noted in the release's flags as ``unsanitized:<label>``;
@@ -218,14 +220,15 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
         stats = dict(raw)
         records = []
         for i, (group, share_frac) in enumerate(noisy):
+            label = f"{method}-set{j}-{group.label}"
             record = laplace_mechanism(
                 sub.substream(i), group.value,
                 SensitivitySpec(group.delta_s), float(share_frac),
-                group.label, lower=group.lower, upper=group.upper,
+                label, lower=group.lower, upper=group.upper,
                 defined=group.defined, postprocess=postprocess)
             records.append(record)
             stats[group.label] = record.sanitized
-            ledger.charge(f"{method}-set{j}-{group.label}", share_frac)
+            ledger.charge(label, share_frac)
         stats_sets.append(stats)
         records_all.append(records)
     params = model.posterior_draw([sub.substream(10_000) for sub in subs],

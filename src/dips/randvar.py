@@ -5,7 +5,10 @@ pairs reproduce identical sequences.  Standard scalar distributions
 delegate to numpy's Generator; the inverse-Wishart sampler is built here
 via the Bartlett decomposition so near-singular draws are never inverted
 directly.  The Laplace conditioned on an interval is drawn by inverse CDF.
-Of scipy only ``scipy.special`` is loaded, for the t and normal quantiles.
+The t quantile of the combining rules is computed here, without scipy:
+Hill's expansion about the normal quantile, refined below df 500 by
+Halley steps on the t tail through the regularized incomplete beta
+function (see :func:`t_quantile`).
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ParameterDomainError",
@@ -250,12 +253,152 @@ def sample_inv_wishart(rng: RngStream, dof: float, scale: np.ndarray) -> np.ndar
     return 0.5 * (draw + draw.T)
 
 
+_NORMAL = NormalDist()
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+# log Γ(a + 1/2) - log Γ(a) - (log a)/2 ~ sum over k = 2, 4, ..., 12 of
+# (2^(1-k) - 2) B_k / (k (k - 1)) a^(1-k), B_k the Bernoulli numbers; from
+# a = 20 on its first omitted term is below 2e-19
+_GAMMA_RATIO_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432,
+                       691 / 180224)
+# from this df on Hill's expansion alone lies within 6e-16 of the t
+# quantile for 5e-4 <= p <= 1 - 5e-4; its error grows in the far tail
+HILL_DF = 500.0
+
+
 def t_quantile(p: float, df: float) -> float:
-    """Inverse CDF of Student-t; df = inf gives the normal quantile."""
+    """Inverse CDF of Student-t; df = inf gives the normal quantile.
+
+    The normal quantile is ``statistics.NormalDist().inv_cdf`` (Wichura's
+    AS 241, up to 4 ulp off) with one Newton step on ``math.erfc``, which
+    brings it within 1 ulp.  A finite df starts from Hill's expansion
+    about it (1970, CACM Algorithm 396), alone from df = ``HILL_DF`` on.
+    Below that, or in a far tail where the expansion does not apply,
+    Halley steps in log t solve for P(T > t) = min(p, 1 - p), half the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df/(df + t^2): a
+    continued fraction in the tail, or for t^2 <= min(df, 4.5) a power
+    series for the mass between 0 and t, so that neither side is taken
+    as a difference from 1.  Against scipy's ``stdtrit`` over 16
+    probabilities from 5e-4 to 1 - 5e-4 and 280 df from 1 to 1e12 it
+    lies within 8e-15 relative, and the normal quantile within 2 ulp of
+    ``ndtri`` (``tests/test_randvar.py``).
+    """
     if not (0 < p < 1):
         raise ParameterDomainError(f"p must be in (0,1), got {p}")
     if df != math.inf and df <= 0:
         raise ParameterDomainError(f"df must be positive, got {df}")
-    if math.isinf(df):
-        return float(special.ndtri(p))
-    return float(special.stdtrit(df, p))
+    if p == 0.5:
+        return 0.0
+    q = min(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
+    t = _normal_upper(q) if math.isinf(df) else _t_upper(q, df)
+    return t if p > 0.5 else -t
+
+
+def _t_upper(q: float, df: float) -> float:
+    """t with P(T > t) = q for Student-t with finite df."""
+    ratio = _hill_ratio(q, df) if df >= 1 else None
+    if ratio is not None and df >= HILL_DF:
+        return math.sqrt(df * ratio)
+    a = 0.5 * df
+    log_inv_beta = (_log_gamma_ratio(a) + 0.5 * math.log(a)
+                    - _LOG_SQRT_PI)  # -log B(a, 1/2)
+    if ratio is not None:
+        lr = math.log(ratio)
+    else:
+        # the far tail: P(T > t) ~ (t^2/df)^-a / (df B(a, 1/2))
+        lr = (log_inv_beta - math.log(q) - math.log(df)) / a
+    # Halley converges cubically: after a step below 1e-5 the error in
+    # log t is of order 1e-15
+    for _ in range(50):
+        step = _halley_step(lr, df, q, log_inv_beta)
+        lr += 2 * step
+        if abs(step) <= 1e-5:
+            break
+    # exp overflows a float beyond 709
+    return math.sqrt(df) * math.exp(0.5 * lr) if lr < 1418 else math.inf
+
+
+def _normal_upper(q: float) -> float:
+    """z with P(Z > z) = q for a standard normal Z."""
+    z = -_NORMAL.inv_cdf(q)
+    density = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    return z + (0.5 * math.erfc(z / math.sqrt(2)) - q) / density
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Γ(a + 1/2) - log Γ(a) - (log a)/2, without the cancellation of
+    two log-gammas: below a = 20 by Γ(a + 1/2)/Γ(a) = (a/(a + 1/2)) times
+    the same ratio at a + 1, then by its asymptotic series."""
+    factor, b = 1.0, a
+    while b < 20.0:
+        factor *= b / (b + 0.5)
+        b += 1.0
+    u = 1.0 / (b * b)
+    series = 0.0
+    for c in reversed(_GAMMA_RATIO_SERIES):
+        series = series * u + c
+    return series / b + math.log(factor * math.sqrt(b / a))
+
+
+def _hill_ratio(q: float, df: float) -> float | None:
+    """t^2/df for P(T > t) = q by Hill's expansion about the normal
+    quantile, as R's ``qt`` computes it; None in the far tail of a small
+    df, where Hill switches to an expansion in the tail instead."""
+    a = 1 / (df - 0.5)
+    b = 48 * (df - 0.5) * (df - 0.5)
+    c = ((20700 * a / b - 98) * a - 16) * a + 96.36
+    d = ((94.5 / (b + c) - 3) / b + 1) * math.sqrt(a * math.pi / 2) * df
+    if (2 * d * q) ** (2 / df) <= 0.05 + a:
+        return None
+    x = -_normal_upper(q)
+    if df < 5:
+        c += 0.3 * (df - 4.5) * (x + 0.6)
+    c = (((0.05 * d * x - 5) * x - 7) * x - 2) * x + b + c
+    y = x * x
+    y = (((((0.4 * y + 6.3) * y + 36) * y + 94.5) / c - y - 3) / b + 1) * x
+    return math.expm1(a * y * y)
+
+
+def _halley_step(lr: float, df: float, q: float,
+                 log_inv_beta: float) -> float:
+    """The Halley step in log t towards P(T > t) = q, from
+    lr = log(t^2/df).  With x = df/(df + t^2), y = 1 - x and a = df/2,
+    k = x^a y^(1/2) / B(a, 1/2) is t times the density at t; it is kept
+    as its log, which does not underflow in a far tail."""
+    a = 0.5 * df
+    # log x and log y from lr alone, so that t^2 never overflows
+    e = math.exp(-abs(lr))
+    log1pe = math.log1p(e)
+    log_x, log_y = (-lr - log1pe, -log1pe) if lr > 0 else (-log1pe,
+                                                            lr - log1pe)
+    log_k = a * log_x + 0.5 * log_y + log_inv_beta
+    y = math.exp(log_y)
+    if lr <= 0 and df * e <= 4.5:
+        # P(0 < T < t) = I_y(1/2, a) / 2 = k sum_n (a + 1/2)_n / (3/2)_n y^n
+        term = total = 1.0
+        n = 0
+        while term > 1e-17 * total:
+            term *= y * (a + 0.5 + n) / (1.5 + n)
+            total += term
+            n += 1
+        value, target, sign = total, 0.5 - q, -1.0
+    else:
+        # P(T > t) = I_x(a, 1/2) / 2 = k/(2a) times a continued fraction,
+        # evaluated by the modified Lentz method
+        x = math.exp(log_x)
+        c = 1.0
+        d = h = 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+        for m in range(1, 300):
+            for num in (m * (0.5 - m) * x / ((a - 1 + 2 * m) * (a + 2 * m)),
+                        -(a + m) * (a + 0.5 + m) * x
+                        / ((a + 2 * m) * (a + 1 + 2 * m))):
+                d = 1.0 / (1.0 + num * d)
+                c = 1.0 + num / c
+                h *= d * c
+            if abs(d * c - 1.0) <= 2.3e-16:
+                break
+        value, target, sign = 0.5 * h / a, q, 1.0
+    # the probability is k * value; Newton's step on its log minus
+    # log(target) in log t, whose slope is -sign / value, and Halley's
+    # correction for the curvature
+    delta = sign * value * (log_k + math.log(value) - math.log(target))
+    return delta / (1 + delta * (1 - (df + 1) * y + sign / value) / 2)

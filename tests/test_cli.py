@@ -523,9 +523,11 @@ TINY_EPS_OUTCOMES = {
     "smooth-hist": (EXIT_OK, None),
     "md": (EXIT_CONFIG, "eps underflow in pseudo-count"),
     "bbmr": (EXIT_CONFIG, "eps underflow in pseudo-count"),
-    "modips-bernoulli": (EXIT_CONFIG, f"n1: eps = 5e-321 {TOO_SMALL}"),
+    "modips-bernoulli": (EXIT_CONFIG,
+                         f"modips-bernoulli-set0-n1: eps = 5e-321 {TOO_SMALL}"),
     # two sanitized groups share each set's budget
-    "modips-normal": (EXIT_CONFIG, f"mean: eps = 2.5e-321 {TOO_SMALL}"),
+    "modips-normal": (EXIT_CONFIG,
+                      f"modips-normal-set0-mean: eps = 2.5e-321 {TOO_SMALL}"),
 }
 
 

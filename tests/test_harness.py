@@ -368,11 +368,14 @@ def test_a_row_does_not_depend_on_the_other_parameters_requested(study,
 # histograms and the one-call mixture mean draw (numpy 2.4.6); a change
 # that moves a sim3 row must say why and re-pin, after
 # tests/test_sim3_distribution.py passes before and after it
+# Every digest below that moved was re-pinned once when ``t_quantile``
+# stopped calling scipy: only the last bits of ci_width moved, as
+# tests/test_quantile_rows.py checks against scipy's quantile
 SIM3_PINNED_DIGESTS = {
     "np-dips":
-        "aa69cab7fe7f7234ed9fa15981ae0eb020832257ac0c06a28a68adc0bfd6b89b",
+        "1418a29169f2c35b296a1e0d70296355def09204da1618836c546a9c4bd6c12d",
     "modips-mixture":
-        "5e0b4ff0b93c1297f47936f292eb8da2d1c8686575de523c5759ff860654e0d3",
+        "02d8283f7bc902d59eec4d8671c7e9750ced2cd9fe2637ce0d791049b2d34167",
 }
 
 
@@ -395,15 +398,15 @@ def test_sim3_rows_match_pinned_digest():
 SIM4_PINNED_DIGESTS = {
     200: {
         "modips-logistic":
-            "ee450ce35bdc0d9c6e11f16cba6055db55a9b4283eb23f4398af2eebf0221d79",
+            "8205d28558ffe740e2bd5e7364a8e0b47f56453bfd778381d0eef09a47b1ffb2",
         "ms":
-            "92005be5635f301014f755da46a0128cad50e41933732692745f2b66dd049115",
+            "dd58fe5c9dc2331311319e87e911748b6d60a804c8ab9ad81e59b079060300f2",
     },
     600: {
         "modips-logistic":
-            "3bbec5997281132043bf0a3991e67a163591abdc9545f70085430992c9ee139d",
+            "648d64499906c756adb16dd054daef77ed8296d11c46e7670955602302a6d93a",
         "ms":
-            "7eaaa8500e1773d6c8725213057c51f08c6c0b7806bc1e71115036f8b118e902",
+            "4a5a837a7154dbffdb1acb82cc526b693a89dc125049ccd8c3f97176a579d0fe",
     },
 }
 
@@ -442,10 +445,10 @@ def test_sim4_rows_match_pinned_digest():
 # tests/test_sim4_mh_law.py
 SIM4_COEF_PINNED_DIGESTS = {
     "modips-logistic":
-        "479d5f861d23abfe524a37eec85db3c7a6ff21f8a238f9012ef3593baece5d3a",
-    "ms": "a190f8c742bf57ae36f262c420a6e95279b919f70c100f3a8ecc08c8b31c4dd8",
+        "ebad3aa209c2b716466d7111e9ffe80db64c6f98f0016bc287565598bf69392e",
+    "ms": "093de9c67bf2671dbe11d9f78c3be2aaf86b61abed44613b6f6f63e5017c1ac2",
     "np-dips":
-        "6e9c6fb193d60f4fcabc34cbcd92f43b5cbb9adff1828906f74be5bfe40ac8d2",
+        "d7772ec9bed8e721bb66c12b225b507260e4155f808fd4346a1a1fac3171858f",
 }
 
 
@@ -482,59 +485,59 @@ def test_sim4_separated_multinomial_fit_raises_no_warning():
 SIM1_SIM2_PINNED_DIGESTS = {
     ("sim1", "BIT"): {
         "modips-bernoulli":
-            "541ca81c111541f85ed1d167b6aa697559d91e8138e04be1e9408bd0d096b160",
+            "14a48518c7032f5385e216162ff429c97faa2b4e9138da216a053176c9396294",
         "laplace":
-            "5be2914fb781361a3e9e336c07e71a9c0fecac9d86e3583d884c4a5e4b4622bd",
+            "355783351f91f46853fc9b248c8e2a255d1414433f869f3d00cae072c0c5f1eb",
         "md":
-            "bb511d9fe83be9b073c08f9b9d079e74821f4f97ac3abc35d044d27380099cf3",
+            "0971e8211962ab573bfc7cc3be610b0dd2fa2cedb9d464e2ff1d867fb88bac0b",
         "bbmr":
             "34ed54a7165a2a4dcec8349389f9b471349f9f6239dfb5f8dd0ea5ab31e19f46",
         "ms":
-            "de5bb558348e7b6680361f40870d330af9c652305215ffd0972d7d477795c019",
+            "0ad0a4cde43799c8f2cf1c6b387c5b20c05becdf048796e2b7293496a71e897d",
         "original":
             "965f1b068424441c3008bdcce0882fabdad1ca5282d10aa4da49cbc9bf55df71",
     },
     ("sim1", "truncate"): {
         "modips-bernoulli":
-            "d073a6524422b20d81470bc0d0f02b7c88e3b7b2129c89234106f57dc82d4dde",
+            "e8187e0ad210ff93d4b27a7b5a161dc9c5f8b86425ae212258d17505897851db",
         "laplace":
-            "5be2914fb781361a3e9e336c07e71a9c0fecac9d86e3583d884c4a5e4b4622bd",
+            "355783351f91f46853fc9b248c8e2a255d1414433f869f3d00cae072c0c5f1eb",
         "md":
-            "bb511d9fe83be9b073c08f9b9d079e74821f4f97ac3abc35d044d27380099cf3",
+            "0971e8211962ab573bfc7cc3be610b0dd2fa2cedb9d464e2ff1d867fb88bac0b",
         "bbmr":
             "34ed54a7165a2a4dcec8349389f9b471349f9f6239dfb5f8dd0ea5ab31e19f46",
         "ms":
-            "de5bb558348e7b6680361f40870d330af9c652305215ffd0972d7d477795c019",
+            "0ad0a4cde43799c8f2cf1c6b387c5b20c05becdf048796e2b7293496a71e897d",
         "original":
             "965f1b068424441c3008bdcce0882fabdad1ca5282d10aa4da49cbc9bf55df71",
     },
     ("sim2", "BIT"): {
         "modips-normal":
-            "bdab62a5c29954cdf21cbee9fdf2d1924a87192d7aa8837dcb4d511094207f37",
+            "e84bcfc66ed353b906a056898ebb0fc94a11669bd723a3367a194220cd1f4c43",
         "modips-normal-conjoint":
-            "349398d2819aa5bdbff41963dfa94684bf22142bd7b404afdc4cd4e97313ecad",
+            "7b3c11961351b571b1117c0441eee5206fce2593591deb110f9f9387a93a223a",
         "pert-hist":
-            "5254e9107fc9bebb043568583cd12fbd28ea003b7e7af638efb6a375b8e4046f",
+            "7c511dfb4c999dd680ffeab816245ff8b9d55128b6a8023362979da91ba4e9b3",
         "smooth-hist":
-            "c1b3b3afb935da176725b96d63195289335be610203301bd7b918f6a9059a382",
+            "b387036055a50e16c950d60f5190f8cc555cdeda0ee856aaf33259c60b3a225c",
         "ms":
-            "f7f93afc392bce99666006ab170668c14844306027315f7cab1d8be7ae0df9a1",
+            "6a0eaf65689e39607ca53857eae08885968fbf3d0d42aa59d01b74f2d3760fc5",
         "original":
-            "f021ecf5313491b25d61a9b4cbaccc5e75c49a8fca666af8a120b9c0aecaef96",
+            "57f7d466ed2b81d8446af1032b605704e60792999d68ca6f19b22fc8d64ac432",
     },
     ("sim2", "truncate"): {
         "modips-normal":
-            "0bc4b10bf813fd0a1204064ada108f4654b84160ade26b15bca3c6d3428ca33f",
+            "f9e269e16ac5281d1751e61079271e82999cebec4dd79d96873ab5da5c009d59",
         "modips-normal-conjoint":
-            "e998bbb4205c876d5ffde8a2d011e4ed0b688c88cf073a41fabab858c607db98",
+            "ed8884863ee805c1a54dc7a3bc10d615410ea8af9df2fd0cb13c3d770309b7a7",
         "pert-hist":
-            "5254e9107fc9bebb043568583cd12fbd28ea003b7e7af638efb6a375b8e4046f",
+            "7c511dfb4c999dd680ffeab816245ff8b9d55128b6a8023362979da91ba4e9b3",
         "smooth-hist":
-            "c1b3b3afb935da176725b96d63195289335be610203301bd7b918f6a9059a382",
+            "b387036055a50e16c950d60f5190f8cc555cdeda0ee856aaf33259c60b3a225c",
         "ms":
-            "f7f93afc392bce99666006ab170668c14844306027315f7cab1d8be7ae0df9a1",
+            "6a0eaf65689e39607ca53857eae08885968fbf3d0d42aa59d01b74f2d3760fc5",
         "original":
-            "f021ecf5313491b25d61a9b4cbaccc5e75c49a8fca666af8a120b9c0aecaef96",
+            "57f7d466ed2b81d8446af1032b605704e60792999d68ca6f19b22fc8d64ac432",
     },
 }
 

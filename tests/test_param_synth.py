@@ -48,6 +48,12 @@ from dips.randvar import (
 )
 
 
+def _group(record):
+    """The statistic group a release's sanitizer record belongs to: its
+    label is the ledger's ``<method>-set<j>-<group>``."""
+    return record.label.rsplit("-", 1)[1]
+
+
 def _ledger(eps=1.0):
     return PrivacyLedger(PrivacyBudget(eps))
 
@@ -147,8 +153,8 @@ def test_modips_bernoulli_ledger_exact_with_allocation():
                          ledger=ledger)
     assert rel.m == 4
     assert ledger.effective_spend_exact() == Fraction(0.7)
-    for records in rel.sanitized_stats:
-        assert [r.label for r in records] == ["n1"]
+    for j, records in enumerate(rel.sanitized_stats):
+        assert [r.label for r in records] == [f"modips-set{j}-n1"]
 
 
 def test_modips_normal_uneven_allocation_sums_exactly():
@@ -404,8 +410,9 @@ def test_modips_records_carry_per_entry_sensitivity():
               if g.delta_s is not None]
     rel = modips_release(RngStream(67), data, model, eps=1.0, m=2,
                          ledger=_ledger())
-    for records in rel.sanitized_stats:
-        assert [r.label for r in records] == [g.label for g in groups]
+    for j, records in enumerate(rel.sanitized_stats):
+        assert [r.label for r in records] == [f"modips-set{j}-{g.label}"
+                                              for g in groups]
         for group, record in zip(groups, records):
             np.testing.assert_array_equal(record.sensitivity.delta_s,
                                           group.delta_s)
@@ -795,7 +802,7 @@ def test_draws_from_the_recorded_stats_reproduce_each_set(plugin,
            for g in source.sufficient_statistics(data) if g.delta_s is None}
     assert list(raw) == UNSANITIZED[plugin]
     subs = [RngStream(93).substream(j) for j in range(len(rel.sets))]
-    stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+    stats_sets = [{**raw, **{_group(r): r.sanitized for r in records}}
                   for records in rel.sanitized_stats]
     params = fresh.posterior_draw([sub.substream(10_000) for sub in subs],
                                   stats_sets, data.n, [])
@@ -828,7 +835,7 @@ def _three_sets(plugin, mh_settings):
                          allocation=allocation, ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data) if g.delta_s is None}
-    stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+    stats_sets = [{**raw, **{_group(r): r.sanitized for r in records}}
                   for records in rel.sanitized_stats]
     return model, data, stats_sets
 
@@ -938,7 +945,7 @@ def _sim4_release(sanitize):
                          ledger=_ledger(), sanitize=sanitize)
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data)}
-    return rel, [{**raw, **{r.label: r.sanitized for r in records}}
+    return rel, [{**raw, **{_group(r): r.sanitized for r in records}}
                  for records in rel.sanitized_stats]
 
 
@@ -986,7 +993,7 @@ def test_logistic_posterior_refuses_sets_with_different_rows(mh_settings):
     # set 1 gets other outcome rows, or other Firth fits of the rows
     for label, change in (("w1", lambda w1: 1.0 - w1),
                           ("firth", lambda firth: firth + 0.5)):
-        stats_sets = [{**raw, **{r.label: r.sanitized for r in records}}
+        stats_sets = [{**raw, **{_group(r): r.sanitized for r in records}}
                       for records in rel.sanitized_stats]
         stats_sets[1][label] = change(stats_sets[1][label])
         with pytest.raises(ValueError, match="share their unsanitized rows"):

@@ -130,7 +130,9 @@ def _stats_sets(tempered):
         return [raw] * M
     rel = modips_release(RngStream(121), data, model, math.exp(2), m=M,
                          ledger=PrivacyLedger(PrivacyBudget(math.exp(2))))
-    return [{**raw, **{r.label: r.sanitized for r in records}}
+    # a record's label is the ledger's modips-set<j>-<group>
+    return [{**raw, **{r.label.rsplit("-", 1)[1]: r.sanitized
+                       for r in records}}
             for records in rel.sanitized_stats]
 
 
