@@ -1,8 +1,8 @@
 """Model-based synthesis: sanitize sufficient statistics, then draw
 parameters and data from the Bayesian model.
 
-Each release spends eps/m per set, split across the model's statistic
-groups.  Out-of-range sanitized statistics are legitimized either by
+Each release spends eps/m per set, split equally across the model's
+statistic groups.  Out-of-range sanitized statistics are legitimized either by
 clipping to the bounds ("BIT") or by drawing the noise from the Laplace
 law conditioned on the bounds ("truncate").
 """
@@ -35,13 +35,12 @@ print(f"bernoulli: source proportion {x.mean():.3f}, per-set "
 
 # Bounded continuous column, normal-inverse-gamma posterior; the model reads
 # the bounds from the declared column.  The mean and variance statistics
-# get separate budget shares (2:1 here).
+# get separate, equal budget shares.
 z = np.clip(rng.substream(2).generator.normal(0.5, 1.0, 200), -3.0, 4.0)
 data = TabularDataset([ContinuousColumn("x", -3.0, 4.0)], {"x": z})
 ledger = PrivacyLedger(PrivacyBudget(1.0))
 release = modips_release(rng.substream(3), data, NormalModel(), 1.0, m=5,
-                         allocation=[2.0, 1.0], ledger=ledger,
-                         postprocess="truncate")
+                         ledger=ledger, postprocess="truncate")
 means = [s.column("x").mean() for s in release.sets]
 print(f"normal: source mean {z.mean():+.3f}, per-set {np.round(means, 3)}")
 for stat in release.sanitized_stats[0]:

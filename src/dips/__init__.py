@@ -21,6 +21,7 @@ from .hist_synth import (
 from .inference import (
     CombinedEstimate,
     DegenerateEstimate,
+    NonConvergence,
     PerSetEstimate,
     combine,
     estimate_correlation,
@@ -30,12 +31,7 @@ from .inference import (
     firth_logistic,
     fit_multinomial_logit,
 )
-from .mechanisms import (
-    NonConvergence,
-    SanitizedStatistic,
-    SensitivitySpec,
-    laplace_mechanism,
-)
+from .mechanisms import SanitizedStatistic, SensitivitySpec, laplace_mechanism
 from .param_synth import (
     BernoulliModel,
     GaussianMixtureModel,

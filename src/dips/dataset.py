@@ -229,13 +229,11 @@ def _check_numeric(name: str, values: np.ndarray):
 def _cell_text(block: np.ndarray):
     """The CSV text of each value of one column block, whose type
     ``_check_numeric`` has passed."""
-    if block.dtype.type is np.float64:
-        # one C-level repr of the whole block: the same text as
-        # repr(float(v)) per value, including -0.0, nan, inf and 1e-05
-        return repr(block.tolist())[1:-1].split(", ")
     kind = block.dtype.kind
-    if kind in "biu":
-        return map(str, block.tolist())
+    if kind in "biu" or block.dtype.type is np.float64:
+        # tolist gives Python ints, bools and floats, whose repr is the
+        # text, including -0.0, nan, inf and 1e-05
+        return map(repr, block.tolist())
     if kind == "f":
         return map(str, block)
     return [repr(float(v)) if isinstance(v, float) else str(v)

@@ -62,7 +62,7 @@ from .param_synth import (
     SequentialLogisticModel,
     cell_means,
 )
-from .randvar import RngStream
+from .randvar import RngStream, sample_cells
 from .synthesizers import SYNTHESIZERS, modips_entry
 
 __all__ = [
@@ -318,9 +318,7 @@ def _sim3_columns():
 def simulate_truth_sim3(rng: RngStream, n: int,
                         rho: float = SIM3_RHO) -> TabularDataset:
     gen = rng.generator
-    counts = gen.multinomial(n, SIM3_PI / SIM3_PI.sum())
-    cells = np.repeat(np.arange(24), counts)
-    gen.shuffle(cells)
+    cells = sample_cells(rng, n, SIM3_PI)
     cov = np.array([[1.0, rho], [rho, 1.0]]) * SIM3_SIGMA ** 2
     chol = np.linalg.cholesky(cov)
     lower, upper = sim3_cell_bounds()
@@ -430,8 +428,7 @@ def _sim3_cell_grids(data: TabularDataset) -> _CellGrids:
     lo = np.take(lower, cells, axis=0)
     z = np.clip(np.column_stack([data.column("z1"), data.column("z2")]),
                 lo, np.take(upper, cells, axis=0))
-    rows, means = cell_means(cells, z, k)
-    dev = z - np.take(means, cells, axis=0)
+    rows, _, dev = cell_means(cells, z, k)
     sq = np.column_stack([np.bincount(cells, d * d, minlength=k)
                           for d in dev.T])
     sd = np.sqrt(sq / np.maximum(rows - 1, 1)[:, None])
@@ -538,7 +535,7 @@ def _sim3_moments(ds: TabularDataset) -> list:
     z = np.column_stack([ds.column("z1"), ds.column("z2")])
     n = ds.n
     cells = _sim3_cells(ds)
-    resid = z - np.take(cell_means(cells, z, SIM3_PI.size)[1], cells, axis=0)
+    resid = cell_means(cells, z, SIM3_PI.size)[2]
     s_mat = resid.T @ resid / n
     s11, s22, s12 = s_mat[0, 0], s_mat[1, 1], s_mat[0, 1]
     if s11 <= 0 or s22 <= 0:

@@ -26,7 +26,7 @@ import numpy as np
 from .budget import EpsLike, PrivacyLedger
 from .dataset import CategoricalColumn, TabularDataset
 from .mechanisms import SensitivitySpec, laplace_mechanism
-from .randvar import RngStream
+from .randvar import RngStream, sample_cells
 
 __all__ = [
     "AllCellsZero",
@@ -207,9 +207,6 @@ def laplace_sanitizer_crosstab(rng: RngStream, data: TabularDataset,
         columns, {col.name: data.column(col.name) for col in columns},
         validate=False), shape)
     sanitized = perturb_histogram(rng, hist, eps, ledger=ledger, label=label)
-    counts = rng.generator.multinomial(data.n, sanitized / sanitized.sum())
-    cells = np.repeat(np.arange(hist.size), counts)
-    rng.generator.shuffle(cells)
-    multi = np.unravel_index(cells, shape)
+    multi = np.unravel_index(sample_cells(rng, data.n, sanitized), shape)
     return {name: codes.astype(np.int64)
             for name, codes in zip(categorical_axes, multi)}

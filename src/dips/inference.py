@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import NonConvergence
 from .randvar import t_quantile
 
 __all__ = [
@@ -37,6 +36,10 @@ __all__ = [
 
 class DegenerateEstimate(ValueError):
     """The requested estimate is undefined for this sample."""
+
+
+class NonConvergence(RuntimeError):
+    """An iterative fit (Firth) did not converge within its budget."""
 
 
 class RankDeficient(DegenerateEstimate):

@@ -12,15 +12,10 @@ import numpy as np
 from .randvar import RngStream, sample_laplace, sample_truncated_laplace
 
 __all__ = [
-    "NonConvergence",
     "SensitivitySpec",
     "SanitizedStatistic",
     "laplace_mechanism",
 ]
-
-
-class NonConvergence(RuntimeError):
-    """An iterative fit (Firth) did not converge within its budget."""
 
 
 @dataclass(frozen=True)

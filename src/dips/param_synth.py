@@ -4,9 +4,9 @@ parameters from the posterior given the sanitized statistics, and simulates
 synthetic rows from the predictive.
 
 Every release of m sets spends exactly the total budget on the ledger:
-each set costs eps/m, split across statistic groups by the allocation
-weights; entries within a group that come from disjoint data subsets share
-one charge (parallel composition).
+each set costs eps/m, split equally across its sanitized statistic groups;
+entries within a group that come from disjoint data subsets share one
+charge (parallel composition).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .randvar import (
     RngStream,
     sample_bernoulli,
     sample_beta,
+    sample_cells,
     sample_dirichlet,
     sample_inv_gamma,
     sample_inv_wishart,
-    sample_multinomial,
     sample_mvnormal,
     sample_normal,
 )
@@ -79,10 +79,6 @@ class SyntheticRelease:
     sets: list[TabularDataset]
     flags: list[str] = field(default_factory=list)
     sanitized_stats: list[list[SanitizedStatistic]] = field(default_factory=list)
-
-    @property
-    def m(self) -> int:
-        return len(self.sets)
 
 
 class ModipsModel(Protocol):
@@ -139,14 +135,11 @@ def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1, *,
     if not (eps > 0) or m < 1:
         raise ValueError("need eps > 0 and m >= 1")
     alpha = _md_alpha(n, eps / m)
-    k = len(counts)
     sets = []
     for j in range(m):
         sub = rng.substream(j)
         pi = sample_dirichlet(sub, alpha + counts)
-        cells = np.repeat(np.arange(k), sample_multinomial(sub, n, pi))
-        sub.generator.shuffle(cells)
-        sets.append(cells)
+        sets.append(sample_cells(sub, n, pi))
         ledger.charge(f"md-set-{j}", Fraction(eps) / m)
     return sets
 
@@ -174,16 +167,15 @@ def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
 # -- MODIPS engine ----------------------------------------------------------
 
 def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
-                   eps: float, m: int = 1,
-                   allocation: list[float] | None = None, *,
+                   eps: float, m: int = 1, *,
                    ledger: PrivacyLedger,
                    sanitize: bool = True,
                    postprocess: str = "BIT",
                    method: str = "modips") -> SyntheticRelease:
     """Release m synthetic sets.  The model's sufficient statistics are
-    computed once.  Per set, in set order, eps/m is split across the
-    sanitized groups by ``allocation`` and ``mechanisms.laplace_mechanism``
-    sanitizes each group with its share.  One posterior call then draws
+    computed once.  Per set, in set order, eps/m is split equally across
+    the sanitized groups and ``mechanisms.laplace_mechanism`` sanitizes
+    each group with its share.  One posterior call then draws
     every set's parameters given its statistics, and per set a synthetic
     set of the source's n rows over its declared columns is drawn from
     the predictive.  Set j sanitizes on ``rng.substream(j).substream(i)``,
@@ -195,40 +187,35 @@ def modips_release(rng: RngStream, data: TabularDataset, model: ModipsModel,
 
     A group declared with ``delta_s=None`` reaches the posterior raw,
     uncharged, and noted in the release's flags as ``unsanitized:<label>``;
-    allocation weights and the sanitizer's substreams count only the
-    other groups.  ``sanitize=False`` passes every group raw and charges
+    the equal split and the sanitizer's substreams count only the other
+    groups.  ``sanitize=False`` passes every group raw and charges
     nothing, yielding the non-private multiple-synthesis baseline.
     """
     if not (eps > 0) or m < 1:
         raise ValueError("need eps > 0 and m >= 1")
     n = data.n
     groups = model.sufficient_statistics(data)
-    private = [g for g in groups if g.delta_s is not None]
-    weights = allocation if allocation is not None else [1.0] * len(private)
-    if len(weights) != len(private):
-        raise ValueError("allocation must cover every sanitized group")
-    total_w = sum(Fraction(w) for w in weights)
-    shares = [Fraction(eps) * Fraction(w) / (m * total_w) for w in weights]
     flags = [f"unsanitized:{g.label}" for g in groups if g.delta_s is None]
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in groups}
-    noisy = list(zip(private, shares)) if sanitize else []
+    noisy = [g for g in groups if g.delta_s is not None] if sanitize else []
+    share = Fraction(eps) / (m * len(noisy)) if noisy else None
     subs = [rng.substream(j) for j in range(m)]
     stats_sets = []
     records_all = []
     for j, sub in enumerate(subs):
         stats = dict(raw)
         records = []
-        for i, (group, share_frac) in enumerate(noisy):
+        for i, group in enumerate(noisy):
             label = f"{method}-set{j}-{group.label}"
             record = laplace_mechanism(
                 sub.substream(i), group.value,
-                SensitivitySpec(group.delta_s), float(share_frac),
+                SensitivitySpec(group.delta_s), float(share),
                 label, lower=group.lower, upper=group.upper,
                 defined=group.defined, postprocess=postprocess)
             records.append(record)
             stats[group.label] = record.sanitized
-            ledger.charge(label, share_frac)
+            ledger.charge(label, share)
         stats_sets.append(stats)
         records_all.append(records)
     params = model.posterior_draw([sub.substream(10_000) for sub in subs],
@@ -342,13 +329,15 @@ def _sanitized_cov2(var1, var2, cov, flags) -> np.ndarray:
 
 
 def cell_means(cells: np.ndarray, z: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row count of each of k cells, and the (k, d) column means of
-    z over each cell's rows, 0 for an empty cell."""
+               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row count of each of k cells, the (k, d) column means of z
+    over each cell's rows (0 for an empty cell), and each row of z less
+    its cell's means."""
     counts = np.bincount(cells, minlength=k)
     sums = np.column_stack([np.bincount(cells, col, minlength=k)
                             for col in z.T])
-    return counts, sums / np.maximum(counts, 1)[:, None]
+    means = sums / np.maximum(counts, 1)[:, None]
+    return counts, means, z - np.take(means, cells, axis=0)
 
 
 def _split_columns(columns):
@@ -395,12 +384,11 @@ class GaussianMixtureModel:
         cells = np.ravel_multi_index([data.column(c.name) for c in cats],
                                      shape)
         z = np.column_stack([data.column(z1.name), data.column(z2.name)])
-        counts, zbar = cell_means(cells, z, k)
+        counts, zbar, dev = cell_means(cells, z, k)
         counts = counts.astype(float)
         ranges = self.cell_upper - self.cell_lower  # (K, 2)
         occupied = counts > 0
         # pooled within-cell covariance, MLE scale (divided by n)
-        dev = z - np.take(zbar, cells, axis=0)
         s_mat = dev.T @ dev / n
         mean_delta = np.where(occupied[:, None], ranges / np.maximum(counts, 1)[:, None], 1.0)
         s_factor = (n - 1) / (n * (n - k))
@@ -455,9 +443,7 @@ class GaussianMixtureModel:
     def predictive_draw(self, rng, params, columns, n):
         pi, mus, sigma = params
         cats, z1, z2 = _split_columns(columns)
-        counts = sample_multinomial(rng, n, pi)
-        cells = np.repeat(np.arange(self.k), counts)
-        rng.generator.shuffle(cells)
+        cells = sample_cells(rng, n, pi)
         chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(2))
         z = mus[cells] + rng.generator.standard_normal((n, 2)) @ chol.T
         z = np.clip(z, self.cell_lower[cells], self.cell_upper[cells])
@@ -592,8 +578,8 @@ class SequentialLogisticModel:
         longer run's; past the cap they are tiled.
 
         The chain runs in windows of at most 100 steps, split at every
-        multiple of 100 and at the end of burn-in, so the proposal scales
-        are fixed within a window.  A window first makes its steps' stream
+        multiple of 100, so the proposal scales are fixed within a
+        window.  A window first makes its steps' stream
         calls, in the order the steps would make them, then takes every
         log uniform in one call and every proposal move in one stacked
         matrix-vector product; its steps then only add, call the
@@ -601,7 +587,8 @@ class SequentialLogisticModel:
         each step's calls in turn: the stream yields the same numbers in
         the same order, the stacked product runs the same matrix-vector
         kernel per step, and the other operations are elementwise.  A
-        full burn-in window tunes the scales from its steps' accept rows.
+        full window that ends by the end of burn-in tunes the scales from
+        its steps' accept rows.
         (A matrix-matrix product of the window's normals with the block
         matrix is not the same kernel, and its results differ in the last
         bits.)"""
@@ -631,8 +618,6 @@ class SequentialLogisticModel:
         done = it = 0
         while it < total:
             stop = min(total, it - it % MH_WINDOW + MH_WINDOW)
-            if it < burnin:
-                stop = min(stop, burnin)
             w = stop - it
             for i in range(w):
                 gen.standard_normal(out=noise[i])

@@ -31,6 +31,7 @@ __all__ = [
     "sample_gamma",
     "sample_inv_gamma",
     "sample_multinomial",
+    "sample_cells",
     "sample_bernoulli",
     "sample_normal",
     "sample_mvnormal",
@@ -56,10 +57,6 @@ class RngStream:
     seed: int
     stream: tuple[int, ...] = ()
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if isinstance(self.stream, int):
-            self.stream = (self.stream,)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -175,6 +172,17 @@ def sample_multinomial(rng: RngStream, n, pvals):
     if np.any(pvals < 0) or not math.isclose(pvals.sum(), 1.0, abs_tol=1e-9):
         raise ParameterDomainError("pvals must be nonnegative and sum to 1")
     return rng.generator.multinomial(n, pvals / pvals.sum())
+
+
+def sample_cells(rng: RngStream, n: int, weights) -> np.ndarray:
+    """n cell codes in [0, len(weights)), in shuffled order, whose counts
+    are multinomial with probabilities ``weights / weights.sum()``."""
+    weights = np.asarray(weights, dtype=float)
+    gen = rng.generator
+    cells = np.repeat(np.arange(len(weights)),
+                      gen.multinomial(n, weights / weights.sum()))
+    gen.shuffle(cells)
+    return cells
 
 
 def sample_bernoulli(rng: RngStream, p, size=None):

@@ -63,6 +63,7 @@ CONSTANTS = {
     "dips.inference.fit_multinomial_logit": {"max_iter", "tol"},
     "dips.param_synth.BernoulliModel": {"prior_a", "prior_b"},
     "dips.param_synth.GaussianMixtureModel": {"prior_alpha"},
+    "dips.param_synth.modips_release": {"allocation"},
 }
 
 

@@ -151,28 +151,10 @@ def test_modips_bernoulli_ledger_exact_with_allocation():
     ledger = PrivacyLedger(PrivacyBudget(0.7))
     rel = modips_release(RngStream(5), data, BernoulliModel(), eps=0.7, m=4,
                          ledger=ledger)
-    assert rel.m == 4
+    assert len(rel.sets) == 4
     assert ledger.effective_spend_exact() == Fraction(0.7)
     for j, records in enumerate(rel.sanitized_stats):
         assert [r.label for r in records] == [f"modips-set{j}-n1"]
-
-
-def test_modips_normal_uneven_allocation_sums_exactly():
-    rng = RngStream(23)
-    x = np.clip(rng.generator.normal(0.0, 1.0, size=80), -5, 5)
-    cols = [ContinuousColumn("x", -5.0, 5.0)]
-    data = TabularDataset(cols, {"x": x})
-    ledger = PrivacyLedger(PrivacyBudget(1.0))
-    modips_release(RngStream(29), data, NormalModel(), eps=1.0, m=3,
-                   allocation=[1.0, 2.0], ledger=ledger)
-    assert ledger.effective_spend_exact() == Fraction(1)
-
-
-def test_modips_allocation_length_checked():
-    data = _binary_data(10, 40)
-    with pytest.raises(ValueError, match="allocation"):
-        modips_release(RngStream(1), data, BernoulliModel(), eps=1.0,
-                       allocation=[1.0, 1.0], ledger=_ledger())
 
 
 def test_modips_without_sanitization_charges_nothing():
@@ -268,15 +250,16 @@ def test_cell_means_match_the_per_cell_loop():
     cells = gen.integers(0, 6, 500)
     cells[cells == 4] = 5  # cell 4 and cell 6 stay empty
     z = gen.normal(10.0, 3.0, size=(500, 2))
-    counts, means = cell_means(cells, z, 7)
+    counts, means, dev = cell_means(cells, z, 7)
     scatter = np.zeros((2, 2))
     for k in range(7):
         rows = z[cells == k]
         assert counts[k] == len(rows)
         mean = rows.mean(axis=0) if len(rows) else np.zeros(2)
         np.testing.assert_allclose(means[k], mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dev[cells == k], rows - mean,
+                                   rtol=0, atol=1e-12)
         scatter += (rows - mean).T @ (rows - mean)
-    dev = z - means[cells]
     np.testing.assert_allclose(dev.T @ dev, scatter, rtol=1e-12)
 
 
@@ -662,9 +645,9 @@ def test_lockstep_loglik_returns_a_new_array():
 def test_mh_lockstep_equals_stepwise_reference(burnin, thin, mh_settings):
     """The windowed sampler on the block-major likelihood draws the bytes
     of the per-step sampler on the row-major one, run as one chain whose
-    quota is the cap.  A burn-in of 250 ends on a 50-step window, which
-    must not tune; the draws asked for end inside the chain, at the cap,
-    and past it, where they tile."""
+    quota is the cap.  A burn-in of 250 ends halfway through a window,
+    which must not tune; the draws asked for end inside the chain, at the
+    cap, and past it, where they tile."""
     cap = 100 // thin
     mh_settings(burnin=burnin, thin=thin, max_draws=cap)
     reference = SimpleNamespace(mh_chains=1, mh_iters=burnin + cap * thin,
@@ -723,22 +706,20 @@ def _plugin_cases(mh_settings):
     normal = TabularDataset([ContinuousColumn("x", -5.0, 5.0)],
                             {"x": np.clip(gen.normal(0.0, 1.0, 80), -5, 5)})
     return {
-        "bernoulli": (BernoulliModel(), _binary_data(30, 100), None),
-        "normal": (NormalModel(), normal, [1.0, 3.0]),
-        "mixture": (_mixture_model(), _mixture_data(RngStream(89), 120),
-                    None),
+        "bernoulli": (BernoulliModel(), _binary_data(30, 100)),
+        "normal": (NormalModel(), normal),
+        "mixture": (_mixture_model(), _mixture_data(RngStream(89), 120)),
         "logistic": (SequentialLogisticModel(),
-                     simulate_truth_sim4(RngStream(90), 120), None),
+                     simulate_truth_sim4(RngStream(90), 120)),
     }
 
 
 @pytest.mark.parametrize("plugin", ["bernoulli", "normal", "mixture",
                                     "logistic"])
 def test_modips_release_computes_statistics_once(plugin, mh_settings):
-    model, data, allocation = _plugin_cases(mh_settings)[plugin]
+    model, data = _plugin_cases(mh_settings)[plugin]
     labels = [g.label for g in model.sufficient_statistics(data)
               if g.delta_s is not None]
-    weights = allocation or [1.0] * len(labels)
     calls = []
     compute = model.sufficient_statistics
 
@@ -749,15 +730,13 @@ def test_modips_release_computes_statistics_once(plugin, mh_settings):
     eps, m = 0.9, 3
     ledger = PrivacyLedger(PrivacyBudget(eps))
     rel = modips_release(RngStream(91), data, model, eps, m=m,
-                         allocation=allocation, ledger=ledger,
-                         method=f"modips-{plugin}")
+                         ledger=ledger, method=f"modips-{plugin}")
     assert calls == [data]
     assert len(rel.sets) == m
     # set-major ledger entries in group order, each its exact share
     assert [(e.label, e.eps) for e in ledger.entries] == [
-        (f"modips-{plugin}-set{j}-{label}",
-         Fraction(eps) * Fraction(w) / (m * sum(map(Fraction, weights))))
-        for j in range(m) for label, w in zip(labels, weights)]
+        (f"modips-{plugin}-set{j}-{label}", Fraction(eps) / (m * len(labels)))
+        for j in range(m) for label in labels]
     assert ledger.spend == ledger.effective_spend_exact() == Fraction(eps)
 
 
@@ -769,10 +748,9 @@ RELEASE_STATE = {"bernoulli": set(), "normal": set(),
 
 @pytest.mark.parametrize("plugin", list(RELEASE_STATE))
 def test_release_writes_only_the_listed_model_state(plugin, mh_settings):
-    model, data, allocation = _plugin_cases(mh_settings)[plugin]
+    model, data = _plugin_cases(mh_settings)[plugin]
     before = dict(vars(model))
-    modips_release(RngStream(92), data, model, 1.0, m=1,
-                   allocation=allocation, ledger=_ledger())
+    modips_release(RngStream(92), data, model, 1.0, m=1, ledger=_ledger())
     after = vars(model)
     assert after.keys() == before.keys()
     changed = {k for k in after if after[k] is not before[k]}
@@ -790,9 +768,9 @@ def test_draws_from_the_recorded_stats_reproduce_each_set(plugin,
     """Each set is a function of its sanitize records, the declared
     unsanitized groups, n and the columns: a fresh model fed those on the
     release's substreams draws the same bytes."""
-    model, data, allocation = _plugin_cases(mh_settings)[plugin]
+    model, data = _plugin_cases(mh_settings)[plugin]
     rel = modips_release(RngStream(93), data, model, 1.0, m=2,
-                         allocation=allocation, ledger=_ledger())
+                         ledger=_ledger())
     assert rel.flags[:len(UNSANITIZED[plugin])] == [
         f"unsanitized:{label}" for label in UNSANITIZED[plugin]]
     # the raw groups come from another instance: the fresh model sees
@@ -830,9 +808,9 @@ DEGENERATE = {"bernoulli": None, "normal": "var", "mixture": "var1",
 
 def _three_sets(plugin, mh_settings):
     """A plugin and the three sets' statistics of one of its releases."""
-    model, data, allocation = _plugin_cases(mh_settings)[plugin]
+    model, data = _plugin_cases(mh_settings)[plugin]
     rel = modips_release(RngStream(103), data, model, 1.0, m=3,
-                         allocation=allocation, ledger=_ledger())
+                         ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
            for g in model.sufficient_statistics(data) if g.delta_s is None}
     stats_sets = [{**raw, **{_group(r): r.sanitized for r in records}}
@@ -985,7 +963,7 @@ def test_logistic_release_flags(sanitize):
 
 
 def test_logistic_posterior_refuses_sets_with_different_rows(mh_settings):
-    model, data, _ = _plugin_cases(mh_settings)["logistic"]
+    model, data = _plugin_cases(mh_settings)["logistic"]
     rel = modips_release(RngStream(107), data, model, 1.0, m=2,
                          ledger=_ledger())
     raw = {g.label: np.atleast_1d(np.asarray(g.value, dtype=float))
@@ -1009,10 +987,9 @@ def test_traced_release_equals_untraced(plugin, monkeypatch, mh_settings):
     from perfbench.tracing import Tracer
 
     def release():
-        model, data, allocation = _plugin_cases(mh_settings)[plugin]
+        model, data = _plugin_cases(mh_settings)[plugin]
         return dips.param_synth.modips_release(
-            RngStream(98), data, model, 1.0, m=2, allocation=allocation,
-            ledger=_ledger()).sets
+            RngStream(98), data, model, 1.0, m=2, ledger=_ledger()).sets
     untraced = release()
     tracer = Tracer()
     try:

@@ -13,6 +13,7 @@ from dips.randvar import (
     ParameterDomainError,
     RngStream,
     sample_beta,
+    sample_cells,
     sample_dirichlet,
     sample_gamma,
     sample_inv_gamma,
@@ -154,6 +155,19 @@ def test_multinomial_chisquare():
     counts = sample_multinomial(rng(6), N_DRAWS, p)
     _, pval = stats.chisquare(counts, p * N_DRAWS)
     assert pval > ALPHA
+
+
+def test_sample_cells_repeats_the_multinomial_counts_and_shuffles():
+    """Unnormalized weights are divided by their sum once; the counts and
+    the shuffle come from the stream's one generator, in that order."""
+    w = np.array([0.3, 0.0, 1.7, 0.25, 0.9])
+    gen = RngStream(11).substream(4).generator
+    expected = np.repeat(np.arange(len(w)), gen.multinomial(500, w / w.sum()))
+    gen.shuffle(expected)
+    cells = sample_cells(RngStream(11).substream(4), 500, w)
+    assert cells.dtype == expected.dtype
+    assert cells.tobytes() == expected.tobytes()
+    assert not (cells == 1).any()
 
 
 def test_mvnormal_moments():
