@@ -102,6 +102,15 @@ SIM3_RHO = 0.5
 # the marginal proportions the study estimates: name -> (w axis, level)
 SIM3_MARGINS = {"pw1_1": (0, 1), "pw2_1": (1, 1), "pw2_2": (1, 2),
                 "pw3_1": (2, 1), "pw3_2": (2, 2), "pw3_3": (2, 3)}
+# sim3's schema: each z spans the union of its per-cell bounds
+# [mu_kj - 4, mu_kj + 4]
+SIM3_COLUMNS = [
+    *(CategoricalColumn(f"w{k}", tuple(range(levels)))
+      for k, levels in enumerate(SIM3_LEVELS, 1)),
+    *(ContinuousColumn(f"z{k}", float(mu.min() - 4 * SIM3_SIGMA),
+                       float(mu.max() + 4 * SIM3_SIGMA))
+      for k, mu in enumerate((SIM3_MU1, SIM3_MU2), 1)),
+]
 
 # sequential logistic truth: three regressions on z (and previously drawn
 # outcomes), coefficient vectors for the two binary and the three-level
@@ -113,6 +122,15 @@ SIM4_BETA4 = np.array([0.1, -1.0, -0.5, 0.0, 1.5])
 SIM4_BETAS = {"b1": SIM4_BETA1, "b2": SIM4_BETA2, "b3": SIM4_BETA3,
               "b4": SIM4_BETA4}
 SIM4_RHO = 0.5
+SIM4_Z_BOUND = 4.0
+# sim4's schema, in the axis order of np-dips' grid, which fixes its draws
+SIM4_COLUMNS = [
+    ContinuousColumn("z1", -SIM4_Z_BOUND, SIM4_Z_BOUND),
+    ContinuousColumn("z2", -SIM4_Z_BOUND, SIM4_Z_BOUND),
+    CategoricalColumn("w1", (0, 1)),
+    CategoricalColumn("w2", (0, 1)),
+    CategoricalColumn("w3", (0, 1, 2)),
+]
 
 
 def sim3_cell_bounds() -> tuple[np.ndarray, np.ndarray]:
@@ -123,14 +141,6 @@ def sim3_cell_bounds() -> tuple[np.ndarray, np.ndarray]:
                              SIM3_MU2 + 4 * SIM3_SIGMA])
     return lower, upper
 
-
-def sim3_z_bounds() -> tuple[tuple[float, float], tuple[float, float]]:
-    lower, upper = sim3_cell_bounds()
-    return ((float(lower[:, 0].min()), float(upper[:, 0].max())),
-            (float(lower[:, 1].min()), float(upper[:, 1].max())))
-
-
-SIM4_Z_BOUNDS = ((-4.0, 4.0), (-4.0, 4.0))
 
 METRIC_COLUMNS = ["study", "method", "parameter", "eps", "bias", "rmse",
                   "coverage", "ci_width", "usable_fraction", "reps_used"]
@@ -304,50 +314,27 @@ def simulate_truth_sim2(rng: RngStream, n: int, mu: float = 0.0,
     return TabularDataset([ContinuousColumn("x", c0, c1)], {"x": x})
 
 
-def _sim3_columns():
-    zb = sim3_z_bounds()
-    return [
-        CategoricalColumn("w1", tuple(range(SIM3_LEVELS[0]))),
-        CategoricalColumn("w2", tuple(range(SIM3_LEVELS[1]))),
-        CategoricalColumn("w3", tuple(range(SIM3_LEVELS[2]))),
-        ContinuousColumn("z1", *zb[0]),
-        ContinuousColumn("z2", *zb[1]),
-    ]
-
-
-def simulate_truth_sim3(rng: RngStream, n: int,
-                        rho: float = SIM3_RHO) -> TabularDataset:
+def simulate_truth_sim3(rng: RngStream, n: int) -> TabularDataset:
     gen = rng.generator
     cells = sample_cells(rng, n, SIM3_PI)
-    cov = np.array([[1.0, rho], [rho, 1.0]]) * SIM3_SIGMA ** 2
+    cov = np.array([[1.0, SIM3_RHO], [SIM3_RHO, 1.0]]) * SIM3_SIGMA ** 2
     chol = np.linalg.cholesky(cov)
     lower, upper = sim3_cell_bounds()
     mus = np.column_stack([SIM3_MU1, SIM3_MU2])
     z = _draw_within(lambda rows: mus[cells[rows]] + gen.standard_normal(
         (len(rows), 2)) @ chol.T, n, lower[cells], upper[cells])
     w = np.unravel_index(cells, SIM3_LEVELS)
-    return TabularDataset(_sim3_columns(), {
+    return TabularDataset(SIM3_COLUMNS, {
         "w1": w[0].astype(np.int64), "w2": w[1].astype(np.int64),
         "w3": w[2].astype(np.int64), "z1": z[:, 0], "z2": z[:, 1]})
 
 
-def _sim4_columns():
-    return [
-        CategoricalColumn("w1", (0, 1)),
-        CategoricalColumn("w2", (0, 1)),
-        CategoricalColumn("w3", (0, 1, 2)),
-        ContinuousColumn("z1", *SIM4_Z_BOUNDS[0]),
-        ContinuousColumn("z2", *SIM4_Z_BOUNDS[1]),
-    ]
-
-
-def simulate_truth_sim4(rng: RngStream, n: int,
-                        rho: float = SIM4_RHO) -> TabularDataset:
+def simulate_truth_sim4(rng: RngStream, n: int) -> TabularDataset:
     gen = rng.generator
-    cov = np.array([[1.0, rho], [rho, 1.0]])
+    cov = np.array([[1.0, SIM4_RHO], [SIM4_RHO, 1.0]])
     chol = np.linalg.cholesky(cov)
     z = _draw_within(lambda rows: gen.standard_normal((len(rows), 2))
-                     @ chol.T, n, -4.0, 4.0)
+                     @ chol.T, n, -SIM4_Z_BOUND, SIM4_Z_BOUND)
     x1 = np.column_stack([np.ones(n), z])
     p1 = 1.0 / (1.0 + np.exp(-x1 @ SIM4_BETA1))
     w1 = (gen.random(n) < p1).astype(np.int64)
@@ -359,7 +346,7 @@ def simulate_truth_sim4(rng: RngStream, n: int,
     b = np.exp(x3 @ SIM4_BETA4)
     u = gen.random(n) * (1.0 + a + b)
     w3 = np.where(u < 1.0, 0, np.where(u < 1.0 + a, 1, 2)).astype(np.int64)
-    return TabularDataset(_sim4_columns(), {
+    return TabularDataset(SIM4_COLUMNS, {
         "w1": w1, "w2": w2, "w3": w3, "z1": z[:, 0], "z2": z[:, 1]})
 
 
@@ -507,15 +494,6 @@ def _sim3_np_dips(rng, data, eps, m, ledger, postprocess):
                          ledger, tag=f"np-set{j}") for j in range(m)]
 
 
-def _sim4_np_dips(rng, data, eps, m, ledger, postprocess):
-    """The perturbed histogram over (z1, z2, w1, w2, w3): the grid's axis
-    order fixes the draws."""
-    columns = data.columns[3:] + data.columns[:3]
-    return SYNTHESIZERS["pert-hist"](
-        rng, TabularDataset(columns, data.data, validate=False), eps, m,
-        ledger, postprocess)
-
-
 # -- per-set estimators ------------------------------------------------------
 # each study's estimators are (parameter names, estimate) groups, where
 # estimate(dataset) gives one PerSetEstimate per name in order; a group that
@@ -648,7 +626,7 @@ STUDIES = {
         methods={
             "modips-logistic": modips_entry("modips-logistic",
                                             SequentialLogisticModel()),
-            "np-dips": _sim4_np_dips,
+            "np-dips": SYNTHESIZERS["pert-hist"],
             "ms": modips_entry("ms", SequentialLogisticModel()),
             "original": _original,
         },
@@ -760,15 +738,11 @@ def run_study(config: StudyConfig) -> list[MetricRow]:
 
 # -- reporting ---------------------------------------------------------------
 
-def _format_field(value):
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
-
-
 def report(rows: list[MetricRow], out_dir: str | Path,
            config: StudyConfig | None = None) -> dict:
-    """Write one CSV per study plus a JSON index; returns the index."""
+    """Write one CSV per study plus a JSON index; returns the index.
+    ``csv.writer`` writes each field as ``str``, which for a float
+    (numpy's float64 included) is its repr."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     from . import __version__
@@ -784,8 +758,7 @@ def report(rows: list[MetricRow], out_dir: str | Path,
             for r in rows:
                 if r.study != study:
                     continue
-                writer.writerow([_format_field(getattr(r, c))
-                                 for c in METRIC_COLUMNS])
+                writer.writerow([getattr(r, c) for c in METRIC_COLUMNS])
         index["files"][study] = path.name
     with open(out_dir / "index.json", "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)

@@ -137,16 +137,15 @@ def perturb_histogram(rng: RngStream, counts: np.ndarray, eps: EpsLike,
 
 
 def smooth_histogram(counts: np.ndarray, eps: float,
-                     ledger: PrivacyLedger,
-                     label: str = "smoothed-histogram") -> np.ndarray:
+                     ledger: PrivacyLedger) -> np.ndarray:
     """DP smoothed histogram: the cell probabilities (1 - lambda) c / n +
     lambda / K over K cells, with the minimal
-    lambda = K / (K + n (e^(eps/n) - 1)).
+    lambda = K / (K + n (e^(eps/n) - 1)), charged as "smoothed-histogram".
     """
     k, n = counts.size, float(counts.sum())
     lam = smoothing_weight(k, n, eps)
     probs = (1.0 - lam) * (counts / n) + lam / k
-    ledger.charge(label, eps, mode="sequential")
+    ledger.charge("smoothed-histogram", eps, mode="sequential")
     return probs
 
 

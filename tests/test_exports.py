@@ -1,7 +1,8 @@
 """Every exported name exists, every exported function that spends budget
 takes a ledger with no default, no value with one use is a parameter, no
-module imports a name it never uses, and the benchmark's tracer finds
-every layer boundary it wraps except the one known to be missing."""
+module imports a name it never uses, every definition is exported or read,
+and the benchmark's tracer finds every layer boundary it wraps except the
+one known to be missing."""
 
 import ast
 import importlib
@@ -64,6 +65,9 @@ CONSTANTS = {
     "dips.param_synth.BernoulliModel": {"prior_a", "prior_b"},
     "dips.param_synth.GaussianMixtureModel": {"prior_alpha"},
     "dips.param_synth.modips_release": {"allocation"},
+    "dips.hist_synth.smooth_histogram": {"label"},
+    "dips.harness.simulate_truth_sim3": {"rho"},
+    "dips.harness.simulate_truth_sim4": {"rho"},
 }
 
 
@@ -110,6 +114,26 @@ def _unused_imports(path: Path) -> list[str]:
     "*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path) == []
+
+
+def test_every_definition_is_exported_or_read():
+    """A module-level function or class is in its module's ``__all__`` or
+    is read, as a name or an attribute, somewhere in the package, so a
+    deleted caller leaves no helper behind."""
+    defined, read = [], set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
+        defined += [(name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in getattr(module, "__all__", ())]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{name}.{attr}" for name, attr in defined if attr not in read]
+    assert dead == []
 
 
 def test_tracer_finds_every_boundary(monkeypatch):

@@ -73,6 +73,9 @@ def test_sim3_truth_z_within_cell_bounds():
     lower, upper = sim3_cell_bounds()
     z = np.column_stack([ds.column("z1"), ds.column("z2")])
     assert np.all(z >= lower[cells]) and np.all(z <= upper[cells])
+    # each z column declares the union of its cells' bounds
+    assert [(c.lo, c.hi) for c in ds.columns[3:]] == list(
+        zip(lower.min(axis=0), upper.max(axis=0)))
     # within-cell correlation near the target 0.5
     big = np.bincount(cells).argmax()
     sel = z[cells == big]
@@ -737,6 +740,22 @@ def test_report_round_trip(tmp_path):
     # floats are written with repr, so each field reads back exactly
     assert back == [{c: str(getattr(r, c)) for c in METRIC_COLUMNS}
                     for r in rows]
+
+
+def test_report_writes_each_float_as_its_repr(tmp_path):
+    """A float field, numpy's float64 included, is written as the repr of
+    the Python float; an int as its str."""
+    row = MetricRow("sim1", "laplace", "pi", 3, 0.1 + 0.2, 1e16, math.nan,
+                    np.float64(1e-05), -0.0, 0)
+    report([row], tmp_path)
+    with open(tmp_path / "sim1_metrics.csv", newline="") as fh:
+        header, fields = list(csv.reader(fh))
+    values = [getattr(row, c) for c in METRIC_COLUMNS]
+    assert header == METRIC_COLUMNS
+    assert fields == [repr(float(v)) if isinstance(v, float) else str(v)
+                      for v in values]
+    assert fields[3:] == ["3", "0.30000000000000004", "1e+16", "nan",
+                          "1e-05", "-0.0", "0"]
 
 
 def test_report_identical_bytes_for_identical_inputs(tmp_path):
