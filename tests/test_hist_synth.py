@@ -190,6 +190,65 @@ def test_sample_from_histogram_mixed_axes():
     assert np.all((out.column("x") >= 0.0) & (out.column("x") <= 1.0))
 
 
+def _choice_reference(rng, columns, shape, weights, n_out):
+    """The rows ``sample_from_histogram`` drew with ``Generator.choice``:
+    the cells, then one uniform per continuous column."""
+    weights = np.asarray(weights, dtype=float)
+    gen = rng.generator
+    cells = gen.choice(grid_cells(shape), size=n_out,
+                       p=weights / weights.sum())
+    out = {}
+    for c, size, codes in zip(columns, shape, np.unravel_index(cells, shape),
+                              strict=True):
+        if isinstance(c, CategoricalColumn):
+            out[c.name] = codes.astype(np.int64)
+        else:
+            out[c.name] = c.lo + (codes + gen.random(n_out)) * (
+                (c.hi - c.lo) / size)
+    return out
+
+
+def _assert_draws_like_choice(seed, columns, shape, weights, n_out):
+    got_rng, want_rng = RngStream(seed), RngStream(seed)
+    got = sample_from_histogram(got_rng, columns, shape, weights, n_out)
+    want = _choice_reference(want_rng, columns, shape, weights, n_out)
+    for c in columns:
+        col = got.column(c.name)
+        assert col.dtype == want[c.name].dtype
+        assert col.tobytes() == want[c.name].tobytes(), c.name
+    # the stream is left where choice left it
+    assert got_rng.generator.random() == want_rng.generator.random()
+
+
+_MIXED = [CategoricalColumn("w", (0, 1, 2)), ContinuousColumn("x", -1.0, 2.0)]
+
+
+@pytest.mark.parametrize("columns, shape, weights", [
+    ([ContinuousColumn("x", 0.0, 1.0)], (1,), [2.5]),
+    (_MIXED, (3, 4), [0, 0, 1, 2, 3, 4, 0, 5, 6, 7, 8, 9]),
+    (_MIXED, (3, 4), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0]),
+    (_MIXED, (3, 4), [1, 2, 0, 0, 0, 6, 7, 0, 9, 10, 11, 12]),
+    (_MIXED, (3, 4), np.linspace(0.01, 0.12, 12) / 0.78),
+], ids=["one-cell", "first-zero", "last-zero", "interior-zero",
+        "probabilities"])
+@pytest.mark.parametrize("n_out", [0, 1, 1000])
+def test_sample_from_histogram_draws_the_cells_of_choice(columns, shape,
+                                                         weights, n_out):
+    _assert_draws_like_choice(11, columns, shape, weights, n_out)
+
+
+def test_sample_from_histogram_draws_choice_cells_on_synth_sim3_grid():
+    # dips synth's pert-hist grid over 200k sim3 rows: 449,592 cells
+    from dips.harness import SIM3_COLUMNS, simulate_truth_sim3
+
+    shape = (2, 3, 4, 131, 143)
+    data = simulate_truth_sim3(RngStream(3), 200_000)
+    weights = perturb_histogram(RngStream(4), build_histogram(data, shape),
+                                0.2, ledger=_ledger(1.0))
+    assert np.count_nonzero(weights == 0) > 0
+    _assert_draws_like_choice(5, SIM3_COLUMNS, shape, weights, 200_000)
+
+
 def test_laplace_sanitizer_crosstab_roundtrip():
     rng = RngStream(7)
     n = 500
