@@ -62,7 +62,7 @@ from .param_synth import (
     SequentialLogisticModel,
     cell_means,
 )
-from .randvar import RngStream, sample_cells
+from .randvar import RngStream, invert_cdf, sample_cells
 from .synthesizers import SYNTHESIZERS, modips_entry
 
 __all__ = [
@@ -475,8 +475,8 @@ def _sim3_np_set(rng, data, grids, eps_set_frac, ledger, tag):
     new = np.ravel_multi_index([codes["w1"], codes["w2"], codes["w3"]],
                                SIM3_LEVELS)
     gen = sub.generator
-    pick = np.minimum(np.searchsorted(keys, new + gen.random(len(new)),
-                                      side="right"), ends[new])
+    pick = np.minimum(invert_cdf(keys, new + gen.random(len(new))),
+                      ends[new])
     local = pick - offsets[new]
     cols = grids.bins[:, 1][new]
     lo = np.take(lower, new, axis=0)

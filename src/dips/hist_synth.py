@@ -26,7 +26,7 @@ import numpy as np
 from .budget import EpsLike, PrivacyLedger
 from .dataset import CategoricalColumn, TabularDataset
 from .mechanisms import SensitivitySpec, laplace_mechanism
-from .randvar import RngStream, sample_cells
+from .randvar import RngStream, invert_cdf, sample_cells
 
 __all__ = [
     "AllCellsZero",
@@ -165,19 +165,32 @@ def sample_from_histogram(rng: RngStream, columns, shape, weights,
     """``n_out`` rows over ``columns`` (a grid of ``shape``): cells drawn in
     proportion to their nonnegative weights (counts or probabilities),
     then uniform within each continuous column's bin; categorical columns
-    take the level codes."""
+    take the level codes.
+
+    The weights are a 1-D array of one finite value per cell, with a
+    finite sum.  Cells are drawn by inverse CDF on sorted uniforms
+    (``randvar.invert_cdf``), with ``Generator.choice``'s arithmetic: the
+    draws of ``choice(cells, n_out, p=weights / weights.sum())`` from the
+    same ``n_out`` uniforms."""
+    cells = grid_cells(shape)
     weights = np.asarray(weights, dtype=float)
+    if weights.shape != (cells,) or not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be a 1-D array of {cells} finite "
+                         f"values, one per cell; got shape {weights.shape}")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    total = weights.sum()
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise ValueError("the weights' sum overflows a float")
     if total <= 0:
         raise AllCellsZero("weights have no mass")
-    probs = weights / total
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
     gen = rng.generator
-    cells = gen.choice(grid_cells(shape), size=n_out, p=probs)
+    drawn = np.unravel_index(invert_cdf(cdf, gen.random(n_out)), shape)
     out = {}
-    for c, size, codes in zip(columns, shape, np.unravel_index(cells, shape),
-                              strict=True):
+    for c, size, codes in zip(columns, shape, drawn, strict=True):
         if isinstance(c, CategoricalColumn):
             out[c.name] = codes.astype(np.int64)
         else:

@@ -4,7 +4,8 @@ All samplers take an explicit :class:`RngStream`; identical (seed, stream)
 pairs reproduce identical sequences.  Standard scalar distributions
 delegate to numpy's Generator; the inverse-Wishart sampler is built here
 via the Bartlett decomposition so near-singular draws are never inverted
-directly.  The Laplace conditioned on an interval is drawn by inverse CDF.
+directly.  The Laplace conditioned on an interval is drawn by inverse CDF,
+and so are cells from a tabulated CDF, on sorted uniforms.
 The t quantile of the combining rules is computed here, without scipy:
 Hill's expansion about the normal quantile, refined below df 500 by
 Halley steps on the t tail through the regularized incomplete beta
@@ -32,6 +33,7 @@ __all__ = [
     "sample_inv_gamma",
     "sample_multinomial",
     "sample_cells",
+    "invert_cdf",
     "sample_bernoulli",
     "sample_normal",
     "sample_mvnormal",
@@ -183,6 +185,19 @@ def sample_cells(rng: RngStream, n: int, weights) -> np.ndarray:
                       gen.multinomial(n, weights / weights.sum()))
     gen.shuffle(cells)
     return cells
+
+
+def invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for a nondecreasing ``cdf``
+    and a 1-D ``u``: the index of the first CDF value above each uniform.
+
+    The search runs over the sorted uniforms, so that numpy starts each
+    from the last result and its probes stay in cache, and the indices
+    are scattered back into ``u``'s order (Devroye 1986, ch. 2)."""
+    order = np.argsort(u)
+    out = np.empty(len(u), dtype=np.intp)
+    out[order] = cdf.searchsorted(u[order], side="right")
+    return out
 
 
 def sample_bernoulli(rng: RngStream, p, size=None):

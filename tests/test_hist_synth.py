@@ -249,6 +249,29 @@ def test_sample_from_histogram_draws_choice_cells_on_synth_sim3_grid():
     _assert_draws_like_choice(5, SIM3_COLUMNS, shape, weights, 200_000)
 
 
+@pytest.mark.parametrize("shape, weights, message", [
+    ((3,), [1.0, np.nan, 1.0], "finite"),
+    ((3,), [1.0, np.inf, 1.0], "finite"),
+    ((2,), [1e308, 1e308], "overflows"),
+    ((3,), [1.0, 1.0], "1-D array of 3"),
+    ((2, 3), np.ones((2, 3)), "1-D array of 6"),
+    ((3,), [1.0, -1.0, 1.0], "nonnegative"),
+], ids=["nan", "inf", "sum-overflows", "wrong-length", "2-d", "negative"])
+def test_sample_from_histogram_refuses_malformed_weights(shape, weights,
+                                                         message):
+    columns = [ContinuousColumn(f"x{k}", 0.0, 1.0) for k in range(len(shape))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            sample_from_histogram(RngStream(1), columns, shape, weights, 10)
+
+
+def test_sample_from_histogram_refuses_weights_without_mass():
+    with pytest.raises(AllCellsZero):
+        sample_from_histogram(RngStream(1), [ContinuousColumn("x", 0.0, 1.0)],
+                              (3,), np.zeros(3), 10)
+
+
 def test_laplace_sanitizer_crosstab_roundtrip():
     rng = RngStream(7)
     n = 500

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg, special, stats
 
 import dips
 from dips.randvar import (
     ParameterDomainError,
     RngStream,
+    invert_cdf,
     sample_beta,
     sample_cells,
     sample_dirichlet,
@@ -168,6 +171,30 @@ def test_sample_cells_repeats_the_multinomial_counts_and_shuffles():
     assert cells.dtype == expected.dtype
     assert cells.tobytes() == expected.tobytes()
     assert not (cells == 1).any()
+
+
+@st.composite
+def _cdfs_and_uniforms(draw):
+    """A nondecreasing CDF with plateaus and repeated values, and uniforms
+    that include 0.0, exact CDF values and duplicates, or none at all."""
+    unit = st.floats(0.0, 1.0)
+    cdf = np.sort(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), unit),
+        min_size=1, max_size=40)))
+    pool = st.one_of(st.just(0.0), st.sampled_from(cdf.tolist()), unit)
+    u = draw(st.lists(pool, max_size=60))
+    u = draw(st.permutations(u + u[:draw(st.integers(0, len(u)))]))
+    return cdf, np.array(u, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cdfs_and_uniforms())
+def test_invert_cdf_is_searchsorted_right(case):
+    cdf, u = case
+    expected = cdf.searchsorted(u, side="right")
+    got = invert_cdf(cdf, u)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 def test_mvnormal_moments():
