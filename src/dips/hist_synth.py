@@ -174,9 +174,11 @@ def sample_from_histogram(rng: RngStream, columns, shape, weights,
     same ``n_out`` uniforms."""
     cells = grid_cells(shape)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (cells,) or not np.all(np.isfinite(weights)):
-        raise ValueError(f"weights must be a 1-D array of {cells} finite "
-                         f"values, one per cell; got shape {weights.shape}")
+    if weights.shape != (cells,):
+        raise ValueError(f"weights must be a 1-D array of {cells} values, "
+                         f"one per cell; got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
     with np.errstate(over="ignore"):
