@@ -274,14 +274,13 @@ def test_truth_simulator_runs_once_per_replication(study, monkeypatch):
     assert len(calls) == 2 * 2 * 2
 
 
-def test_sim4_large_eps_consistency():
+def _assert_logistic_matches_ms(params, seed, z):
     """In the style of acceptance criterion 7: at eps = e^8 the sanitized
-    logistic release should estimate the first regression's coefficients
-    with the same bias as the unsanitized multiple synthesis ("ms"),
-    within 2 combined Monte-Carlo standard errors."""
-    params = ["b1_0", "b1_1", "b1_2"]
+    logistic release should estimate each of ``params`` with the same
+    bias as the unsanitized multiple synthesis ("ms"), within ``z``
+    combined Monte-Carlo standard errors."""
     rows = run_study(StudyConfig(
-        "sim4", 200, eps_grid=[math.exp(8)], m=3, reps=12, seed=29,
+        "sim4", 200, eps_grid=[math.exp(8)], m=3, reps=12, seed=seed,
         methods=["modips-logistic", "ms"], parameters=params))
     by_key = {(r.method, r.parameter): r for r in rows}
 
@@ -295,10 +294,30 @@ def test_sim4_large_eps_consistency():
         r, b = by_key[("modips-logistic", p)], by_key[("ms", p)]
         assert r.reps_used == b.reps_used == 12
         gap = abs(r.bias - b.bias)
-        bound = 2 * math.hypot(mc_se(r), mc_se(b))
+        bound = z * math.hypot(mc_se(r), mc_se(b))
         ok &= gap <= bound
         parts.append(f"{p}: |dbias|={gap:.4f} <= {bound:.4f}")
     assert ok, "; ".join(parts)
+
+
+def test_sim4_large_eps_consistency():
+    """The first regression's coefficients at eps = e^8 match ``ms``."""
+    _assert_logistic_matches_ms(["b1_0", "b1_1", "b1_2"], seed=29, z=2.0)
+
+
+def test_sim4_large_eps_consistency_every_regression():
+    """Every regression's coefficients, b1 to b4, at eps = e^8 match
+    ``ms``: the tempered posterior of each regression, at the weights
+    far above and far below 1 that a release's noisy likelihood products
+    give, leads to the same pooled bias as the untempered one.  The
+    bound is Bonferroni-corrected for the 17 coefficients, a two-sided
+    family-wise 5%: at 2 standard errors each, 26 of 40 seeded runs of
+    this check failed on a sampler that passes the law gate."""
+    study = STUDIES["sim4"]
+    coefs = [p for p in study.values(study.settings({})) if p[0] == "b"]
+    assert len(coefs) == 17
+    _assert_logistic_matches_ms(
+        coefs, seed=41, z=stats.norm.ppf(1 - 0.025 / len(coefs)))
 
 
 def test_nonconvergence_in_a_replication_makes_it_unusable(monkeypatch):
