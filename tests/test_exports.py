@@ -1,13 +1,17 @@
 """Every exported name exists, every exported function that spends budget
 takes a ledger with no default, no value with one use is a parameter, no
 module imports a name it never uses, every definition is exported or read,
-and the benchmark's tracer finds every layer boundary it wraps except the
-one known to be missing."""
+importing the CLI and the harness loads no heavy module, and the
+benchmark's tracer finds every layer boundary it wraps except the one
+known to be missing."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,23 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert not missing
+
+
+def test_cli_and_harness_import_no_heavy_module():
+    """``import dips.cli, dips.harness`` in a fresh interpreter loads
+    neither scipy (a test-only dependency) nor multiprocessing (about
+    10 ms of import, which ``to_csv`` takes only when it forks), so the
+    package's import time does not grow unnoticed."""
+    src = str(Path(dips.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, dips.cli, dips.harness; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} "
+             "& {'scipy', 'multiprocessing'}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _exported_callables():
