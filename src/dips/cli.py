@@ -47,7 +47,8 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
     observed min/max (state explicit bounds in a schema file for a
     data-independent domain).  A ragged row, a repeated name, a cell that
     is not a finite number, or a column with no rows and no schema entry
-    is a ConfigError; a non-integer categorical code is a ValueError.
+    is a ConfigError; a non-integer categorical code, or one outside its
+    declared levels, is a ValueError.
 
     A schema file is a JSON object mapping CSV column names to objects
     with a ``type`` of ``categorical`` (and a positive integer ``levels``) or
@@ -87,7 +88,7 @@ def _load_csv(path: str, schema_path: str | None) -> TabularDataset:
                     raise ConfigError(f"column {name!r} needs a positive "
                                       f"integer levels, got {levels!r}")
                 columns.append(CategoricalColumn(name, range(levels)))
-                data[name] = category_codes(name, values)
+                data[name] = category_codes(name, values, levels)
             elif kind == "continuous":
                 lo, hi = spec.get("lo"), spec.get("hi")
                 if not all(type(b) in (int, float) for b in (lo, hi)):

@@ -92,7 +92,7 @@ class TabularDataset:
             values = self.data[col.name]
             if isinstance(col, CategoricalColumn):
                 if values.dtype.kind == "f":
-                    category_codes(col.name, values)
+                    category_codes(col.name, values, len(col.levels))
                 if values.size and (values.min() < 0
                                     or values.max() >= len(col.levels)):
                     raise ValueError(f"codes out of range in {col.name!r}")
@@ -341,12 +341,16 @@ def _parse_rows(lines, width: int) -> list[np.ndarray]:
             for parts in blocks]
 
 
-def category_codes(name: str, values: np.ndarray) -> np.ndarray:
+def category_codes(name: str, values: np.ndarray,
+                   levels: int) -> np.ndarray:
     """Categorical codes read as floats, as int64; a value that is not a
-    finite integer is an error, never truncated."""
+    finite integer is an error, never truncated, and so is a code outside
+    [0, levels), tested on the floats before the cast."""
     whole = np.isfinite(values) & (np.floor(values) == values)
     if not whole.all():
         bad = float(values[~whole][0])
         raise ValueError(f"categorical column {name!r} holds a non-integer "
                          f"code {bad!r}")
+    if values.size and (values.min() < 0 or values.max() >= levels):
+        raise ValueError(f"codes out of range in {name!r}")
     return values.astype(np.int64)

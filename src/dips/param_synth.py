@@ -110,10 +110,13 @@ class ModipsModel(Protocol):
 
 # -- Multinomial-Dirichlet family -------------------------------------------
 
-def _md_alpha(n: int, eps: float) -> float:
-    """Prior pseudo-count n / (e^eps - 1), guarded against over/underflow."""
+def _md_alpha(n: int, eps: float, context: str) -> float:
+    """Prior pseudo-count n / (e^eps - 1), guarded against over/underflow.
+    An eps too small for a finite count is refused by a message that
+    begins with ``context``, the method and the eps it was given."""
     if eps < 1e-300:
-        raise ValueError("eps underflow in pseudo-count")
+        raise ValueError(f"{context} is too small, its pseudo-count "
+                         "overflows a float")
     if eps > 700:
         # e^eps overflows; alpha ~ n e^-eps underflows to a harmless floor
         return max(n * math.exp(-min(eps, 745.0)), 1e-300)
@@ -134,7 +137,8 @@ def md_synthesizer(rng: RngStream, counts, eps: float, m: int = 1, *,
         raise ValueError("counts must sum to a positive total")
     if not (eps > 0) or m < 1:
         raise ValueError("need eps > 0 and m >= 1")
-    alpha = _md_alpha(n, eps / m)
+    alpha = _md_alpha(n, eps / m,
+                      f"md: eps = {float(eps)!r} over m = {m} sets")
     sets = []
     for j in range(m):
         sub = rng.substream(j)
@@ -154,7 +158,8 @@ def bbmr_synthesizer(rng: RngStream, n1: int, n: int, eps: float,
         raise ValueError(f"need 0 <= n1 <= n, got n1={n1}, n={n}")
     if not (eps > 0):
         raise ValueError("eps must be positive")
-    alpha = _md_alpha(1, eps / n)  # 1/(e^(eps/n) - 1)
+    alpha = _md_alpha(1, eps / n,  # 1/(e^(eps/n) - 1)
+                      f"bbmr: eps = {float(eps)!r} over n = {n} rows")
     p_star = (n1 + alpha) / (n + 2 * alpha)
     ones = int(rng.generator.binomial(n, p_star))
     data = np.zeros(n, dtype=np.int64)
@@ -457,13 +462,22 @@ class GaussianMixtureModel:
 
 PROPORTION_CLAMP = (1e-12, 0.99)
 PRODUCT_FLOOR = 1e-300
-# steps per window of the MH sampler, and per scale tuning in its burn-in
-MH_WINDOW = 100
-# the MH's burn-in steps, the steps between its kept states, and the most
-# states it keeps: a release of more rows tiles them
-MH_BURNIN = 200
-MH_THIN = 5
+# the logistic coefficients' prior: independent N(0, 10^2), the intercept
+# scale of Gelman, Jakulin, Pittau and Su (2008)
+COEF_PRIOR_SD = 10.0
+# the degrees of freedom of the MH's multivariate t proposals, and the
+# factor that widens their scale past the tempered posterior's normal
+# approximation, whose spread is too narrow at weights far below 1
+PROPOSAL_DF = 7
+PROPOSAL_WIDEN = 1.5
+# the MH's proposals before the spacing of its first kept draw, its
+# proposals per kept draw, and the most draws it keeps: a release of more
+# rows tiles them
+MH_BURN_IN = 30
+MH_PROPOSALS_PER_DRAW = 3
 MH_MAX_DRAWS = 1000
+# the float64 entries of one batched likelihood pass's buffer (256 KiB)
+LIKELIHOOD_BUFFER = 2 ** 15
 
 
 class SequentialLogisticModel:
@@ -482,14 +496,25 @@ class SequentialLogisticModel:
     third regression's design), ``w1``, ``w2`` and ``w3``, and so do the
     tempering exponents (``log_raw``, the three raw log-products).
 
-    The sampler starts each regression at its Firth estimate on those
-    rows, fitted once per release and read raw as ``firth``, and proposes
-    from the inverse information there, scaled by 2.38^2/d and divided
-    by the set's tempering weight (Gelman, Roberts and Gilks 1996).  At
-    unit weight its integrated autocorrelation time on a seeded n = 200
-    set is 10-38 steps per coefficient, so a 200-step burn-in and
-    thinning by 5 suffice: 1,197 likelihood calls for the n = 200 draws
-    of a release.
+    Every coefficient has an independent N(0, ``COEF_PRIOR_SD``^2) prior,
+    a public constant.  The clamp bounds the likelihood, so with this
+    prior the tempered posterior is proper at every weight, also at the
+    weights of 0.01-0.07 that half of a release's noisy products give.
+    The sampler is an independence MH (Tierney 1994).  Each regression of
+    each set proposes from a multivariate t with ``PROPOSAL_DF`` degrees
+    of freedom, centred at the tempered posterior's mode: two Newton
+    steps from its Firth estimate, fitted once per release on the rows
+    and read raw as ``firth``.  Its scale is ``PROPOSAL_WIDEN``^2 (w I +
+    prior precision)^-1, for I the Firth fit's information and w the
+    set's weight.  At weights far below 1 the posterior is wider than
+    that normal approximation (about 2.5 times its variance on seeded
+    sets), hence the widening.  The normal prior and the bounded
+    likelihood give the target lighter tails than the proposal, so the
+    chain is uniformly ergodic (Mengersen and Tweedie 1996).  It makes a
+    burn-in of ``MH_BURN_IN`` proposals and then
+    ``MH_PROPOSALS_PER_DRAW`` per kept draw: 630 per regression for the
+    n = 200 draws of a release, whose likelihoods come from one batched
+    call.
     """
 
     def sufficient_statistics(self, data):
@@ -550,133 +575,82 @@ class SequentialLogisticModel:
         return math.log(max(sanitized, PRODUCT_FLOOR)) / log_raw
 
     @staticmethod
-    def _mh_lockstep(rng, loglik, dims, n_draws, starts, factors):
-        """Adaptive random-walk Metropolis over K targets advanced in
-        lockstep.  The targets' states lie end to end in one vector, and
-        each step makes one ``loglik(proposal) -> K values`` call on every
-        target's proposal in that layout.  Returns one (n_draws, dims[k])
-        array per target.  The logistic posterior runs the three
-        regressions of every set of a release as one such call.
+    def _independence_mh(rng, logtarget, dims, n_draws, centres, factors):
+        """Independence Metropolis-Hastings (Tierney 1994) over K targets
+        at once.  The targets' coefficients lie end to end in one vector,
+        and ``logtarget(coef) -> (rows, K)`` gives every target's log
+        density, up to a constant, for each row of a (rows, sum(dims))
+        block in that layout.  Returns one (n_draws, dims[k]) array per
+        target.  The logistic posterior runs the three regressions of
+        every set of a release as its targets.
 
-        Target k starts at ``starts[k]`` and proposes ``scale_k *
-        factors[k] @ z`` from its state, with z standard normal and
-        ``factors[k]`` a (dims[k], dims[k]) matrix: for a posterior near
-        normal, the Cholesky factor of its covariance times 2.38/sqrt(d)
-        (Roberts, Gelman and Gilks 1997).  Every scale starts at 1 and is
-        tuned during burn-in toward 0.2-0.5 acceptance (x0.7 below, x1.4
-        above, every 100 steps), then frozen.
+        Target k proposes ``centres[k] + factors[k] @ z / sqrt(g)``, with
+        z standard normal in dims[k] dimensions and g a chi-square over
+        ``PROPOSAL_DF`` degrees of freedom divided by them: a multivariate
+        t whose scale matrix is factors[k] factors[k]'.  The chain starts
+        at its first proposal.  After a burn-in of ``MH_BURN_IN``
+        proposals it keeps its state after every
+        ``MH_PROPOSALS_PER_DRAW``-th, min(n_draws, ``MH_MAX_DRAWS``)
+        states; past the cap they are tiled.
 
-        One chain runs on ``rng.substream(0)``.  Each step makes one
-        standard-normal call that fills every target's proposal normals
-        end to end, then one call for the K accept uniforms, and target k
-        reads its slice of each.  Both sizes are fixed, and the factors
-        sit on the diagonal of one block matrix, so target k's draws
-        depend on its likelihood, start, factor, place in the layout and
-        the stream, never on another target's.  After ``MH_BURNIN`` steps
-        the chain keeps every ``MH_THIN``-th state and stops at its
-        min(n_draws, ``MH_MAX_DRAWS``)-th, so its draws are a prefix of a
-        longer run's; past the cap they are tiled.
-
-        The chain runs in windows of at most 100 steps, split at every
-        multiple of 100, so the proposal scales are fixed within a
-        window.  A window first makes its steps' stream
-        calls, in the order the steps would make them, then takes every
-        log uniform in one call and every proposal move in one stacked
-        matrix-vector product; its steps then only add, call the
-        likelihood and accept.  The draws are those of a loop that makes
-        each step's calls in turn: the stream yields the same numbers in
-        the same order, the stacked product runs the same matrix-vector
-        kernel per step, and the other operations are elementwise.  A
-        full window that ends by the end of burn-in tunes the scales from
-        its steps' accept rows.
-        (A matrix-matrix product of the window's normals with the block
-        matrix is not the same kernel, and its results differ in the last
-        bits.)"""
+        Substreams 0, 1 and 2 of ``rng`` make one call each, a block with
+        a row per proposal: the normals, every target's dims[k] end to
+        end; the gamma variates of the chi-squares, one per target; the
+        accept uniforms, one per target.  Target k reads its slice of
+        each, so its draws depend on its log density, centre, factor,
+        place in the layout and the stream, never on another target's.
+        Each block of a shorter run is a prefix of a longer run's, and so
+        are its draws.  The proposals' log weights, target over proposal
+        density, come from one ``logtarget`` call; only the accept scan
+        over them runs step by step."""
         needed = min(n_draws, MH_MAX_DRAWS)
         if needed <= 0:
             return [np.empty((0, d)) for d in dims]
-        burnin, thin = MH_BURNIN, MH_THIN
+        steps = MH_BURN_IN + MH_PROPOSALS_PER_DRAW * needed
+        nu = PROPOSAL_DF
+        proposals = rng.substream(0).generator.standard_normal(
+            (steps, sum(dims)))
+        g = rng.substream(1).generator.standard_gamma(
+            nu / 2, (steps, len(dims))) * (2 / nu)
+        log_u = np.log1p(-rng.substream(2).generator.random(
+            (steps, len(dims))))
+        log_q = np.empty((steps, len(dims)))
+        at = 0
+        for k, (d, centre, factor) in enumerate(zip(dims, centres, factors)):
+            # the normals become the proposals in place
+            z = proposals[:, at:at + d]
+            # the t density up to its constant, from ||L^-1 (x - centre)||^2
+            log_q[:, k] = -0.5 * (nu + d) * np.log1p(
+                np.einsum("ij,ij->i", z, z) / (g[:, k] * nu))
+            np.matmul(z / np.sqrt(g[:, k])[:, None], factor.T, out=z)
+            z += centre
+            at += d
+        log_w = logtarget(proposals) - log_q
+        # proposal i is accepted from a state of log weight c < threshold i
+        thresholds = log_w - log_u
+        kept = np.empty((needed, len(dims)), dtype=np.intp)
+        first = MH_BURN_IN + MH_PROPOSALS_PER_DRAW - 1
+        for k in range(len(dims)):
+            current, state, states = -math.inf, 0, []
+            for i, weight, threshold in zip(range(steps),
+                                            log_w[:, k].tolist(),
+                                            thresholds[:, k].tolist()):
+                if current < threshold:
+                    current, state = weight, i
+                states.append(state)
+            kept[:, k] = states[first::MH_PROPOSALS_PER_DRAW]
+        reps = -(-n_draws // needed)
         ends = np.cumsum(dims)
-        parts = [slice(end - d, end) for d, end in zip(dims, ends)]
-        k = len(dims)
-        owner = np.repeat(np.arange(k), dims)  # the target of each entry
-        shape = np.zeros((ends[-1], ends[-1]))
-        for part, factor in zip(parts, factors):
-            shape[part, part] = factor
-        rows = np.empty((needed, ends[-1]))
-        noise = np.empty((MH_WINDOW, ends[-1]))
-        log_u = np.empty((MH_WINDOW, k))
-        accepts = np.empty((MH_WINDOW, k), dtype=bool)
-        gap = np.empty(k)
-        proposal = np.empty(ends[-1])
-        gen = rng.substream(0).generator
-        state = np.concatenate(starts)
-        current = np.array(loglik(state), dtype=float)
-        scales = np.ones(k)
-        steps = shape.copy()
-        total = burnin + (needed - 1) * thin + 1
-        done = it = 0
-        while it < total:
-            stop = min(total, it - it % MH_WINDOW + MH_WINDOW)
-            w = stop - it
-            for i in range(w):
-                gen.standard_normal(out=noise[i])
-                gen.random(out=log_u[i])
-            np.add(log_u[:w], 1e-300, out=log_u[:w])
-            np.log(log_u[:w], out=log_u[:w])
-            moves = np.matmul(steps, noise[:w, :, None])[:, :, 0]
-            for move, threshold, accept in zip(moves, log_u, accepts):
-                np.add(state, move, out=proposal)
-                cands = loglik(proposal)
-                np.subtract(cands, current, out=gap)
-                np.less(threshold, gap, out=accept)
-                np.copyto(state, proposal, where=accept[owner])
-                np.copyto(current, cands, where=accept)
-                if it >= burnin and (it - burnin) % thin == 0:
-                    rows[done] = state
-                    done += 1
-                it += 1
-            if w == MH_WINDOW and stop <= burnin:
-                rate = accepts.sum(axis=0) / MH_WINDOW
-                scales[rate < 0.2] *= 0.7
-                scales[rate > 0.5] *= 1.4
-                # row i of the block matrix belongs to owner[i]
-                np.multiply(scales[owner, None], shape, out=steps)
-        reps = int(np.ceil(n_draws / needed))
-        rows = np.tile(rows, (reps, 1))[:n_draws]
-        return [np.ascontiguousarray(rows[:, part]) for part in parts]
+        return [np.tile(proposals[kept[:, k], end - d:end],
+                        (reps, 1))[:n_draws]
+                for k, (d, end) in enumerate(zip(dims, ends))]
 
     @staticmethod
-    def _lockstep_loglik(x3, w1, w2, w3, weights):
-        """The three regressions' tempered log-likelihoods for m sets in
-        one pass: with ``weights`` of shape (m, 3), ``loglik(coef) ->
-        [ll1, ll2, ll34] * m`` for ``coef`` the m sets' (beta1, beta2,
-        beta34) end to end, 17 entries per set, set j's k-th equal to
-        ``weights[j, k]`` times the sum over the rows of each row's log
-        probability of its observed category, clamped into
-        [log(1e-12), log(0.99)].  The sets share the rows and differ in
-        their coefficients and weights.  With one set and unit weights it
-        gives the raw log-products of ``sufficient_statistics``.  Each
-        call returns a new array.
-
-        A row's log factor is -log1p(sum_j exp(d_j)), where d_j is the
-        linear predictor of an unobserved category j minus that of the
-        observed one (category 0's is 0): one d for each binary row, two
-        for each trinomial row.  x1 and x2 are the first 3 and 4 columns
-        of x3, so one signed design of 4n rows gives every d from the
-        stacked coefficients.  A d above -log(1e-12) saturates the clamp
-        however large it is, so capping d just above that keeps exp
-        finite and leaves every clamped factor unchanged.
-
-        The design is kept block-major, as four (17, n) blocks: the w1
-        rows, the w2 rows, then the first and second d of the w3 rows.
-        One stacked (m, 17) @ (4, 17, n) product fills a contiguous
-        (4, m, n) buffer, so the w3 add, the log1p, the clamp and the
-        sums over the rows each run on contiguous memory.  Each block's
-        product is the same matrix kernel as that block's columns of one
-        (m, 17) @ (17, 4n) product, and the sum over a contiguous row of
-        n takes the same pairwise order, so the values do not depend on
-        the layout."""
+    def _signed_design(x3, w1, w2, w3):
+        """The design of every row's d: four (17, n) blocks, the w1 rows,
+        the w2 rows, then the first and second d of the w3 rows, with
+        d = coef @ block for one set's 17 coefficients (see
+        ``_lockstep_loglik``)."""
         n = len(w1)
         y3 = np.asarray(w3, dtype=np.int64)
         # loading of each trinomial category's predictor on (beta3, beta4)
@@ -689,43 +663,102 @@ class SequentialLogisticModel:
             c = load[others[:, t]] - load[y3]
             blocks[2 + t, 7:12] = (c[:, :1] * x3).T
             blocks[2 + t, 12:] = (c[:, 1:] * x3).T
+        return blocks
+
+    @staticmethod
+    def _lockstep_loglik(x3, w1, w2, w3, weights):
+        """The three regressions' tempered log-likelihoods for m sets in
+        one pass: with ``weights`` of shape (m, 3), ``loglik(coef) ->
+        [ll1, ll2, ll34] * m`` for ``coef`` the m sets' (beta1, beta2,
+        beta34) end to end, 17 entries per set, set j's k-th equal to
+        ``weights[j, k]`` times the sum over the rows of each row's log
+        probability of its observed category, clamped into
+        [log(1e-12), log(0.99)].  The sets share the rows and differ in
+        their coefficients and weights.  A (rows, 17m) block of
+        coefficient vectors gives a (rows, 3m) block, row by row.  With
+        one set and unit weights it gives the raw log-products of
+        ``sufficient_statistics``.  Each call returns a new array.
+
+        A row's log factor is -log1p(sum_j exp(d_j)), where d_j is the
+        linear predictor of an unobserved category j minus that of the
+        observed one (category 0's is 0): one d for each binary row, two
+        for each trinomial row.  x1 and x2 are the first 3 and 4 columns
+        of x3, so one signed design of 4n rows gives every d from the
+        stacked coefficients.  A d above -log(1e-12) saturates the clamp
+        however large it is, so capping d just above that keeps exp
+        finite and leaves every clamped factor unchanged.
+
+        The design is kept block-major (``_signed_design``).  For c
+        coefficient vectors one stacked (cm, 17) @ (4, 17, n) product
+        fills a contiguous (4, cm, n) buffer, so the w3 add, the log1p,
+        the clamp and the sums over the rows each run on contiguous
+        memory.  A block of vectors is taken c at a time, with c as large
+        as keeps the buffer within ``LIKELIHOOD_BUFFER`` entries."""
+        n = len(w1)
+        blocks = SequentialLogisticModel._signed_design(x3, w1, w2, w3)
         # -log factor is clamped into [-log(0.99), -log(1e-12)]
         floor = -math.log(PROPORTION_CLAMP[1])
         ceiling = -math.log(PROPORTION_CLAMP[0])
         cap = ceiling + 1.0
         neg_weights = -np.asarray(weights, dtype=float)
         m = len(neg_weights)
-        # per block and set, the d of every row; after exp the w3 rows'
-        # second d is added into their first
-        diff = np.empty((4, m, n))
-        w3_first, w3_second = diff[2], diff[3]
-        per_row = diff[:3]
+        chunk = max(1, LIKELIHOOD_BUFFER // (4 * m * n))
+        buffer = np.empty(4 * chunk * m * n)
 
         def loglik(coef):
-            np.matmul(coef.reshape(m, 17), blocks, out=diff)
-            np.minimum(diff, cap, out=diff)
-            np.exp(diff, out=diff)
-            np.add(w3_first, w3_second, out=w3_first)
-            np.log1p(per_row, out=per_row)
-            np.maximum(per_row, floor, out=per_row)
-            np.minimum(per_row, ceiling, out=per_row)
-            sums = np.add.reduce(per_row, axis=2)
-            return (neg_weights * sums.T).ravel()
+            coef = np.asarray(coef, dtype=float)
+            vectors = coef.reshape(-1, 17 * m)
+            out = np.empty((len(vectors), m, 3))
+            for lo in range(0, len(vectors), chunk):
+                part = vectors[lo:lo + chunk]
+                # per block and vector's set, the d of every row; after
+                # exp the w3 rows' second d is added into their first
+                diff = buffer[:4 * len(part) * m * n].reshape(4, -1, n)
+                per_row = diff[:3]
+                np.matmul(part.reshape(-1, 17), blocks, out=diff)
+                np.minimum(diff, cap, out=diff)
+                np.exp(diff, out=diff)
+                np.add(diff[2], diff[3], out=diff[2])
+                np.log1p(per_row, out=per_row)
+                np.maximum(per_row, floor, out=per_row)
+                np.minimum(per_row, ceiling, out=per_row)
+                sums = np.add.reduce(per_row, axis=2)
+                out[lo:lo + chunk] = neg_weights * sums.T.reshape(-1, m, 3)
+            return out.reshape(coef.shape[:-1] + (3 * m,))
         return loglik
+
+    @staticmethod
+    def _lockstep_score(x3, w1, w2, w3, coef):
+        """The gradient of the unit-weight clamped log-likelihood of
+        ``_lockstep_loglik`` for each row of a (rows, 17) block of one
+        set's coefficients: a row's clamped log factor adds nothing."""
+        blocks = SequentialLogisticModel._signed_design(x3, w1, w2, w3)
+        diff = np.exp(np.minimum(
+            np.matmul(coef, blocks), 1.0 - math.log(PROPORTION_CLAMP[0])))
+        # the sum of exp(d) over each row's unobserved categories
+        total = np.stack([diff[0], diff[1], diff[2] + diff[3],
+                          diff[2] + diff[3]])
+        neg_log = np.log1p(total)
+        inside = ((neg_log > -math.log(PROPORTION_CLAMP[1]))
+                  & (neg_log < -math.log(PROPORTION_CLAMP[0])))
+        share = np.where(inside, diff / (1.0 + total), 0.0)
+        return -np.einsum("brn,bkn->rk", share, blocks)
 
     def posterior_draw(self, rngs, stats_sets, n, flags):
         """Per set, the covariate mean and covariance on its stream and
-        its three tempering weights; then one MH over the three
-        regressions of every set, with a likelihood that reads the rows
-        all sets share.  The rows' three Firth fits, made once per
-        release, give every set's starts and, divided by the square root
-        of the set's weight, its proposal factors: a weight scales the
-        log-likelihood and so its curvature.  The MH's one chain draws on
-        ``rngs[0].substream(4, 0)``, set j's regressions reading entries
-        17j to 17j + 16 of each step's normals and 3j to 3j + 2 of its
-        uniforms.  So set j's coefficients depend on its own statistics,
-        j, m and the release's streams: with the same m, another set's
-        statistics do not move them."""
+        its three tempering weights; then one independence MH over the
+        three regressions of every set, with a likelihood that reads the
+        rows all sets share.  The rows' three Firth fits, made once per
+        release, give every target its proposal: for weight w, the
+        information I of the fit and the prior precision P, the scale is
+        ``PROPOSAL_WIDEN``^2 (w I + P)^-1 and the centre is two Newton
+        steps with w I + P from the Firth estimate on w times the clamped
+        log-likelihood plus the log prior.  The MH draws on
+        ``rngs[0].substream(4)``, set j's regressions reading entries 17j
+        to 17j + 16 of each proposal's normals and 3j to 3j + 2 of its
+        gamma variates and uniforms.  So set j's coefficients depend on
+        its own statistics, j, m and the release's streams: with the same
+        m, another set's statistics do not move them."""
         covariates, weights = [], []
         for rng, stats in zip(rngs, stats_sets, strict=True):
             s_star = _sanitized_cov2(stats["s11"], stats["s22"],
@@ -745,17 +778,44 @@ class SequentialLogisticModel:
             raise ValueError("the sets of one release must share their "
                              "unsanitized rows")
         *rows, firth = shared
-        starts, factors, offset = [], [], 0
-        for d in (3, 4, 10):
-            starts.append(firth[offset:offset + d])
+        dims = (3, 4, 10)
+        spans = [slice(end - d, end) for d, end in zip(dims, np.cumsum(dims))]
+        estimate, infos, offset = [], [], 0
+        for d in dims:
+            estimate.append(firth[offset:offset + d])
             cov = firth[offset + d:offset + d + d * d].reshape(d, d)
-            factors.append(np.linalg.cholesky(cov) * (2.38 / math.sqrt(d)))
+            infos.append(np.linalg.inv(cov))
             offset += d + d * d
-        draws = self._mh_lockstep(
-            rngs[0].substream(4), self._lockstep_loglik(*rows, weights),
-            (3, 4, 10) * len(rngs), n, starts * len(rngs),
-            [factor / math.sqrt(w) for set_weights in weights
-             for factor, w in zip(factors, set_weights)])
+        m = len(rngs)
+        w = np.asarray(weights)
+        # per regression, the (m, d, d) precisions of the m sets' targets
+        precisions = [w[:, r, None, None] * info
+                      + np.eye(len(info)) / COEF_PRIOR_SD ** 2
+                      for r, info in enumerate(infos)]
+        centres = np.tile(np.concatenate(estimate), (m, 1))
+        for _ in range(2):
+            score = self._lockstep_score(*rows, centres)
+            for r, span in enumerate(spans):
+                ascent = (w[:, r, None] * score[:, span]
+                          - centres[:, span] / COEF_PRIOR_SD ** 2)
+                centres[:, span] += np.linalg.solve(
+                    precisions[r], ascent[:, :, None])[:, :, 0]
+        factors = [np.linalg.cholesky(np.linalg.inv(p)) * PROPOSAL_WIDEN
+                   for p in precisions]
+        loglik = self._lockstep_loglik(*rows, weights)
+
+        def logtarget(coef):
+            values = loglik(coef)
+            per_set = coef.reshape(len(coef), m, 17)
+            for r, span in enumerate(spans):
+                part = per_set[:, :, span]
+                values[:, r::3] -= np.einsum("ijk,ijk->ij", part, part) / (
+                    2 * COEF_PRIOR_SD ** 2)
+            return values
+        draws = self._independence_mh(
+            rngs[0].substream(4), logtarget, dims * m, n,
+            [centres[j, span] for j in range(m) for span in spans],
+            [factors[r][j] for j in range(m) for r in range(3)])
         return [(mu, sigma, beta1, beta2, beta34[:, :5], beta34[:, 5:])
                 for (mu, sigma), beta1, beta2, beta34
                 in zip(covariates, draws[0::3], draws[1::3], draws[2::3])]

@@ -18,9 +18,9 @@ def no_child_process_left():
 
 @pytest.fixture
 def mh_settings(monkeypatch):
-    """Set sim4's MH constants for one test, by keyword: ``burnin``,
-    ``thin`` and ``max_draws`` stand for ``MH_BURNIN``, ``MH_THIN`` and
-    ``MH_MAX_DRAWS``."""
+    """Set sim4's MH constants for one test, by keyword: ``burn_in``,
+    ``proposals_per_draw`` and ``max_draws`` stand for ``MH_BURN_IN``,
+    ``MH_PROPOSALS_PER_DRAW`` and ``MH_MAX_DRAWS``."""
     from dips import param_synth
 
     def settings(**values):

@@ -10,12 +10,9 @@ verbatim from before the design that replaced it.
 - ``log_factors_binary``, ``log_factors_trinomial`` and
   ``clamped_loglik``: the scalar likelihood that gave
   ``SequentialLogisticModel`` its raw log-products.
-- ``stepwise_mh_lockstep`` and ``row_major_lockstep_loglik``: the MH
-  sampler that made each step's stream calls, proposal product and log in
-  turn, and the batched likelihood over one row-major (m, 4n) buffer,
-  kept verbatim from before the windowed loop and the block-major
-  design.  ``stepwise_mh_lockstep`` reads its settings (``mh_chains``,
-  ``mh_iters``, ``mh_burnin``, ``mh_thin``) from ``self``.
+- ``row_major_lockstep_loglik``: the batched likelihood over one
+  row-major (m, 4n) buffer, kept verbatim from before the block-major
+  design.
 
 The tests import these by name; they are not collected themselves.
 """
@@ -207,94 +204,6 @@ def log_factors_trinomial(design, response, beta3, beta4):
 def clamped_loglik(logp):
     lo, hi = PROPORTION_CLAMP
     return float(np.clip(logp, math.log(lo), math.log(hi)).sum())
-
-
-def stepwise_mh_lockstep(self, rng, loglik, dims, n_draws, starts, factors):
-    """Adaptive random-walk Metropolis over K targets advanced in
-    lockstep.  The targets' states lie end to end in one vector, and
-    each step makes one ``loglik(proposal) -> K values`` call on every
-    target's proposal in that layout.  Returns one (n_draws, dims[k])
-    array per target.  The logistic posterior runs the three
-    regressions of every set of a release as one such call.
-
-    Target k starts at ``starts[k]`` and proposes ``scale_k *
-    factors[k] @ z`` from its state, with z standard normal and
-    ``factors[k]`` a (dims[k], dims[k]) matrix: for a posterior near
-    normal, the Cholesky factor of its covariance times 2.38/sqrt(d)
-    (Roberts, Gelman and Gilks 1997).  Every scale starts at 1 and is
-    tuned during burn-in toward 0.2-0.5 acceptance (x0.7 below, x1.4
-    above, every 100 steps), then frozen.
-
-    Chain c runs on ``rng.substream(c)``.  Each step makes one
-    standard-normal call that fills every target's proposal normals
-    end to end, then one call for the K accept uniforms, and target k
-    reads its slice of each.  Both sizes are fixed, and the factors
-    sit on the diagonal of one block matrix, so target k's draws
-    depend on its likelihood, start, factor, place in the layout and
-    the stream, never on another target's.  Each chain keeps every
-    `mh_thin`-th state after burn-in, at most `per_chain` of them, and
-    chains are concatenated in order.  Only the iterations whose draws
-    are returned are run: a chain stops at its last used draw and a
-    chain with none is skipped.  The result equals the first `n_draws`
-    rows of the full run (tiled when `n_draws` exceeds the draws of
-    all chains)."""
-    burnin, thin = self.mh_burnin, self.mh_thin
-    per_chain = (self.mh_iters - burnin) // thin
-    needed = min(n_draws, per_chain * self.mh_chains)
-    ends = np.cumsum(dims)
-    parts = [slice(end - d, end) for d, end in zip(dims, ends)]
-    k = len(dims)
-    owner = np.repeat(np.arange(k), dims)  # the target of each entry
-    start = np.concatenate(starts)
-    shape = np.zeros((ends[-1], ends[-1]))
-    for part, factor in zip(parts, factors):
-        shape[part, part] = factor
-    kept = []
-    for chain in range(self.mh_chains):
-        want = min(per_chain, needed - len(kept))
-        if want <= 0:
-            break
-        gen = rng.substream(chain).generator
-        state = start.copy()
-        noise = np.empty(ends[-1])
-        proposal = np.empty(ends[-1])
-        current = np.array(loglik(state), dtype=float)
-        scales = np.ones(k)
-        steps = shape.copy()
-        accepted = np.zeros(k)
-        u, gap = np.empty(k), np.empty(k)
-        accept = np.empty(k, dtype=bool)
-        window = 0
-        for it in range(burnin + (want - 1) * thin + 1):
-            gen.standard_normal(out=noise)
-            np.matmul(steps, noise, out=proposal)
-            np.add(state, proposal, out=proposal)
-            cands = loglik(proposal)
-            gen.random(out=u)
-            np.add(u, 1e-300, out=u)
-            np.log(u, out=u)
-            np.subtract(cands, current, out=gap)
-            np.less(u, gap, out=accept)
-            np.copyto(state, proposal, where=accept[owner])
-            np.copyto(current, cands, where=accept)
-            if it < burnin:
-                accepted += accept
-                window += 1
-                if window == 100:
-                    rate = accepted / window
-                    scales[rate < 0.2] *= 0.7
-                    scales[rate > 0.5] *= 1.4
-                    # row i of the block matrix belongs to owner[i]
-                    np.multiply(scales[owner, None], shape, out=steps)
-                    accepted[:] = 0
-                    window = 0
-            elif (it - burnin) % thin == 0:
-                kept.append(state.copy())
-    if not kept:
-        return [np.empty((0, d)) for d in dims]
-    reps = int(np.ceil(n_draws / len(kept)))
-    rows = np.tile(np.array(kept), (reps, 1))[:n_draws]
-    return [np.ascontiguousarray(rows[:, part]) for part in parts]
 
 
 def row_major_lockstep_loglik(x3, w1, w2, w3, weights):

@@ -449,6 +449,38 @@ def test_synth_bad_input_csv_exits_2(text, schema, message, tmp_path,
     assert err == [f"configuration error: {message}"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("code", ["1e308", "-1e308", "9.3e18", "2", "-1"])
+def test_synth_out_of_range_schema_code_exits_2_without_warning(
+        code, tmp_path, capsys):
+    """A schema-declared categorical code outside its levels is refused
+    on the floats, before the cast to int64, so one outside int64's range
+    warns nothing first."""
+    schema = {"a": {"type": "categorical", "levels": 2}}
+    assert _synth_exit(tmp_path, f"a\n0\n{code}\n", schema) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: codes out of range in 'a'"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, m, message", [
+    ("md", 20, "md: eps = 1e-299 over m = 20 sets"),
+    ("bbmr", 1, "bbmr: eps = 1e-299 over n = 60 rows"),
+])
+def test_synth_pseudo_count_refusal_names_method_and_eps(
+        method, m, message, tmp_path, capsys):
+    """An eps whose pseudo-count n / (e^eps - 1) overflows is refused by
+    a message that names the method and the eps it was given."""
+    path = tmp_path / "in.csv"
+    path.write_text("x\n" + "0\n1\n" * 30)
+    assert main(["synth", "--input", str(path), "--method", method,
+                 "--eps", "1e-299", "--m", str(m),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: {message} is too small, its "
+                   "pseudo-count overflows a float"]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_synth_over_long_field_exits_2(cpus, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dips.dataset, "_usable_cpus", lambda: cpus)
@@ -516,13 +548,15 @@ def test_synth_too_wide_a_column_exits_2(method, message, tmp_path, capsys):
 
 
 TOO_SMALL = "is too small, its Laplace scale overflows a float"
+PSEUDO_COUNT = "is too small, its pseudo-count overflows a float"
 # method -> (exit code, message) at --eps 1e-320 --m 2, 5e-321 a set
 TINY_EPS_OUTCOMES = {
     "laplace": (EXIT_CONFIG, f"laplace-set0: eps = 5e-321 {TOO_SMALL}"),
     "pert-hist": (EXIT_CONFIG, f"pert-set0: eps = 5e-321 {TOO_SMALL}"),
     "smooth-hist": (EXIT_OK, None),
-    "md": (EXIT_CONFIG, "eps underflow in pseudo-count"),
-    "bbmr": (EXIT_CONFIG, "eps underflow in pseudo-count"),
+    "md": (EXIT_CONFIG, f"md: eps = 1e-320 over m = 2 sets {PSEUDO_COUNT}"),
+    "bbmr": (EXIT_CONFIG, f"bbmr: eps = 1e-320 over n = 200 rows "
+             f"{PSEUDO_COUNT}"),
     "modips-bernoulli": (EXIT_CONFIG,
                          f"modips-bernoulli-set0-n1: eps = 5e-321 {TOO_SMALL}"),
     # two sanitized groups share each set's budget

@@ -114,8 +114,9 @@ def test_csv_round_trip(tmp_path):
     ds.to_csv(path)
     back = _read_back(path)
     assert list(back) == ["color", "x"]
-    np.testing.assert_array_equal(category_codes("color", back["color"]),
-                                  ds.column("color"))
+    np.testing.assert_array_equal(
+        category_codes("color", back["color"], len(ds.columns[0].levels)),
+        ds.column("color"))
     # floats are written with repr, so the round trip is exact
     np.testing.assert_array_equal(back["x"], ds.column("x"))
 
@@ -187,7 +188,7 @@ def test_to_csv_bytes_match_row_writer_across_blocks(n, tmp_path):
     back = _read_back(tmp_path / "numbers.csv")
     assert [len(v) for v in back.values()] == [n, n]
     np.testing.assert_array_equal(back["a"], ds.column("a"))
-    np.testing.assert_array_equal(category_codes("b", back["b"]),
+    np.testing.assert_array_equal(category_codes("b", back["b"], 5),
                                   ds.column("b"))
 
 
@@ -325,11 +326,24 @@ def test_category_codes_reject_non_integer_codes(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("c\n1\n1.5\n")
     with pytest.raises(ValueError, match="'c' holds a non-integer code 1.5"):
-        category_codes("c", _read_back(path)["c"])
+        category_codes("c", _read_back(path)["c"], 2)
     path.write_text("c\n1.0\n0\n")
-    codes = category_codes("c", _read_back(path)["c"])
+    codes = category_codes("c", _read_back(path)["c"], 2)
     assert codes.dtype == np.int64
     np.testing.assert_array_equal(codes, [1, 0])
+
+
+@pytest.mark.parametrize("bad", [2.0, -1.0, 1e308, -1e308, 2.0 ** 63])
+def test_category_codes_refuse_out_of_range_codes_before_the_cast(bad):
+    """A whole code outside [0, levels) is refused on the floats: one
+    outside int64's range raises no cast warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^codes out of range in 'c'$"):
+            category_codes("c", np.array([0.0, bad]), 2)
+        with pytest.raises(ValueError, match="^codes out of range in 'c'$"):
+            TabularDataset([CategoricalColumn("c", range(2))],
+                           {"c": np.array([0.0, bad])})
 
 
 def test_read_numeric_csv_parses_like_csv_reader(tmp_path):

@@ -464,11 +464,13 @@ def test_sim4_rows_match_pinned_digest():
 # modips-logistic and ms were re-pinned when the MH started each target at
 # its Firth estimate with a proposal shaped by the inverse information and
 # shorter burn-in and thinning, behind the law check of
-# tests/test_sim4_mh_law.py
+# tests/test_sim4_mh_law.py, and again when the coefficients got a N(0, 10^2)
+# prior and the random walk became an independence sampler, behind the same
+# law check and its stationarity check at every weight
 SIM4_COEF_PINNED_DIGESTS = {
     "modips-logistic":
-        "ebad3aa209c2b716466d7111e9ffe80db64c6f98f0016bc287565598bf69392e",
-    "ms": "093de9c67bf2671dbe11d9f78c3be2aaf86b61abed44613b6f6f63e5017c1ac2",
+        "b0d484a533bce8682c5ce7b3d86875aeb8f2ca033e0fe4fcc423bc34d8e7a1f0",
+    "ms": "5bd04c5e3b0a8e9f899d784ded6f3047e66edf8f3d2c0a3b15e9b2b2b8aa2e5f",
     "np-dips":
         "d7772ec9bed8e721bb66c12b225b507260e4155f808fd4346a1a1fac3171858f",
 }

@@ -1,11 +1,11 @@
 """Law check for the Metropolis-Hastings sampler of sim4's logistic posterior.
 
-``SequentialLogisticModel.posterior_draw`` runs one adaptive random-walk
-Metropolis over the three regressions of every set of a release.  A kernel
-that keeps the tempered posterior invariant draws from it once its chain
-has run long enough; kernels differ in how many steps that takes.  So
-every kept draw, the first as much as the last, must follow the law that
-a long run of any such kernel reaches.
+``SequentialLogisticModel.posterior_draw`` runs one independence
+Metropolis-Hastings sampler over the three regressions of every set of a
+release.  A kernel that keeps the tempered posterior invariant draws from
+it once its chain has run long enough; kernels differ in how many steps
+that takes.  So every kept draw, the first as much as the last, must
+follow the law that a long run of any such kernel reaches.
 
 The reference is the kernel that starts every target at 0 with proposal
 scale 0.2, adapts the scale every 100 burn-in steps (x0.7 below 20%
@@ -20,8 +20,8 @@ The likelihood is the real batched one of a seeded n = 200 sim4 set with
 m = 2 sets.  Per coordinate, ``posterior_draw``'s first and last kept
 draws over many seeds are compared with the reference's by a two-sample
 Kolmogorov-Smirnov test and by their means.  A second case runs
-``_mh_lockstep`` on standard-normal targets, whose law is known, from
-their modes with the identity as their information.
+``_independence_mh`` on standard-normal targets, whose law is known,
+with proposals centred at their modes with the identity as their scale.
 """
 
 import math
@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dips import param_synth
 from dips.budget import PrivacyBudget, PrivacyLedger
 from dips.harness import simulate_truth_sim4
 from dips.param_synth import SequentialLogisticModel, modips_release
@@ -245,21 +246,24 @@ _BATCH_STARTS = np.cumsum(DIMS * QUADRATIC_BATCH) - DIMS * QUADRATIC_BATCH
 
 def _quadratic_loglik(coef):
     """Standard-normal targets centred on QUADRATIC_MODES, one
-    log-density per (set, regression), for QUADRATIC_BATCH seeds."""
-    return -0.5 * np.add.reduceat((coef - _BATCH_MODES) ** 2, _BATCH_STARTS)
+    log-density per (set, regression), for QUADRATIC_BATCH seeds, for
+    each row of a block of coefficient vectors."""
+    return -0.5 * np.add.reduceat((coef - _BATCH_MODES) ** 2, _BATCH_STARTS,
+                                  axis=-1)
 
 
 def _quadratic_draws(seed, n_draws, kept):
-    """Per seed, draws ``kept`` of an ``n_draws`` run of ``_mh_lockstep``
-    on the quadratic targets, each target started at its mode with the
-    identity as its covariance: one (SEEDS, 34) array per kept index."""
-    starts = np.split(QUADRATIC_MODES, np.cumsum(DIMS)[:-1])
-    factors = [np.eye(d) * (2.38 / math.sqrt(d)) for d in DIMS]
+    """Per seed, draws ``kept`` of an ``n_draws`` run of
+    ``_independence_mh`` on the quadratic targets, each target's
+    proposal centred at its mode with the identity as its scale: one
+    (SEEDS, 34) array per kept index."""
+    centres = np.split(QUADRATIC_MODES, np.cumsum(DIMS)[:-1])
+    factors = [np.eye(d) for d in DIMS]
     rows = [[] for _ in kept]
     for batch in range(SEEDS // QUADRATIC_BATCH):
-        targets = SequentialLogisticModel._mh_lockstep(
+        targets = SequentialLogisticModel._independence_mh(
             RngStream(seed + batch), _quadratic_loglik,
-            DIMS * QUADRATIC_BATCH, n_draws, starts * QUADRATIC_BATCH,
+            DIMS * QUADRATIC_BATCH, n_draws, centres * QUADRATIC_BATCH,
             factors * QUADRATIC_BATCH)
         for t in np.split(np.arange(len(targets)), QUADRATIC_BATCH):
             for out, i in zip(rows, kept):
@@ -288,3 +292,53 @@ def test_quadratic_mh_draws_past_the_500th_follow_the_known_law():
     draws from the same law as its first draws."""
     for draws in _quadratic_draws(6000, 1000, (500, 999)):
         _assert_known_law(draws)
+
+
+# the stationarity check's seeds, and its family-wise false-failure rate
+STATIONARY_SEEDS = 400
+STATIONARY_ALPHA = 0.01
+
+
+def _kept_draws(stats_sets, base, n_draws, index):
+    """Per seed, ``posterior_draw``'s draw ``index`` of a release of
+    ``n_draws`` rows, laid out as the reference's."""
+    model = SequentialLogisticModel()
+    draws = []
+    for s in range(STATIONARY_SEEDS):
+        params = model.posterior_draw(_streams(base + s), stats_sets,
+                                      n_draws, [])
+        draws.append(np.concatenate(
+            [beta[index] for p in params
+             for beta in (p[2], p[3], np.hstack([p[4], p[5]]))]))
+    return np.array(draws)
+
+
+def test_logistic_draws_are_stationary_at_every_weight(mh_settings):
+    """Every target of the eps = e^2 release, the ones at weights of
+    0.013-0.039 included, where a chain without a proper target drifts:
+    ``posterior_draw``'s first and last draws per seed under the default
+    settings must follow the law of the first draws of chains with ten
+    times the burn-in and ten times the proposals per draw.  (A chain's
+    first draw does not depend on how many it keeps, so those chains
+    keep two, for a release of two rows, whose covariate posterior needs
+    two.)  Per coordinate a two-sample Kolmogorov-Smirnov test and
+    a mean gap, each Bonferroni-corrected for the 2 x 34 comparisons to
+    a family-wise rate of ``STATIONARY_ALPHA``."""
+    stats_sets = _stats_sets(True)
+    assert min(min(ws) for ws in _weights(stats_sets)) < 0.02
+    first = _kept_draws(stats_sets, 5000, N_DRAWS, 0)
+    last = _kept_draws(stats_sets, 5000, N_DRAWS, -1)
+    mh_settings(burn_in=10 * param_synth.MH_BURN_IN,
+                proposals_per_draw=10 * param_synth.MH_PROPOSALS_PER_DRAW)
+    longer = _kept_draws(stats_sets, 8000, 2, 0)
+    tests = 2 * longer.shape[1]
+    p_min = STATIONARY_ALPHA / tests
+    z = stats.norm.ppf(1 - STATIONARY_ALPHA / (2 * tests))
+    for draws in (first, last):
+        gap_se = np.sqrt(draws.var(axis=0, ddof=1) / STATIONARY_SEEDS
+                         + longer.var(axis=0, ddof=1) / STATIONARY_SEEDS)
+        for c in range(longer.shape[1]):
+            p = stats.ks_2samp(draws[:, c], longer[:, c]).pvalue
+            assert p > p_min, (c, p)
+            gap = abs(draws[:, c].mean() - longer[:, c].mean())
+            assert gap <= z * gap_se[c], (c, gap, gap_se[c])
