@@ -476,8 +476,8 @@ PROPOSAL_WIDEN = 1.5
 MH_BURN_IN = 30
 MH_PROPOSALS_PER_DRAW = 3
 MH_MAX_DRAWS = 1000
-# the float64 entries of one batched likelihood pass's buffer (256 KiB)
-LIKELIHOOD_BUFFER = 2 ** 15
+# the float64 entries of one batched likelihood pass's buffer (128 KiB)
+LIKELIHOOD_BUFFER = 2 ** 14
 
 
 class SequentialLogisticModel:
@@ -610,10 +610,11 @@ class SequentialLogisticModel:
         nu = PROPOSAL_DF
         proposals = rng.substream(0).generator.standard_normal(
             (steps, sum(dims)))
-        g = rng.substream(1).generator.standard_gamma(
-            nu / 2, (steps, len(dims))) * (2 / nu)
-        log_u = np.log1p(-rng.substream(2).generator.random(
-            (steps, len(dims))))
+        g = rng.substream(1).generator.standard_gamma(nu / 2,
+                                                      (steps, len(dims)))
+        g *= 2 / nu
+        log_u = rng.substream(2).generator.random((steps, len(dims)))
+        np.log1p(np.negative(log_u, out=log_u), out=log_u)
         log_q = np.empty((steps, len(dims)))
         at = 0
         for k, (d, centre, factor) in enumerate(zip(dims, centres, factors)):
@@ -625,9 +626,12 @@ class SequentialLogisticModel:
             np.matmul(z / np.sqrt(g[:, k])[:, None], factor.T, out=z)
             z += centre
             at += d
-        log_w = logtarget(proposals) - log_q
+        # freed before the likelihood pass, where a release's memory peaks
+        del g
+        log_w = logtarget(proposals)
+        log_w -= log_q
         # proposal i is accepted from a state of log weight c < threshold i
-        thresholds = log_w - log_u
+        thresholds = np.subtract(log_w, log_u, out=log_u)
         kept = np.empty((needed, len(dims)), dtype=np.intp)
         first = MH_BURN_IN + MH_PROPOSALS_PER_DRAW - 1
         for k in range(len(dims)):
@@ -703,11 +707,11 @@ class SequentialLogisticModel:
         neg_weights = -np.asarray(weights, dtype=float)
         m = len(neg_weights)
         chunk = max(1, LIKELIHOOD_BUFFER // (4 * m * n))
-        buffer = np.empty(4 * chunk * m * n)
 
         def loglik(coef):
             coef = np.asarray(coef, dtype=float)
             vectors = coef.reshape(-1, 17 * m)
+            buffer = np.empty(4 * min(chunk, len(vectors)) * m * n)
             out = np.empty((len(vectors), m, 3))
             for lo in range(0, len(vectors), chunk):
                 part = vectors[lo:lo + chunk]

@@ -466,7 +466,7 @@ def test_synth_out_of_range_schema_code_exits_2_without_warning(
 @pytest.mark.parametrize("method, m, message", [
     ("md", 20, "md: eps = 1e-299 over m = 20 sets"),
     ("bbmr", 1, "bbmr: eps = 1e-299 over n = 60 rows"),
-])
+], ids=["md", "bbmr"])
 def test_synth_pseudo_count_refusal_names_method_and_eps(
         method, m, message, tmp_path, capsys):
     """An eps whose pseudo-count n / (e^eps - 1) overflows is refused by
