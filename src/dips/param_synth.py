@@ -507,7 +507,7 @@ class SequentialLogisticModel:
     and read raw as ``firth``.  Its scale is ``PROPOSAL_WIDEN``^2 (w I +
     prior precision)^-1, for I the Firth fit's information and w the
     set's weight.  At weights far below 1 the posterior is wider than
-    that normal approximation (about 2.5 times its variance on seeded
+    that normal approximation (2.4-4 times its variance on seeded
     sets), hence the widening.  The normal prior and the bounded
     likelihood give the target lighter tails than the proposal, so the
     chain is uniformly ergodic (Mengersen and Tweedie 1996).  It makes a

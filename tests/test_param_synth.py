@@ -1023,7 +1023,7 @@ def test_logistic_mh_acceptance_after_burn_in(sanitize, mh_settings):
     a release's noisy products give, accepts 10-80% of its proposals.
     With one proposal per draw the kept draws are consecutive states, so
     a target accepted a proposal where its draw changed.  (Seeded sets
-    read 16-65%: a proposal far off its target's mode accepts almost
+    read 25-63%: a proposal far off its target's mode accepts almost
     none, and a log density that ignored the coefficients would accept
     every one.)"""
     _, stats_sets = _sim4_release(sanitize)

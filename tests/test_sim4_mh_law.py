@@ -299,18 +299,20 @@ STATIONARY_SEEDS = 400
 STATIONARY_ALPHA = 0.01
 
 
-def _kept_draws(stats_sets, base, n_draws, index):
-    """Per seed, ``posterior_draw``'s draw ``index`` of a release of
-    ``n_draws`` rows, laid out as the reference's."""
+def _kept_draws(stats_sets, base, n_draws, indices):
+    """Per seed, ``posterior_draw``'s draws ``indices`` of a release of
+    ``n_draws`` rows, laid out as the reference's: one
+    (STATIONARY_SEEDS, 34) array per index."""
     model = SequentialLogisticModel()
-    draws = []
+    draws = [[] for _ in indices]
     for s in range(STATIONARY_SEEDS):
         params = model.posterior_draw(_streams(base + s), stats_sets,
                                       n_draws, [])
-        draws.append(np.concatenate(
-            [beta[index] for p in params
-             for beta in (p[2], p[3], np.hstack([p[4], p[5]]))]))
-    return np.array(draws)
+        betas = [beta for p in params
+                 for beta in (p[2], p[3], np.hstack([p[4], p[5]]))]
+        for out, i in zip(draws, indices):
+            out.append(np.concatenate([beta[i] for beta in betas]))
+    return [np.array(out) for out in draws]
 
 
 def test_logistic_draws_are_stationary_at_every_weight(mh_settings):
@@ -326,11 +328,10 @@ def test_logistic_draws_are_stationary_at_every_weight(mh_settings):
     a family-wise rate of ``STATIONARY_ALPHA``."""
     stats_sets = _stats_sets(True)
     assert min(min(ws) for ws in _weights(stats_sets)) < 0.02
-    first = _kept_draws(stats_sets, 5000, N_DRAWS, 0)
-    last = _kept_draws(stats_sets, 5000, N_DRAWS, -1)
+    first, last = _kept_draws(stats_sets, 5000, N_DRAWS, (0, -1))
     mh_settings(burn_in=10 * param_synth.MH_BURN_IN,
                 proposals_per_draw=10 * param_synth.MH_PROPOSALS_PER_DRAW)
-    longer = _kept_draws(stats_sets, 8000, 2, 0)
+    [longer] = _kept_draws(stats_sets, 8000, 2, (0,))
     tests = 2 * longer.shape[1]
     p_min = STATIONARY_ALPHA / tests
     z = stats.norm.ppf(1 - STATIONARY_ALPHA / (2 * tests))
