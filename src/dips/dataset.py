@@ -93,8 +93,8 @@ class TabularDataset:
             if isinstance(col, CategoricalColumn):
                 if values.dtype.kind == "f":
                     category_codes(col.name, values, len(col.levels))
-                if values.size and (values.min() < 0
-                                    or values.max() >= len(col.levels)):
+                elif values.size and (values.min() < 0
+                                      or values.max() >= len(col.levels)):
                     raise ValueError(f"codes out of range in {col.name!r}")
             else:
                 if not np.isfinite(values).all():
