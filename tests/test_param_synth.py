@@ -2,7 +2,6 @@ import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
